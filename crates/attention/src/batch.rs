@@ -3,34 +3,42 @@
 //!
 //! Decode-dominated traffic is the mode a deployed attention accelerator
 //! lives in: every step is one query per sequence against that sequence's
-//! whole KV history, and the PR-2 measurements showed the sweep is
-//! **KV-bandwidth-bound** at serving batch sizes — both the batched and
-//! per-sequence paths stream the same bytes per step, so the SIMD dot/axpy
-//! kernels idle under DRAM. This module attacks the bytes and the
-//! scheduling together:
+//! whole KV history, and the sweep is **KV-bandwidth-bound** at serving
+//! batch sizes. This module attacks the bytes and the scheduling
+//! together:
 //!
 //! * [`KvCache`] — a paged, block-allocated cache: fixed-size blocks
 //!   carved from one shared arena, appended per sequence (the
 //!   vLLM/paged-attention layout), with two physical layouts
 //!   ([`KvLayout`]). The default **head-major** layout stores each head's
 //!   rows as a contiguous `block_rows × head_dim` panel inside the block,
-//!   so a (sequence, head) decode pass reads one pure contiguous K stream
-//!   and one V stream — no per-row head-strided gathers. Retired
-//!   sequences' blocks return to a **free list** and are recycled by later
+//!   so a (sequence, head) pass reads one pure contiguous K stream and
+//!   one V stream — no per-row head-strided gathers. Retired sequences'
+//!   blocks return to a **free list** and are recycled by later
 //!   admissions, so arena growth is bounded by *live* tokens, not total
 //!   traffic history.
 //! * [`DecodeBatch`] — a multi-sequence, multi-head decode engine with
-//!   **continuous batching**: [`admit`](DecodeBatch::admit) /
+//!   **continuous batching**: [`enqueue`](DecodeBatch::enqueue) /
 //!   [`admit_all`](DecodeBatch::admit_all) check and cache new prompts
-//!   mid-flight (the batched form of `flash_abft::flash2_with_checksum` —
-//!   bit-identical per head, property-tested in `flash-abft`), and
+//!   mid-flight in bounded chunks (the chunked form of
+//!   `flash_abft::flash2_with_checksum` — bit-identical per head,
+//!   property-tested in `flash-abft`), [`step_decode`](DecodeBatch::step_decode)
+//!   decodes one token per listed sequence, and
 //!   [`retire`](DecodeBatch::retire) frees a finished sequence's blocks
-//!   without disturbing its neighbours' checksum state. One
-//!   [`step_all`](DecodeBatch::step_all) call appends every live
-//!   sequence's new K/V, then schedules all `sequences × kv_heads` fused
-//!   Alg. 3 group passes — online softmax, output lanes **and** the
-//!   per-query-head checksum lane in one sweep over the cache — across
-//!   the shared rayon pool in a **single fork**.
+//!   without disturbing its neighbours' checksum state.
+//!
+//! **One scoring pass.** Every query shape — a decode step, a prefill
+//! chunk, a speculative window ([`spec`]) — is scored by the same fused
+//! Alg. 3 sweep, `panel_pass` in `batch/pass.rs`: per (sequence, kv
+//! head) it walks the retained blocks once, and each block, while
+//! cache-hot, feeds every (position, group member) query whose
+//! causal/window range reaches into it — online softmax, output lanes
+//! **and** the per-query-head checksum lane. A decode step is a
+//! 1-position panel at `seq_len − 1` (reading shared-prefix score tiles
+//! where several readers share a block); a prefill chunk is one panel per
+//! (prompt, kv head); a speculative window is one panel per segment. All
+//! `sequences × kv_heads` panels of a call run across the shared rayon
+//! pool in a **single fork**.
 //!
 //! The whole engine is **GQA-native**: head counts arrive as a
 //! [`HeadTopology`] (`query_heads` query heads sharing `kv_heads` cached
@@ -38,26 +46,26 @@
 //! `kv_heads == query_heads` point, and
 //! [`MultiHeadConfig`](crate::multihead::MultiHeadConfig)/
 //! [`GqaConfig`](crate::gqa::GqaConfig) convert implicitly). The cache
-//! stores **one K/V stream per kv head**,
-//! so grouped models stream `group_size×` fewer bytes per decode step —
-//! the dominant lever on KV-bandwidth-bound serving sweeps — and each
-//! scheduled `(sequence, kv_head)` pass walks its contiguous K/V panels
-//! once while feeding all `group_size` query-head states, including the
-//! per-group `sumrow(V)` checksum input the group shares for free
-//! (per-query-head verdicts stay exact).
+//! stores **one K/V stream per kv head**, so grouped models stream
+//! `group_size×` fewer bytes per decode step, and each panel's
+//! `group_size` query heads share the per-group `sumrow(V)` checksum
+//! input for free (per-query-head verdicts stay exact).
 //!
-//! Per-(sequence, query-head) arithmetic is identical to
+//! Each query sees exactly its own rows, in ascending order, with the
+//! per-row arithmetic of a one-query sweep. Per-(sequence, query-head)
+//! results are therefore identical to
 //! [`DecodeSession::step_with_state`](crate::decode::DecodeSession::step_with_state)
 //! against that head's group K/V, to `flash_abft::CheckedDecodeSession::step`,
 //! and to a one-shot causal [`flash2`](crate::flash2) pass over the same
 //! history; cross-head combination runs in a fixed order on the calling
-//! thread — so `step_all` is bit-identical to serial per-sequence decode
-//! at every thread count, topology, cache layout, block size, and
-//! admit/retire schedule (property-tested).
+//! thread — so every path is bit-identical to serial per-sequence decode
+//! at every thread count, topology, cache layout, block size, chunk size
+//! and admit/retire schedule (property-tested).
 
 use crate::topology::HeadTopology;
-use fa_numerics::{KahanSum, OnlineSoftmax, BF16};
-use fa_tensor::{ops, Matrix, Scalar};
+use fa_numerics::{KahanSum, BF16};
+use fa_tensor::{Matrix, Scalar};
+use pass::{HeadState, SharedScratch};
 use rayon::prelude::*;
 
 /// Element-format policy for cache blocks — the "mixed-format KV" lever.
@@ -354,8 +362,8 @@ pub enum KvLayout {
 
 /// One block's key/value views for a single head, tagged with the block's
 /// storage format — the scoring kernels pick the matching dot path per
-/// block (native [`ops::dot_then_scale_rows`] vs the mixed-operand
-/// [`ops::dot_then_scale_rows_bf16`]).
+/// block (native [`fa_tensor::ops::dot_then_scale_rows`] vs the
+/// mixed-operand [`fa_tensor::ops::dot_then_scale_rows_bf16`]).
 pub enum HeadBlockData<'a, T> {
     /// The block stores the cache's native element format.
     Native {
@@ -1485,35 +1493,7 @@ impl<T: Scalar> KvCache<T> {
     pub fn head_stream(&self, seq: usize, head: usize) -> impl Iterator<Item = HeadBlock<'_, T>> {
         assert!(head < self.heads, "head {head} out of {}", self.heads);
         let state = self.live(seq);
-        let d = self.head_dim;
-        let block_elems = self.block_rows * self.width;
-        let (off, stride) = match self.layout {
-            KvLayout::TokenMajor => (head * d, self.width),
-            KvLayout::HeadMajor => (head * self.block_rows * d, d),
-        };
-        state.blocks.iter().enumerate().map(move |(bi, &blk)| {
-            let first = state.start + bi * self.block_rows;
-            let rows = (state.len - first).min(self.block_rows);
-            let base = blk.index * block_elems + off;
-            let span = (rows - 1) * stride + d;
-            let data = if blk.bf16 {
-                HeadBlockData::Demoted {
-                    k: &self.k_arena16[base..base + span],
-                    v: &self.v_arena16[base..base + span],
-                }
-            } else {
-                HeadBlockData::Native {
-                    k: &self.k_arena[base..base + span],
-                    v: &self.v_arena[base..base + span],
-                }
-            };
-            HeadBlock {
-                first,
-                rows,
-                stride,
-                data,
-            }
-        })
+        (0..state.blocks.len()).map(move |bi| self.head_view(state, bi, head))
     }
 
     /// One element of [`head_stream`](Self::head_stream) by retained
@@ -1527,9 +1507,13 @@ impl<T: Scalar> KvCache<T> {
     /// of range.
     pub(crate) fn head_block(&self, seq: usize, bi: usize, head: usize) -> HeadBlock<'_, T> {
         assert!(head < self.heads, "head {head} out of {}", self.heads);
-        let state = self.live(seq);
+        self.head_view(self.live(seq), bi, head)
+    }
+
+    /// Slices head `head` of retained block `bi` out of the arena that
+    /// stores it.
+    fn head_view<'a>(&'a self, state: &SeqBlocks, bi: usize, head: usize) -> HeadBlock<'a, T> {
         let d = self.head_dim;
-        let block_elems = self.block_rows * self.width;
         let (off, stride) = match self.layout {
             KvLayout::TokenMajor => (head * d, self.width),
             KvLayout::HeadMajor => (head * self.block_rows * d, d),
@@ -1537,7 +1521,7 @@ impl<T: Scalar> KvCache<T> {
         let blk = state.blocks[bi];
         let first = state.start + bi * self.block_rows;
         let rows = (state.len - first).min(self.block_rows);
-        let base = blk.index * block_elems + off;
+        let base = blk.index * self.block_rows * self.width + off;
         let span = (rows - 1) * stride + d;
         let data = if blk.bf16 {
             HeadBlockData::Demoted {
@@ -1607,15 +1591,6 @@ impl AdmittedPrompt {
     pub fn residual(&self) -> f64 {
         self.predicted - self.actual
     }
-}
-
-/// Unnormalized per-(sequence, head) state produced by one fused pass:
-/// `d` output lanes plus the checksum lane, and the softmax terminal.
-struct HeadState {
-    /// Lanes `0..d` = output accumulator, lane `d` = checksum (only
-    /// meaningful on checked passes).
-    lanes: Vec<f64>,
-    sum_exp: f64,
 }
 
 /// A batched, checked, KV-cache-backed decode engine over
@@ -1779,100 +1754,6 @@ struct SharedPrefix<T: Scalar> {
     /// Sequences admitted behind this prefix so far (observability).
     readers: usize,
 }
-
-/// Sort key of one tile candidate: `(physical block index, stored as
-/// BF16, first visible row, one-past-last visible row)`. Two readers
-/// with equal keys score the identical K rows, so their entries fuse
-/// into one tile.
-type TileKey = (usize, bool, usize, usize);
-
-/// One (sequence, kv head) pass's view of the step's shared scores:
-/// its `index` row (per retained block `(r0, r1, offset)`) plus the
-/// score arena the offsets point into.
-type SharedTiles<'a> = (&'a [(usize, usize, usize)], &'a [f64]);
-
-/// The decode step's shared-block score table plus every buffer needed
-/// to build it. Filled by [`DecodeBatch::build_shared_scores`] before
-/// the pass fork; the fused pass consumes the slices instead of
-/// re-sweeping the K panel once per reader. The struct lives on the
-/// engine so capacities persist across steps — the table is rebuilt
-/// every decode step, and per-step allocation (score arena, index rows)
-/// plus per-entry hashing measurably outweighed the batched sweep's
-/// bandwidth win before this was amortized. Lookups on both sides are
-/// plain array indexing. Contents are only meaningful for the step that
-/// built them (`active`).
-struct SharedScratch<T> {
-    /// One entry per (reader, shared block): key
-    /// `(block index, bf16, r0, r1)` identifies the physical block and
-    /// visible row range, payload is `(batch slot, retained-block
-    /// index)`. Sorted, so runs of equal key are tiles.
-    entries: Vec<(TileKey, u32, u32)>,
-    /// Row `batch_slot · kv_heads + kv_head`, indexed by retained-block
-    /// index `bi`: `(r0, r1, offset)` gives the visible row range scored
-    /// and the start of `group_size · (r1 − r0)` member-major score
-    /// entries in `scores`. Offset [`SHARED_NONE`] (or a row too short
-    /// to contain `bi`) means the block has no tile and keeps the GEMV
-    /// path.
-    index: Vec<Vec<(usize, usize, usize)>>,
-    /// Tile arena: `used` marks this step's live prefix; the tail is
-    /// stale capacity from earlier (larger) steps, never referenced
-    /// because offsets in `index` stay below `used`.
-    scores: Vec<f64>,
-    used: usize,
-    /// Batched K-panel sweeps this step (one per shared tile).
-    tiles: u64,
-    /// Whether this step produced any tiles.
-    active: bool,
-    /// Per-kv-head packed query panels, valid for `packed_readers` when
-    /// the matching `_ok` flag is set. In the hot case every tile shares
-    /// one reader set — all of a shared prefix's blocks — so packing
-    /// happens once per step per head, not once per block.
-    packed: Vec<Vec<T>>,
-    packed_wide: Vec<Vec<f64>>,
-    packed_ok: Vec<bool>,
-    packed_wide_ok: Vec<bool>,
-    packed_readers: Vec<u32>,
-}
-
-impl<T> Default for SharedScratch<T> {
-    fn default() -> Self {
-        Self {
-            entries: Vec::new(),
-            index: Vec::new(),
-            scores: Vec::new(),
-            used: 0,
-            tiles: 0,
-            active: false,
-            packed: Vec::new(),
-            packed_wide: Vec::new(),
-            packed_ok: Vec::new(),
-            packed_wide_ok: Vec::new(),
-            packed_readers: Vec::new(),
-        }
-    }
-}
-
-/// Cloning an engine (the golden-twin pattern) starts the twin with
-/// cold scratch instead of duplicating up to a megabyte of step-local
-/// buffers that the next decode step would overwrite anyway.
-impl<T> Clone for SharedScratch<T> {
-    fn clone(&self) -> Self {
-        Self::default()
-    }
-}
-
-impl<T> std::fmt::Debug for SharedScratch<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedScratch")
-            .field("tiles", &self.tiles)
-            .field("active", &self.active)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Sentinel offset marking "no shared tile for this block" in
-/// [`SharedScratch::index`].
-const SHARED_NONE: usize = usize::MAX;
 
 #[derive(Clone, Debug)]
 pub struct DecodeBatch<T: Scalar> {
@@ -3031,12 +2912,12 @@ impl<T: Scalar> DecodeBatch<T> {
 
     /// The chunked-admission engine: advances pending prompts (all of
     /// them, or the `only` subset) by at most `chunk` prompt tokens each
-    /// — appending the chunk's K/V rows, then running every
-    /// `prompt × kv_head` checked prefill **group pass** for the chunk's
-    /// queries in ONE fork (each pass streams its kv head's panels once,
-    /// feeding all `group_size` query heads), then folding each chunk's
-    /// per-query-head Kahan checksums into the pending and per-sequence
-    /// totals. Completed prompts park their [`AdmittedPrompt`] for
+    /// — appending the chunk's K/V rows, then running one checked
+    /// **panel pass** per `prompt × kv_head` over the chunk's queries in
+    /// ONE fork (each panel streams its kv head's blocks once for all
+    /// the chunk's positions × `group_size` query heads), then folding
+    /// each chunk's per-query-head Kahan checksums into the pending and
+    /// per-sequence totals. Completed prompts park their [`AdmittedPrompt`] for
     /// [`take_admitted`](Self::take_admitted).
     fn advance_pending(&mut self, chunk: usize, only: Option<&[usize]>) -> usize {
         self.assert_no_window();
@@ -3080,7 +2961,7 @@ impl<T: Scalar> DecodeBatch<T> {
             spans.push((seq, p0, p1, cache_only));
         }
 
-        // Phase 2: one fork over all prompt×kv_head chunk group passes.
+        // Phase 2: one fork over all prompt×kv_head chunk panels.
         // Few-but-huge work units: each pair is an O(N²·d·group)-ish
         // pass, so even a 2-way fork pays — the decode-tuned rows≥16
         // floor of `worth_parallelizing` would serialize small batches of
@@ -3095,31 +2976,19 @@ impl<T: Scalar> DecodeBatch<T> {
             .max()
             .unwrap_or(0);
         let engine = &*self;
-        // Each pair yields the chunk's states in (query, member) order:
-        // entry `j·group_size + m` is chunk query `p0 + j`, member `m` of
-        // kv head `g` (query head `g·group_size + m`). Cache-only
-        // requeues yield no states: their appends are the whole job.
+        // Each pair is one panel over the chunk's positions, yielding its
+        // states in (query, member) order: entry `j·group_size + m` is
+        // chunk query `p0 + j`, member `m` of kv head `g` (query head
+        // `g·group_size + m`). Cache-only requeues yield no states: their
+        // appends are the whole job.
         let pass = |(si, g): (usize, usize)| {
             let (seq, p0, p1, cache_only) = spans[si];
             if cache_only {
                 return Vec::new();
             }
             let pend = engine.seqs[seq].pending.as_ref().expect("pending survives");
-            let cols = engine.cfg.group_q_cols(g);
-            let mut scores = Vec::new();
-            let mut states = Vec::with_capacity((p1 - p0) * gs);
-            for p in p0..p1 {
-                states.extend(engine.fused_group_pass(
-                    seq,
-                    g,
-                    &pend.q.row(p)[cols.clone()],
-                    pend.base + p,
-                    true,
-                    None,
-                    &mut scores,
-                ));
-            }
-            states
+            let queries = pass::pack_panel(&pend.q, p0..p1, engine.cfg.group_q_cols(g));
+            engine.panel_pass(seq, g, &queries, pend.base + p0, true, None)
         };
         let states: Vec<Vec<HeadState>> =
             if crate::par::worth_parallelizing_units(pairs.len(), per_pair_elems) {
@@ -3193,12 +3062,13 @@ impl<T: Scalar> DecodeBatch<T> {
     ///
     /// Row `i` of `qs` (`batch × q_dim`) and of `ks`/`vs`
     /// (`batch × kv_dim`) is the new token of `seq_ids[i]`. All K/V rows
-    /// are appended first, then every `sequence × kv_head` group pass is
-    /// scheduled across the shared rayon pool in one fork — each pass
-    /// streams its kv head's contiguous panels once while feeding all
-    /// `group_size` query-head states; per-head states are combined in
-    /// input order on the calling thread, so the result is bit-identical
-    /// at every thread count and to serial per-sequence decode.
+    /// are appended first, then every `sequence × kv_head` 1-position
+    /// panel pass is scheduled across the shared rayon pool in one fork —
+    /// each pass streams its kv head's contiguous blocks once while
+    /// feeding all `group_size` query-head states; per-head states are
+    /// combined in input order on the calling thread, so the result is
+    /// bit-identical at every thread count and to serial per-sequence
+    /// decode.
     ///
     /// # Panics
     ///
@@ -3238,31 +3108,16 @@ impl<T: Scalar> DecodeBatch<T> {
         vs: &Matrix<T>,
     ) -> Vec<DecodeStepOutput> {
         let states = self.run_passes(seq_ids, qs, ks, vs, true);
-        let h = self.cfg.query_heads;
-        let d = self.cfg.head.head_dim();
         // Finalize in input order on this thread (Alg. 3 lines 9–11).
+        let h = self.cfg.query_heads;
         let mut outputs = Vec::with_capacity(seq_ids.len());
         for (i, &seq) in seq_ids.iter().enumerate() {
-            let mut output = vec![0.0f64; self.cfg.q_dim()];
-            let mut predicted = 0.0f64;
-            let mut actual = 0.0f64;
-            for (hi, state) in states[i * h..(i + 1) * h].iter().enumerate() {
-                for (c, &lane) in state.lanes[..d].iter().enumerate() {
-                    let val = lane / state.sum_exp;
-                    output[hi * d + c] = val;
-                    actual += val;
-                }
-                predicted += state.lanes[d] / state.sum_exp;
-            }
+            let out = pass::finalize_token(self.cfg.q_dim(), &states[i * h..(i + 1) * h]);
             let state = &mut self.seqs[seq];
-            state.totals.0 += predicted;
-            state.totals.1 += actual;
+            state.totals.0 += out.predicted;
+            state.totals.1 += out.actual;
             state.checked_steps += 1;
-            outputs.push(DecodeStepOutput {
-                output,
-                predicted,
-                actual,
-            });
+            outputs.push(out);
         }
         outputs
     }
@@ -3292,25 +3147,15 @@ impl<T: Scalar> DecodeBatch<T> {
             self.seqs[seq].unchecked_steps += 1;
         }
         let h = self.cfg.query_heads;
-        let d = self.cfg.head.head_dim();
-        seq_ids
-            .iter()
-            .enumerate()
-            .map(|(i, _)| {
-                let mut output = vec![0.0f64; self.cfg.q_dim()];
-                for (hi, state) in states[i * h..(i + 1) * h].iter().enumerate() {
-                    for (c, &lane) in state.lanes[..d].iter().enumerate() {
-                        output[hi * d + c] = lane / state.sum_exp;
-                    }
-                }
-                output
-            })
+        (0..seq_ids.len())
+            .map(|i| pass::finalize_token(self.cfg.q_dim(), &states[i * h..(i + 1) * h]).output)
             .collect()
     }
 
-    /// Appends every input token, then runs all `batch × kv_heads` fused
-    /// group passes in a single fork. Returns one [`HeadState`] per
-    /// (sequence, **query head**), in query-head order per sequence.
+    /// Appends every input token, then runs all `batch × kv_heads`
+    /// 1-position panel passes in a single fork. Returns one
+    /// [`HeadState`] per (sequence, **query head**), in query-head order
+    /// per sequence.
     fn run_passes(
         &mut self,
         seq_ids: &[usize],
@@ -3351,11 +3196,9 @@ impl<T: Scalar> DecodeBatch<T> {
         // DRAM once instead of once per reader. Built serially before
         // the fork; the passes consume the precomputed slices.
         let mut scratch = std::mem::take(&mut self.shared_scratch);
-        self.build_shared_scores(seq_ids, qs, &mut scratch);
-        self.shared_tiles += scratch.tiles;
-        let shared = scratch.active.then_some(&scratch);
+        self.shared_tiles += self.build_shared_scores(seq_ids, qs, &mut scratch);
 
-        // Phase 2: one fork over all sequence×kv_head group passes. Each
+        // Phase 2: one fork over all sequence×kv_head panel passes. Each
         // unit owns one kv head's contiguous K/V stream and computes all
         // of its group's query-head states in one sweep; flattening the
         // (sequence-major, kv-head-major, member) results yields exactly
@@ -3372,23 +3215,15 @@ impl<T: Scalar> DecodeBatch<T> {
         let pass = |flat: usize| {
             let (i, g) = (flat / kv, flat % kv);
             let seq = seq_ids[i];
-            // A group's query heads are contiguous in the packed Q row.
-            let cols = self.cfg.group_q_cols(g);
-            // This pass's slice of the shared-score table: one flat-row
-            // lookup here, then plain `bi` indexing per block inside.
-            let tiles = shared.and_then(|t| {
-                let row = t.index[flat].as_slice();
-                (!row.is_empty()).then_some((row, t.scores.as_slice()))
-            });
-            let mut scores = Vec::new();
-            self.fused_group_pass(
+            // A group's query heads are contiguous in the packed Q row;
+            // the pass's shared-score row is one flat-row lookup.
+            self.panel_pass(
                 seq,
                 g,
-                &qs.row(i)[cols],
+                &qs.row(i)[self.cfg.group_q_cols(g)],
                 self.cache.seq_len(seq) - 1,
                 checked,
-                tiles,
-                &mut scores,
+                scratch.tiles_for(flat),
             )
         };
         let groups: Vec<Vec<HeadState>> = if crate::par::worth_parallelizing(work, max_len, d * gs)
@@ -3400,399 +3235,10 @@ impl<T: Scalar> DecodeBatch<T> {
         self.shared_scratch = scratch;
         groups.into_iter().flatten().collect()
     }
-
-    /// Builds the decode step's shared-block score table: for every
-    /// physical block read by **two or more** of the stepping sequences
-    /// at the same visible row range, all readers' per-member score
-    /// rows are computed in one K-panel sweep
-    /// ([`ops::dot_then_scale_rows_multi_into`] — rows outer, queries
-    /// inner, so each K row is loaded from DRAM once and reused
-    /// register/L1-hot across all `k · group_size` queries: the
-    /// (k·gs × d)·(dᵀ × rows) matmul realized with the same
-    /// per-(query, row) [`ops::dot_f64`] microkernel the GEMV path uses,
-    /// hence bit-identical scores). Leaves `s.active` false when sharing
-    /// is off or no block qualifies.
-    ///
-    /// The table is rebuilt every step, so the builder stays strictly
-    /// O(readers · blocks) with no hashing and (in steady state) no
-    /// allocation: reader×block pairs are sort-grouped by (physical
-    /// block, range) in the scratch's persistent buffers, tiles land
-    /// directly in the score arena, and the packed query panel —
-    /// identical for every tile with the same reader set, i.e. all of a
-    /// shared prefix's blocks — is reused across tiles instead of
-    /// repacked per block (at `k = 32` readers that repacking alone
-    /// outweighed the batched sweep's saving, and per-step
-    /// allocation + hashing cost as much as the k-GEMV work replaced).
-    fn build_shared_scores(&self, seq_ids: &[usize], qs: &Matrix<T>, s: &mut SharedScratch<T>) {
-        s.tiles = 0;
-        s.used = 0;
-        s.active = false;
-        if !self.shared_scoring {
-            return;
-        }
-        let kv = self.cfg.kv_heads;
-        let gs = self.cfg.group_size();
-        let d = self.cfg.head.head_dim();
-        let scale = self.cfg.head.scale();
-        let block_rows = self.cache.block_rows();
-        // Reset the step-local views: index rows empty (capacity kept),
-        // packed panels invalid (queries change every step).
-        for row in s.index.iter_mut() {
-            row.clear();
-        }
-        if s.index.len() < seq_ids.len() * kv {
-            s.index.resize_with(seq_ids.len() * kv, Vec::new);
-        }
-        if s.packed.len() < kv {
-            s.packed.resize_with(kv, Vec::new);
-            s.packed_wide.resize_with(kv, Vec::new);
-            s.packed_ok.resize(kv, false);
-            s.packed_wide_ok.resize(kv, false);
-        }
-        s.packed_readers.clear();
-        // One entry per (reader, shared block): key = (physical block,
-        // visible range), payload = (batch slot, retained-block index).
-        // Readers at different ranges (sliding windows cutting a block
-        // differently) keep the GEMV path — correctness first, the
-        // prefix-sharing hot case (retain-all decode: every reader sees
-        // the full block) always batches.
-        s.entries.clear();
-        for (i, &seq) in seq_ids.iter().enumerate() {
-            let blocks = self.cache.seq_blocks(seq);
-            if !blocks.iter().any(|&b| self.cache.block_ref_count(b) > 1) {
-                continue;
-            }
-            let start = self.cache.first_retained(seq);
-            let last_pos = self.cache.seq_len(seq) - 1;
-            let lo = match self.mask_window {
-                Some(w) => (last_pos + 1).saturating_sub(w),
-                None => 0,
-            };
-            for (bi, &blk) in blocks.iter().enumerate() {
-                if self.cache.block_ref_count(blk) < 2 {
-                    continue;
-                }
-                let first = start + bi * block_rows;
-                if first > last_pos {
-                    break;
-                }
-                let rows = (last_pos + 1 - first).min(block_rows);
-                let r1 = rows;
-                let r0 = lo.saturating_sub(first).min(r1);
-                if r0 == r1 {
-                    continue;
-                }
-                s.entries
-                    .push(((blk.index, blk.bf16, r0, r1), i as u32, bi as u32));
-            }
-        }
-        if s.entries.is_empty() {
-            return;
-        }
-        // Runs of equal key are tiles; within a run readers stay in
-        // batch order, which is also the qbuf packing order below.
-        s.entries.sort_unstable();
-        let mut run = 0;
-        while run < s.entries.len() {
-            let key = s.entries[run].0;
-            let mut end = run + 1;
-            while end < s.entries.len() && s.entries[end].0 == key {
-                end += 1;
-            }
-            let span = run..end;
-            run = end;
-            if span.len() < 2 {
-                continue;
-            }
-            let readers_match = s.packed_readers.len() == span.len()
-                && s.packed_readers
-                    .iter()
-                    .zip(&s.entries[span.clone()])
-                    .all(|(&p, &(_, i, _))| p == i);
-            if !readers_match {
-                s.packed_readers.clear();
-                let (head, tail) = (&mut s.packed_readers, &s.entries[span.clone()]);
-                head.extend(tail.iter().map(|&(_, i, _)| i));
-                s.packed_ok.iter_mut().for_each(|v| *v = false);
-                s.packed_wide_ok.iter_mut().for_each(|v| *v = false);
-            }
-            let (_, bf16, r0, r1) = key;
-            let rows = r1 - r0;
-            // One representative reader locates the panel; all readers
-            // share the physical storage by construction.
-            let (_, i0, bi0) = s.entries[span.start];
-            let seq0 = seq_ids[i0 as usize];
-            for g in 0..kv {
-                let cols = self.cfg.group_q_cols(g);
-                let hb = self.cache.head_block(seq0, bi0 as usize, g);
-                let base = s.used;
-                s.used += span.len() * gs * rows;
-                // Grow-only arena: new capacity is zero-filled once,
-                // then every slot of the step's live prefix is
-                // overwritten by the sweeps below — later steps reuse
-                // the allocation with no memset.
-                if s.scores.len() < s.used {
-                    s.scores.resize(s.used, 0.0);
-                }
-                match hb.data {
-                    HeadBlockData::Native { k, .. } => {
-                        if !s.packed_ok[g] {
-                            s.packed[g].clear();
-                            for &(_, i, _) in &s.entries[span.clone()] {
-                                s.packed[g].extend_from_slice(&qs.row(i as usize)[cols.clone()]);
-                            }
-                            s.packed_ok[g] = true;
-                        }
-                        ops::dot_then_scale_rows_multi_into(
-                            &s.packed[g],
-                            d,
-                            &k[r0 * hb.stride..],
-                            hb.stride,
-                            rows,
-                            scale,
-                            &mut s.scores[base..s.used],
-                        );
-                    }
-                    HeadBlockData::Demoted { k, .. } => {
-                        if !s.packed_wide_ok[g] {
-                            s.packed_wide[g].clear();
-                            for &(_, i, _) in &s.entries[span.clone()] {
-                                s.packed_wide[g].extend(
-                                    qs.row(i as usize)[cols.clone()].iter().map(|x| x.to_f64()),
-                                );
-                            }
-                            s.packed_wide_ok[g] = true;
-                        }
-                        ops::dot_then_scale_rows_multi_bf16_into(
-                            &s.packed_wide[g],
-                            d,
-                            &k[r0 * hb.stride..],
-                            hb.stride,
-                            rows,
-                            scale,
-                            &mut s.scores[base..s.used],
-                        );
-                    }
-                }
-                debug_assert!(bf16 == matches!(hb.data, HeadBlockData::Demoted { .. }));
-                for (j, &(_, i, bi)) in s.entries[span.clone()].iter().enumerate() {
-                    let row = &mut s.index[i as usize * kv + g];
-                    let bi = bi as usize;
-                    if row.len() <= bi {
-                        row.resize(bi + 1, (0, 0, SHARED_NONE));
-                    }
-                    row[bi] = (r0, r1, base + j * gs * rows);
-                }
-                s.tiles += 1;
-            }
-        }
-        s.active = s.tiles > 0;
-    }
-
-    /// The fused Alg. 3 loop for one (sequence, **kv head**) group at
-    /// query position `last_pos`: one sweep over that kv head's cached
-    /// blocks up to (and including) `last_pos`, computing scores,
-    /// online-softmax state, output lanes and (when `checked`) the
-    /// checksum lane for **every query head of the group** — the K/V
-    /// panels are walked once per block while they are cache-hot, so a
-    /// grouped topology pays the DRAM traffic of one head for
-    /// `group_size` query states.
-    ///
-    /// `q_group` packs the group's query sub-rows member-major
-    /// (`group_size · d` lanes). Each block is scored per member through
-    /// the contiguous-stream [`ops::dot_then_scale_rows`] kernel (with
-    /// the head-major layout the K panel is one pure contiguous span) —
-    /// unless `shared` carries this (sequence, kv head) pass's
-    /// shared-score row (per-block tile locations plus the step's score
-    /// arena): then the slice is consumed directly, skipping the
-    /// per-reader K sweep (same per-(query, row) dot kernel, same
-    /// bits). Scores and V rows then fold through the member's online
-    /// recurrence — per member, exactly the arithmetic of the
-    /// per-query-head PR-4 pass, so `group_size == 1` is bit-identical to
-    /// it. The checksum lane reads the per-(position, kv head) `sumrow`,
-    /// shared by all members of the group — and, across sequences, the
-    /// same shared-prefix position's `sumrow` value serves every reader
-    /// (cloned at attach). Decode passes use
-    /// `last_pos == seq_len − 1`; admitted prompt queries use their own
-    /// position, which also applies the causal mask. Sliding-window
-    /// masking is relative to `last_pos`, matching
-    /// `DecodeSession::step_with_state`. `scores` is caller scratch,
-    /// reused across blocks, members and queries. Returns the group's
-    /// states in member (query-head) order.
-    #[allow(clippy::too_many_arguments)]
-    fn fused_group_pass(
-        &self,
-        seq: usize,
-        kv_head: usize,
-        q_group: &[T],
-        last_pos: usize,
-        checked: bool,
-        shared: Option<SharedTiles<'_>>,
-        scores: &mut Vec<f64>,
-    ) -> Vec<HeadState> {
-        let d = self.cfg.head.head_dim();
-        let kv = self.cfg.kv_heads;
-        let gs = self.cfg.group_size();
-        let scale = self.cfg.head.scale();
-        let sumrows = &self.seqs[seq].sumrows;
-        debug_assert_eq!(q_group.len(), gs * d);
-
-        // Visible positions: the causal-window interval ending at
-        // `last_pos`, under the tighter of the configured sliding window
-        // and the eviction window (sliding-window eviction masks exactly
-        // the positions it frees, so evicted blocks are unreachable).
-        let lo = match self.mask_window {
-            Some(w) => (last_pos + 1).saturating_sub(w),
-            None => 0,
-        };
-
-        // Widened queries for demoted-block scoring: the mixed-operand
-        // dot widens BF16 keys per lane (exact), so scoring a demoted
-        // block equals scoring its widened contents through the f64
-        // kernel bit for bit — what keeps mixed-format decode pinned to
-        // the f64 golden session. Only materialized when BF16 blocks
-        // exist: the format implies them, or voluntary demotion (the
-        // serving frontend's soft preemption tier) planted some in an
-        // otherwise-native sequence.
-        let q_wide: Vec<f64> = if self.cache.format() == KvFormat::F64
-            && !self.cache.seqs[seq].blocks.iter().any(|b| b.bf16)
-        {
-            Vec::new()
-        } else {
-            q_group.iter().map(|x| x.to_f64()).collect()
-        };
-
-        let mut states: Vec<(OnlineSoftmax, Vec<f64>)> = (0..gs)
-            .map(|_| (OnlineSoftmax::new(), vec![0.0f64; d + 1]))
-            .collect();
-        for (bi, blk) in self.cache.head_stream(seq, kv_head).enumerate() {
-            if blk.first > last_pos {
-                break;
-            }
-            let r1 = (last_pos + 1 - blk.first).min(blk.rows);
-            let r0 = lo.saturating_sub(blk.first).min(r1);
-            if r0 == r1 {
-                continue;
-            }
-            // Shared-block fast path: another reader's builder already
-            // scored this physical block for our queries — consume the
-            // member's precomputed score row instead of re-streaming K.
-            let tile = shared.and_then(|(row, arena)| {
-                row.get(bi)
-                    .filter(|&&(tr0, tr1, off)| off != SHARED_NONE && (tr0, tr1) == (r0, r1))
-                    .map(|&(_, _, off)| &arena[off..off + gs * (r1 - r0)])
-            });
-            match blk.data {
-                HeadBlockData::Native { k, v } => {
-                    for (m, (os, lanes)) in states.iter_mut().enumerate() {
-                        let member_scores: &[f64] = if let Some(tile) = tile {
-                            &tile[m * (r1 - r0)..(m + 1) * (r1 - r0)]
-                        } else {
-                            ops::dot_then_scale_rows(
-                                &q_group[m * d..(m + 1) * d],
-                                &k[r0 * blk.stride..],
-                                blk.stride,
-                                r1 - r0,
-                                scale,
-                                scores,
-                            );
-                            scores
-                        };
-                        accumulate_block(
-                            os,
-                            lanes,
-                            member_scores,
-                            v,
-                            blk.stride,
-                            r0,
-                            blk.first,
-                            sumrows,
-                            kv,
-                            kv_head,
-                            checked,
-                        );
-                    }
-                }
-                HeadBlockData::Demoted { k, v } => {
-                    for (m, (os, lanes)) in states.iter_mut().enumerate() {
-                        let member_scores: &[f64] = if let Some(tile) = tile {
-                            &tile[m * (r1 - r0)..(m + 1) * (r1 - r0)]
-                        } else {
-                            ops::dot_then_scale_rows_bf16(
-                                &q_wide[m * d..(m + 1) * d],
-                                &k[r0 * blk.stride..],
-                                blk.stride,
-                                r1 - r0,
-                                scale,
-                                scores,
-                            );
-                            scores
-                        };
-                        accumulate_block(
-                            os,
-                            lanes,
-                            member_scores,
-                            v,
-                            blk.stride,
-                            r0,
-                            blk.first,
-                            sumrows,
-                            kv,
-                            kv_head,
-                            checked,
-                        );
-                    }
-                }
-            }
-        }
-        states
-            .into_iter()
-            .map(|(os, lanes)| HeadState {
-                lanes,
-                sum_exp: os.sum_exp(),
-            })
-            .collect()
-    }
-}
-
-/// Folds one scored block through the online recurrence: lines 4–6 of
-/// Alg. 3 for each of the block's visible rows, plus the checksum lane
-/// when `checked`. Generic over the block's stored value format (native
-/// `T` or demoted BF16) — [`ops::axpy_f64`] handles both with identical
-/// per-lane rounding.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_block<V: Scalar>(
-    os: &mut OnlineSoftmax,
-    lanes: &mut [f64],
-    scores: &[f64],
-    v: &[V],
-    stride: usize,
-    r0: usize,
-    first: usize,
-    sumrows: &[f64],
-    heads: usize,
-    head: usize,
-    checked: bool,
-) {
-    let d = lanes.len() - 1;
-    for (j, &s) in scores.iter().enumerate() {
-        let r = r0 + j;
-        let step = os.push(s);
-        let vo = r * stride;
-        ops::axpy_f64(
-            &mut lanes[..d],
-            &v[vo..vo + d],
-            step.scale_old,
-            step.weight_new,
-        );
-        if checked {
-            let pos = first + r;
-            lanes[d] = lanes[d] * step.scale_old + sumrows[pos * heads + head] * step.weight_new;
-        }
-    }
 }
 
 pub mod guard;
+mod pass;
 pub mod scrub;
 pub mod spec;
 

@@ -5,12 +5,11 @@
 //! streams each sequence's whole retained K/V history for one query.
 //! Speculative decoding amortizes that sweep along the **token axis** —
 //! a cheap draft proposes `γ` tokens per sequence and the target engine
-//! scores all `γ` positions in one batched pass, streaming each K/V
-//! panel once for `γ` queries instead of `γ` times (the same
-//! bandwidth-reuse structure the shared-prefix score tiles use along the
-//! batch axis, via the same [`ops::dot_then_scale_rows_multi_into`]
-//! kernels, so every (query, row) score is bit-identical to the
-//! sequential GEMV path).
+//! scores all `γ` positions as one query panel per (sequence, kv head)
+//! through the engine's one scoring pass (`batch/pass.rs`), streaming
+//! each K/V block once for `γ` queries instead of `γ` times. Each window
+//! position scores its own rows with the decode pass's per-row
+//! arithmetic, so every output is bit-identical to sequential decode.
 //!
 //! The hard part is the **rollback contract**. Scoring a window requires
 //! appending the draft rows first (each window query attends to the
@@ -28,10 +27,11 @@
 //!   *deferred-frees* mode (a block whose last reference drops mid-window
 //!   parks with its lanes intact instead of returning to the free lists,
 //!   so demotion/eviction/CoW can run **live** and still be undone), then
-//!   appends and scores the window. Mixed-format windows score in
-//!   *segments* split at block-claim boundaries so demotion fires at
-//!   exactly the sequential schedule's steps; F64/BF16 windows score in
-//!   one segment (their appends never change earlier rows' bits).
+//!   appends and scores the window. Mixed-format windows append and
+//!   score in *segments* split at block-claim boundaries, one panel per
+//!   segment, so demotion fires at exactly the sequential schedule's
+//!   steps; F64/BF16 windows are one segment (their appends never change
+//!   earlier rows' bits).
 //! * [`DecodeBatch::resolve_speculation`] rolls **every** windowed
 //!   sequence back to its snapshot (resurrecting parked blocks), flushes
 //!   still-unowned parked blocks to the free lists, then **replays** the
@@ -52,11 +52,9 @@
 //! a time; `resolve_speculation` with `accepted = 0` is a pure rollback.
 
 use super::guard::WindowVerdict;
-use super::{
-    BlockCheck, BlockRef, DecodeBatch, DecodeStepOutput, HeadBlockData, HeadState, KvFormat,
-};
-use fa_numerics::OnlineSoftmax;
-use fa_tensor::{ops, Matrix, Scalar};
+use super::pass::{finalize_token, pack_panel};
+use super::{BlockCheck, BlockRef, DecodeBatch, DecodeStepOutput, HeadState, KvFormat};
+use fa_tensor::{Matrix, Scalar};
 use rayon::prelude::*;
 
 /// Rollback snapshot and scored-window state for one speculating
@@ -132,12 +130,13 @@ impl<T: Scalar> DecodeBatch<T> {
     /// produced — the verifier can therefore accept any prefix and the
     /// commit is exact, not approximate.
     ///
-    /// Bandwidth: each retained K/V panel streams once per window for
-    /// all `gamma` queries (query-inner multi-dot kernels), instead of
-    /// once per token — the sweep amortization the bench measures.
-    /// Mixed-format sequences split the window into segments at
-    /// block-claim boundaries (demotion must fire between the right two
-    /// tokens); F64/BF16 sequences always score in one segment.
+    /// Bandwidth: each segment is one panel pass per kv head, so each
+    /// retained K/V block streams once per window for all `gamma`
+    /// queries instead of once per token — the sweep amortization the
+    /// bench measures. Mixed-format sequences split the window into
+    /// segments at block-claim boundaries (demotion must fire between
+    /// the right two tokens); F64/BF16 sequences always score in one
+    /// segment.
     ///
     /// # Panics
     ///
@@ -260,10 +259,9 @@ impl<T: Scalar> DecodeBatch<T> {
                     self.append_token_anchored(seq, ks.row(r), vs.row(r), len0s[i]);
                 }
             }
-            // One fork over (segment × kv head) multi-query passes —
-            // same fork shape and threshold family as `run_passes`, and
-            // per-(query, head) arithmetic identical to the sequential
-            // pass, so thread count cannot affect bits.
+            // One fork over (segment × kv head) panels — same fork shape
+            // and threshold family as `run_passes`, and the same pass, so
+            // thread count cannot affect bits.
             let work = phase.len() * kv;
             let max_len = phase
                 .iter()
@@ -273,7 +271,9 @@ impl<T: Scalar> DecodeBatch<T> {
             let pass = |flat: usize| {
                 let (u, g) = (flat / kv, flat % kv);
                 let (i, j0, j1) = phase[u];
-                self.spec_group_pass(seq_ids[i], g, qs, i, gamma, len0s[i], j0, j1)
+                let rows = i * gamma + j0..i * gamma + j1;
+                let queries = pack_panel(qs, rows, self.cfg.group_q_cols(g));
+                self.panel_pass(seq_ids[i], g, &queries, len0s[i] + j0, true, None)
             };
             let states: Vec<Vec<HeadState>> =
                 if crate::par::worth_parallelizing(work, max_len, d * gs * gamma) {
@@ -281,178 +281,22 @@ impl<T: Scalar> DecodeBatch<T> {
                 } else {
                     (0..work).map(pass).collect()
                 };
-            // Finalize each window token exactly as `step_decode` does:
+            // Finalize each window token exactly as `step_decode` does —
             // query heads in order (kv-group major, member minor ==
-            // ascending query head), lanes in order — but fold nothing
-            // into the session totals; the pairs park in the window.
+            // ascending query head) — but fold nothing into the session
+            // totals; the pairs park in the window.
             for (u, &(i, j0, j1)) in phase.iter().enumerate() {
-                for j in j0..j1 {
-                    let mut output = vec![0.0f64; self.cfg.q_dim()];
-                    let mut predicted = 0.0f64;
-                    let mut actual = 0.0f64;
-                    for g in 0..kv {
-                        let unit = &states[u * kv + g];
-                        for m in 0..gs {
-                            let hi = g * gs + m;
-                            let state = &unit[(j - j0) * gs + m];
-                            for (c, &lane) in state.lanes[..d].iter().enumerate() {
-                                let val = lane / state.sum_exp;
-                                output[hi * d + c] = val;
-                                actual += val;
-                            }
-                            predicted += state.lanes[d] / state.sum_exp;
-                        }
-                    }
+                let units = &states[u * kv..(u + 1) * kv];
+                for j in 0..j1 - j0 {
+                    let heads = units.iter().flat_map(|unit| &unit[j * gs..(j + 1) * gs]);
+                    let out = finalize_token(self.cfg.q_dim(), heads);
                     let win = self.spec_window.as_mut().expect("window is open");
-                    win.seqs[i].token_checks.push((predicted, actual));
-                    outputs[i].push(DecodeStepOutput {
-                        output,
-                        predicted,
-                        actual,
-                    });
+                    win.seqs[i].token_checks.push((out.predicted, out.actual));
+                    outputs[i].push(out);
                 }
             }
         }
         outputs
-    }
-
-    /// One (sequence, kv head) multi-query fused pass over window
-    /// queries `j0..j1` (positions `len0+j0 .. len0+j1`): each retained
-    /// K/V panel streams **once** through the query-inner multi-dot
-    /// kernel for the union visible range, then every (query, member)
-    /// folds only its own causal-window slice through the shared online
-    /// recurrence — the same per-(query, row) dot microkernel and the
-    /// same fold order as the sequential pass, hence bitwise equal.
-    #[allow(clippy::too_many_arguments)]
-    fn spec_group_pass(
-        &self,
-        seq: usize,
-        kv_head: usize,
-        qs: &Matrix<T>,
-        i: usize,
-        gamma: usize,
-        len0: usize,
-        j0: usize,
-        j1: usize,
-    ) -> Vec<HeadState> {
-        let d = self.cfg.head.head_dim();
-        let kv = self.cfg.kv_heads;
-        let gs = self.cfg.group_size();
-        let scale = self.cfg.head.scale();
-        let nq = (j1 - j0) * gs;
-        let sumrows = &self.seqs[seq].sumrows;
-        let cols = self.cfg.group_q_cols(kv_head);
-
-        // Pack the segment's queries token-outer, member-inner: packed
-        // query `(j-j0)·gs + m` is window token `j`'s member `m`.
-        let mut q_pack: Vec<T> = Vec::with_capacity(nq * d);
-        for j in j0..j1 {
-            q_pack.extend_from_slice(&qs.row(i * gamma + j)[cols.clone()]);
-        }
-        // Widened twin for demoted blocks — same existence condition as
-        // the sequential pass (BF16 blocks possible), and like there it
-        // never touches native-block scoring.
-        let q_wide: Vec<f64> = if self.cache.format() == KvFormat::F64
-            && !self.cache.seqs[seq].blocks.iter().any(|b| b.bf16)
-        {
-            Vec::new()
-        } else {
-            q_pack.iter().map(|x| x.to_f64()).collect()
-        };
-
-        let last_max = len0 + j1 - 1;
-        // The oldest query's window floor — block-independent, so the
-        // union range below is per-block arithmetic only.
-        let lo_min = match self.mask_window {
-            Some(w) => (len0 + j0 + 1).saturating_sub(w),
-            None => 0,
-        };
-        let mut states: Vec<(OnlineSoftmax, Vec<f64>)> = (0..nq)
-            .map(|_| (OnlineSoftmax::new(), vec![0.0f64; d + 1]))
-            .collect();
-        let mut tile: Vec<f64> = Vec::new();
-        for blk in self.cache.head_stream(seq, kv_head) {
-            if blk.first > last_max {
-                break;
-            }
-            // Union visible range across the segment's queries: newest
-            // query's causal bound, oldest query's window floor.
-            let u1 = (last_max + 1 - blk.first).min(blk.rows);
-            let u0 = lo_min.saturating_sub(blk.first).min(u1);
-            if u0 == u1 {
-                continue;
-            }
-            let n_rows = u1 - u0;
-            tile.clear();
-            tile.resize(nq * n_rows, 0.0);
-            match blk.data {
-                HeadBlockData::Native { k, v } => {
-                    ops::dot_then_scale_rows_multi_into(
-                        &q_pack,
-                        d,
-                        &k[u0 * blk.stride..],
-                        blk.stride,
-                        n_rows,
-                        scale,
-                        &mut tile,
-                    );
-                    fold_segment(
-                        &mut states,
-                        &tile,
-                        v,
-                        blk.stride,
-                        blk.first,
-                        blk.rows,
-                        u0,
-                        n_rows,
-                        len0,
-                        j0,
-                        j1,
-                        gs,
-                        self.mask_window,
-                        sumrows,
-                        kv,
-                        kv_head,
-                    );
-                }
-                HeadBlockData::Demoted { k, v } => {
-                    ops::dot_then_scale_rows_multi_bf16_into(
-                        &q_wide,
-                        d,
-                        &k[u0 * blk.stride..],
-                        blk.stride,
-                        n_rows,
-                        scale,
-                        &mut tile,
-                    );
-                    fold_segment(
-                        &mut states,
-                        &tile,
-                        v,
-                        blk.stride,
-                        blk.first,
-                        blk.rows,
-                        u0,
-                        n_rows,
-                        len0,
-                        j0,
-                        j1,
-                        gs,
-                        self.mask_window,
-                        sumrows,
-                        kv,
-                        kv_head,
-                    );
-                }
-            }
-        }
-        states
-            .into_iter()
-            .map(|(os, lanes)| HeadState {
-                lanes,
-                sum_exp: os.sum_exp(),
-            })
-            .collect()
     }
 
     /// Closes the open window: rolls **every** windowed sequence back to
@@ -558,71 +402,6 @@ impl<T: Scalar> DecodeBatch<T> {
             });
         }
         verdicts
-    }
-}
-
-/// Folds one scored tile (union range `[u0, u0+n_rows)`, query-major)
-/// into the segment's per-(query, member) online states: each query `j`
-/// consumes only its own causal-window slice `[r0_j, r1_j)` — rows the
-/// sequential pass would have scored for that token, in the same order,
-/// through the same [`accumulate_block`] recurrence.
-///
-/// Iteration is rows-outer / queries-inner so each V row (and its
-/// sumrow) is streamed from memory once per block regardless of how
-/// many window queries consume it; queries are independent folds, and
-/// each still sees its own rows in ascending order with the exact
-/// per-row arithmetic of [`accumulate_block`], so the output is
-/// bit-identical to the query-outer formulation.
-#[allow(clippy::too_many_arguments)]
-fn fold_segment<V: Scalar>(
-    states: &mut [(OnlineSoftmax, Vec<f64>)],
-    tile: &[f64],
-    v: &[V],
-    stride: usize,
-    first: usize,
-    rows: usize,
-    u0: usize,
-    n_rows: usize,
-    len0: usize,
-    j0: usize,
-    j1: usize,
-    gs: usize,
-    mask_window: Option<usize>,
-    sumrows: &[f64],
-    kv: usize,
-    kv_head: usize,
-) {
-    let d = match states.first() {
-        Some((_, lanes)) => lanes.len() - 1,
-        None => return,
-    };
-    for rr in 0..n_rows {
-        let r = u0 + rr;
-        if r >= rows {
-            break;
-        }
-        let pos = first + r;
-        // Queries that see this row: causal floor `len0 + j >= pos`,
-        // sliding-window ceiling `pos >= len0 + j + 1 - w`.
-        let lo_j = pos.saturating_sub(len0).max(j0);
-        let hi_j = match mask_window {
-            Some(w) => (pos + w).saturating_sub(len0).min(j1),
-            None => j1,
-        };
-        if lo_j >= hi_j {
-            continue;
-        }
-        let vrow = &v[r * stride..r * stride + d];
-        let sum = sumrows[pos * kv + kv_head];
-        for j in lo_j..hi_j {
-            for m in 0..gs {
-                let qi = (j - j0) * gs + m;
-                let (os, lanes) = &mut states[qi];
-                let step = os.push(tile[qi * n_rows + rr]);
-                ops::axpy_f64(&mut lanes[..d], vrow, step.scale_old, step.weight_new);
-                lanes[d] = lanes[d] * step.scale_old + sum * step.weight_new;
-            }
-        }
     }
 }
 

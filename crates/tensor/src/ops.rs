@@ -668,35 +668,10 @@ pub fn dot_then_scale_rows_multi_into<T: Scalar>(
     }
 }
 
-/// [`dot_then_scale_rows_multi`] for demoted (BF16-stored) blocks scored
-/// against packed `f64` queries: each (query, row) score is
+/// [`dot_then_scale_rows_multi_into`] for demoted (BF16-stored) blocks
+/// scored against packed `f64` queries: each (query, row) score is
 /// [`dot_f64_bf16`], bit-identical to [`dot_then_scale_rows_bf16`] once
-/// per query.
-///
-/// # Panics
-///
-/// Panics if `qs.len()` is not a multiple of `d`, `row_stride < d`, or
-/// `rows` is too short.
-#[inline]
-pub fn dot_then_scale_rows_multi_bf16(
-    qs: &[f64],
-    d: usize,
-    rows: &[fa_numerics::BF16],
-    row_stride: usize,
-    n_rows: usize,
-    scale: f64,
-    out: &mut Vec<f64>,
-) {
-    assert_eq!(qs.len() % d, 0, "packed queries not a multiple of d");
-    let nq = qs.len() / d;
-    out.clear();
-    out.resize(nq * n_rows, 0.0);
-    dot_then_scale_rows_multi_bf16_into(qs, d, rows, row_stride, n_rows, scale, out);
-}
-
-/// [`dot_then_scale_rows_multi_bf16`] writing into a pre-sized slice —
-/// the BF16 twin of [`dot_then_scale_rows_multi_into`], same placement
-/// contract.
+/// per query. Same placement contract as the native variant.
 ///
 /// # Panics
 ///
@@ -1245,8 +1220,8 @@ mod tests {
                 .iter()
                 .map(|&x| BF16::from_f64(x))
                 .collect();
-            let mut batched16 = Vec::new();
-            dot_then_scale_rows_multi_bf16(
+            let mut batched16 = vec![0.0; nq * n_rows];
+            dot_then_scale_rows_multi_bf16_into(
                 qs.as_slice(),
                 d,
                 &panel16,
