@@ -9,11 +9,10 @@
 //!
 //! * [`KvCache`] — a paged, block-allocated cache: fixed-size blocks
 //!   carved from one shared arena, appended per sequence (the
-//!   vLLM/paged-attention layout), with two physical layouts
-//!   ([`KvLayout`]). The default **head-major** layout stores each head's
-//!   rows as a contiguous `block_rows × head_dim` panel inside the block,
-//!   so a (sequence, head) pass reads one pure contiguous K stream and
-//!   one V stream — no per-row head-strided gathers. Retired sequences'
+//!   vLLM/paged-attention layout), stored **head-major**: each head's
+//!   rows form a contiguous `block_rows × head_dim` panel inside the
+//!   block, so a (sequence, head) pass reads one pure contiguous K stream
+//!   and one V stream — no per-row head-strided gathers. Retired sequences'
 //!   blocks return to a **free list** and are recycled by later
 //!   admissions, so arena growth is bounded by *live* tokens, not total
 //!   traffic history.
@@ -59,7 +58,7 @@
 //! and to a one-shot causal [`flash2`](crate::flash2) pass over the same
 //! history; cross-head combination runs in a fixed order on the calling
 //! thread — so every path is bit-identical to serial per-sequence decode
-//! at every thread count, topology, cache layout, block size, chunk size
+//! at every thread count, topology, block size, chunk size
 //! and admit/retire schedule (property-tested).
 
 use crate::topology::HeadTopology;
@@ -346,13 +345,12 @@ pub struct AppendOutcome {
 }
 
 /// Physical arrangement of a cache block's `block_rows × width` elements.
+///
+/// The cache has one layout, head-major; this enum survives only as the
+/// (ignored) `layout` argument of the `with_policy` constructors, which
+/// existing callers still pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KvLayout {
-    /// Token-major (`[token][head][dim]`): position `r` is one contiguous
-    /// `width`-wide row. Reading one head's stream walks the arena at
-    /// stride `width` — the PR-2 layout, kept as the layout-equivalence
-    /// reference and for full-row consumers.
-    TokenMajor,
     /// Head-major (`[head][token][dim]`): each head owns a contiguous
     /// `block_rows × head_dim` panel inside the block, so one (sequence,
     /// head) decode pass reads one pure contiguous K stream and one V
@@ -382,16 +380,14 @@ pub enum HeadBlockData<'a, T> {
 }
 
 /// One block's view of a single head's cached rows, yielded by
-/// [`KvCache::head_stream`]: row `r` of the block lives at
-/// `k[r·stride .. r·stride + head_dim]` (same addressing for `v`).
+/// [`KvCache::head_stream`]: one contiguous span in which row `r` of the
+/// block lives at `k[r·head_dim .. (r + 1)·head_dim]` (same addressing
+/// for `v`).
 pub struct HeadBlock<'a, T> {
     /// Position of the block's first row within the sequence.
     pub first: usize,
     /// Valid (appended) rows in this block.
     pub rows: usize,
-    /// Distance between consecutive rows in the views: `head_dim` for
-    /// head-major blocks (one contiguous span), `width` for token-major.
-    pub stride: usize,
     /// Format-tagged key/value views.
     pub data: HeadBlockData<'a, T>,
 }
@@ -417,7 +413,7 @@ pub struct HeadBlock<'a, T> {
 /// ```
 /// use fa_attention::batch::KvCache;
 ///
-/// let mut cache = KvCache::<f64>::new(2, 16);
+/// let mut cache = KvCache::<f64>::new(1, 2, 16);
 /// let s = cache.add_sequence();
 /// cache.append(s, &[1.0, 2.0], &[3.0, 4.0]);
 /// assert_eq!(cache.seq_len(s), 1);
@@ -430,7 +426,6 @@ pub struct KvCache<T> {
     head_dim: usize,
     width: usize,
     block_rows: usize,
-    layout: KvLayout,
     format: KvFormat,
     eviction: EvictionPolicy,
     k_arena: Vec<T>,
@@ -494,51 +489,27 @@ struct SeqBlocks {
 }
 
 impl<T: Scalar> KvCache<T> {
-    /// Creates an empty token-major cache for full rows of `width`
-    /// elements (a single "head" of dimension `width`), allocated in
-    /// blocks of `block_rows` rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either parameter is zero.
-    pub fn new(width: usize, block_rows: usize) -> Self {
-        Self::with_layout(1, width, block_rows, KvLayout::TokenMajor)
-    }
-
-    /// Creates an empty head-major cache: `num_heads` heads of `head_dim`
-    /// elements per row, each head's rows contiguous within a block.
+    /// Creates an empty cache with the default policy (native format,
+    /// retain-all): `num_heads` heads of `head_dim` elements per row,
+    /// each head's rows contiguous within a block of `block_rows` rows.
     ///
     /// # Panics
     ///
     /// Panics if any parameter is zero.
-    pub fn new_head_major(num_heads: usize, head_dim: usize, block_rows: usize) -> Self {
-        Self::with_layout(num_heads, head_dim, block_rows, KvLayout::HeadMajor)
-    }
-
-    /// Creates an empty cache with an explicit layout and the default
-    /// policy (native format, retain-all).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any parameter is zero.
-    pub fn with_layout(
-        num_heads: usize,
-        head_dim: usize,
-        block_rows: usize,
-        layout: KvLayout,
-    ) -> Self {
+    pub fn new(num_heads: usize, head_dim: usize, block_rows: usize) -> Self {
         Self::with_policy(
             num_heads,
             head_dim,
             block_rows,
-            layout,
+            KvLayout::HeadMajor,
             KvFormat::F64,
             EvictionPolicy::RetainAll,
         )
     }
 
     /// Creates an empty cache with explicit format and eviction policies
-    /// — the full policy-layer constructor.
+    /// — the full policy-layer constructor. The [`KvLayout`] argument is
+    /// ignored: the cache is always head-major.
     ///
     /// # Panics
     ///
@@ -549,7 +520,7 @@ impl<T: Scalar> KvCache<T> {
         num_heads: usize,
         head_dim: usize,
         block_rows: usize,
-        layout: KvLayout,
+        _layout: KvLayout,
         format: KvFormat,
         eviction: EvictionPolicy,
     ) -> Self {
@@ -564,7 +535,6 @@ impl<T: Scalar> KvCache<T> {
             head_dim,
             width: num_heads * head_dim,
             block_rows,
-            layout,
             format,
             eviction,
             k_arena: Vec::new(),
@@ -609,14 +579,9 @@ impl<T: Scalar> KvCache<T> {
         self.head_dim
     }
 
-    /// Number of (kv) heads the layout splits each row into.
+    /// Number of (kv) heads each row splits into.
     pub fn num_heads(&self) -> usize {
         self.heads
-    }
-
-    /// The physical block layout.
-    pub fn layout(&self) -> KvLayout {
-        self.layout
     }
 
     /// Rows per allocation block.
@@ -1239,13 +1204,12 @@ impl<T: Scalar> KvCache<T> {
         let local = state.len - state.start;
         let blk = state.blocks[local / self.block_rows];
         let r = local % self.block_rows;
-        let base = blk.index * block_elems;
         let d = self.head_dim;
-        // Lane offsets by layout: token-major rows are contiguous; the
-        // head-major scatter happens once on append (cold path: one row
-        // per step) so every later read of the head panels streams
+        // The head-major scatter happens once on append (cold path: one
+        // row per step) so every later read of the head panels streams
         // contiguously (hot path: the whole history per step).
-        let mut write_head = |h: usize, slot: usize| {
+        for h in 0..self.heads {
+            let slot = blk.index * block_elems + self.lane_offset(r, h);
             if blk.bf16 {
                 for (e, (&kx, &vx)) in k[h * d..(h + 1) * d]
                     .iter()
@@ -1258,18 +1222,6 @@ impl<T: Scalar> KvCache<T> {
             } else {
                 self.k_arena[slot..slot + d].copy_from_slice(&k[h * d..(h + 1) * d]);
                 self.v_arena[slot..slot + d].copy_from_slice(&v[h * d..(h + 1) * d]);
-            }
-        };
-        match self.layout {
-            KvLayout::TokenMajor => {
-                for h in 0..self.heads {
-                    write_head(h, base + r * self.width + h * d);
-                }
-            }
-            KvLayout::HeadMajor => {
-                for h in 0..self.heads {
-                    write_head(h, base + (h * self.block_rows + r) * d);
-                }
             }
         }
         // Fold the stored row (post-rounding, for BF16 blocks) into the
@@ -1312,10 +1264,7 @@ impl<T: Scalar> KvCache<T> {
     /// Element offset of row `r`, head `head` within a block.
     #[inline]
     fn lane_offset(&self, r: usize, head: usize) -> usize {
-        match self.layout {
-            KvLayout::TokenMajor => r * self.width + head * self.head_dim,
-            KvLayout::HeadMajor => (head * self.block_rows + r) * self.head_dim,
-        }
+        (head * self.block_rows + r) * self.head_dim
     }
 
     /// The cached key row at position `i` of sequence `seq`, gathered
@@ -1442,46 +1391,9 @@ impl<T: Scalar> KvCache<T> {
         &self.live(seq).checks
     }
 
-    /// Iterates sequence `seq` block by block as
-    /// `(first_position, key_rows, value_rows)` — contiguous row-major
-    /// full-width spans of up to [`Self::block_rows`] rows, in position
-    /// order. Only meaningful for the token-major layout, where full rows
-    /// are contiguous; per-head streaming (either layout) goes through
-    /// [`head_stream`](Self::head_stream).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is out of range or retired, or the layout is
-    /// head-major.
-    pub fn blocks(&self, seq: usize) -> impl Iterator<Item = (usize, &[T], &[T])> + '_ {
-        assert_eq!(
-            self.layout,
-            KvLayout::TokenMajor,
-            "blocks() requires the token-major layout"
-        );
-        let state = self.live(seq);
-        let block_elems = self.block_rows * self.width;
-        state.blocks.iter().enumerate().map(move |(bi, &blk)| {
-            assert!(
-                !blk.bf16,
-                "blocks() requires native blocks; mixed-format caches stream \
-                 through head_stream"
-            );
-            let first = state.start + bi * self.block_rows;
-            let rows = (state.len - first).min(self.block_rows);
-            let base = blk.index * block_elems;
-            (
-                first,
-                &self.k_arena[base..base + rows * self.width],
-                &self.v_arena[base..base + rows * self.width],
-            )
-        })
-    }
-
     /// Streams one head of sequence `seq` block by block — the decode
-    /// kernels' access path. With the head-major layout every yielded
-    /// view is one pure contiguous span (`stride == head_dim`); with
-    /// token-major the views stride at `width`. Each block carries its
+    /// kernels' access path. Every yielded view is one pure contiguous
+    /// span of `rows × head_dim` lanes. Each block carries its
     /// storage format ([`HeadBlockData`]); evicted leading blocks are
     /// simply absent (`first` starts at
     /// [`first_retained`](Self::first_retained)).
@@ -1513,16 +1425,11 @@ impl<T: Scalar> KvCache<T> {
     /// Slices head `head` of retained block `bi` out of the arena that
     /// stores it.
     fn head_view<'a>(&'a self, state: &SeqBlocks, bi: usize, head: usize) -> HeadBlock<'a, T> {
-        let d = self.head_dim;
-        let (off, stride) = match self.layout {
-            KvLayout::TokenMajor => (head * d, self.width),
-            KvLayout::HeadMajor => (head * self.block_rows * d, d),
-        };
         let blk = state.blocks[bi];
         let first = state.start + bi * self.block_rows;
         let rows = (state.len - first).min(self.block_rows);
-        let base = blk.index * self.block_rows * self.width + off;
-        let span = (rows - 1) * stride + d;
+        let base = blk.index * self.block_rows * self.width + self.lane_offset(0, head);
+        let span = rows * self.head_dim;
         let data = if blk.bf16 {
             HeadBlockData::Demoted {
                 k: &self.k_arena16[base..base + span],
@@ -1534,12 +1441,7 @@ impl<T: Scalar> KvCache<T> {
                 v: &self.v_arena[base..base + span],
             }
         };
-        HeadBlock {
-            first,
-            rows,
-            stride,
-            data,
-        }
+        HeadBlock { first, rows, data }
     }
 }
 
@@ -1815,50 +1717,32 @@ pub struct DecodeBatch<T: Scalar> {
 
 impl<T: Scalar> DecodeBatch<T> {
     /// Creates an empty engine with the given head topology and KV-cache
-    /// block size (rows per block), using the head-major cache layout.
-    /// Accepts anything convertible into a [`HeadTopology`] — a topology
-    /// itself, a [`MultiHeadConfig`](crate::multihead::MultiHeadConfig)
-    /// (the `kv_heads == query_heads` point), or a
+    /// block size (rows per block) and the default policy (native format,
+    /// retain-all) — the PR-3 golden path. Accepts anything convertible
+    /// into a [`HeadTopology`] — a topology itself, a
+    /// [`MultiHeadConfig`](crate::multihead::MultiHeadConfig) (the
+    /// `kv_heads == query_heads` point), or a
     /// [`GqaConfig`](crate::gqa::GqaConfig).
     ///
     /// # Panics
     ///
     /// Panics if `block_rows == 0`.
     pub fn new(cfg: impl Into<HeadTopology>, block_rows: usize) -> Self {
-        Self::with_layout(cfg, block_rows, KvLayout::HeadMajor)
-    }
-
-    /// Like [`new`](Self::new) but with the token-major cache layout —
-    /// the PR-2 arrangement, kept as the layout-equivalence reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_rows == 0`.
-    pub fn new_token_major(cfg: impl Into<HeadTopology>, block_rows: usize) -> Self {
-        Self::with_layout(cfg, block_rows, KvLayout::TokenMajor)
-    }
-
-    /// Creates an empty engine with an explicit cache layout and the
-    /// default policy (native format, retain-all) — the PR-3 golden path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_rows == 0`.
-    pub fn with_layout(cfg: impl Into<HeadTopology>, block_rows: usize, layout: KvLayout) -> Self {
         Self::with_policy(
             cfg,
             block_rows,
-            layout,
+            KvLayout::HeadMajor,
             KvFormat::F64,
             EvictionPolicy::RetainAll,
         )
     }
 
     /// Creates an empty engine with explicit cache format and eviction
-    /// policies — the full policy-layer constructor. With
+    /// policies — the full policy-layer constructor (the [`KvLayout`]
+    /// argument is ignored: the cache is always head-major). With
     /// `KvFormat::F64` + `EvictionPolicy::RetainAll` the engine is
-    /// bit-identical to the PR-3 golden path at every layout and block
-    /// size (property-tested), and with `kv_heads == query_heads` it is
+    /// bit-identical to the PR-3 golden path at every block size
+    /// (property-tested), and with `kv_heads == query_heads` it is
     /// bit-identical to the PR-4 per-query-head engine across **all**
     /// policy combinations.
     ///
@@ -3256,75 +3140,75 @@ mod tests {
     }
 
     #[test]
-    fn cache_blocks_are_contiguous_and_ordered() {
-        let mut cache = KvCache::<f64>::new(2, 3);
-        let s0 = cache.add_sequence();
-        let s1 = cache.add_sequence();
-        // Interleave appends so the two sequences' blocks interleave in
-        // the arena.
+    fn head_major_blocks_are_contiguous_per_head() {
+        // Dim 2, 3-row blocks: each head's panel must stream as one
+        // contiguous span and reproduce the appended rows in position
+        // order. Lane `c` of head `h` at position `i` holds
+        // `tag + 20h + 10c + i` (values use `tag + 40`).
+        let lanes = |tag: f64, h: usize, i: usize| {
+            let x = tag + 20.0 * h as f64 + i as f64;
+            [x, x + 10.0]
+        };
+        let row = |tag: f64, heads: usize, i: usize| -> Vec<f64> {
+            (0..heads).flat_map(|h| lanes(tag, h, i)).collect()
+        };
+        let check = |cache: &KvCache<f64>, s: usize, tag: f64, len: usize| {
+            for head in 0..cache.num_heads() {
+                let mut pos = 0;
+                for blk in cache.head_stream(s, head) {
+                    assert_eq!(blk.first, pos);
+                    let HeadBlockData::Native { k, v } = blk.data else {
+                        panic!("default-policy cache yields native blocks");
+                    };
+                    assert_eq!(k.len(), blk.rows * 2, "one contiguous panel");
+                    for r in 0..blk.rows {
+                        let i = blk.first + r;
+                        assert_eq!(k[r * 2..r * 2 + 2], lanes(tag, head, i));
+                        assert_eq!(v[r * 2..r * 2 + 2], lanes(tag + 40.0, head, i));
+                    }
+                    pos += blk.rows;
+                }
+                assert_eq!(pos, len);
+            }
+        };
+
+        // One 2-head sequence.
+        let mut cache = KvCache::<f64>::new(2, 2, 3);
+        let s = cache.add_sequence();
         for i in 0..7 {
-            cache.append(s0, &[i as f64, 0.0], &[10.0 + i as f64, 0.0]);
+            cache.append(s, &row(0.0, 2, i), &row(40.0, 2, i));
+        }
+        check(&cache, s, 0.0, 7);
+        // Gathered full rows agree with the appended ones.
+        assert_eq!(cache.key_row(s, 4), vec![4.0, 14.0, 24.0, 34.0]);
+        assert_eq!(cache.value_row(s, 6), vec![46.0, 56.0, 66.0, 76.0]);
+
+        // Two 1-head sequences whose appends interleave, so their blocks
+        // interleave in the arena.
+        let mut cache = KvCache::<f64>::new(1, 2, 3);
+        let (s0, s1) = (cache.add_sequence(), cache.add_sequence());
+        for i in 0..7 {
+            cache.append(s0, &row(0.0, 1, i), &row(40.0, 1, i));
             if i < 4 {
-                cache.append(s1, &[100.0 + i as f64, 0.0], &[0.0, i as f64]);
+                cache.append(s1, &row(100.0, 1, i), &row(140.0, 1, i));
             }
         }
-        assert_eq!(cache.seq_len(s0), 7);
-        assert_eq!(cache.seq_len(s1), 4);
-        let mut pos = 0;
-        for (first, k_rows, v_rows) in cache.blocks(s0) {
-            assert_eq!(first, pos);
-            let rows = k_rows.len() / 2;
-            for r in 0..rows {
-                assert_eq!(k_rows[r * 2], (first + r) as f64);
-                assert_eq!(v_rows[r * 2], 10.0 + (first + r) as f64);
-            }
-            pos += rows;
-        }
-        assert_eq!(pos, 7);
+        let indices = |s| {
+            cache
+                .seq_blocks(s)
+                .iter()
+                .map(|b| b.index)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!((indices(s0), indices(s1)), (vec![0, 2, 4], vec![1, 3]));
+        check(&cache, s0, 0.0, 7);
+        check(&cache, s1, 100.0, 4);
         assert_eq!(cache.key_row(s1, 3)[0], 103.0);
     }
 
     #[test]
-    fn head_major_blocks_are_contiguous_per_head() {
-        // 2 heads × dim 2, 3-row blocks: each head's panel must stream
-        // contiguously (stride == head_dim) and reproduce the appended
-        // rows in position order.
-        let mut cache = KvCache::<f64>::new_head_major(2, 2, 3);
-        let s = cache.add_sequence();
-        for i in 0..7 {
-            let i = i as f64;
-            cache.append(
-                s,
-                &[i, 10.0 + i, 20.0 + i, 30.0 + i],
-                &[40.0 + i, 50.0 + i, 60.0 + i, 70.0 + i],
-            );
-        }
-        for head in 0..2 {
-            let mut pos = 0;
-            for blk in cache.head_stream(s, head) {
-                assert_eq!(blk.stride, 2, "head-major panels are contiguous");
-                assert_eq!(blk.first, pos);
-                let HeadBlockData::Native { k, v } = blk.data else {
-                    panic!("default-policy cache yields native blocks");
-                };
-                for r in 0..blk.rows {
-                    let i = (blk.first + r) as f64;
-                    assert_eq!(k[r * 2], 20.0 * head as f64 + i);
-                    assert_eq!(k[r * 2 + 1], 20.0 * head as f64 + 10.0 + i);
-                    assert_eq!(v[r * 2], 20.0 * head as f64 + 40.0 + i);
-                }
-                pos += blk.rows;
-            }
-            assert_eq!(pos, 7);
-        }
-        // Gathered full rows agree with the appended ones.
-        assert_eq!(cache.key_row(s, 4), vec![4.0, 14.0, 24.0, 34.0]);
-        assert_eq!(cache.value_row(s, 6), vec![46.0, 56.0, 66.0, 76.0]);
-    }
-
-    #[test]
     fn retired_blocks_are_recycled_not_leaked() {
-        let mut cache = KvCache::<f64>::new_head_major(1, 2, 2);
+        let mut cache = KvCache::<f64>::new(1, 2, 2);
         let s0 = cache.add_sequence();
         for i in 0..6 {
             cache.append(s0, &[i as f64, 0.0], &[0.0, 0.0]);
@@ -3350,7 +3234,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "is retired")]
     fn retired_sequence_access_panics() {
-        let mut cache = KvCache::<f64>::new(2, 2);
+        let mut cache = KvCache::<f64>::new(1, 2, 2);
         let s = cache.add_sequence();
         cache.append(s, &[1.0, 2.0], &[3.0, 4.0]);
         cache.retire_sequence(s);
@@ -3361,41 +3245,38 @@ mod tests {
     fn batched_decode_matches_serial_sessions_bitwise() {
         // The load-bearing equivalence: DecodeBatch over S sequences and
         // H heads must equal one DecodeSession per (sequence, head), bit
-        // for bit, for any cache block size and either layout.
+        // for bit, for any cache block size.
         let cfg = MultiHeadConfig::new(3, AttentionConfig::new(4));
         let (s, steps) = (4, 6);
-        for layout in [KvLayout::HeadMajor, KvLayout::TokenMajor] {
-            for block_rows in [1, 2, 16] {
-                let mut batch = DecodeBatch::<f64>::with_layout(cfg, block_rows, layout);
-                let ids: Vec<usize> = (0..s).map(|_| batch.add_sequence()).collect();
-                let mut sessions: Vec<Vec<DecodeSession<f64>>> = (0..s)
-                    .map(|_| (0..3).map(|_| DecodeSession::new(cfg.head)).collect())
-                    .collect();
-                for t in 0..steps {
-                    let seed = 9000 + t as u64;
-                    let qs = rand(s, cfg.model_dim(), seed);
-                    let ks = rand(s, cfg.model_dim(), seed + 100);
-                    let vs = rand(s, cfg.model_dim(), seed + 200);
-                    let outs = batch.step_all(&ids, &qs, &ks, &vs);
-                    for (i, out) in outs.iter().enumerate() {
-                        for (h, session) in sessions[i].iter_mut().enumerate() {
-                            let slice = |m: &Matrix<f64>| m.row(i)[h * 4..(h + 1) * 4].to_vec();
-                            let reference = session.step(&slice(&qs), &slice(&ks), &slice(&vs));
-                            for (c, r) in reference.iter().enumerate() {
-                                assert_eq!(
-                                    out.output[h * 4 + c].to_bits(),
-                                    r.to_bits(),
-                                    "{layout:?} block_rows {block_rows} step {t} seq {i} \
-                                     head {h} lane {c}"
-                                );
-                            }
+        for block_rows in [1, 2, 16] {
+            let mut batch = DecodeBatch::<f64>::new(cfg, block_rows);
+            let ids: Vec<usize> = (0..s).map(|_| batch.add_sequence()).collect();
+            let mut sessions: Vec<Vec<DecodeSession<f64>>> = (0..s)
+                .map(|_| (0..3).map(|_| DecodeSession::new(cfg.head)).collect())
+                .collect();
+            for t in 0..steps {
+                let seed = 9000 + t as u64;
+                let qs = rand(s, cfg.model_dim(), seed);
+                let ks = rand(s, cfg.model_dim(), seed + 100);
+                let vs = rand(s, cfg.model_dim(), seed + 200);
+                let outs = batch.step_all(&ids, &qs, &ks, &vs);
+                for (i, out) in outs.iter().enumerate() {
+                    for (h, session) in sessions[i].iter_mut().enumerate() {
+                        let slice = |m: &Matrix<f64>| m.row(i)[h * 4..(h + 1) * 4].to_vec();
+                        let reference = session.step(&slice(&qs), &slice(&ks), &slice(&vs));
+                        for (c, r) in reference.iter().enumerate() {
+                            assert_eq!(
+                                out.output[h * 4 + c].to_bits(),
+                                r.to_bits(),
+                                "block_rows {block_rows} step {t} seq {i} head {h} lane {c}"
+                            );
                         }
-                        assert!(out.residual().abs() < 1e-12, "checksum holds");
                     }
+                    assert!(out.residual().abs() < 1e-12, "checksum holds");
                 }
-                for &id in &ids {
-                    assert!(batch.global_residual(id).abs() < 1e-10);
-                }
+            }
+            for &id in &ids {
+                assert!(batch.global_residual(id).abs() < 1e-10);
             }
         }
     }
@@ -3980,45 +3861,42 @@ mod tests {
         // The grouped engine: one cached K/V stream per kv head, each
         // group pass feeding group_size query states. Every query head
         // must equal a plain DecodeSession fed its group's K/V slices,
-        // bit for bit, at every layout and block size.
+        // bit for bit, at every block size.
         let d = 4;
         let gqa = GqaConfig::new(4, 2, AttentionConfig::new(d));
         let topo = gqa.topology();
-        for layout in [KvLayout::HeadMajor, KvLayout::TokenMajor] {
-            for block_rows in [1, 3, 16] {
-                let mut engine = DecodeBatch::<f64>::with_layout(gqa, block_rows, layout);
-                let ids = vec![engine.add_sequence(), engine.add_sequence()];
-                let mut sessions: Vec<Vec<DecodeSession<f64>>> = (0..2)
-                    .map(|_| (0..4).map(|_| DecodeSession::new(gqa.head)).collect())
-                    .collect();
-                for t in 0..7u64 {
-                    let qs = rand(2, topo.q_dim(), 4000 + t);
-                    let ks = rand(2, topo.kv_dim(), 4100 + t);
-                    let vs = rand(2, topo.kv_dim(), 4200 + t);
-                    let outs = engine.step_all(&ids, &qs, &ks, &vs);
-                    for (i, out) in outs.iter().enumerate() {
-                        assert!(out.residual().abs() < 1e-10, "fused check holds");
-                        for (h, session) in sessions[i].iter_mut().enumerate() {
-                            let g = topo.group_of(h);
-                            let reference = session.step(
-                                &qs.row(i)[topo.q_head_cols(h)],
-                                &ks.row(i)[topo.kv_head_cols(g)],
-                                &vs.row(i)[topo.kv_head_cols(g)],
+        for block_rows in [1, 3, 16] {
+            let mut engine = DecodeBatch::<f64>::new(gqa, block_rows);
+            let ids = vec![engine.add_sequence(), engine.add_sequence()];
+            let mut sessions: Vec<Vec<DecodeSession<f64>>> = (0..2)
+                .map(|_| (0..4).map(|_| DecodeSession::new(gqa.head)).collect())
+                .collect();
+            for t in 0..7u64 {
+                let qs = rand(2, topo.q_dim(), 4000 + t);
+                let ks = rand(2, topo.kv_dim(), 4100 + t);
+                let vs = rand(2, topo.kv_dim(), 4200 + t);
+                let outs = engine.step_all(&ids, &qs, &ks, &vs);
+                for (i, out) in outs.iter().enumerate() {
+                    assert!(out.residual().abs() < 1e-10, "fused check holds");
+                    for (h, session) in sessions[i].iter_mut().enumerate() {
+                        let g = topo.group_of(h);
+                        let reference = session.step(
+                            &qs.row(i)[topo.q_head_cols(h)],
+                            &ks.row(i)[topo.kv_head_cols(g)],
+                            &vs.row(i)[topo.kv_head_cols(g)],
+                        );
+                        for (c, r) in reference.iter().enumerate() {
+                            assert_eq!(
+                                out.output[h * d + c].to_bits(),
+                                r.to_bits(),
+                                "block_rows {block_rows} step {t} seq {i} head {h} lane {c}"
                             );
-                            for (c, r) in reference.iter().enumerate() {
-                                assert_eq!(
-                                    out.output[h * d + c].to_bits(),
-                                    r.to_bits(),
-                                    "{layout:?} block_rows {block_rows} step {t} seq {i} \
-                                     head {h} lane {c}"
-                                );
-                            }
                         }
                     }
                 }
-                for &id in &ids {
-                    assert!(engine.global_residual(id).abs() < 1e-9);
-                }
+            }
+            for &id in &ids {
+                assert!(engine.global_residual(id).abs() < 1e-9);
             }
         }
     }

@@ -206,12 +206,12 @@ impl<T: Scalar> DecodeBatch<T> {
                 let &(r0, r1, off) = row.get(bi)?;
                 (off != SHARED_NONE).then(|| (r0, r1, &arena[off..off + gs * (r1 - r0)]))
             });
-            let (first, rows, stride) = (blk.first, blk.rows, blk.stride);
+            let (first, rows) = (blk.first, blk.rows);
             match blk.data {
                 HeadBlockData::Native { k, v } => {
-                    panel.fold_block((first, rows, stride), v, tile, |qi, r0, n, out| {
+                    panel.fold_block((first, rows), v, tile, |qi, r0, n, out| {
                         let q = &queries[qi * d..(qi + 1) * d];
-                        ops::dot_then_scale_rows(q, &k[r0 * stride..], stride, n, scale, out);
+                        ops::dot_then_scale_rows(q, &k[r0 * d..], d, n, scale, out);
                     })
                 }
                 HeadBlockData::Demoted { k, v } => {
@@ -219,9 +219,9 @@ impl<T: Scalar> DecodeBatch<T> {
                         q_wide = queries.iter().map(|x| x.to_f64()).collect();
                     }
                     let q_wide = &q_wide;
-                    panel.fold_block((first, rows, stride), v, tile, |qi, r0, n, out| {
+                    panel.fold_block((first, rows), v, tile, |qi, r0, n, out| {
                         let q = &q_wide[qi * d..(qi + 1) * d];
-                        ops::dot_then_scale_rows_bf16(q, &k[r0 * stride..], stride, n, scale, out);
+                        ops::dot_then_scale_rows_bf16(q, &k[r0 * d..], d, n, scale, out);
                     })
                 }
             }
@@ -386,8 +386,8 @@ impl<T: Scalar> DecodeBatch<T> {
                         ops::dot_then_scale_rows_multi_into(
                             &s.packed[g],
                             d,
-                            &k[r0 * hb.stride..],
-                            hb.stride,
+                            &k[r0 * d..],
+                            d,
                             rows,
                             scale,
                             &mut s.scores[base..s.used],
@@ -406,8 +406,8 @@ impl<T: Scalar> DecodeBatch<T> {
                         ops::dot_then_scale_rows_multi_bf16_into(
                             &s.packed_wide[g],
                             d,
-                            &k[r0 * hb.stride..],
-                            hb.stride,
+                            &k[r0 * d..],
+                            d,
                             rows,
                             scale,
                             &mut s.scores[base..s.used],
@@ -450,13 +450,13 @@ struct Panel<'a> {
 impl Panel<'_> {
     /// The per-block body, generic over the block's stored value format:
     /// for each panel position whose visible range `[r0, r1)` reaches
-    /// into the block (`first`, `rows`, `stride`), each member's scores
-    /// come from the shared `tile` when its range matches, else from
+    /// into the block (`first`, `rows`), each member's scores come from
+    /// the shared `tile` when its range matches, else from
     /// `score(query, r0, rows, out)`, and fold through
     /// [`accumulate_block`].
     fn fold_block<V: Scalar>(
         &mut self,
-        (first, rows, stride): (usize, usize, usize),
+        (first, rows): (usize, usize),
         v: &[V],
         tile: Option<(usize, usize, &[f64])>,
         mut score: impl FnMut(usize, usize, usize, &mut Vec<f64>),
@@ -484,7 +484,6 @@ impl Panel<'_> {
                     lanes,
                     member_scores,
                     v,
-                    stride,
                     r0,
                     first,
                     self.sumrows,
@@ -499,16 +498,16 @@ impl Panel<'_> {
 
 /// Folds one scored block through the online recurrence: lines 4–6 of
 /// Alg. 3 for each of the block's visible rows, plus the checksum lane
-/// when `checked`. Generic over the block's stored value format (native
-/// `T` or demoted BF16) — [`ops::axpy_f64`] handles both with identical
-/// per-lane rounding.
+/// when `checked`. `v` is the block's contiguous `rows × d` value panel.
+/// Generic over the block's stored value format (native `T` or demoted
+/// BF16) — [`ops::axpy_f64`] handles both with identical per-lane
+/// rounding.
 #[allow(clippy::too_many_arguments)]
 fn accumulate_block<V: Scalar>(
     os: &mut OnlineSoftmax,
     lanes: &mut [f64],
     scores: &[f64],
     v: &[V],
-    stride: usize,
     r0: usize,
     first: usize,
     sumrows: &[f64],
@@ -520,7 +519,7 @@ fn accumulate_block<V: Scalar>(
     for (j, &s) in scores.iter().enumerate() {
         let r = r0 + j;
         let step = os.push(s);
-        let vo = r * stride;
+        let vo = r * d;
         ops::axpy_f64(
             &mut lanes[..d],
             &v[vo..vo + d],

@@ -65,7 +65,7 @@
 //!   it — repair-in-place from the recovery log suffices, and only an
 //!   unrecoverable verdict escalates to quarantine.
 
-use crate::batch::{DecodeBatch, ScrubPolicy};
+use crate::batch::{DecodeBatch, DecodeStepOutput, ScrubPolicy};
 use fa_tensor::{random::ElementDist, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -478,31 +478,38 @@ impl Scheduler {
         }
     }
 
-    /// Regenerates a request's prompt matrices from its seed (lanes
-    /// 1–3; decode token `t` uses lanes `4+3t..=6+3t`).
-    fn prompt_matrices(&self, rec: usize) -> (Matrix<f64>, Matrix<f64>, Matrix<f64>) {
-        let r = &self.records[rec];
+    /// `rows` seeded Q, K and V rows drawn from lanes `lane`, `lane + 1`
+    /// and `lane + 2` of `seed` — the one generation rule behind every
+    /// input the frontend feeds the engine: a prompt uses lanes 1–3 of
+    /// its request seed, a shared prefix lanes 1–3 of the prefix seed
+    /// (so every request naming the pair regenerates identical rows),
+    /// decode token `t` lanes `4+3t..=6+3t` ([`token_rows`]
+    /// (Self::token_rows)), and a perturbed draft lanes 1–3 of its
+    /// perturbation seed. Each matrix is seeded by its own lane, so
+    /// `with_q: false` skips Q (returned with zero rows) without moving
+    /// K/V bits.
+    fn seeded_rows(
+        &self,
+        rows: usize,
+        seed: u64,
+        lane: u64,
+        with_q: bool,
+    ) -> (Matrix<f64>, Matrix<f64>, Matrix<f64>) {
         let (qd, kd) = (self.engine.config().q_dim(), self.engine.config().kv_dim());
-        let dist = ElementDist::default();
+        let gen = |rows, cols, lane| {
+            Matrix::random_seeded(rows, cols, ElementDist::default(), mix_seed(seed, lane))
+        };
+        let q_rows = if with_q { rows } else { 0 };
         (
-            Matrix::random_seeded(r.prompt_tokens, qd, dist, mix_seed(r.seed, 1)),
-            Matrix::random_seeded(r.prompt_tokens, kd, dist, mix_seed(r.seed, 2)),
-            Matrix::random_seeded(r.prompt_tokens, kd, dist, mix_seed(r.seed, 3)),
+            gen(q_rows, qd, lane),
+            gen(rows, kd, lane + 1),
+            gen(rows, kd, lane + 2),
         )
     }
 
-    /// Regenerates a shared prefix's Q/K/V matrices from its stream
-    /// seed — the same lanes-1–3 rule [`prompt_matrices`]
-    /// (Self::prompt_matrices) uses, on the prefix's own seed, so every
-    /// request naming the pair regenerates identical prefix rows.
-    fn prefix_matrices(&self, seed: u64, rows: usize) -> (Matrix<f64>, Matrix<f64>, Matrix<f64>) {
-        let (qd, kd) = (self.engine.config().q_dim(), self.engine.config().kv_dim());
-        let dist = ElementDist::default();
-        (
-            Matrix::random_seeded(rows, qd, dist, mix_seed(seed, 1)),
-            Matrix::random_seeded(rows, kd, dist, mix_seed(seed, 2)),
-            Matrix::random_seeded(rows, kd, dist, mix_seed(seed, 3)),
-        )
+    /// One decode token's Q/K/V rows for request `rec`, token index `t`.
+    fn token_rows(&self, rec: usize, t: usize) -> (Matrix<f64>, Matrix<f64>, Matrix<f64>) {
+        self.seeded_rows(1, self.records[rec].seed, 4 + 3 * t as u64, true)
     }
 
     /// Admits request `rec` into the engine. Unshared prompts enqueue
@@ -515,43 +522,29 @@ impl Scheduler {
     /// the resubmission source), and the prefix tokens a first-time
     /// registration prefilled (0 on a registry hit).
     fn admit_engine(&mut self, rec: usize) -> (usize, Vec<f64>, Vec<f64>, usize) {
-        let (q, k, v) = self.prompt_matrices(rec);
         let r = &self.records[rec];
+        let (q, k, v) = self.seeded_rows(r.prompt_tokens, r.seed, 1, true);
         let Some(pseed) = r.prefix_seed else {
             let seq = self.engine.enqueue(&q, &k, &v);
             return (seq, k.as_slice().to_vec(), v.as_slice().to_vec(), 0);
         };
         let rows = r.prefix_tokens;
-        let (pq, pk, pv) = self.prefix_matrices(pseed, rows);
+        // A registry hit only needs the prefix K/V for the history.
+        let hit = self.prefix_ids.get(&(pseed, rows)).copied();
+        let (pq, pk, pv) = self.seeded_rows(rows, pseed, 1, hit.is_none());
         let mut registered = 0;
-        let id = match self.prefix_ids.get(&(pseed, rows)) {
-            Some(&id) => id,
-            None => {
-                let id = self.engine.register_prefix(&pq, &pk, &pv);
-                self.prefix_ids.insert((pseed, rows), id);
-                registered = rows;
-                id
-            }
-        };
+        let id = hit.unwrap_or_else(|| {
+            let id = self.engine.register_prefix(&pq, &pk, &pv);
+            self.prefix_ids.insert((pseed, rows), id);
+            registered = rows;
+            id
+        });
         let seq = self.engine.enqueue_shared(id, &q, &k, &v);
         let mut hist_k = pk.as_slice().to_vec();
         hist_k.extend_from_slice(k.as_slice());
         let mut hist_v = pv.as_slice().to_vec();
         hist_v.extend_from_slice(v.as_slice());
         (seq, hist_k, hist_v, registered)
-    }
-
-    /// One decode token's Q/K/V rows for request `rec`, token index `t`.
-    fn token_rows(&self, rec: usize, t: usize) -> (Matrix<f64>, Matrix<f64>, Matrix<f64>) {
-        let r = &self.records[rec];
-        let (qd, kd) = (self.engine.config().q_dim(), self.engine.config().kv_dim());
-        let dist = ElementDist::default();
-        let t = t as u64;
-        (
-            Matrix::random_seeded(1, qd, dist, mix_seed(r.seed, 4 + 3 * t)),
-            Matrix::random_seeded(1, kd, dist, mix_seed(r.seed, 5 + 3 * t)),
-            Matrix::random_seeded(1, kd, dist, mix_seed(r.seed, 6 + 3 * t)),
-        )
     }
 
     /// Prompt tokens this queued request would pay for *new* cache
@@ -575,57 +568,71 @@ impl Scheduler {
     /// the history must rebuild: evict-and-requeue) — the request
     /// re-decodes the same token index after recovery, bit-identically.
     fn sequential_decode(&mut self, chosen: &[usize], report: &mut StepReport) {
-        let outputs = if chosen.is_empty() {
-            Vec::new()
-        } else {
-            let (qd, kd) = (self.engine.config().q_dim(), self.engine.config().kv_dim());
-            let mut qdat = Vec::with_capacity(chosen.len() * qd);
-            let mut kdat = Vec::with_capacity(chosen.len() * kd);
-            let mut vdat = Vec::with_capacity(chosen.len() * kd);
-            let mut seq_ids = Vec::with_capacity(chosen.len());
-            for &i in chosen {
-                let a = &self.active[i];
-                let (q, k, v) = self.token_rows(a.rec, a.decoded);
-                qdat.extend_from_slice(q.as_slice());
-                kdat.extend_from_slice(k.as_slice());
-                vdat.extend_from_slice(v.as_slice());
-                seq_ids.push(a.seq);
-            }
-            let qs = Matrix::from_vec(chosen.len(), qd, qdat);
-            let ks = Matrix::from_vec(chosen.len(), kd, kdat);
-            let vs = Matrix::from_vec(chosen.len(), kd, vdat);
-            let outs = self.engine.step_decode(&seq_ids, &qs, &ks, &vs);
-            outs.into_iter()
-                .enumerate()
-                .map(|(j, o)| (chosen[j], o, ks.row(j).to_vec(), vs.row(j).to_vec()))
-                .collect()
-        };
+        if chosen.is_empty() {
+            return;
+        }
+        let (qd, kd) = (self.engine.config().q_dim(), self.engine.config().kv_dim());
+        let mut qdat = Vec::with_capacity(chosen.len() * qd);
+        let mut kdat = Vec::with_capacity(chosen.len() * kd);
+        let mut vdat = Vec::with_capacity(chosen.len() * kd);
+        let mut seq_ids = Vec::with_capacity(chosen.len());
+        for &i in chosen {
+            let a = &self.active[i];
+            let (q, k, v) = self.token_rows(a.rec, a.decoded);
+            qdat.extend_from_slice(q.as_slice());
+            kdat.extend_from_slice(k.as_slice());
+            vdat.extend_from_slice(v.as_slice());
+            seq_ids.push(a.seq);
+        }
+        let qs = Matrix::from_vec(chosen.len(), qd, qdat);
+        let ks = Matrix::from_vec(chosen.len(), kd, kdat);
+        let vs = Matrix::from_vec(chosen.len(), kd, vdat);
+        let outs = self.engine.step_decode(&seq_ids, &qs, &ks, &vs);
 
         let mut alarmed: Vec<usize> = Vec::new();
-        for (i, out, krow, vrow) in outputs {
+        for (j, (&i, out)) in chosen.iter().zip(&outs).enumerate() {
             let res = out.residual().abs();
             if res.is_nan() || res > self.cfg.tol {
                 report.online_alarms += 1;
                 alarmed.push(i);
                 continue;
             }
-            let a = &mut self.active[i];
-            a.hist_k.extend_from_slice(&krow);
-            a.hist_v.extend_from_slice(&vrow);
-            a.decoded += 1;
-            a.demoted = false;
-            let tenant = self.records[a.rec].tenant;
-            let r = &mut self.records[a.rec];
-            if r.first_token_step.is_none() {
-                r.first_token_step = Some(self.now);
-            }
-            r.token_steps.push(self.now);
-            r.token_hashes.push(hash_bits(&out.output));
+            let tenant = self.records[self.active[i].rec].tenant;
             self.decoded_tokens[tenant] += 1;
-            report.decode_tokens += 1;
+            self.deliver(i, out, ks.row(j), vs.row(j), report);
         }
-        // Requeue alarmed victims highest-index first: `requeue` may
-        // swap_remove on a lost race, which never disturbs lower indices.
+        self.requeue_alarmed(alarmed, report);
+    }
+
+    /// Delivers one accepted token of `active[i]`: its K/V rows join the
+    /// accepted-row history (the resubmission source) and the request
+    /// record stamps the token's step and output hash.
+    fn deliver(
+        &mut self,
+        i: usize,
+        out: &DecodeStepOutput,
+        krow: &[f64],
+        vrow: &[f64],
+        report: &mut StepReport,
+    ) {
+        let a = &mut self.active[i];
+        a.hist_k.extend_from_slice(krow);
+        a.hist_v.extend_from_slice(vrow);
+        a.decoded += 1;
+        a.demoted = false;
+        let r = &mut self.records[a.rec];
+        if r.first_token_step.is_none() {
+            r.first_token_step = Some(self.now);
+        }
+        r.token_steps.push(self.now);
+        r.token_hashes.push(hash_bits(&out.output));
+        report.decode_tokens += 1;
+    }
+
+    /// Evicts and requeues every alarmed `active` index for corruption,
+    /// highest index first: `requeue` may swap_remove on a lost race,
+    /// which never disturbs lower indices.
+    fn requeue_alarmed(&mut self, mut alarmed: Vec<usize>, report: &mut StepReport) {
         alarmed.sort_unstable_by(|a, b| b.cmp(a));
         for i in alarmed {
             self.requeue(i, RequeueCause::Corruption, report);
@@ -666,7 +673,6 @@ impl Scheduler {
             return;
         }
         let (qd, kd) = (self.engine.config().q_dim(), self.engine.config().kv_dim());
-        let dist = ElementDist::default();
         let n = chosen.len();
         let mut qdat = Vec::with_capacity(n * gamma * qd);
         let mut kdat = Vec::with_capacity(n * gamma * kd);
@@ -694,11 +700,7 @@ impl Scheduler {
                         mix_seed(r.seed, 0x0BAD_0000_0000_0000 | token as u64),
                         self.now,
                     );
-                    (
-                        Matrix::random_seeded(1, qd, dist, mix_seed(s, 1)),
-                        Matrix::random_seeded(1, kd, dist, mix_seed(s, 2)),
-                        Matrix::random_seeded(1, kd, dist, mix_seed(s, 3)),
-                    )
+                    self.seeded_rows(1, s, 1, true)
                 };
                 qdat.extend_from_slice(q.as_slice());
                 kdat.extend_from_slice(k.as_slice());
@@ -736,30 +738,16 @@ impl Scheduler {
             report.speculated_tokens += gamma;
             report.spec_accepted += accepted[j];
             report.spec_rejected += gamma - accepted[j];
-            let base = self.active[i].decoded;
+            // An accepted position is a bitwise-true proposal, so its
+            // window row is the stream row the history needs.
             for (t, out) in outs[j].iter().take(accepted[j]).enumerate() {
-                let (_, k, v) = self.token_rows(rec, base + t);
-                let a = &mut self.active[i];
-                a.hist_k.extend_from_slice(k.as_slice());
-                a.hist_v.extend_from_slice(v.as_slice());
-                a.decoded += 1;
-                a.demoted = false;
-                let r = &mut self.records[rec];
-                if r.first_token_step.is_none() {
-                    r.first_token_step = Some(self.now);
-                }
-                r.token_steps.push(self.now);
-                r.token_hashes.push(hash_bits(&out.output));
-                report.decode_tokens += 1;
+                let row = j * gamma + t;
+                self.deliver(i, out, ks.row(row), vs.row(row), report);
             }
         }
         // The window is already closed (rolled back), so alarmed victims
-        // quarantine through the normal path — highest index first, as
-        // `requeue` may swap_remove on a lost race.
-        alarmed.sort_unstable_by(|a, b| b.cmp(a));
-        for i in alarmed {
-            self.requeue(i, RequeueCause::Corruption, report);
-        }
+        // quarantine through the normal path.
+        self.requeue_alarmed(alarmed, report);
     }
 
     /// Runs one scheduler step: absorb `arrivals`, shed past the queue
@@ -924,7 +912,7 @@ impl Scheduler {
             self.sequential_decode(&chosen, &mut report);
         }
 
-        // 7. Harvest: completed admissions start decoding; completed
+        // 6. Harvest: completed admissions start decoding; completed
         //    requeues resume it.
         for i in 0..self.active.len() {
             let (rec, seq) = (self.active[i].rec, self.active[i].seq);
@@ -957,7 +945,7 @@ impl Scheduler {
             }
         }
 
-        // 8. Finish sweep: a request with all its tokens retires its slot.
+        // 7. Finish sweep: a request with all its tokens retires its slot.
         let mut i = 0;
         while i < self.active.len() {
             let a = &self.active[i];
@@ -974,7 +962,7 @@ impl Scheduler {
             }
         }
 
-        // 9. Scrub quantum, re-tuned to the detection-latency SLO at the
+        // 8. Scrub quantum, re-tuned to the detection-latency SLO at the
         //    current live-block count. Findings trigger repair-in-place;
         //    only unrecoverable verdicts escalate to quarantine.
         if let Some(slo) = self.cfg.scrub_slo_steps {
@@ -993,7 +981,7 @@ impl Scheduler {
             }
         }
 
-        // 10. Arena pressure: demote, then evict-and-requeue.
+        // 9. Arena pressure: demote, then evict-and-requeue.
         self.relieve_pressure(&mut report);
 
         self.now += 1;

@@ -256,79 +256,6 @@ proptest! {
         }
     }
 
-    /// The head-major cache layout is a pure memory-layout change: under
-    /// a random admit/decode/retire schedule, a head-major engine and a
-    /// token-major engine produce bit-identical prompt outputs, decode
-    /// outputs, and checksum totals at every block size.
-    #[test]
-    fn head_major_and_token_major_layouts_bit_identical(
-        block_rows_hm in 1usize..12,
-        block_rows_tm in 1usize..12,
-        seed in 0u64..1_000_000,
-        epochs in 1usize..5,
-    ) {
-        use fa_tensor::random::ElementDist;
-        let heads = 2;
-        let d = 4;
-        let cfg = MultiHeadConfig::new(heads, AttentionConfig::new(d));
-        let dim = cfg.model_dim();
-        let rand = |rows: usize, s: u64| {
-            Matrix::<f64>::random_seeded(rows, dim, ElementDist::default(), s)
-        };
-        let mut hm = DecodeBatch::<f64>::with_layout(cfg, block_rows_hm, KvLayout::HeadMajor);
-        let mut tm = DecodeBatch::<f64>::with_layout(cfg, block_rows_tm, KvLayout::TokenMajor);
-        // A deterministic schedule mixing admissions, decode steps and
-        // retirements, driven by a per-case LCG.
-        let mut rng = seed.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-        let mut next = move || {
-            rng = rng.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-            rng >> 33
-        };
-        let mut live: Vec<usize> = Vec::new();
-        for e in 0..epochs {
-            // Admit 1–2 prompts of random length.
-            for _ in 0..1 + next() % 2 {
-                let n = 1 + (next() % 6) as usize;
-                let s = seed + 31 * e as u64 + next() % 1000;
-                let (q, k, v) = (rand(n, s), rand(n, s + 1), rand(n, s + 2));
-                let a = hm.admit(&q, &k, &v);
-                let b = tm.admit(&q, &k, &v);
-                prop_assert_eq!(a.output, b.output, "admitted prompt output");
-                prop_assert_eq!(a.predicted.to_bits(), b.predicted.to_bits());
-                prop_assert_eq!(a.actual.to_bits(), b.actual.to_bits());
-                prop_assert_eq!(a.seq, b.seq, "slot reuse order matches");
-                live.push(a.seq);
-            }
-            // Decode 1–3 tokens for every live sequence.
-            for t in 0..1 + next() % 3 {
-                let s = seed + 101 * e as u64 + 7 * t;
-                let qs = rand(live.len(), s + 3);
-                let ks = rand(live.len(), s + 4);
-                let vs = rand(live.len(), s + 5);
-                let outs_hm = hm.step_all(&live, &qs, &ks, &vs);
-                let outs_tm = tm.step_all(&live, &qs, &ks, &vs);
-                for (a, b) in outs_hm.iter().zip(&outs_tm) {
-                    prop_assert_eq!(&a.output, &b.output, "decode output");
-                    prop_assert_eq!(a.predicted.to_bits(), b.predicted.to_bits());
-                }
-            }
-            // Retire a random live sequence (keep at least one).
-            if live.len() > 1 {
-                let victim = live.swap_remove((next() as usize) % live.len());
-                hm.retire(victim);
-                tm.retire(victim);
-            }
-        }
-        for &s in &live {
-            prop_assert_eq!(
-                hm.global_residual(s).to_bits(),
-                tm.global_residual(s).to_bits(),
-                "checksum totals"
-            );
-            prop_assert!(hm.global_residual(s).abs() < 1e-9);
-        }
-    }
-
     /// The block free lists never alias a live sequence's storage: under
     /// any policy (including mixed-format demotion and sliding-window
     /// eviction, which both route blocks through the free lists
@@ -432,7 +359,7 @@ proptest! {
     /// per-(sequence, head) `DecodeSession` golden models whose cached
     /// rows get the same demotions replayed (`demote_cached`) and whose
     /// head config carries the eviction window as a sliding-window mask —
-    /// across layouts, block sizes, burst sizes, window sizes, chunk
+    /// across block sizes, burst sizes, window sizes, chunk
     /// sizes and thread counts. Eviction replay is pure masking: evicted
     /// blocks are invisible by the window, so the golden never needs to
     /// drop rows.
@@ -443,7 +370,6 @@ proptest! {
         burst in 0usize..3,
         window_blocks in 1usize..4,
         evict in any::<bool>(),
-        layout_hm in any::<bool>(),
         chunk in 1usize..7,
         prompt_len in 1usize..9,
         steps in 1usize..8,
@@ -456,7 +382,6 @@ proptest! {
         let head = AttentionConfig::new(d);
         let cfg = MultiHeadConfig::new(heads, head);
         let dim = cfg.model_dim();
-        let layout = if layout_hm { KvLayout::HeadMajor } else { KvLayout::TokenMajor };
         let eviction = if evict {
             EvictionPolicy::SlidingWindow { window_blocks }
         } else {
@@ -476,7 +401,7 @@ proptest! {
         let mut engine = DecodeBatch::<f64>::with_policy(
             cfg,
             block_rows,
-            layout,
+            KvLayout::HeadMajor,
             KvFormat::Mixed { burst_blocks: burst },
             eviction,
         );
@@ -600,7 +525,7 @@ proptest! {
     /// stays bit-identical to plain per-**query**-head `DecodeSession`
     /// golden models over pre-shared (group-sliced) K/V, with the same
     /// demotions replayed and the eviction window carried as a mask —
-    /// across kv-head counts, layouts, block sizes, bursts, windows,
+    /// across kv-head counts, block sizes, bursts, windows,
     /// chunk sizes and thread counts. `kv_heads == query_heads` is the
     /// PR-4 engine, pinned through the same machinery.
     #[test]
@@ -610,7 +535,6 @@ proptest! {
         block_rows in 1usize..5,
         burst in 0usize..3,
         window_blocks in 0usize..4, // 0 = RetainAll
-        layout_hm in any::<bool>(),
         plain_f64 in any::<bool>(),
         chunk in 1usize..7,
         prompt_len in 1usize..9,
@@ -625,7 +549,6 @@ proptest! {
         let d = 4;
         let head = AttentionConfig::new(d);
         let topo = HeadTopology::gqa(query_heads, kv_heads, head);
-        let layout = if layout_hm { KvLayout::HeadMajor } else { KvLayout::TokenMajor };
         let format = if plain_f64 {
             KvFormat::F64
         } else {
@@ -651,7 +574,9 @@ proptest! {
         );
 
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-        let mut engine = DecodeBatch::<f64>::with_policy(topo, block_rows, layout, format, eviction);
+        let mut engine = DecodeBatch::<f64>::with_policy(
+            topo, block_rows, KvLayout::HeadMajor, format, eviction,
+        );
         engine.set_prefill_chunk(chunk);
         let seq = engine.enqueue(&pq, &pk, &pv);
         while engine.is_pending(seq) {

@@ -221,7 +221,6 @@ proptest! {
         block_rows in 1usize..6,
         burst in 0usize..3,
         window_blocks in 0usize..4, // 0 = RetainAll
-        layout_hm in any::<bool>(),
         plain_f64 in any::<bool>(),
         steps in 2usize..14,
         seed in 0u64..1_000_000,
@@ -236,7 +235,6 @@ proptest! {
         let head = AttentionConfig::new(d);
         let cfg = MultiHeadConfig::new(heads, head);
         let dim = cfg.model_dim();
-        let layout = if layout_hm { KvLayout::HeadMajor } else { KvLayout::TokenMajor };
         let format = if plain_f64 {
             KvFormat::F64
         } else {
@@ -256,7 +254,9 @@ proptest! {
         };
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
 
-        let mut engine = DecodeBatch::<f64>::with_policy(cfg, block_rows, layout, format, eviction);
+        let mut engine = DecodeBatch::<f64>::with_policy(
+            cfg, block_rows, KvLayout::HeadMajor, format, eviction,
+        );
         let seq = engine.add_sequence();
         let mut sessions: Vec<CheckedDecodeSession> = (0..heads)
             .map(|_| CheckedDecodeSession::new(golden_head))
@@ -308,7 +308,7 @@ proptest! {
 
     /// The grouped engine preserves the checked-golden equivalence with
     /// the **checksum lane included**: under any `kv_heads` dividing the
-    /// query heads, any policy combination, layout, block size and thread
+    /// query heads, any policy combination, block size and thread
     /// count, `DecodeBatch` decodes bit-identically to the GQA-aware
     /// `CheckedGqaDecodeSession` (one shared K/V + `sumrow` stream per kv
     /// head, exactly one demotion replay per boundary), every per-token
@@ -322,7 +322,6 @@ proptest! {
         block_rows in 1usize..6,
         burst in 0usize..3,
         window_blocks in 0usize..4, // 0 = RetainAll
-        layout_hm in any::<bool>(),
         plain_f64 in any::<bool>(),
         steps in 2usize..14,
         seed in 0u64..1_000_000,
@@ -337,7 +336,6 @@ proptest! {
         let d = 4;
         let head = AttentionConfig::new(d);
         let topo = HeadTopology::gqa(query_heads, kv_heads, head);
-        let layout = if layout_hm { KvLayout::HeadMajor } else { KvLayout::TokenMajor };
         let format = if plain_f64 {
             KvFormat::F64
         } else {
@@ -357,7 +355,9 @@ proptest! {
         };
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
 
-        let mut engine = DecodeBatch::<f64>::with_policy(topo, block_rows, layout, format, eviction);
+        let mut engine = DecodeBatch::<f64>::with_policy(
+            topo, block_rows, KvLayout::HeadMajor, format, eviction,
+        );
         let seq = engine.add_sequence();
         let mut golden = CheckedGqaDecodeSession::new(
             HeadTopology::gqa(query_heads, kv_heads, golden_head),
