@@ -17,11 +17,15 @@
 //!   admissions, so arena growth is bounded by *live* tokens, not total
 //!   traffic history.
 //! * [`DecodeBatch`] — a multi-sequence, multi-head decode engine with
-//!   **continuous batching**: [`enqueue`](DecodeBatch::enqueue) /
-//!   [`admit_all`](DecodeBatch::admit_all) check and cache new prompts
-//!   mid-flight in bounded chunks (the chunked form of
-//!   `flash_abft::flash2_with_checksum` — bit-identical per head,
-//!   property-tested in `flash-abft`), [`step_decode`](DecodeBatch::step_decode)
+//!   **continuous batching** through one admission path:
+//!   [`enqueue`](DecodeBatch::enqueue) (or
+//!   [`enqueue_shared`](DecodeBatch::enqueue_shared) behind a registered
+//!   prefix) stages a prompt, [`prefill_step_for`](DecodeBatch::prefill_step_for)
+//!   checks and caches the caller's chosen prompts mid-flight in bounded
+//!   chunks (the chunked form of `flash_abft::flash2_with_checksum` —
+//!   bit-identical per head, property-tested in `flash-abft`), and
+//!   [`take_admitted`](DecodeBatch::take_admitted) collects a finished
+//!   prompt; [`step_decode`](DecodeBatch::step_decode)
 //!   decodes one token per listed sequence, and
 //!   [`retire`](DecodeBatch::retire) frees a finished sequence's blocks
 //!   without disturbing its neighbours' checksum state.
@@ -288,7 +292,7 @@ pub fn round_bf16<T: Scalar>(x: T) -> BF16 {
 }
 
 /// Default bound on prompt tokens processed per pending prompt per
-/// [`DecodeBatch::prefill_step`]: large enough to amortize the fork, small
+/// [`DecodeBatch::prefill_step_for`]: large enough to amortize the fork, small
 /// enough that a decode step never waits on more than a block or two of
 /// prefill work per admission.
 pub const DEFAULT_PREFILL_CHUNK: usize = 32;
@@ -1445,7 +1449,7 @@ impl<T: Scalar> KvCache<T> {
     }
 }
 
-/// One sequence's output from a [`DecodeBatch::step_all`] call.
+/// One sequence's output from a [`DecodeBatch::step_decode`] call.
 #[derive(Clone, Debug)]
 pub struct DecodeStepOutput {
     /// The normalized attention row for the new token, packed
@@ -1467,9 +1471,9 @@ impl DecodeStepOutput {
     }
 }
 
-/// A checked, admitted prompt: what [`DecodeBatch::admit_all`] returns
-/// for each prompt after running it through the batched fused-checksum
-/// prefill.
+/// A checked, admitted prompt: what [`DecodeBatch::take_admitted`]
+/// returns once [`DecodeBatch::prefill_step_for`] has run the prompt's
+/// last chunk through the batched fused-checksum prefill.
 #[derive(Clone, Debug)]
 pub struct AdmittedPrompt {
     /// The sequence id the prompt was admitted as (may reuse a retired
@@ -1495,31 +1499,6 @@ impl AdmittedPrompt {
     }
 }
 
-/// A batched, checked, KV-cache-backed decode engine over
-/// `num_sequences × num_heads` independent attention streams, with
-/// continuous batching: sequences are admitted (checked batched prefill)
-/// and retired (block recycling) mid-flight while the rest of the batch
-/// keeps decoding.
-///
-/// # Example
-///
-/// ```
-/// use fa_attention::batch::DecodeBatch;
-/// use fa_attention::multihead::MultiHeadConfig;
-/// use fa_attention::AttentionConfig;
-/// use fa_tensor::Matrix;
-///
-/// let cfg = MultiHeadConfig::new(2, AttentionConfig::new(2));
-/// let mut batch = DecodeBatch::<f64>::new(cfg, 16);
-/// let s0 = batch.add_sequence();
-/// let q = Matrix::from_rows(&[&[1.0, 0.0, 0.0, 1.0]]);
-/// let k = Matrix::from_rows(&[&[0.5, 0.5, 0.5, 0.5]]);
-/// let v = Matrix::from_rows(&[&[2.0, 4.0, 6.0, 8.0]]);
-/// let out = batch.step_all(&[s0], &q, &k, &v);
-/// // First token: softmax weight 1 per head, output == v.
-/// assert_eq!(out[0].output, vec![2.0, 4.0, 6.0, 8.0]);
-/// assert!(out[0].residual().abs() < 1e-12);
-/// ```
 /// A prompt enqueued for chunked admission: the staged Q/K/V, the chunk
 /// cursor, and the output/checksum state accumulated chunk by chunk.
 #[derive(Clone, Debug)]
@@ -1547,6 +1526,35 @@ struct PendingPrompt<T: Scalar> {
     base: usize,
 }
 
+impl<T: Scalar> PendingPrompt<T> {
+    /// Stages `k`/`v` (and `q`; `None` is a cache-only requeue) for
+    /// chunked prefill from absolute position `base`, with the prompt
+    /// checksum totals seeded at `(predicted, actual)` — zero except
+    /// behind a shared prefix, whose totals the suffix extends.
+    fn new(
+        q: Option<&Matrix<T>>,
+        k: &Matrix<T>,
+        v: &Matrix<T>,
+        base: usize,
+        (predicted, actual): (f64, f64),
+    ) -> Self {
+        PendingPrompt {
+            q: q.map_or_else(|| Matrix::zeros(0, 0), Matrix::clone),
+            k: k.clone(),
+            v: v.clone(),
+            next: 0,
+            output: q.map_or_else(
+                || Matrix::zeros(0, 0),
+                |q| Matrix::zeros(q.rows(), q.cols()),
+            ),
+            predicted,
+            actual,
+            cache_only: q.is_none(),
+            base,
+        }
+    }
+}
+
 /// Everything the engine tracks for one sequence slot beyond the cache
 /// blocks themselves: checksum inputs and totals, coverage counters, and
 /// the chunked-admission queue. One `SequenceState` per slot replaces the
@@ -1572,8 +1580,8 @@ struct SequenceState<T: Scalar> {
     /// Prompt tokens cached so far (admitted, enqueued-and-chunk-
     /// processed, or prefilled).
     prompt_tokens: usize,
-    /// Tokens decoded through [`DecodeBatch::step_all`]
-    /// (checksum-covered).
+    /// Tokens decoded through [`DecodeBatch::step_decode`] or accepted
+    /// from a speculative window (checksum-covered).
     checked_steps: usize,
     /// Tokens decoded through [`DecodeBatch::step_all_unchecked`], which
     /// the session verdict does **not** cover.
@@ -1657,6 +1665,33 @@ struct SharedPrefix<T: Scalar> {
     readers: usize,
 }
 
+/// A batched, checked, KV-cache-backed decode engine over
+/// `num_sequences × num_heads` independent attention streams, with
+/// continuous batching: sequences are admitted (checked chunked prefill
+/// through [`enqueue`](Self::enqueue) →
+/// [`prefill_step_for`](Self::prefill_step_for) →
+/// [`take_admitted`](Self::take_admitted)) and retired (block recycling)
+/// mid-flight while the rest of the batch keeps decoding.
+///
+/// # Example
+///
+/// ```
+/// use fa_attention::batch::DecodeBatch;
+/// use fa_attention::multihead::MultiHeadConfig;
+/// use fa_attention::AttentionConfig;
+/// use fa_tensor::Matrix;
+///
+/// let cfg = MultiHeadConfig::new(2, AttentionConfig::new(2));
+/// let mut batch = DecodeBatch::<f64>::new(cfg, 16);
+/// let s0 = batch.add_sequence();
+/// let q = Matrix::from_rows(&[&[1.0, 0.0, 0.0, 1.0]]);
+/// let k = Matrix::from_rows(&[&[0.5, 0.5, 0.5, 0.5]]);
+/// let v = Matrix::from_rows(&[&[2.0, 4.0, 6.0, 8.0]]);
+/// let out = batch.step_decode(&[s0], &q, &k, &v);
+/// // First token: softmax weight 1 per head, output == v.
+/// assert_eq!(out[0].output, vec![2.0, 4.0, 6.0, 8.0]);
+/// assert!(out[0].residual().abs() < 1e-12);
+/// ```
 #[derive(Clone, Debug)]
 pub struct DecodeBatch<T: Scalar> {
     cfg: HeadTopology,
@@ -1664,8 +1699,7 @@ pub struct DecodeBatch<T: Scalar> {
     /// One state record per sequence slot (live or retired).
     seqs: Vec<SequenceState<T>>,
     /// Maximum prompt tokens processed per pending prompt per
-    /// [`prefill_step`](Self::prefill_step) (and hence per
-    /// [`step_all`](Self::step_all)).
+    /// [`prefill_step_for`](Self::prefill_step_for).
     prefill_chunk: usize,
     /// The effective sliding mask in tokens: the tighter of the head
     /// config's window and the eviction policy's window. `None` = full
@@ -1814,8 +1848,8 @@ impl<T: Scalar> DecodeBatch<T> {
         &self.cfg
     }
 
-    /// Maximum prompt tokens each pending prompt advances per
-    /// [`prefill_step`](Self::prefill_step).
+    /// Maximum prompt tokens each listed pending prompt advances per
+    /// [`prefill_step_for`](Self::prefill_step_for).
     pub fn prefill_chunk(&self) -> usize {
         self.prefill_chunk
     }
@@ -1888,7 +1922,7 @@ impl<T: Scalar> DecodeBatch<T> {
 
     /// Registers a new (empty) sequence and returns its id, reusing a
     /// retired slot (and, transitively, its freed cache blocks) when one
-    /// is available. The slot's [`SequenceState`] is reset.
+    /// is available. The slot's per-sequence engine state is reset.
     pub fn add_sequence(&mut self) -> usize {
         let seq = self.cache.add_sequence();
         if seq == self.seqs.len() {
@@ -1904,7 +1938,7 @@ impl<T: Scalar> DecodeBatch<T> {
     /// chunks are dropped, and the slot becomes reusable. The running
     /// totals stay readable (for a final verdict) until the slot is
     /// reused by [`add_sequence`](Self::add_sequence) /
-    /// [`admit`](Self::admit) / [`enqueue`](Self::enqueue).
+    /// [`enqueue`](Self::enqueue) / [`enqueue_shared`](Self::enqueue_shared).
     ///
     /// # Panics
     ///
@@ -1924,8 +1958,9 @@ impl<T: Scalar> DecodeBatch<T> {
 
     /// Pre-fills sequence `seq` from prompt K/V matrices
     /// (`N × kv_dim`) **without computing attention** — for prompts
-    /// whose pass was checked elsewhere. [`admit`](Self::admit) is the
-    /// checked admission path.
+    /// whose pass was checked elsewhere. [`enqueue`](Self::enqueue) →
+    /// [`prefill_step_for`](Self::prefill_step_for) is the checked
+    /// admission path.
     ///
     /// # Panics
     ///
@@ -1948,8 +1983,9 @@ impl<T: Scalar> DecodeBatch<T> {
     }
 
     /// Running `Σ predicted − Σ actual` over the admitted prompt and
-    /// every token decoded for `seq` through [`step_all`](Self::step_all)
-    /// — the sequence-level ABFT verdict. Tokens decoded through
+    /// every token decoded for `seq` through
+    /// [`step_decode`](Self::step_decode) — the sequence-level ABFT
+    /// verdict. Tokens decoded through
     /// [`step_all_unchecked`](Self::step_all_unchecked) are **not**
     /// covered; check [`unchecked_len`](Self::unchecked_len) before
     /// reading a zero residual as "every token verified".
@@ -1973,7 +2009,7 @@ impl<T: Scalar> DecodeBatch<T> {
     }
 
     /// Tokens of `seq` decoded with checksum coverage (via
-    /// [`step_all`](Self::step_all)).
+    /// [`step_decode`](Self::step_decode)).
     ///
     /// # Panics
     ///
@@ -2049,11 +2085,6 @@ impl<T: Scalar> DecodeBatch<T> {
     pub fn set_recovery_log_budget(&mut self, rows: Option<usize>) {
         assert!(rows != Some(0), "recovery log budget must be positive");
         self.log_budget = rows;
-    }
-
-    /// The configured per-sequence recovery-log row budget.
-    pub fn recovery_log_budget(&self) -> Option<usize> {
-        self.log_budget
     }
 
     /// Recovery-log rows retained for sequence `seq` (0 when the log is
@@ -2141,11 +2172,6 @@ impl<T: Scalar> DecodeBatch<T> {
         self.scrub = policy;
     }
 
-    /// The installed background scrub policy.
-    pub fn scrub_policy(&self) -> Option<ScrubPolicy> {
-        self.scrub
-    }
-
     /// Total blocks the background scrubber has audited — the bandwidth
     /// side of the scrub tradeoff curve.
     pub fn scrubbed_blocks(&self) -> u64 {
@@ -2207,7 +2233,7 @@ impl<T: Scalar> DecodeBatch<T> {
     /// free lists, checksum state and verdict totals reset, and — when
     /// the recovery log still covers the full history — the sequence is
     /// automatically requeued for recompute through the **existing
-    /// chunked-prefill admission path** ([`prefill_step`](Self::prefill_step)
+    /// chunked-prefill admission path** ([`prefill_step_for`](Self::prefill_step_for)
     /// advances it while the rest of the batch keeps decoding). The
     /// damage costs one sequence's latency, not the batch's verdict.
     ///
@@ -2322,17 +2348,7 @@ impl<T: Scalar> DecodeBatch<T> {
         if self.seqs[seq].pending.is_some() {
             return Err(ResubmitError::AlreadyPending { seq });
         }
-        self.seqs[seq].pending = Some(PendingPrompt {
-            q: Matrix::zeros(0, 0),
-            k: k.clone(),
-            v: v.clone(),
-            next: 0,
-            output: Matrix::zeros(0, 0),
-            predicted: 0.0,
-            actual: 0.0,
-            cache_only: true,
-            base: 0,
-        });
+        self.seqs[seq].pending = Some(PendingPrompt::new(None, k, v, 0, (0.0, 0.0)));
         Ok(())
     }
 
@@ -2380,40 +2396,25 @@ impl<T: Scalar> DecodeBatch<T> {
         self.truncate_log(seq);
     }
 
-    /// Admits one prompt synchronously: registers a sequence (reusing
-    /// retired slots and their blocks), caches the prompt K/V, and
-    /// computes the prompt's checked causal self-attention in one
-    /// unbounded chunk. See [`admit_all`](Self::admit_all);
-    /// [`enqueue`](Self::enqueue) is the chunked form.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn admit(&mut self, q: &Matrix<T>, k: &Matrix<T>, v: &Matrix<T>) -> AdmittedPrompt {
-        self.admit_all(&[(q, k, v)])
-            .pop()
-            .expect("one prompt admitted")
-    }
-
     /// Enqueues one prompt for **chunked** admission: the sequence id is
     /// assigned immediately (reusing retired slots), but no prompt token
-    /// is cached or scored yet. Each [`prefill_step`](Self::prefill_step)
-    /// — which [`step_all`](Self::step_all) runs automatically before
-    /// decoding — advances every pending prompt by at most
-    /// [`prefill_chunk`](Self::prefill_chunk) tokens through the batched
-    /// checked prefill, so a long prompt admits across several steps
-    /// instead of stalling the decode batch. Under [`KvFormat::F64`] (and
-    /// any schedule in which no demotion fires mid-prompt) per-query
-    /// outputs are bit-identical to a synchronous [`admit`](Self::admit);
-    /// under [`KvFormat::Mixed`] the chunk boundaries are *part of the
+    /// is cached or scored yet. Each
+    /// [`prefill_step_for`](Self::prefill_step_for) that lists the id
+    /// advances the prompt by at most [`prefill_chunk`](Self::prefill_chunk)
+    /// tokens through the batched checked prefill, so a long prompt
+    /// admits across several steps instead of stalling the decode batch;
+    /// the decode entry points never advance it. Under [`KvFormat::F64`]
+    /// (and any schedule in which no demotion fires mid-prompt) per-query
+    /// outputs are bit-identical at every chunk size; under
+    /// [`KvFormat::Mixed`] the chunk boundaries are *part of the
     /// semantics* — demotion follows the append schedule, so a chunk's
-    /// queries score the burst's recent rows at full precision where a
-    /// synchronous admit (one giant chunk, all rows appended first)
-    /// would already have demoted them. That is the intended "f64
-    /// prefill burst": the policy proptests replay demotion at the exact
-    /// chunk boundaries. The prompt checksums fold per chunk (same
-    /// coverage, chunk-order Kahan rounding) either way. Collect the
-    /// finished admission with [`take_admitted`](Self::take_admitted).
+    /// queries score the burst's recent rows at full precision where one
+    /// prompt-sized chunk (all rows appended first) would already have
+    /// demoted them. That is the intended "f64 prefill burst": the policy
+    /// proptests replay demotion at the exact chunk boundaries. The
+    /// prompt checksums fold per chunk (same coverage, chunk-order Kahan
+    /// rounding). Collect the finished admission with
+    /// [`take_admitted`](Self::take_admitted).
     ///
     /// # Panics
     ///
@@ -2424,27 +2425,8 @@ impl<T: Scalar> DecodeBatch<T> {
         assert_eq!(v.cols(), self.cfg.kv_dim(), "prompt V width mismatch");
         assert_eq!(q.rows(), k.rows(), "prompt Q/K row count mismatch");
         assert_eq!(k.rows(), v.rows(), "prompt K/V row count mismatch");
-        self.enqueue_validated(q, k, v)
-    }
-
-    fn enqueue_validated(&mut self, q: &Matrix<T>, k: &Matrix<T>, v: &Matrix<T>) -> usize {
-        let q_dim = self.cfg.q_dim();
         let seq = self.add_sequence();
-        // The pending queue owns its staging (chunks outlive the caller's
-        // borrow). The synchronous admit path pays these clones too —
-        // accepted: one memcpy per prompt matrix is noise next to the
-        // O(N²·d) prefill passes that follow.
-        self.seqs[seq].pending = Some(PendingPrompt {
-            q: q.clone(),
-            k: k.clone(),
-            v: v.clone(),
-            next: 0,
-            output: Matrix::zeros(q.rows(), q_dim),
-            predicted: 0.0,
-            actual: 0.0,
-            cache_only: false,
-            base: 0,
-        });
+        self.seqs[seq].pending = Some(PendingPrompt::new(Some(q), k, v, 0, (0.0, 0.0)));
         seq
     }
 
@@ -2501,9 +2483,7 @@ impl<T: Scalar> DecodeBatch<T> {
         self.assert_no_window();
         assert!(k.rows() > 0, "empty prefix");
         let seq = self.enqueue(q, k, v);
-        while self.is_pending(seq) {
-            self.advance_pending(self.prefill_chunk, Some(&[seq]));
-        }
+        while self.prefill_step_for(&[seq]) > 0 {}
         let adm = self
             .take_admitted(seq)
             .expect("registration drains the prefix prompt");
@@ -2660,17 +2640,7 @@ impl<T: Scalar> DecodeBatch<T> {
                 actual,
             });
         } else {
-            state.pending = Some(PendingPrompt {
-                q: q.clone(),
-                k: k.clone(),
-                v: v.clone(),
-                next: 0,
-                output: Matrix::zeros(q.rows(), q_dim),
-                predicted,
-                actual,
-                cache_only: false,
-                base: rows,
-            });
+            state.pending = Some(PendingPrompt::new(Some(q), k, v, rows, (predicted, actual)));
         }
         self.prefixes[id].as_mut().expect("checked above").readers += 1;
         seq
@@ -2709,27 +2679,42 @@ impl<T: Scalar> DecodeBatch<T> {
         self.seqs[seq].ready.take()
     }
 
-    /// Advances every pending prompt by one bounded chunk (at most
-    /// [`prefill_chunk`](Self::prefill_chunk) tokens each) through the
-    /// batched checked prefill — all pending `prompts × heads` passes in
-    /// one fork. Returns the number of prompt tokens processed (0 when
-    /// nothing is pending). [`step_all`](Self::step_all) calls this
-    /// before decoding, interleaving admission with decode.
-    pub fn prefill_step(&mut self) -> usize {
-        self.advance_pending(self.prefill_chunk, None)
-    }
-
-    /// Advances only the listed sequences' pending prompts by one
-    /// bounded chunk each (ids without a pending prompt are skipped).
-    /// The serving scheduler's handle for budgeted admission: it picks
-    /// which prompts advance under its prefill share and spends every
-    /// remaining budget token on [`step_decode`](Self::step_decode).
-    /// Returns the prompt tokens processed.
+    /// Advances the listed sequences' pending prompts by one bounded
+    /// chunk each (at most [`prefill_chunk`](Self::prefill_chunk) prompt
+    /// tokens) — the only way a prompt reaches the cache and the
+    /// checksum totals. Each listed prompt's chunk K/V rows are appended
+    /// in list order, then one checked **panel pass** per
+    /// `prompt × kv_head` runs over the chunk's queries in ONE fork (each
+    /// panel streams its kv head's blocks once for all the chunk's
+    /// positions × `group_size` query heads), and each chunk's
+    /// per-query-head Kahan checksums fold into the pending and
+    /// per-sequence totals. Completed prompts park their
+    /// [`AdmittedPrompt`] for [`take_admitted`](Self::take_admitted).
+    ///
+    /// Per (prompt, head) a one-chunk pass is the batched form of
+    /// `flash_abft::flash2_with_checksum` on that head's `N × d` slices
+    /// with a causal mask — same score/axpy kernels, same per-query
+    /// merged accumulator recurrence, same Kahan finalization order — so
+    /// each head's output rows and (predicted, actual) checksums are
+    /// bit-identical to the standalone kernel (property-tested in
+    /// `flash-abft`).
+    ///
+    /// The caller picks which prompts advance: the serving scheduler
+    /// spends its prefill share here and every remaining budget token on
+    /// [`step_decode`](Self::step_decode). Ids without a pending prompt
+    /// are skipped. Returns the prompt tokens processed.
     ///
     /// # Panics
     ///
-    /// Panics if an id is out of range.
+    /// Panics if an id is out of range or listed twice, or (when a
+    /// listed prompt is pending) if a speculative window is open.
     pub fn prefill_step_for(&mut self, seqs: &[usize]) -> usize {
+        for (i, &s) in seqs.iter().enumerate() {
+            assert!(
+                !seqs[..i].contains(&s),
+                "duplicate sequence id {s} in one prefill step"
+            );
+        }
         let ids: Vec<usize> = seqs
             .iter()
             .copied()
@@ -2738,86 +2723,12 @@ impl<T: Scalar> DecodeBatch<T> {
         if ids.is_empty() {
             return 0;
         }
-        self.advance_pending(self.prefill_chunk, Some(&ids))
-    }
-
-    /// Admits a batch of prompts under the fused checksum: every prompt's
-    /// K/V rows are cached, then **all** `prompts × heads` checked causal
-    /// prefill passes are scheduled across the rayon pool in one fork, so
-    /// admission cost amortizes across the batch instead of serializing
-    /// per sequence.
-    ///
-    /// Per (prompt, head) the pass is the batched form of
-    /// `flash_abft::flash2_with_checksum` on that head's `N × d` slices
-    /// with a causal mask: same score/axpy kernels, same per-query merged
-    /// accumulator recurrence, same Kahan finalization order — so each
-    /// head's output rows and (predicted, actual) checksums are
-    /// bit-identical to the standalone kernel (property-tested in
-    /// `flash-abft`). The per-sequence totals absorb the prompt checksums,
-    /// extending [`global_residual`](Self::global_residual) coverage to
-    /// every prefill token.
-    ///
-    /// Outputs are returned in prompt order.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch (each prompt's Q must be `N × q_dim`,
-    /// K/V `N × kv_dim`, with one shared `N` per prompt).
-    pub fn admit_all(
-        &mut self,
-        prompts: &[(&Matrix<T>, &Matrix<T>, &Matrix<T>)],
-    ) -> Vec<AdmittedPrompt> {
-        // Validate every prompt before mutating anything, so a malformed
-        // prompt cannot leave earlier prompts half-admitted (same
-        // validate-before-mutate contract as `step_all`).
-        for &(q, k, v) in prompts {
-            assert_eq!(q.cols(), self.cfg.q_dim(), "prompt Q width mismatch");
-            assert_eq!(k.cols(), self.cfg.kv_dim(), "prompt K width mismatch");
-            assert_eq!(v.cols(), self.cfg.kv_dim(), "prompt V width mismatch");
-            assert_eq!(q.rows(), k.rows(), "prompt Q/K row count mismatch");
-            assert_eq!(k.rows(), v.rows(), "prompt K/V row count mismatch");
-        }
-        let ids: Vec<usize> = prompts
-            .iter()
-            .map(|&(q, k, v)| self.enqueue_validated(q, k, v))
-            .collect();
-        // One unbounded chunk per prompt: the same appends, the same
-        // one-fork prompt×head passes, the same (head, query) Kahan
-        // finalization order as the dedicated PR-3 admission path —
-        // bit-identical outputs and checksums.
-        self.advance_pending(usize::MAX, Some(&ids));
-        ids.iter()
-            .map(|&seq| {
-                self.take_admitted(seq)
-                    .expect("unbounded chunk completes every prompt")
-            })
-            .collect()
-    }
-
-    /// The chunked-admission engine: advances pending prompts (all of
-    /// them, or the `only` subset) by at most `chunk` prompt tokens each
-    /// — appending the chunk's K/V rows, then running one checked
-    /// **panel pass** per `prompt × kv_head` over the chunk's queries in
-    /// ONE fork (each panel streams its kv head's blocks once for all
-    /// the chunk's positions × `group_size` query heads), then folding
-    /// each chunk's per-query-head Kahan checksums into the pending and
-    /// per-sequence totals. Completed prompts park their [`AdmittedPrompt`] for
-    /// [`take_admitted`](Self::take_admitted).
-    fn advance_pending(&mut self, chunk: usize, only: Option<&[usize]>) -> usize {
         self.assert_no_window();
         let h = self.cfg.query_heads;
         let kv = self.cfg.kv_heads;
         let gs = self.cfg.group_size();
         let d = self.cfg.head.head_dim();
-        let ids: Vec<usize> = match only {
-            Some(list) => list.to_vec(),
-            None => (0..self.seqs.len())
-                .filter(|&s| self.seqs[s].pending.is_some())
-                .collect(),
-        };
-        if ids.is_empty() {
-            return 0;
-        }
+        let chunk = self.prefill_chunk;
 
         // Phase 1 (serial, cheap): cache each prompt's chunk rows.
         let mut spans = Vec::with_capacity(ids.len());
@@ -2825,7 +2736,7 @@ impl<T: Scalar> DecodeBatch<T> {
             let pend = self.seqs[seq]
                 .pending
                 .take()
-                .expect("advance_pending targets pending sequences");
+                .expect("filtered to pending sequences");
             let p0 = pend.next;
             let p1 = p0.saturating_add(chunk).min(pend.k.rows());
             let cache_only = pend.cache_only;
@@ -2954,36 +2865,14 @@ impl<T: Scalar> DecodeBatch<T> {
     /// bit-identical at every thread count and to serial per-sequence
     /// decode.
     ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch, out-of-range, retired, or duplicate
-    /// sequence ids.
-    pub fn step_all(
-        &mut self,
-        seq_ids: &[usize],
-        qs: &Matrix<T>,
-        ks: &Matrix<T>,
-        vs: &Matrix<T>,
-    ) -> Vec<DecodeStepOutput> {
-        // Interleave chunked admission with decode: every step advances
-        // pending prompts by one bounded chunk before the decode passes,
-        // so long prompts admit without ever stalling the batch. A no-op
-        // when nothing is pending (the PR-3-pinned path).
-        self.prefill_step();
-        self.step_decode(seq_ids, qs, ks, vs)
-    }
-
-    /// [`step_all`](Self::step_all) without the built-in prefill chunk:
-    /// exactly the listed sequences decode and every pending prompt is
-    /// left untouched. The serving scheduler pairs this with
-    /// [`prefill_step_for`](Self::prefill_step_for) to split one step's
-    /// token budget between admission and decode itself instead of
-    /// letting every pending prompt advance unconditionally.
+    /// Only the listed sequences decode: a pending prompt is never
+    /// advanced here (listing one panics), so admission runs only where
+    /// the caller schedules [`prefill_step_for`](Self::prefill_step_for).
     ///
     /// # Panics
     ///
-    /// Panics on shape mismatch, out-of-range, retired, or duplicate
-    /// sequence ids.
+    /// Panics on shape mismatch, out-of-range, retired, pending, or
+    /// duplicate sequence ids.
     pub fn step_decode(
         &mut self,
         seq_ids: &[usize],
@@ -3006,18 +2895,19 @@ impl<T: Scalar> DecodeBatch<T> {
         outputs
     }
 
-    /// [`step_all`](Self::step_all) without the checksum lane — the
+    /// [`step_decode`](Self::step_decode) without the checksum lane — the
     /// unchecked baseline the overhead benchmark compares against.
     /// Returns only the normalized output rows. Tokens decoded this way
     /// still advance the cache but are **excluded** from the
     /// [`global_residual`](Self::global_residual) session verdict; the
     /// per-sequence [`unchecked_len`](Self::unchecked_len) counter
-    /// records the coverage gap.
+    /// records the coverage gap. Like `step_decode`, it never advances a
+    /// pending prompt.
     ///
     /// # Panics
     ///
-    /// Panics on shape mismatch, out-of-range, retired, or duplicate
-    /// sequence ids.
+    /// Panics on shape mismatch, out-of-range, retired, pending, or
+    /// duplicate sequence ids.
     pub fn step_all_unchecked(
         &mut self,
         seq_ids: &[usize],
@@ -3025,7 +2915,6 @@ impl<T: Scalar> DecodeBatch<T> {
         ks: &Matrix<T>,
         vs: &Matrix<T>,
     ) -> Vec<Vec<f64>> {
-        self.prefill_step();
         let states = self.run_passes(seq_ids, qs, ks, vs, false);
         for &seq in seq_ids {
             self.seqs[seq].unchecked_steps += 1;
@@ -3137,6 +3026,19 @@ mod tests {
 
     fn rand(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
         Matrix::random_seeded(rows, cols, ElementDist::default(), seed)
+    }
+
+    /// Enqueues one prompt and admits it in a single chunk (the prompt
+    /// must fit the engine's prefill chunk).
+    fn admit(
+        e: &mut DecodeBatch<f64>,
+        q: &Matrix<f64>,
+        k: &Matrix<f64>,
+        v: &Matrix<f64>,
+    ) -> AdmittedPrompt {
+        let seq = e.enqueue(q, k, v);
+        e.prefill_step_for(&[seq]);
+        e.take_admitted(seq).expect("prompt fits one prefill chunk")
     }
 
     #[test]
@@ -3259,7 +3161,7 @@ mod tests {
                 let qs = rand(s, cfg.model_dim(), seed);
                 let ks = rand(s, cfg.model_dim(), seed + 100);
                 let vs = rand(s, cfg.model_dim(), seed + 200);
-                let outs = batch.step_all(&ids, &qs, &ks, &vs);
+                let outs = batch.step_decode(&ids, &qs, &ks, &vs);
                 for (i, out) in outs.iter().enumerate() {
                     for (h, session) in sessions[i].iter_mut().enumerate() {
                         let slice = |m: &Matrix<f64>| m.row(i)[h * 4..(h + 1) * 4].to_vec();
@@ -3282,7 +3184,7 @@ mod tests {
     }
 
     #[test]
-    fn step_all_parallel_bit_identical_any_thread_count() {
+    fn step_decode_parallel_bit_identical_any_thread_count() {
         let cfg = MultiHeadConfig::new(4, AttentionConfig::new(8));
         let run = |threads: usize| {
             rayon::ThreadPoolBuilder::new()
@@ -3302,7 +3204,7 @@ mod tests {
                     let qs = rand(6, cfg.model_dim(), 1);
                     let ks = rand(6, cfg.model_dim(), 2);
                     let vs = rand(6, cfg.model_dim(), 3);
-                    batch.step_all(&ids, &qs, &ks, &vs)
+                    batch.step_decode(&ids, &qs, &ks, &vs)
                 })
         };
         let serial = run(1);
@@ -3328,7 +3230,7 @@ mod tests {
         let (pq, pk, pv) = (rand(9, dim, 40), rand(9, dim, 41), rand(9, dim, 42));
 
         let mut admitted = DecodeBatch::<f64>::new(cfg, 4);
-        let prompt = admitted.admit(&pq, &pk, &pv);
+        let prompt = admit(&mut admitted, &pq, &pk, &pv);
         assert!(prompt.residual().abs() < 1e-10, "prompt check holds");
         assert_eq!(prompt.output.rows(), 9);
         assert_eq!(admitted.prompt_len(prompt.seq), 9);
@@ -3341,8 +3243,8 @@ mod tests {
             let qs = rand(1, dim, 60 + t);
             let ks = rand(1, dim, 70 + t);
             let vs = rand(1, dim, 80 + t);
-            let a = admitted.step_all(&[prompt.seq], &qs, &ks, &vs);
-            let b = prefilled.step_all(&[seq], &qs, &ks, &vs);
+            let a = admitted.step_decode(&[prompt.seq], &qs, &ks, &vs);
+            let b = prefilled.step_decode(&[seq], &qs, &ks, &vs);
             assert_eq!(a[0].output, b[0].output, "step {t}");
             assert_eq!(a[0].predicted.to_bits(), b[0].predicted.to_bits());
         }
@@ -3350,7 +3252,7 @@ mod tests {
     }
 
     #[test]
-    fn admit_all_parallel_bit_identical_any_thread_count() {
+    fn prefill_step_for_parallel_bit_identical_any_thread_count() {
         let cfg = MultiHeadConfig::new(4, AttentionConfig::new(8));
         let dim = cfg.model_dim();
         let prompts: Vec<(Matrix<f64>, Matrix<f64>, Matrix<f64>)> = (0..5)
@@ -3363,8 +3265,8 @@ mod tests {
                 )
             })
             .collect();
-        let refs: Vec<(&Matrix<f64>, &Matrix<f64>, &Matrix<f64>)> =
-            prompts.iter().map(|(q, k, v)| (q, k, v)).collect();
+        // All five prompts advance together, one prompt×kv_head fork per
+        // chunk; the two longest span two chunks.
         let run = |threads: usize| {
             rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
@@ -3372,11 +3274,18 @@ mod tests {
                 .unwrap()
                 .install(|| {
                     let mut batch = DecodeBatch::<f64>::new(cfg, 8);
-                    batch.admit_all(&refs)
+                    let ids: Vec<usize> = prompts
+                        .iter()
+                        .map(|(q, k, v)| batch.enqueue(q, k, v))
+                        .collect();
+                    while batch.prefill_step_for(&ids) > 0 {}
+                    ids.iter()
+                        .map(|&s| batch.take_admitted(s).expect("drained"))
+                        .collect::<Vec<_>>()
                 })
         };
         let serial = run(1);
-        for threads in [2, 5] {
+        for threads in [2, 4] {
             let parallel = run(threads);
             for (a, b) in serial.iter().zip(&parallel) {
                 assert_eq!(a.output, b.output, "{threads} threads");
@@ -3384,22 +3293,6 @@ mod tests {
                 assert_eq!(a.actual.to_bits(), b.actual.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn admit_all_validates_every_prompt_before_mutating() {
-        // A malformed prompt anywhere in the batch must fail the whole
-        // call *before* any prompt is admitted — no half-mutated engine.
-        let cfg = MultiHeadConfig::new(2, AttentionConfig::new(4));
-        let dim = cfg.model_dim();
-        let mut batch = DecodeBatch::<f64>::new(cfg, 4);
-        let (gq, gk, gv) = (rand(3, dim, 1), rand(3, dim, 2), rand(3, dim, 3));
-        let bad_q = rand(3, dim - 1, 4); // wrong width
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            batch.admit_all(&[(&gq, &gk, &gv), (&bad_q, &gk, &gv)])
-        }));
-        assert!(result.is_err(), "malformed prompt must panic");
-        assert_eq!(batch.num_sequences(), 0, "nothing was half-admitted");
     }
 
     #[test]
@@ -3414,9 +3307,9 @@ mod tests {
 
         let (q0, k0, v0) = (rand(6, dim, 1), rand(6, dim, 2), rand(6, dim, 3));
         let (q1, k1, v1) = (rand(4, dim, 4), rand(4, dim, 5), rand(4, dim, 6));
-        let a = engine.admit(&q0, &k0, &v0);
-        let b = engine.admit(&q1, &k1, &v1);
-        let lone_a = lone.admit(&q0, &k0, &v0);
+        let a = admit(&mut engine, &q0, &k0, &v0);
+        let b = admit(&mut engine, &q1, &k1, &v1);
+        let lone_a = admit(&mut lone, &q0, &k0, &v0);
         assert_eq!(a.output, lone_a.output, "co-admission changes nothing");
 
         // Decode both, retire b, decode a alone (mirrored on `lone`).
@@ -3424,7 +3317,7 @@ mod tests {
             let qs = rand(width, dim, 900 + t);
             let ks = rand(width, dim, 910 + t);
             let vs = rand(width, dim, 920 + t);
-            e.step_all(ids, &qs, &ks, &vs)
+            e.step_decode(ids, &qs, &ks, &vs)
         };
         let both = step(&mut engine, &[a.seq, b.seq], 0, 2);
         let solo = {
@@ -3432,7 +3325,7 @@ mod tests {
             let ks = rand(2, dim, 910);
             let vs = rand(2, dim, 920);
             let sliced = |m: &Matrix<f64>| Matrix::from_fn(1, dim, |_, c| m[(0, c)]);
-            lone.step_all(&[lone_a.seq], &sliced(&qs), &sliced(&ks), &sliced(&vs))
+            lone.step_decode(&[lone_a.seq], &sliced(&qs), &sliced(&ks), &sliced(&vs))
         };
         assert_eq!(both[0].output, solo[0].output);
 
@@ -3443,7 +3336,7 @@ mod tests {
         // Readmit onto the recycled blocks; survivor keeps decoding
         // bit-identically to its lone twin.
         let (q2, k2, v2) = (rand(5, dim, 7), rand(5, dim, 8), rand(5, dim, 9));
-        let c = engine.admit(&q2, &k2, &v2);
+        let c = admit(&mut engine, &q2, &k2, &v2);
         assert_eq!(c.seq, b.seq, "slot reuse");
         assert!(engine.cache().recycled_blocks() > 0, "blocks recycled");
         for t in 1..4 {
@@ -3452,7 +3345,7 @@ mod tests {
             let ks = rand(2, dim, 910 + t);
             let vs = rand(2, dim, 920 + t);
             let sliced = |m: &Matrix<f64>| Matrix::from_fn(1, dim, |_, c| m[(0, c)]);
-            let solo = lone.step_all(&[lone_a.seq], &sliced(&qs), &sliced(&ks), &sliced(&vs));
+            let solo = lone.step_decode(&[lone_a.seq], &sliced(&qs), &sliced(&ks), &sliced(&vs));
             assert_eq!(outs[0].output, solo[0].output, "step {t}");
             assert!(outs[1].residual().abs() < 1e-10, "readmitted seq checks");
         }
@@ -3471,7 +3364,7 @@ mod tests {
             let qs = rand(1, 8, 300 + t);
             let ks = rand(1, 8, 400 + t);
             let vs = rand(1, 8, 500 + t);
-            let a = checked.step_all(&ids, &qs, &ks, &vs);
+            let a = checked.step_decode(&ids, &qs, &ks, &vs);
             let b = unchecked.step_all_unchecked(&ids, &qs, &ks, &vs);
             assert_eq!(a[0].output, b[0], "step {t}");
         }
@@ -3501,7 +3394,7 @@ mod tests {
             let qs = rand(1, 2, 600 + t);
             let ks = rand(1, 2, 700 + t);
             let vs = rand(1, 2, 800 + t);
-            let out = batch.step_all(&ids, &qs, &ks, &vs);
+            let out = batch.step_decode(&ids, &qs, &ks, &vs);
             let reference = session.step(qs.row(0), ks.row(0), vs.row(0));
             for (a, b) in out[0].output.iter().zip(&reference) {
                 assert_eq!(a.to_bits(), b.to_bits(), "step {t}");
@@ -3515,7 +3408,7 @@ mod tests {
         let mut batch = DecodeBatch::<f64>::new(cfg, 4);
         let ids = vec![batch.add_sequence()];
         for t in 0..4 {
-            let _ = batch.step_all(
+            let _ = batch.step_decode(
                 &ids,
                 &rand(1, 8, t),
                 &rand(1, 8, 50 + t),
@@ -3602,7 +3495,7 @@ mod tests {
             let qs = rand(1, dim, 7000 + t);
             let ks = rand(1, dim, 7100 + t);
             let vs = rand(1, dim, 7200 + t);
-            let outs = engine.step_all(&ids, &qs, &ks, &vs);
+            let outs = engine.step_decode(&ids, &qs, &ks, &vs);
             assert!(
                 outs[0].residual().abs() < 1e-9,
                 "checksum rides rounded rows"
@@ -3657,7 +3550,7 @@ mod tests {
             let qs = rand(1, dim, 8000 + t as u64);
             let ks = rand(1, dim, 8100 + t as u64);
             let vs = rand(1, dim, 8200 + t as u64);
-            let outs = engine.step_all(&ids, &qs, &ks, &vs);
+            let outs = engine.step_decode(&ids, &qs, &ks, &vs);
             assert!(outs[0].residual().abs() < 1e-9, "step {t} checksum");
             for (h, session) in sessions.iter_mut().enumerate() {
                 let sub = |m: &Matrix<f64>| m.row(0)[h * 4..(h + 1) * 4].to_vec();
@@ -3709,8 +3602,8 @@ mod tests {
             let qs = rand(1, dim, 8500 + t);
             let ks = rand(1, dim, 8600 + t);
             let vs = rand(1, dim, 8700 + t);
-            let a = evicting.step_all(&e, &qs, &ks, &vs);
-            let b = masked.step_all(&m, &qs, &ks, &vs);
+            let a = evicting.step_decode(&e, &qs, &ks, &vs);
+            let b = masked.step_decode(&m, &qs, &ks, &vs);
             assert_eq!(a[0].output, b[0].output, "step {t}");
             assert_eq!(a[0].predicted.to_bits(), b[0].predicted.to_bits());
             assert!(a[0].residual().abs() < 1e-9);
@@ -3733,13 +3626,14 @@ mod tests {
     }
 
     #[test]
-    fn chunked_admission_matches_synchronous_admit_bitwise() {
+    fn chunked_admission_matches_one_chunk_admission_bitwise() {
         let cfg = MultiHeadConfig::new(2, AttentionConfig::new(4));
         let dim = cfg.model_dim();
         let (pq, pk, pv) = (rand(11, dim, 90), rand(11, dim, 91), rand(11, dim, 92));
 
         let mut sync = DecodeBatch::<f64>::new(cfg, 4);
-        let wholesale = sync.admit(&pq, &pk, &pv);
+        sync.set_prefill_chunk(11);
+        let wholesale = admit(&mut sync, &pq, &pk, &pv);
 
         let mut chunked = DecodeBatch::<f64>::new(cfg, 4);
         chunked.set_prefill_chunk(3);
@@ -3749,7 +3643,7 @@ mod tests {
         assert!(chunked.take_admitted(seq).is_none(), "not done yet");
         let mut steps = 0;
         while chunked.is_pending(seq) {
-            let processed = chunked.prefill_step();
+            let processed = chunked.prefill_step_for(&[seq]);
             assert!(processed <= 3, "chunk bound holds");
             steps += 1;
         }
@@ -3758,7 +3652,7 @@ mod tests {
         let admitted = chunked.take_admitted(seq).expect("completed");
         assert!(chunked.take_admitted(seq).is_none(), "collected once");
 
-        // Per-query outputs are bit-identical to the synchronous path;
+        // Per-query outputs are bit-identical to the one-chunk path;
         // the chunk-folded checksums still verify the prompt.
         assert_eq!(admitted.output, wholesale.output);
         assert!(admitted.residual().abs() < 1e-9);
@@ -3769,20 +3663,25 @@ mod tests {
             let qs = rand(1, dim, 9500 + t);
             let ks = rand(1, dim, 9600 + t);
             let vs = rand(1, dim, 9700 + t);
-            let a = sync.step_all(&[wholesale.seq], &qs, &ks, &vs);
-            let b = chunked.step_all(&[seq], &qs, &ks, &vs);
+            let a = sync.step_decode(&[wholesale.seq], &qs, &ks, &vs);
+            let b = chunked.step_decode(&[seq], &qs, &ks, &vs);
             assert_eq!(a[0].output, b[0].output, "post-admission step {t}");
         }
     }
 
     #[test]
-    fn step_all_interleaves_pending_prefill_with_decode() {
+    fn prefill_step_for_interleaves_pending_prefill_with_decode() {
         let cfg = MultiHeadConfig::new(2, AttentionConfig::new(4));
         let dim = cfg.model_dim();
         let mut engine = DecodeBatch::<f64>::new(cfg, 4);
         engine.set_prefill_chunk(4);
         // One live decoding sequence...
-        let live = engine.admit(&rand(2, dim, 50), &rand(2, dim, 51), &rand(2, dim, 52));
+        let live = admit(
+            &mut engine,
+            &rand(2, dim, 50),
+            &rand(2, dim, 51),
+            &rand(2, dim, 52),
+        );
         // ...and a long prompt that arrives mid-flight.
         let seq = engine.enqueue(&rand(10, dim, 60), &rand(10, dim, 61), &rand(10, dim, 62));
         for t in 0..3 {
@@ -3791,7 +3690,8 @@ mod tests {
             let vs = rand(1, dim, 9200 + t);
             // Decode proceeds while the prompt admits 4 tokens per step —
             // the long prompt never stalls the batch.
-            let outs = engine.step_all(&[live.seq], &qs, &ks, &vs);
+            engine.prefill_step_for(&[seq]);
+            let outs = engine.step_decode(&[live.seq], &qs, &ks, &vs);
             assert!(outs[0].residual().abs() < 1e-9);
             assert_eq!(
                 engine.pending_len(seq),
@@ -3808,7 +3708,7 @@ mod tests {
         let qs = rand(2, dim, 9300);
         let ks = rand(2, dim, 9301);
         let vs = rand(2, dim, 9302);
-        let outs = engine.step_all(&[live.seq, seq], &qs, &ks, &vs);
+        let outs = engine.step_decode(&[live.seq, seq], &qs, &ks, &vs);
         assert!(outs[1].residual().abs() < 1e-9);
         assert_eq!(engine.seq_len(seq), 11);
         assert_eq!(engine.prompt_len(seq) + engine.decoded_len(seq), 11);
@@ -3822,7 +3722,40 @@ mod tests {
         engine.set_prefill_chunk(2);
         let seq = engine.enqueue(&rand(8, 2, 1), &rand(8, 2, 2), &rand(8, 2, 3));
         let m = rand(1, 2, 4);
-        let _ = engine.step_all(&[seq], &m, &m, &m);
+        let _ = engine.step_decode(&[seq], &m, &m, &m);
+    }
+
+    #[test]
+    fn decode_never_advances_a_pending_peer() {
+        // Admission runs only where the caller lists the prompt: neither
+        // decode entry point may advance a pending peer.
+        let cfg = MultiHeadConfig::new(1, AttentionConfig::new(2));
+        let mut engine = DecodeBatch::<f64>::new(cfg, 4);
+        engine.set_prefill_chunk(2);
+        let live = engine.add_sequence();
+        let peer = engine.enqueue(&rand(8, 2, 1), &rand(8, 2, 2), &rand(8, 2, 3));
+        engine.prefill_step_for(&[peer]);
+        let (pending, cached) = (engine.pending_len(peer), engine.seq_len(peer));
+        assert_eq!((pending, cached), (6, 2));
+        let m = rand(1, 2, 4);
+        let _ = engine.step_decode(&[live], &m, &m, &m);
+        assert_eq!(engine.pending_len(peer), pending, "step_decode");
+        assert_eq!(engine.seq_len(peer), cached, "step_decode");
+        let _ = engine.step_all_unchecked(&[live], &m, &m, &m);
+        assert_eq!(engine.pending_len(peer), pending, "step_all_unchecked");
+        assert_eq!(engine.seq_len(peer), cached, "step_all_unchecked");
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate sequence id")]
+    fn duplicate_prefill_ids_panic() {
+        // Listing a prompt twice would append the same chunk twice and
+        // desynchronize the cache from the chunk cursor.
+        let cfg = MultiHeadConfig::new(1, AttentionConfig::new(2));
+        let mut engine = DecodeBatch::<f64>::new(cfg, 4);
+        engine.set_prefill_chunk(3);
+        let s = engine.enqueue(&rand(8, 2, 1), &rand(8, 2, 2), &rand(8, 2, 3));
+        engine.prefill_step_for(&[s, s]);
     }
 
     #[test]
@@ -3832,7 +3765,7 @@ mod tests {
         let mut batch = DecodeBatch::<f64>::new(cfg, 4);
         let s = batch.add_sequence();
         let m = rand(2, 2, 1);
-        let _ = batch.step_all(&[s, s], &m, &m, &m);
+        let _ = batch.step_decode(&[s, s], &m, &m, &m);
     }
 
     #[test]
@@ -3841,7 +3774,7 @@ mod tests {
         let cfg = MultiHeadConfig::new(1, AttentionConfig::new(2));
         let mut batch = DecodeBatch::<f64>::new(cfg, 4);
         let m = rand(1, 2, 1);
-        let _ = batch.step_all(&[0], &m, &m, &m);
+        let _ = batch.step_decode(&[0], &m, &m, &m);
     }
 
     #[test]
@@ -3851,9 +3784,9 @@ mod tests {
         let mut batch = DecodeBatch::<f64>::new(cfg, 4);
         let s = batch.add_sequence();
         let m = rand(1, 2, 1);
-        let _ = batch.step_all(&[s], &m, &m, &m);
+        let _ = batch.step_decode(&[s], &m, &m, &m);
         batch.retire(s);
-        let _ = batch.step_all(&[s], &m, &m, &m);
+        let _ = batch.step_decode(&[s], &m, &m, &m);
     }
 
     #[test]
@@ -3875,7 +3808,7 @@ mod tests {
                 let qs = rand(2, topo.q_dim(), 4000 + t);
                 let ks = rand(2, topo.kv_dim(), 4100 + t);
                 let vs = rand(2, topo.kv_dim(), 4200 + t);
-                let outs = engine.step_all(&ids, &qs, &ks, &vs);
+                let outs = engine.step_decode(&ids, &qs, &ks, &vs);
                 for (i, out) in outs.iter().enumerate() {
                     assert!(out.residual().abs() < 1e-10, "fused check holds");
                     for (h, session) in sessions[i].iter_mut().enumerate() {
@@ -3914,7 +3847,7 @@ mod tests {
             let qs = rand(1, topo.q_dim(), 4300 + t);
             let ks = rand(1, topo.kv_dim(), 4400 + t);
             let vs = rand(1, topo.kv_dim(), 4500 + t);
-            let outs = engine.step_all(&ids, &qs, &ks, &vs);
+            let outs = engine.step_decode(&ids, &qs, &ks, &vs);
             let reference = golden.step(qs.row(0), ks.row(0), vs.row(0));
             for (c, (a, b)) in outs[0].output.iter().zip(&reference).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "step {t} lane {c}");
@@ -3940,8 +3873,8 @@ mod tests {
             let ks = rand(1, 4 * d, 4700 + t);
             let vs = rand(1, 4 * d, 4800 + t);
             let kv_slice = |m: &Matrix<f64>| Matrix::from_fn(1, d, |_, c| m[(0, c)]);
-            let _ = wide.step_all(&w, &qs, &ks, &vs);
-            let _ = narrow.step_all(&n, &qs, &kv_slice(&ks), &kv_slice(&vs));
+            let _ = wide.step_decode(&w, &qs, &ks, &vs);
+            let _ = narrow.step_decode(&n, &qs, &kv_slice(&ks), &kv_slice(&vs));
         }
         assert_eq!(wide.cache().width(), 4 * d);
         assert_eq!(narrow.cache().width(), d, "kv-head-proportional rows");
@@ -3975,16 +3908,16 @@ mod tests {
             KvFormat::Mixed { burst_blocks: 1 },
             EvictionPolicy::SlidingWindow { window_blocks: 2 },
         );
-        let pa = a.admit(&pq, &pk, &pv);
-        let pb = b.admit(&pq, &pk, &pv);
+        let pa = admit(&mut a, &pq, &pk, &pv);
+        let pb = admit(&mut b, &pq, &pk, &pv);
         assert_eq!(pa.output, pb.output);
         assert_eq!(pa.predicted.to_bits(), pb.predicted.to_bits());
         for t in 0..8u64 {
             let qs = rand(1, dim, 5000 + t);
             let ks = rand(1, dim, 5100 + t);
             let vs = rand(1, dim, 5200 + t);
-            let oa = a.step_all(&[pa.seq], &qs, &ks, &vs);
-            let ob = b.step_all(&[pb.seq], &qs, &ks, &vs);
+            let oa = a.step_decode(&[pa.seq], &qs, &ks, &vs);
+            let ob = b.step_decode(&[pb.seq], &qs, &ks, &vs);
             assert_eq!(oa[0].output, ob[0].output, "step {t}");
             assert_eq!(oa[0].predicted.to_bits(), ob[0].predicted.to_bits());
         }
@@ -3995,9 +3928,9 @@ mod tests {
     }
 
     #[test]
-    fn gqa_chunked_admission_matches_synchronous_admit() {
+    fn gqa_chunked_admission_matches_one_chunk_admission() {
         // Chunked prefill schedules (prompt, kv_head) group passes; the
-        // result must equal the synchronous admit bit for bit (F64, no
+        // result must equal one prompt-sized chunk bit for bit (F64, no
         // demotion), like the MHA path.
         let gqa = GqaConfig::new(4, 2, AttentionConfig::new(4));
         let topo = gqa.topology();
@@ -4007,15 +3940,14 @@ mod tests {
             rand(11, topo.kv_dim(), 82),
         );
         let mut sync = DecodeBatch::<f64>::new(gqa, 4);
-        let wholesale = sync.admit(&pq, &pk, &pv);
+        sync.set_prefill_chunk(11);
+        let wholesale = admit(&mut sync, &pq, &pk, &pv);
         assert!(wholesale.residual().abs() < 1e-9);
 
         let mut chunked = DecodeBatch::<f64>::new(gqa, 4);
         chunked.set_prefill_chunk(3);
         let seq = chunked.enqueue(&pq, &pk, &pv);
-        while chunked.is_pending(seq) {
-            chunked.prefill_step();
-        }
+        while chunked.prefill_step_for(&[seq]) > 0 {}
         let admitted = chunked.take_admitted(seq).expect("completed");
         assert_eq!(admitted.output, wholesale.output);
         assert_eq!(admitted.predicted.to_bits(), wholesale.predicted.to_bits());
@@ -4074,9 +4006,7 @@ mod tests {
             e.resubmit(seq, &k, &v),
             Err(ResubmitError::AlreadyPending { .. })
         ));
-        while e.is_pending(seq) {
-            e.prefill_step();
-        }
+        while e.prefill_step_for(&[seq]) > 0 {}
 
         // Shape races: wrong width, mismatched row counts, no rows.
         let empty = e.add_sequence();
@@ -4145,8 +4075,8 @@ mod tests {
             let qs = rand(1, topo.q_dim(), 600 + t);
             let ks = rand(1, topo.kv_dim(), 700 + t);
             let vs = rand(1, topo.kv_dim(), 800 + t);
-            let oa = a.step_all(&[0], &qs, &ks, &vs);
-            let ob = b.step_all(&[0], &qs, &ks, &vs);
+            let oa = a.step_decode(&[0], &qs, &ks, &vs);
+            let ob = b.step_decode(&[0], &qs, &ks, &vs);
             assert_eq!(oa[0].output, ob[0].output);
             assert!(oa[0].residual().abs() < 1e-6);
         }
@@ -4239,7 +4169,10 @@ mod tests {
         }
         assert_eq!(shared.prefix_readers(id), 3);
         loop {
-            let (a, b) = (shared.prefill_step(), plain.prefill_step());
+            let (a, b) = (
+                shared.prefill_step_for(&sids),
+                plain.prefill_step_for(&pids),
+            );
             if a == 0 && b == 0 {
                 break;
             }
@@ -4280,8 +4213,8 @@ mod tests {
             let qs = rand(3, qd, 900 + t);
             let ks = rand(3, kd, 910 + t);
             let vs = rand(3, kd, 920 + t);
-            let oa = shared.step_all(&sids, &qs, &ks, &vs);
-            let ob = plain.step_all(&pids, &qs, &ks, &vs);
+            let oa = shared.step_decode(&sids, &qs, &ks, &vs);
+            let ob = plain.step_decode(&pids, &qs, &ks, &vs);
             for (i, (a, b)) in oa.iter().zip(&ob).enumerate() {
                 assert_eq!(a.output, b.output, "step {t} seq {i}");
                 assert!(a.residual().abs() < 1e-9);
@@ -4326,7 +4259,7 @@ mod tests {
                 );
                 seqs.push(e.enqueue_shared(id, &sq, &sk, &sv));
             }
-            while e.prefill_step() > 0 {}
+            while e.prefill_step_for(&seqs) > 0 {}
             ids.push(seqs);
         }
         assert_eq!(ids[0], ids[1]);
@@ -4334,8 +4267,8 @@ mod tests {
             let qs = rand(4, qd, 1900 + t);
             let ks = rand(4, kd, 1910 + t);
             let vs = rand(4, kd, 1920 + t);
-            let oa = on.step_all(&ids[0], &qs, &ks, &vs);
-            let ob = off.step_all(&ids[1], &qs, &ks, &vs);
+            let oa = on.step_decode(&ids[0], &qs, &ks, &vs);
+            let ob = off.step_decode(&ids[1], &qs, &ks, &vs);
             for (i, (a, b)) in oa.iter().zip(&ob).enumerate() {
                 assert_eq!(a.output, b.output, "step {t} seq {i}");
             }
@@ -4370,7 +4303,7 @@ mod tests {
             assert_eq!(e.cache().block_ref_count(b), 3, "registry + two readers");
         }
         assert_eq!(e.cache().cow_copies(), 0);
-        while e.prefill_step() > 0 {}
+        while e.prefill_step_for(&[s0, s1]) > 0 {}
 
         // Each reader's first suffix append hit the shared partial tail
         // and diverged onto a private copy; the full block stays shared.
@@ -4463,7 +4396,10 @@ mod tests {
                 pids.push(plain.enqueue(&vcat(&pq, &sq), &vcat(&pk, &sk), &vcat(&pv, &sv)));
             }
             loop {
-                let (a, b) = (shared.prefill_step(), plain.prefill_step());
+                let (a, b) = (
+                    shared.prefill_step_for(&sids),
+                    plain.prefill_step_for(&pids),
+                );
                 if a == 0 && b == 0 {
                     break;
                 }
@@ -4484,8 +4420,8 @@ mod tests {
                 let qs = rand(2, qd, 2900 + t);
                 let ks = rand(2, kd, 2910 + t);
                 let vs = rand(2, kd, 2920 + t);
-                let oa = shared.step_all(&sids, &qs, &ks, &vs);
-                let ob = plain.step_all(&pids, &qs, &ks, &vs);
+                let oa = shared.step_decode(&sids, &qs, &ks, &vs);
+                let ob = plain.step_decode(&pids, &qs, &ks, &vs);
                 for (i, (a, b)) in oa.iter().zip(&ob).enumerate() {
                     assert_eq!(
                         a.output, b.output,
@@ -4516,7 +4452,7 @@ mod tests {
             let id = e.register_prefix(&rand(8, qd, 30), &rand(8, kd, 31), &rand(8, kd, 32));
             let s0 = e.enqueue_shared(id, &rand(2, qd, 33), &rand(2, kd, 34), &rand(2, kd, 35));
             let s1 = e.enqueue_shared(id, &rand(3, qd, 36), &rand(3, kd, 37), &rand(3, kd, 38));
-            while e.prefill_step() > 0 {}
+            while e.prefill_step_for(&[s0, s1]) > 0 {}
             e.take_admitted(s0);
             e.take_admitted(s1);
             (e, s0, s1)
@@ -4544,8 +4480,8 @@ mod tests {
             let qs = rand(2, qd, 3900 + t);
             let ks = rand(2, kd, 3910 + t);
             let vs = rand(2, kd, 3920 + t);
-            let oa = faulty.step_all(&[s0, s1], &qs, &ks, &vs);
-            let ob = twin.step_all(&[t0, t1], &qs, &ks, &vs);
+            let oa = faulty.step_decode(&[s0, s1], &qs, &ks, &vs);
+            let ob = twin.step_decode(&[t0, t1], &qs, &ks, &vs);
             for (a, b) in oa.iter().zip(&ob) {
                 assert_eq!(a.output, b.output, "step {t}");
                 assert!(a.residual().abs() < 1e-9);

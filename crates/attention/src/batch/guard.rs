@@ -243,11 +243,6 @@ impl DecodeBatch<f64> {
         self.recovery_log = true;
     }
 
-    /// Whether the engine retains original rows for recovery.
-    pub fn recovery_log_enabled(&self) -> bool {
-        self.recovery_log
-    }
-
     /// Whether position `pos` of sequence `seq` is stored in a BF16
     /// block (16 flippable bits per lane) rather than a native one (64)
     /// — injection campaigns pick their bit range by this.
@@ -680,8 +675,8 @@ mod tests {
             let qs = rand(ids.len(), topo.q_dim(), 5000 + t as u64);
             let ks = rand(ids.len(), topo.kv_dim(), 6000 + t as u64);
             let vs = rand(ids.len(), topo.kv_dim(), 7000 + t as u64);
-            let a = subject.step_all(ids, &qs, &ks, &vs);
-            let b = golden.step_all(ids, &qs, &ks, &vs);
+            let a = subject.step_decode(ids, &qs, &ks, &vs);
+            let b = golden.step_decode(ids, &qs, &ks, &vs);
             if expect_identical {
                 for (i, (x, y)) in a.iter().zip(&b).enumerate() {
                     for (c, (xa, ya)) in x.output.iter().zip(&y.output).enumerate() {
@@ -728,8 +723,8 @@ mod tests {
         let qs = rand(ids.len(), topo.q_dim(), 81);
         let ks = rand(ids.len(), topo.kv_dim(), 82);
         let vs = rand(ids.len(), topo.kv_dim(), 83);
-        let out = subject.step_all(&ids, &qs, &ks, &vs);
-        let gold = golden.step_all(&ids, &qs, &ks, &vs);
+        let out = subject.step_decode(&ids, &qs, &ks, &vs);
+        let gold = golden.step_decode(&ids, &qs, &ks, &vs);
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
         {
             assert!(
@@ -776,8 +771,8 @@ mod tests {
         let qs = rand(ids.len(), topo.q_dim(), 91);
         let ks = rand(ids.len(), topo.kv_dim(), 92);
         let vs = rand(ids.len(), topo.kv_dim(), 93);
-        let out = subject.step_all(&ids, &qs, &ks, &vs);
-        let gold = golden.step_all(&ids, &qs, &ks, &vs);
+        let out = subject.step_decode(&ids, &qs, &ks, &vs);
+        let gold = golden.step_decode(&ids, &qs, &ks, &vs);
         assert!(
             out[0].residual().abs() <= TOL,
             "K flips are residual-coherent: {}",
@@ -817,8 +812,8 @@ mod tests {
         let qs = rand(ids.len(), topo.q_dim(), 101);
         let ks = rand(ids.len(), topo.kv_dim(), 102);
         let vs = rand(ids.len(), topo.kv_dim(), 103);
-        let out = subject.step_all(&ids, &qs, &ks, &vs);
-        let gold = golden.step_all(&ids, &qs, &ks, &vs);
+        let out = subject.step_decode(&ids, &qs, &ks, &vs);
+        let gold = golden.step_decode(&ids, &qs, &ks, &vs);
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
         {
             assert!(
@@ -924,7 +919,7 @@ mod tests {
         let ids = [seq];
         while subject.demoted_len(seq) == 0 {
             let t = subject.seq_len(seq) as u64;
-            subject.step_all(
+            subject.step_decode(
                 &ids,
                 &rand(1, 4, 300 + t),
                 &rand(1, 4, 400 + t),

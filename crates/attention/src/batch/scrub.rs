@@ -1,7 +1,7 @@
 //! Background scrubbing: the bounded-latency detection lane for
 //! residual-coherent corruption, plus recovery-log checkpointing.
 //!
-//! The online checksum lane ([`DecodeBatch::step_all`]) alarms on
+//! The online checksum lane ([`DecodeBatch::step_decode`]) alarms on
 //! value-side storage flips within a step, but key-side flips corrupt
 //! score and checksum *coherently* — the residual stays small while
 //! outputs diverge, and only a structural audit sees the damage. PR 6's
@@ -234,7 +234,7 @@ mod tests {
         let qs = rand(ids.len(), topo.q_dim(), 1_000 + step);
         let ks = rand(ids.len(), topo.kv_dim(), 2_000 + step);
         let vs = rand(ids.len(), topo.kv_dim(), 3_000 + step);
-        e.step_all(ids, &qs, &ks, &vs)
+        e.step_decode(ids, &qs, &ks, &vs)
             .into_iter()
             .map(|o| o.output)
             .collect()
@@ -460,6 +460,7 @@ mod tests {
         // golden twin pauses its victim too so both see identical steps.
         let mut s = 100;
         while subject.is_pending(victim) {
+            subject.prefill_step_for(&[victim]);
             let a = decode_step(&mut subject, &[peer], s);
             let b = decode_step(&mut golden, &[peer], s);
             assert_eq!(a, b, "peer bit-identical during requeue");
@@ -513,9 +514,7 @@ mod tests {
         e.flip_storage_bit(ids[1], e.evicted_len(ids[1]), 1, 0, false, 61);
         let report = e.quarantine(ids[1]);
         assert!(report.blocks_freed > 0);
-        while e.is_pending(ids[1]) {
-            e.prefill_step();
-        }
+        while e.prefill_step_for(&[ids[1]]) > 0 {}
         for _ in 0..e.live_blocks() {
             assert!(e.scrub_step().is_empty(), "reclaimed blocks audit clean");
         }

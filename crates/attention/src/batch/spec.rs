@@ -97,7 +97,7 @@ pub(crate) struct SpecSeq<T: Scalar> {
     token_checks: Vec<(f64, f64)>,
 }
 
-/// An open speculative window: one [`SpecSeq`] per windowed sequence,
+/// An open speculative window: one `SpecSeq` per windowed sequence,
 /// parked on the engine between [`DecodeBatch::speculate`] and
 /// [`DecodeBatch::resolve_speculation`].
 #[derive(Clone, Debug)]

@@ -107,8 +107,8 @@ const SCORE_BLOCK: usize = 64;
 
 /// Runs the Alg. 2 online loop for one query row.
 ///
-/// Visible keys are processed in [`SCORE_BLOCK`]-row blocks: lines 3
-/// (scores, via the contiguous-stream [`ops::dot_then_scale_rows`]
+/// Visible keys are processed in `SCORE_BLOCK`-row blocks: lines 3
+/// (scores, via the contiguous-stream [`fa_tensor::ops::dot_then_scale_rows`]
 /// kernel) for the whole block, then lines 4–6 folding the block's scores
 /// and V rows through the online recurrence. Per-key arithmetic and order
 /// are unchanged, so results are bit-identical to the row-interleaved

@@ -11,8 +11,7 @@
 //! `(sequence, kv_head)` streams where one contiguous K/V pass feeds all
 //! `group_size` query states.
 //!
-//! [`MultiHeadConfig`](crate::multihead::MultiHeadConfig) and
-//! [`GqaConfig`](crate::gqa::GqaConfig) both convert into a topology
+//! [`MultiHeadConfig`] and [`GqaConfig`] both convert into a topology
 //! (`From` impls), so existing call sites keep working while the engines
 //! themselves speak one type.
 

@@ -355,7 +355,7 @@ proptest! {
 
     /// THE policy-layer equivalence: a `Mixed`-format engine with
     /// sliding-window eviction, admitting its prompt through **chunked**
-    /// prefill interleaved by `step_all`, stays bit-identical to plain
+    /// prefill interleaved by `prefill_step_for`, stays bit-identical to plain
     /// per-(sequence, head) `DecodeSession` golden models whose cached
     /// rows get the same demotions replayed (`demote_cached`) and whose
     /// head config carries the eviction window as a sliding-window mask —
@@ -407,9 +407,7 @@ proptest! {
         );
         engine.set_prefill_chunk(chunk);
         let seq = engine.enqueue(&pq, &pk, &pv);
-        while engine.is_pending(seq) {
-            pool.install(|| engine.prefill_step());
-        }
+        while pool.install(|| engine.prefill_step_for(&[seq])) > 0 {}
         let admitted = engine.take_admitted(seq).expect("prompt completed");
         prop_assert!(admitted.residual().abs() < 1e-9, "prompt checksum holds");
 
@@ -488,7 +486,7 @@ proptest! {
             let qs = rand(1, s);
             let ks = rand(1, s + 1);
             let vs = rand(1, s + 2);
-            let outs = pool.install(|| engine.step_all(&[seq], &qs, &ks, &vs));
+            let outs = pool.install(|| engine.step_decode(&[seq], &qs, &ks, &vs));
             prop_assert!(outs[0].residual().abs() < 1e-9, "step {} checksum", t);
             hist_q.push(qs.row(0).to_vec());
             mirror_append(&mut hist_k, &mut hist_v, ks.row(0).to_vec(), vs.row(0).to_vec());
@@ -579,9 +577,7 @@ proptest! {
         );
         engine.set_prefill_chunk(chunk);
         let seq = engine.enqueue(&pq, &pk, &pv);
-        while engine.is_pending(seq) {
-            pool.install(|| engine.prefill_step());
-        }
+        while pool.install(|| engine.prefill_step_for(&[seq])) > 0 {}
         let admitted = engine.take_admitted(seq).expect("prompt completed");
         prop_assert!(admitted.residual().abs() < 1e-9, "prompt checksum holds");
 
@@ -655,7 +651,7 @@ proptest! {
             let qs = rand(1, topo.q_dim(), s);
             let ks = rand(1, topo.kv_dim(), s + 1);
             let vs = rand(1, topo.kv_dim(), s + 2);
-            let outs = pool.install(|| engine.step_all(&[seq], &qs, &ks, &vs));
+            let outs = pool.install(|| engine.step_decode(&[seq], &qs, &ks, &vs));
             prop_assert!(outs[0].residual().abs() < 1e-9, "step {} checksum", t);
             hist_q.push(qs.row(0).to_vec());
             mirror_append(&mut hist_k, &mut hist_v, ks.row(0).to_vec(), vs.row(0).to_vec());
@@ -706,14 +702,16 @@ proptest! {
         for cycle in 0..cycles {
             let n = 1 + (seed as usize + cycle) % 5;
             let s0 = seed + 999 * cycle as u64;
-            let a = engine.admit(&rand(n, s0), &rand(n, s0 + 1), &rand(n, s0 + 2));
+            let seq = engine.enqueue(&rand(n, s0), &rand(n, s0 + 1), &rand(n, s0 + 2));
+            engine.prefill_step_for(&[seq]);
+            let a = engine.take_admitted(seq).expect("prompt fits one chunk");
             prop_assert_eq!(engine.prompt_len(a.seq), n);
             prop_assert_eq!(engine.checked_len(a.seq), 0, "slot reuse resets counters");
             prop_assert_eq!(engine.unchecked_len(a.seq), 0);
             let ids = [a.seq];
             for t in 0..checked_steps {
                 let s = s0 + 10 + t as u64;
-                engine.step_all(&ids, &rand(1, s), &rand(1, s + 1), &rand(1, s + 2));
+                engine.step_decode(&ids, &rand(1, s), &rand(1, s + 1), &rand(1, s + 2));
             }
             for t in 0..unchecked_steps {
                 let s = s0 + 50 + t as u64;
@@ -735,7 +733,7 @@ proptest! {
         }
     }
 
-    /// `DecodeBatch::step_all` equals per-(sequence, head) serial
+    /// `DecodeBatch::step_decode` equals per-(sequence, head) serial
     /// `DecodeSession` decode bit for bit — for any thread count, batch
     /// size, cache block size and step count.
     #[test]
@@ -771,7 +769,7 @@ proptest! {
                     let qs = Matrix::<f64>::random_seeded(batch_size, dim, ElementDist::default(), s);
                     let ks = Matrix::<f64>::random_seeded(batch_size, dim, ElementDist::default(), s + 1);
                     let vs = Matrix::<f64>::random_seeded(batch_size, dim, ElementDist::default(), s + 2);
-                    all.push((engine.step_all(&ids, &qs, &ks, &vs), qs, ks, vs));
+                    all.push((engine.step_decode(&ids, &qs, &ks, &vs), qs, ks, vs));
                 }
                 all
             });
@@ -862,8 +860,8 @@ proptest! {
                 let qs = rand(batch, topo.q_dim(), seed.wrapping_add(1_000 + t as u64));
                 let ks = rand(batch, topo.kv_dim(), seed.wrapping_add(2_000 + t as u64));
                 let vs = rand(batch, topo.kv_dim(), seed.wrapping_add(3_000 + t as u64));
-                let a = subject.step_all(&ids, &qs, &ks, &vs);
-                let b = golden.step_all(&ids, &qs, &ks, &vs);
+                let a = subject.step_decode(&ids, &qs, &ks, &vs);
+                let b = golden.step_decode(&ids, &qs, &ks, &vs);
                 for (i, (x, y)) in a.iter().zip(&b).enumerate() {
                     for (c, (xa, ya)) in x.output.iter().zip(&y.output).enumerate() {
                         prop_assert_eq!(
@@ -1035,8 +1033,8 @@ proptest! {
                     hist_k[id].extend_from_slice(ks.row(i));
                     hist_v[id].extend_from_slice(vs.row(i));
                 }
-                let a = subject.step_all(step_ids, &qs, &ks, &vs);
-                let b = golden.step_all(step_ids, &qs, &ks, &vs);
+                let a = subject.step_decode(step_ids, &qs, &ks, &vs);
+                let b = golden.step_decode(step_ids, &qs, &ks, &vs);
                 for (i, (x, y)) in a.iter().zip(&b).enumerate() {
                     for (c, (xa, ya)) in x.output.iter().zip(&y.output).enumerate() {
                         prop_assert_eq!(
@@ -1093,10 +1091,11 @@ proptest! {
         }
 
         // Peers keep serving while the victim re-admits chunk by chunk
-        // (step_all advances pending chunks); the golden twin pauses its
-        // victim too, so peers see identical traffic on both engines.
+        // (one prefill_step_for per decode step); the golden twin pauses
+        // its victim too, so peers see identical traffic on both engines.
         let mut waited = 0usize;
         while subject.is_pending(victim) {
+            subject.prefill_step_for(&[victim]);
             decode(
                 &mut subject, &mut golden, &mut hist_k, &mut hist_v,
                 &peers, 10_000 + waited, 1,
@@ -1198,8 +1197,8 @@ proptest! {
                     hist_k[id].extend_from_slice(ks.row(i));
                     hist_v[id].extend_from_slice(vs.row(i));
                 }
-                let a = subject.step_all(step_ids, &qs, &ks, &vs);
-                let b = golden.step_all(step_ids, &qs, &ks, &vs);
+                let a = subject.step_decode(step_ids, &qs, &ks, &vs);
+                let b = golden.step_decode(step_ids, &qs, &ks, &vs);
                 for (i, (x, y)) in a.iter().zip(&b).enumerate() {
                     for (c, (xa, ya)) in x.output.iter().zip(&y.output).enumerate() {
                         prop_assert_eq!(
@@ -1249,6 +1248,7 @@ proptest! {
         // Peers keep decoding lockstep while the victim re-admits.
         let mut waited = 0usize;
         while subject.is_pending(victim) {
+            subject.prefill_step_for(&[victim]);
             decode(
                 &mut subject, &mut golden, &mut hist_k, &mut hist_v,
                 &peers, 20_000 + waited, 1,
@@ -1598,10 +1598,8 @@ proptest! {
                 let qs = Matrix::from_vec(members.len(), qd, qdat);
                 let ks = Matrix::from_vec(members.len(), kd, kdat);
                 let vs = Matrix::from_vec(members.len(), kd, vdat);
-                // step_all, not step_decode: it also advances the
-                // requeued victim's pending chunks while peers serve.
-                let a = subject.step_all(&step_ids, &qs, &ks, &vs);
-                let b = golden.step_all(&step_ids, &qs, &ks, &vs);
+                let a = subject.step_decode(&step_ids, &qs, &ks, &vs);
+                let b = golden.step_decode(&step_ids, &qs, &ks, &vs);
                 for (x, y) in a.iter().zip(&b) {
                     for (xa, ya) in x.output.iter().zip(&y.output) {
                         prop_assert_eq!(xa.to_bits(), ya.to_bits());
@@ -1719,6 +1717,7 @@ proptest! {
         prop_assert!(subject.is_pending(victim));
         let mut waited = 0usize;
         while subject.is_pending(victim) {
+            subject.prefill_step_for(&[victim]);
             lockstep(
                 &mut subject, &mut golden, &mut hist_k, &mut hist_v,
                 &mut decoded, &peers, 1,
@@ -1850,7 +1849,7 @@ proptest! {
                     let k = rand(rows, topo.kv_dim(), seed.wrapping_add(501 + admits * 3));
                     let v = rand(rows, topo.kv_dim(), seed.wrapping_add(502 + admits * 3));
                     let s = e.enqueue_shared(id, &q, &k, &v);
-                    while e.prefill_step() > 0 {}
+                    while e.prefill_step_for(&[s]) > 0 {}
                     let _ = e.take_admitted(s);
                     live.push(s);
                     admits += 1;
@@ -1862,7 +1861,7 @@ proptest! {
                         let qs = rand(live.len(), topo.q_dim(), seed.wrapping_add(5_000 + t * 3));
                         let ks = rand(live.len(), topo.kv_dim(), seed.wrapping_add(5_001 + t * 3));
                         let vs = rand(live.len(), topo.kv_dim(), seed.wrapping_add(5_002 + t * 3));
-                        let _ = e.step_all(&live, &qs, &ks, &vs);
+                        let _ = e.step_decode(&live, &qs, &ks, &vs);
                         t += 1;
                     }
                 }
@@ -1880,7 +1879,7 @@ proptest! {
                     if !live.is_empty() {
                         let s = live[arg % live.len()];
                         let _ = e.quarantine(s);
-                        while e.prefill_step() > 0 {}
+                        while e.prefill_step_for(&[s]) > 0 {}
                         let _ = e.take_admitted(s);
                         prop_assert!(!e.is_pending(s), "the seeded log rebuilds fully");
                     }
@@ -1984,9 +1983,9 @@ proptest! {
             u_ids.push(unbatched.enqueue_shared(id_b, &q, &k, &v));
             p_ids.push(plain.enqueue(&vcat(&pq, &q), &vcat(&pk, &k), &vcat(&pv, &v)));
         }
-        while shared.prefill_step() > 0 {}
-        while unbatched.prefill_step() > 0 {}
-        while plain.prefill_step() > 0 {}
+        while shared.prefill_step_for(&s_ids) > 0 {}
+        while unbatched.prefill_step_for(&u_ids) > 0 {}
+        while plain.prefill_step_for(&p_ids) > 0 {}
         for (i, &rows) in suffixes.iter().enumerate() {
             let sa = shared.take_admitted(s_ids[i]).expect("suffix parks an admission");
             let ua = unbatched.take_admitted(u_ids[i]).expect("suffix parks an admission");
@@ -2015,9 +2014,9 @@ proptest! {
             let qs = rand(n, topo.q_dim(), seed.wrapping_add(1_000 + 3 * t));
             let ks = rand(n, topo.kv_dim(), seed.wrapping_add(1_001 + 3 * t));
             let vs = rand(n, topo.kv_dim(), seed.wrapping_add(1_002 + 3 * t));
-            let a = shared.step_all(&s_ids, &qs, &ks, &vs);
-            let b = unbatched.step_all(&u_ids, &qs, &ks, &vs);
-            let c = plain.step_all(&p_ids, &qs, &ks, &vs);
+            let a = shared.step_decode(&s_ids, &qs, &ks, &vs);
+            let b = unbatched.step_decode(&u_ids, &qs, &ks, &vs);
+            let c = plain.step_decode(&p_ids, &qs, &ks, &vs);
             for i in 0..n {
                 for (l, want) in c[i].output.iter().enumerate() {
                     prop_assert_eq!(a[i].output[l].to_bits(), want.to_bits(),
@@ -2085,8 +2084,8 @@ proptest! {
             s_ids.push(subject.enqueue_shared(id_s, &q, &k, &v));
             g_ids.push(golden.enqueue_shared(id_g, &q, &k, &v));
         }
-        while subject.prefill_step() > 0 {}
-        while golden.prefill_step() > 0 {}
+        while subject.prefill_step_for(&s_ids) > 0 {}
+        while golden.prefill_step_for(&g_ids) > 0 {}
         for i in 0..n_readers {
             let _ = subject.take_admitted(s_ids[i]);
             let _ = golden.take_admitted(g_ids[i]);
@@ -2118,8 +2117,8 @@ proptest! {
             let qs = rand(n_readers, topo.q_dim(), seed.wrapping_add(1_000 + 3 * t));
             let ks = rand(n_readers, topo.kv_dim(), seed.wrapping_add(1_001 + 3 * t));
             let vs = rand(n_readers, topo.kv_dim(), seed.wrapping_add(1_002 + 3 * t));
-            let a = subject.step_all(&s_ids, &qs, &ks, &vs);
-            let b = golden.step_all(&g_ids, &qs, &ks, &vs);
+            let a = subject.step_decode(&s_ids, &qs, &ks, &vs);
+            let b = golden.step_decode(&g_ids, &qs, &ks, &vs);
             for i in 0..n_readers {
                 for (l, want) in b[i].output.iter().enumerate() {
                     prop_assert_eq!(a[i].output[l].to_bits(), want.to_bits(),

@@ -175,7 +175,7 @@ fn micro_timings(spec: &LiveCampaignSpec) -> (f64, f64, usize) {
         let qs = mk(spec.batch, topo.q_dim(), 92_000 + t as u64);
         let ks = mk(spec.batch, topo.kv_dim(), 93_000 + t as u64);
         let vs = mk(spec.batch, topo.kv_dim(), 94_000 + t as u64);
-        let _ = engine.step_all(&ids, &qs, &ks, &vs);
+        let _ = engine.step_decode(&ids, &qs, &ks, &vs);
     }
     let reps = 5;
     let mut audit_ms = f64::INFINITY;

@@ -99,13 +99,13 @@ pub struct DecodeBatchPoint {
     /// Per-sequence loop of `CheckedDecodeSession`s (today's checked
     /// serving path), milliseconds for the whole decode.
     pub baseline_ms: f64,
-    /// `DecodeBatch::step_all` (checked), milliseconds.
+    /// `DecodeBatch::step_decode` (checked), milliseconds.
     pub batched_ms: f64,
     /// Baseline aggregate throughput, tokens/s.
     pub baseline_tokens_per_s: f64,
     /// Batched aggregate throughput, tokens/s.
     pub batched_tokens_per_s: f64,
-    /// Checked `step_all` vs `step_all_unchecked`, percent.
+    /// Checked `step_decode` vs `step_all_unchecked`, percent.
     pub checked_overhead_pct: f64,
 }
 
@@ -258,7 +258,7 @@ pub struct DecodeGqaPoint {
     pub group_size: usize,
     /// KV heads the cache stores (`query_heads / group_size`).
     pub kv_heads: usize,
-    /// Checked `step_all` time for the whole decode, milliseconds.
+    /// Checked `step_decode` time for the whole decode, milliseconds.
     pub checked_ms: f64,
     /// Aggregate decode throughput, tokens/s.
     pub tokens_per_s: f64,
@@ -303,9 +303,9 @@ pub struct DecodeGqa {
 pub struct DecodeKvBf16 {
     /// Number of concurrent sequences.
     pub batch: usize,
-    /// Checked `step_all` with the f64 cache, milliseconds.
+    /// Checked `step_decode` with the f64 cache, milliseconds.
     pub f64_cache_ms: f64,
-    /// Checked `step_all` with the BF16 cache, milliseconds.
+    /// Checked `step_decode` with the BF16 cache, milliseconds.
     pub bf16_cache_ms: f64,
     /// BF16-cache aggregate throughput, tokens/s.
     pub bf16_tokens_per_s: f64,
@@ -904,7 +904,7 @@ fn run_baseline(
 }
 
 /// The batched engine: one prefilled `DecodeBatch` over all sequences,
-/// advanced with one `step_all` per step. Generic over the cache element
+/// advanced with one `step_decode` per step. Generic over the cache element
 /// format — the BF16 instantiation measures the halved-KV-traffic
 /// serving configuration.
 fn batched_engine<T: fa_tensor::Scalar>(
@@ -935,7 +935,7 @@ fn run_batched<T: fa_tensor::Scalar>(
     let mut acc = 0.0;
     for t in 0..shape.steps {
         if checked {
-            let outs = engine.step_all(ids, &qs[t], &ks[t], &vs[t]);
+            let outs = engine.step_decode(ids, &qs[t], &ks[t], &vs[t]);
             acc += outs[0].output[0];
         } else {
             let outs = engine.step_all_unchecked(ids, &qs[t], &ks[t], &vs[t]);
@@ -1125,24 +1125,45 @@ fn run_continuous<T: fa_tensor::Scalar>(
 ) -> fa_attention::batch::DecodeBatch<T> {
     let cfg = MultiHeadConfig::new(shape.heads, AttentionConfig::new(shape.head_dim));
     let mut engine = fa_attention::batch::DecodeBatch::<T>::new(cfg, 64);
-    let refs: Vec<(&Matrix<T>, &Matrix<T>, &Matrix<T>)> =
-        inputs.initial.iter().map(|(q, k, v)| (q, k, v)).collect();
-    let mut live: Vec<usize> = engine.admit_all(&refs).iter().map(|a| a.seq).collect();
+    engine.set_prefill_chunk(shape.prefill.max(1));
+    let mut live = admit_prompts(&mut engine, &inputs.initial);
     let mut churned = 0usize;
     let mut acc = 0.0;
     for t in 0..shape.steps {
-        let outs = engine.step_all(&live, &inputs.qs[t], &inputs.ks[t], &inputs.vs[t]);
+        let outs = engine.step_decode(&live, &inputs.qs[t], &inputs.ks[t], &inputs.vs[t]);
         acc += outs[0].output[0];
         if (t + 1) % churn_every == 0 && churned < inputs.churn.len() {
             let victim = live.remove(0);
             engine.retire(victim);
-            let (q, k, v) = &inputs.churn[churned];
-            live.push(engine.admit(q, k, v).seq);
+            live.extend(admit_prompts(
+                &mut engine,
+                std::slice::from_ref(&inputs.churn[churned]),
+            ));
             churned += 1;
         }
     }
     std::hint::black_box(acc);
     engine
+}
+
+/// Checked admission of `prompts` in one fork, each in a single chunk
+/// (the engine's prefill chunk must cover the longest prompt). Returns
+/// the sequence ids in prompt order.
+fn admit_prompts<T: fa_tensor::Scalar>(
+    engine: &mut DecodeBatch<T>,
+    prompts: &[(Matrix<T>, Matrix<T>, Matrix<T>)],
+) -> Vec<usize> {
+    let ids: Vec<usize> = prompts
+        .iter()
+        .map(|(q, k, v)| engine.enqueue(q, k, v))
+        .collect();
+    engine.prefill_step_for(&ids);
+    for &seq in &ids {
+        engine
+            .take_admitted(seq)
+            .expect("prompt fits one prefill chunk");
+    }
+    ids
 }
 
 /// Analytic KV bytes streamed per decode step under the continuous
@@ -1256,10 +1277,11 @@ fn run_policy_serving(
     let cfg = MultiHeadConfig::new(shape.heads, AttentionConfig::new(shape.head_dim));
     let mut engine =
         DecodeBatch::<f64>::with_policy(cfg, block_rows, KvLayout::HeadMajor, format, eviction);
+    // The initial prompts admit in one chunk each; churned prompts then
+    // admit `prefill_chunk` tokens per decode step.
+    engine.set_prefill_chunk(shape.prefill.max(1));
+    let mut live = admit_prompts(&mut engine, &inputs.initial);
     engine.set_prefill_chunk(prefill_chunk);
-    let refs: Vec<(&Matrix<f64>, &Matrix<f64>, &Matrix<f64>)> =
-        inputs.initial.iter().map(|(q, k, v)| (q, k, v)).collect();
-    let mut live: Vec<usize> = engine.admit_all(&refs).iter().map(|a| a.seq).collect();
     let mut tokens = PolicyRunTokens {
         decode: 0,
         prompt: 0,
@@ -1271,7 +1293,8 @@ fn run_policy_serving(
         // The live batch shrinks while a churned prompt admits: slice the
         // pre-generated step rows down to the current live set.
         let take = |m: &Matrix<f64>| Matrix::from_fn(live.len(), m.cols(), |r, c| m[(r, c)]);
-        let outs = engine.step_all(
+        engine.prefill_step_for(&pending);
+        let outs = engine.step_decode(
             &live,
             &take(&inputs.qs[t]),
             &take(&inputs.ks[t]),
@@ -1280,7 +1303,7 @@ fn run_policy_serving(
         acc += outs[0].output[0];
         tokens.decode += live.len();
         on_step(&engine, &live);
-        // Admissions completed by this step's interleaved prefill join
+        // Admissions completed by this step's prefill chunk join
         // the decode batch.
         pending.retain(|&s| {
             if engine.is_pending(s) {
@@ -1462,7 +1485,7 @@ fn measure_decode_mixed_format(
             let (mut engine, ids) = settle(format);
             let mut bytes = 0.0;
             for t in 0..shape.steps {
-                let _ = engine.step_all(
+                let _ = engine.step_decode(
                     &ids,
                     &dec_inputs.qs[t],
                     &dec_inputs.ks[t],
@@ -1683,7 +1706,7 @@ fn measure_decode_gqa(shape: DecodeShape, batch: usize, reps: usize) -> DecodeGq
         let mut acc = 0.0;
         for t in 0..shape.steps {
             let outs =
-                engine.step_all(ids, &inputs[li].qs[t], &inputs[li].ks[t], &inputs[li].vs[t]);
+                engine.step_decode(ids, &inputs[li].qs[t], &inputs[li].ks[t], &inputs[li].vs[t]);
             acc += outs[0].output[0];
         }
         acc
@@ -1695,7 +1718,7 @@ fn measure_decode_gqa(shape: DecodeShape, batch: usize, reps: usize) -> DecodeGq
             let (mut engine, ids) = settle(li, KvFormat::F64);
             let mut bytes = 0.0;
             for t in 0..shape.steps {
-                let _ = engine.step_all(
+                let _ = engine.step_decode(
                     &ids,
                     &inputs[li].qs[t],
                     &inputs[li].ks[t],

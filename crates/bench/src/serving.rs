@@ -310,7 +310,7 @@ fn ps_admit_shared(e: &mut DecodeBatch<f64>, prefix: &Prompt, suffixes: &[Prompt
         .iter()
         .map(|(q, k, v)| e.enqueue_shared(id, q, k, v))
         .collect();
-    while e.prefill_step() > 0 {}
+    while e.prefill_step_for(&seqs) > 0 {}
     for &s in &seqs {
         e.take_admitted(s).expect("shared reader admitted");
     }
@@ -321,7 +321,7 @@ fn ps_admit_shared(e: &mut DecodeBatch<f64>, prefix: &Prompt, suffixes: &[Prompt
 /// chunked admission; returns the ready sequence ids.
 fn ps_admit_unshared(e: &mut DecodeBatch<f64>, prompts: &[Prompt]) -> Vec<usize> {
     let seqs: Vec<usize> = prompts.iter().map(|(q, k, v)| e.enqueue(q, k, v)).collect();
-    while e.prefill_step() > 0 {}
+    while e.prefill_step_for(&seqs) > 0 {}
     for &s in &seqs {
         e.take_admitted(s).expect("independent prompt admitted");
     }
@@ -549,7 +549,7 @@ fn sp_admit(shape: &SpShape) -> (DecodeBatch<f64>, Vec<usize>) {
             )
         })
         .collect();
-    while e.prefill_step() > 0 {}
+    while e.prefill_step_for(&ids) > 0 {}
     for &s in &ids {
         e.take_admitted(s)
             .expect("speculative bench prompt admitted");

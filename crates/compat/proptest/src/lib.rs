@@ -100,7 +100,7 @@ pub mod collection {
     use super::StdRng;
     use rand::Rng;
 
-    /// Acceptable length specifications for [`vec`].
+    /// Acceptable length specifications for [`vec()`].
     pub trait IntoVecLen {
         /// Samples a concrete length.
         fn sample_len(&self, rng: &mut StdRng) -> usize;

@@ -337,8 +337,9 @@ mod tests {
     #[test]
     fn gqa_admit_path_pinned_to_gqa_checked() {
         // The serving stack's batched admission IS the one-shot checked
-        // GQA prefill: with a causal head config, DecodeBatch::admit over
-        // a grouped topology produces gqa_checked's outputs bit for bit,
+        // GQA prefill: with a causal head config, one prefill chunk
+        // (DecodeBatch::enqueue + prefill_step_for) over a grouped
+        // topology produces gqa_checked's outputs bit for bit,
         // and its prompt checksum folds the per-query-head
         // flash2_with_checksum predictions in head order.
         use fa_attention::batch::DecodeBatch;
@@ -355,7 +356,9 @@ mod tests {
 
         for block_rows in [2, 16] {
             let mut batch = DecodeBatch::<f64>::new(gqa, block_rows);
-            let admitted = batch.admit(&q, &k, &v);
+            let seq = batch.enqueue(&q, &k, &v);
+            batch.prefill_step_for(&[seq]);
+            let admitted = batch.take_admitted(seq).expect("prompt fits one chunk");
             for r in 0..n {
                 for c in 0..gqa.q_dim() {
                     assert_eq!(

@@ -126,7 +126,9 @@ proptest! {
                 let n = 1 + (next() % 5) as usize;
                 let s = seed + 37 * e as u64 + next() % 1000;
                 let (q, k, v) = (rand(n, s), rand(n, s + 1), rand(n, s + 2));
-                let admitted = pool.install(|| engine.admit(&q, &k, &v));
+                let seq = engine.enqueue(&q, &k, &v);
+                pool.install(|| engine.prefill_step_for(&[seq]));
+                let admitted = engine.take_admitted(seq).expect("prompt fits one chunk");
                 let mut sessions = Vec::with_capacity(heads);
                 let mut predicted = 0.0f64;
                 for h in 0..heads {
@@ -166,7 +168,7 @@ proptest! {
                 let qs = rand(live.len(), s + 3);
                 let ks = rand(live.len(), s + 4);
                 let vs = rand(live.len(), s + 5);
-                let outs = pool.install(|| engine.step_all(&live, &qs, &ks, &vs));
+                let outs = pool.install(|| engine.step_decode(&live, &qs, &ks, &vs));
                 for (i, &id) in live.iter().enumerate() {
                     let sessions = golden[id].as_mut().expect("live slot has sessions");
                     for (h, session) in sessions.iter_mut().enumerate() {
@@ -277,7 +279,7 @@ proptest! {
             let qs = rand(1, s);
             let ks = rand(1, s + 1);
             let vs = rand(1, s + 2);
-            let outs = pool.install(|| engine.step_all(&[seq], &qs, &ks, &vs));
+            let outs = pool.install(|| engine.step_decode(&[seq], &qs, &ks, &vs));
             prop_assert!(outs[0].residual().abs() < 1e-10, "engine per-token check, step {}", t);
             for (h, session) in sessions.iter_mut().enumerate() {
                 let sub = |m: &Matrix<f64>| m.row(0)[h * d..(h + 1) * d].to_vec();
@@ -374,7 +376,7 @@ proptest! {
             let qs = rand(1, topo.q_dim(), s);
             let ks = rand(1, topo.kv_dim(), s + 1);
             let vs = rand(1, topo.kv_dim(), s + 2);
-            let outs = pool.install(|| engine.step_all(&[seq], &qs, &ks, &vs));
+            let outs = pool.install(|| engine.step_decode(&[seq], &qs, &ks, &vs));
             prop_assert!(outs[0].residual().abs() < 1e-10, "engine per-token check, step {}", t);
             let reference = golden.step(qs.row(0), ks.row(0), vs.row(0));
             for (h, step) in reference.iter().enumerate() {

@@ -439,8 +439,8 @@ fn run_trial(spec: &LiveCampaignSpec, trial: u64) -> LiveCampaignStats {
             ElementDist::default(),
             base_seed.wrapping_add(40_000 + t as u64),
         );
-        let a = subject.step_all(&ids, &qs, &ks, &vs);
-        let b = golden.step_all(&ids, &qs, &ks, &vs);
+        let a = subject.step_decode(&ids, &qs, &ks, &vs);
+        let b = golden.step_decode(&ids, &qs, &ks, &vs);
         let diverged = a[vi]
             .output
             .iter()

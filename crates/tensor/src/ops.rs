@@ -248,7 +248,7 @@ pub fn matmul_f64_acc_reference<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matr
 /// Cache-blocked and register-tiled: both operands are packed to `f64`
 /// panels (one conversion per element per panel use, not per MAC), B is
 /// packed transposed, and the microkernel walks `k` once while feeding
-/// [`NR`] independent accumulators. Each accumulator sums its `k` terms in
+/// `NR` independent accumulators. Each accumulator sums its `k` terms in
 /// ascending order, so the result is bit-identical to
 /// [`matmul_f64_acc_reference`].
 ///

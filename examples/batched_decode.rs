@@ -29,7 +29,7 @@ fn main() {
         println!("sequence {id}: prefilled {prompt_len} tokens");
     }
 
-    // Decode 8 tokens for all sequences. Each step_all call appends every
+    // Decode 8 tokens for all sequences. Each step_decode call appends every
     // sequence's new K/V, then schedules all sequences × heads across the
     // shared thread pool in a single fork; the per-token checksum is
     // computed in the same pass as the output.
@@ -37,7 +37,7 @@ fn main() {
         let qs = Matrix::<f64>::random_seeded(3, dim, ElementDist::default(), 100 + t);
         let ks = Matrix::<f64>::random_seeded(3, dim, ElementDist::default(), 200 + t);
         let vs = Matrix::<f64>::random_seeded(3, dim, ElementDist::default(), 300 + t);
-        let outs = engine.step_all(&ids, &qs, &ks, &vs);
+        let outs = engine.step_decode(&ids, &qs, &ks, &vs);
         if t == 0 || t == 7 {
             println!("step {t}:");
             for (i, out) in outs.iter().enumerate() {

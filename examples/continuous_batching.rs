@@ -26,15 +26,21 @@ fn main() {
         )
     };
 
-    // Admit the opening batch: all prompts × heads are checked through
-    // the batched fused-checksum prefill in ONE fork (the batched form of
-    // flash2_with_checksum), so admission cost amortizes across the batch.
-    let prompts: Vec<_> = (0..3)
-        .map(|i| prompt(24 + 16 * i, 10 * (i as u64 + 1)))
+    // Admit the opening batch through the one admission path: enqueue
+    // stages each prompt, every prefill_step_for advances all listed
+    // prompts by one chunk (default 32 tokens) with all prompts × heads
+    // checked through the batched fused-checksum prefill in ONE fork
+    // (the chunked form of flash2_with_checksum), and take_admitted
+    // collects each finished prompt.
+    let mut live: Vec<usize> = (0..3)
+        .map(|i| {
+            let (q, k, v) = prompt(24 + 16 * i, 10 * (i as u64 + 1));
+            engine.enqueue(&q, &k, &v)
+        })
         .collect();
-    let refs: Vec<_> = prompts.iter().map(|(q, k, v)| (q, k, v)).collect();
-    let mut live: Vec<usize> = Vec::new();
-    for admitted in engine.admit_all(&refs) {
+    while engine.prefill_step_for(&live) > 0 {}
+    for &seq in &live {
+        let admitted = engine.take_admitted(seq).expect("prompt drained");
         println!(
             "admitted seq {} ({} prompt tokens, prompt residual {:+.3e})",
             admitted.seq,
@@ -42,14 +48,13 @@ fn main() {
             admitted.residual()
         );
         assert!(admitted.residual().abs() < 1e-9, "prompt check must hold");
-        live.push(admitted.seq);
     }
 
     let decode = |engine: &mut DecodeBatch<f64>, live: &[usize], t: u64| {
         let qs = Matrix::<f64>::random_seeded(live.len(), dim, ElementDist::default(), 100 + t);
         let ks = Matrix::<f64>::random_seeded(live.len(), dim, ElementDist::default(), 200 + t);
         let vs = Matrix::<f64>::random_seeded(live.len(), dim, ElementDist::default(), 300 + t);
-        for out in engine.step_all(live, &qs, &ks, &vs) {
+        for out in engine.step_decode(live, &qs, &ks, &vs) {
             assert!(out.residual().abs() < 1e-9, "fused per-token check");
         }
     };
@@ -68,21 +73,30 @@ fn main() {
     );
 
     // A new request arrives mid-flight: admission reuses the retired
-    // slot and its recycled blocks — the arena does not grow.
+    // slot and its recycled blocks — the arena does not grow. Its 40
+    // prompt tokens admit one chunk per step while the batch keeps
+    // decoding; the caller decides which prompts advance each step.
     let arena_before = engine.cache().allocated_blocks();
     let (q, k, v) = prompt(40, 99);
-    let admitted = engine.admit(&q, &k, &v);
-    live.push(admitted.seq);
+    let seq = engine.enqueue(&q, &k, &v);
+    let mut t = 4;
+    while engine.prefill_step_for(&[seq]) > 0 {
+        decode(&mut engine, &live, t);
+        t += 1;
+    }
+    let admitted = engine.take_admitted(seq).expect("prompt drained");
+    assert!(admitted.residual().abs() < 1e-9, "prompt check must hold");
+    live.push(seq);
     println!(
-        "admitted replacement as seq {} — recycled {} blocks, arena {} -> {} blocks",
-        admitted.seq,
+        "admitted replacement as seq {seq} over {} steps — recycled {} blocks, arena {} -> {} blocks",
+        t - 4,
         engine.cache().recycled_blocks(),
         arena_before,
         engine.cache().allocated_blocks(),
     );
     assert!(engine.cache().recycled_blocks() > 0, "blocks were reused");
 
-    for t in 4..8 {
+    for t in t..t + 4 {
         decode(&mut engine, &live, t);
     }
 

@@ -87,8 +87,8 @@ fn main() {
             3_000 + step,
         );
         step += 1;
-        let a = engine.step_all(&ids, &qs, &ks, &vs);
-        let b = golden.step_all(&ids, &qs, &ks, &vs);
+        let a = engine.step_decode(&ids, &qs, &ks, &vs);
+        let b = golden.step_decode(&ids, &qs, &ks, &vs);
         let diverged = a[victim]
             .output
             .iter()

@@ -43,13 +43,19 @@ fn main() {
         )
     };
 
-    // Two prompts admitted synchronously: batched checked GQA prefill —
-    // each kv head's stream feeds its whole group of query heads,
-    // including the shared sumrow(V) checksum input.
-    let opening: Vec<_> = (0..2).map(|i| prompt(40, 10 * (i as u64 + 1))).collect();
-    let refs: Vec<_> = opening.iter().map(|(q, k, v)| (q, k, v)).collect();
-    let mut live: Vec<usize> = engine.admit_all(&refs).iter().map(|a| a.seq).collect();
+    // Two prompts admitted before decoding starts: batched checked GQA
+    // prefill, one 24-token chunk per prefill_step_for — each kv head's
+    // stream feeds its whole group of query heads, including the shared
+    // sumrow(V) checksum input.
+    let mut live: Vec<usize> = (0..2)
+        .map(|i| {
+            let (q, k, v) = prompt(40, 10 * (i as u64 + 1));
+            engine.enqueue(&q, &k, &v)
+        })
+        .collect();
+    while engine.prefill_step_for(&live) > 0 {}
     for &s in &live {
+        engine.take_admitted(s).expect("prompt drained");
         println!(
             "admitted seq {s}: {} prompt tokens (residual {:+.3e})",
             engine.prompt_len(s),
@@ -59,7 +65,8 @@ fn main() {
     }
 
     // A long prompt arrives mid-flight and admits chunk by chunk while
-    // the batch keeps decoding.
+    // the batch keeps decoding: each step runs one prefill chunk for it,
+    // then decodes the live batch.
     let (lq, lk, lv) = prompt(72, 99);
     let newcomer = engine.enqueue(&lq, &lk, &lv);
     let mut step = 0u64;
@@ -71,7 +78,8 @@ fn main() {
             Matrix::<f64>::random_seeded(rows, topo.kv_dim(), ElementDist::default(), 300 + step);
         let v =
             Matrix::<f64>::random_seeded(rows, topo.kv_dim(), ElementDist::default(), 400 + step);
-        for out in engine.step_all(&live, &q, &k, &v) {
+        engine.prefill_step_for(&[newcomer]);
+        for out in engine.step_decode(&live, &q, &k, &v) {
             assert!(out.residual().abs() < 1e-9, "fused per-token check");
         }
         step += 1;
@@ -91,7 +99,7 @@ fn main() {
         let q = Matrix::<f64>::random_seeded(rows, topo.q_dim(), ElementDist::default(), 500 + t);
         let k = Matrix::<f64>::random_seeded(rows, topo.kv_dim(), ElementDist::default(), 600 + t);
         let v = Matrix::<f64>::random_seeded(rows, topo.kv_dim(), ElementDist::default(), 700 + t);
-        for out in engine.step_all(&live, &q, &k, &v) {
+        for out in engine.step_decode(&live, &q, &k, &v) {
             assert!(out.residual().abs() < 1e-9);
         }
     }

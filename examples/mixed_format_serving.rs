@@ -37,11 +37,17 @@ fn main() {
         )
     };
 
-    // Two sequences admitted synchronously form the opening batch.
-    let opening: Vec<_> = (0..2).map(|i| prompt(40, 10 * (i as u64 + 1))).collect();
-    let refs: Vec<_> = opening.iter().map(|(q, k, v)| (q, k, v)).collect();
-    let mut live: Vec<usize> = engine.admit_all(&refs).iter().map(|a| a.seq).collect();
+    // Two sequences admitted before decoding starts (two chunks each)
+    // form the opening batch.
+    let mut live: Vec<usize> = (0..2)
+        .map(|i| {
+            let (q, k, v) = prompt(40, 10 * (i as u64 + 1));
+            engine.enqueue(&q, &k, &v)
+        })
+        .collect();
+    while engine.prefill_step_for(&live) > 0 {}
     for &s in &live {
+        engine.take_admitted(s).expect("prompt drained");
         println!(
             "admitted seq {s}: {} prompt tokens, {} rows already demoted to bf16",
             engine.prompt_len(s),
@@ -49,8 +55,9 @@ fn main() {
         );
     }
 
-    // A long prompt arrives mid-flight: enqueue it. Each decode step now
-    // advances it by one 24-token chunk — the batch never stalls.
+    // A long prompt arrives mid-flight: enqueue it. Each step advances
+    // it by one 24-token chunk, then decodes the batch — the batch never
+    // stalls.
     let (lq, lk, lv) = prompt(96, 99);
     let newcomer = engine.enqueue(&lq, &lk, &lv);
     println!(
@@ -64,7 +71,8 @@ fn main() {
         let qs = Matrix::<f64>::random_seeded(live.len(), dim, ElementDist::default(), 200 + step);
         let ks = Matrix::<f64>::random_seeded(live.len(), dim, ElementDist::default(), 300 + step);
         let vs = Matrix::<f64>::random_seeded(live.len(), dim, ElementDist::default(), 400 + step);
-        for out in engine.step_all(&live, &qs, &ks, &vs) {
+        engine.prefill_step_for(&[newcomer]);
+        for out in engine.step_decode(&live, &qs, &ks, &vs) {
             assert!(out.residual().abs() < 1e-9, "fused per-token check");
         }
         step += 1;
@@ -91,7 +99,7 @@ fn main() {
         let qs = Matrix::<f64>::random_seeded(live.len(), dim, ElementDist::default(), 500 + t);
         let ks = Matrix::<f64>::random_seeded(live.len(), dim, ElementDist::default(), 600 + t);
         let vs = Matrix::<f64>::random_seeded(live.len(), dim, ElementDist::default(), 700 + t);
-        for out in engine.step_all(&live, &qs, &ks, &vs) {
+        for out in engine.step_decode(&live, &qs, &ks, &vs) {
             assert!(out.residual().abs() < 1e-9);
         }
     }

@@ -97,8 +97,8 @@ fn main() {
         let ks = rand(sub.len(), topo.kv_dim(), 2_000 + step);
         let vs = rand(sub.len(), topo.kv_dim(), 3_000 + step);
         step += 1;
-        let a = engine.step_all(&sub, &qs, &ks, &vs);
-        let b = golden.step_all(&sub, &qs, &ks, &vs);
+        let a = engine.step_decode(&sub, &qs, &ks, &vs);
+        let b = golden.step_decode(&sub, &qs, &ks, &vs);
         for (j, &i) in active.iter().enumerate() {
             hist_k[i].extend_from_slice(ks.row(j));
             hist_v[i].extend_from_slice(vs.row(j));
@@ -235,6 +235,7 @@ fn main() {
     // steps on both engines.
     let mut waited = 0;
     while engine.is_pending(victim) {
+        engine.prefill_step_for(&[victim]);
         let (diverged, r, _) = serve(&mut engine, &mut golden, &mut hist_k, &mut hist_v, &[0, 1]);
         assert!(!diverged && r < TOL, "peers bit-identical during requeue");
         waited += 1;

@@ -86,7 +86,7 @@ fn admit_shared(
         .iter()
         .map(|(q, k, v)| e.enqueue_shared(id, q, k, v))
         .collect();
-    while e.prefill_step() > 0 {}
+    while e.prefill_step_for(&seqs) > 0 {}
     let outs = seqs
         .iter()
         .map(|&s| e.take_admitted(s).expect("reader admitted").output)
@@ -149,7 +149,7 @@ fn main() {
             )
         })
         .collect();
-    while plain.prefill_step() > 0 {}
+    while plain.prefill_step_for(&pseqs) > 0 {}
     for (i, &s) in pseqs.iter().enumerate() {
         let full = plain.take_admitted(s).expect("plain admitted").output;
         for r in 0..SUFFIX_ROWS {

@@ -7,3 +7,8 @@ pub use fa_models as models;
 pub use fa_numerics as numerics;
 pub use fa_tensor as tensor;
 pub use flash_abft as core_abft;
+
+/// Compiles and runs the README's Rust examples as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
