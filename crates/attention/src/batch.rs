@@ -52,7 +52,9 @@
 //! stores **one K/V stream per kv head**, so grouped models stream
 //! `group_size×` fewer bytes per decode step, and each panel's
 //! `group_size` query heads share the per-group `sumrow(V)` checksum
-//! input for free (per-query-head verdicts stay exact).
+//! lane for free (per-query-head verdicts stay exact). That lane — the
+//! extra column of the checksum-augmented V matrix — is stored in the
+//! cache block beside the V rows it sums.
 //!
 //! Each query sees exactly its own rows, in ascending order, with the
 //! per-row arithmetic of a one-query sweep. Per-(sequence, query-head)
@@ -149,7 +151,7 @@ impl EvictionPolicy {
 pub struct ScrubPolicy {
     /// Retained blocks audited per [`DecodeBatch::scrub_step`] call
     /// (each block is checked across all kv heads, key and value side,
-    /// plus its positions' `sumrow` inputs).
+    /// plus its `sumrow` lanes).
     pub blocks_per_step: usize,
 }
 
@@ -338,16 +340,6 @@ impl BlockCheck {
     }
 }
 
-/// What one append did beyond storing the row: which logical position
-/// ranges were demoted to BF16 (the engine recomputes those rows'
-/// checksum inputs from the rounded values).
-#[derive(Clone, Debug, Default)]
-pub struct AppendOutcome {
-    /// Logical position ranges whose rows were demoted by this append
-    /// (empty on most appends; at most one block's worth per claim).
-    pub demoted: Vec<core::ops::Range<usize>>,
-}
-
 /// Physical arrangement of a cache block's `block_rows × width` elements.
 ///
 /// The cache has one layout, head-major; this enum survives only as the
@@ -386,7 +378,7 @@ pub enum HeadBlockData<'a, T> {
 /// One block's view of a single head's cached rows, yielded by
 /// [`KvCache::head_stream`]: one contiguous span in which row `r` of the
 /// block lives at `k[r·head_dim .. (r + 1)·head_dim]` (same addressing
-/// for `v`).
+/// for `v`), and its checksum lane `sumrow[r]`.
 pub struct HeadBlock<'a, T> {
     /// Position of the block's first row within the sequence.
     pub first: usize,
@@ -394,6 +386,10 @@ pub struct HeadBlock<'a, T> {
     pub rows: usize,
     /// Format-tagged key/value views.
     pub data: HeadBlockData<'a, T>,
+    /// The Eq. 4 `sumrow(V)` checksum input of each valid row: the
+    /// lane-order f64 sum of the row's **stored** value lanes (rounded
+    /// values for BF16 blocks), `rows` entries.
+    pub sumrow: &'a [f64],
 }
 
 /// A paged key/value cache: rows of `num_heads · head_dim` elements stored
@@ -411,6 +407,12 @@ pub struct HeadBlock<'a, T> {
 /// sequence appends next claims the next block), so memory grows with
 /// *live* tokens, not `sequences × longest` — and, with retirement, not
 /// with total traffic history either.
+///
+/// Each block also owns the checksum lane of its rows: one f64
+/// `sumrow(V)` per (row, head), the extra column of the paper's
+/// checksum-augmented value matrix. It lives beside the block's V panel
+/// (head-major, like V), so sharing, copy-on-write, demotion, eviction
+/// and recycling carry it with the rows it sums.
 ///
 /// # Example
 ///
@@ -438,6 +440,11 @@ pub struct KvCache<T> {
     /// same block geometry as the native arenas.
     k_arena16: Vec<BF16>,
     v_arena16: Vec<BF16>,
+    /// Per-(block, head, row) `sumrow(V)` lanes, index-parallel to the
+    /// native arena: `block_rows` entries per (block, head), head-major.
+    sumrows: Vec<f64>,
+    /// The BF16 arena's lanes (same geometry).
+    sumrows16: Vec<f64>,
     seqs: Vec<SeqBlocks>,
     /// Native-arena blocks owned by no live sequence, ready for reuse
     /// (LIFO).
@@ -545,6 +552,8 @@ impl<T: Scalar> KvCache<T> {
             v_arena: Vec::new(),
             k_arena16: Vec::new(),
             v_arena16: Vec::new(),
+            sumrows: Vec::new(),
+            sumrows16: Vec::new(),
             seqs: Vec::new(),
             free_blocks: Vec::new(),
             free_blocks16: Vec::new(),
@@ -836,12 +845,15 @@ impl<T: Scalar> KvCache<T> {
         let blocks = (additional_rows.div_ceil(self.block_rows) + self.live_sequences())
             .saturating_sub(free_len);
         let elems = blocks * self.block_rows * self.width;
+        let lanes = blocks * self.block_rows * self.heads;
         if appends_bf16 {
             self.k_arena16.reserve(elems);
             self.v_arena16.reserve(elems);
+            self.sumrows16.reserve(lanes);
         } else {
             self.k_arena.reserve(elems);
             self.v_arena.reserve(elems);
+            self.sumrows.reserve(lanes);
         }
     }
 
@@ -865,6 +877,7 @@ impl<T: Scalar> KvCache<T> {
     /// with a reference count of one (sole owner).
     fn claim_block(&mut self, bf16: bool) -> usize {
         let block_elems = self.block_rows * self.width;
+        let block_lanes = self.block_rows * self.heads;
         if bf16 {
             if let Some(freed) = self.free_blocks16.pop() {
                 self.recycled_blocks += 1;
@@ -877,6 +890,8 @@ impl<T: Scalar> KvCache<T> {
                 .resize(self.k_arena16.len() + block_elems, BF16::ZERO);
             self.v_arena16
                 .resize(self.v_arena16.len() + block_elems, BF16::ZERO);
+            self.sumrows16
+                .resize(self.sumrows16.len() + block_lanes, 0.0);
             self.ref_counts16.push(1);
             fresh
         } else {
@@ -891,6 +906,7 @@ impl<T: Scalar> KvCache<T> {
                 .resize(self.k_arena.len() + block_elems, T::zero());
             self.v_arena
                 .resize(self.v_arena.len() + block_elems, T::zero());
+            self.sumrows.resize(self.sumrows.len() + block_lanes, 0.0);
             self.ref_counts.push(1);
             fresh
         }
@@ -1023,9 +1039,8 @@ impl<T: Scalar> KvCache<T> {
     /// block's rows are rounded (RNE, [`round_bf16`]) into a claimed BF16
     /// block, its native storage returns to the native free list for
     /// later admissions, and its [`BlockRef`] flips arenas. Returns the
-    /// demoted logical position ranges so the engine can recompute those
-    /// rows' checksum inputs from the rounded values.
-    fn demote_beyond_burst(&mut self, seq: usize, burst: usize) -> Vec<core::ops::Range<usize>> {
+    /// number of rows demoted.
+    fn demote_beyond_burst(&mut self, seq: usize, burst: usize) -> usize {
         // The newest block is the freshly-claimed empty one; everything
         // before it is full.
         let full_blocks = self.seqs[seq].blocks.len() - 1;
@@ -1038,13 +1053,8 @@ impl<T: Scalar> KvCache<T> {
     /// BF16 regardless of [`KvFormat`], through the same block-swap (and
     /// checksum rebuild) the `Mixed` append path uses. Safe at any point
     /// between steps: later passes simply read the rounded rows. Returns
-    /// the demoted logical ranges so the engine can refresh those rows'
-    /// `sumrow` inputs.
-    pub(crate) fn demote_full_blocks(
-        &mut self,
-        seq: usize,
-        burst: usize,
-    ) -> Vec<core::ops::Range<usize>> {
+    /// the number of rows demoted.
+    pub(crate) fn demote_full_blocks(&mut self, seq: usize, burst: usize) -> usize {
         let state = self.live(seq);
         // Unlike the append path, the newest block may be partially
         // filled or exactly full; count only completely-filled blocks.
@@ -1053,10 +1063,10 @@ impl<T: Scalar> KvCache<T> {
     }
 
     /// Demotes `seq`'s first `demote_until` retained blocks (those not
-    /// already BF16) to the BF16 arena, returning the demoted ranges.
-    fn demote_blocks(&mut self, seq: usize, demote_until: usize) -> Vec<core::ops::Range<usize>> {
+    /// already BF16) to the BF16 arena, returning the rows demoted.
+    fn demote_blocks(&mut self, seq: usize, demote_until: usize) -> usize {
         let block_elems = self.block_rows * self.width;
-        let mut demoted = Vec::new();
+        let mut demoted = 0;
         for i in 0..demote_until {
             if self.seqs[seq].blocks[i].bf16 {
                 continue;
@@ -1082,12 +1092,10 @@ impl<T: Scalar> KvCache<T> {
             };
             self.seqs[seq].blocks[i] = demoted_ref;
             // The stored rows changed format: rebuild the block's
-            // reference checksum from the rounded storage.
-            self.seqs[seq].checks[i] = self.recompute_block_check(demoted_ref, self.block_rows);
-            let state = &mut self.seqs[seq];
-            state.demoted_rows += self.block_rows;
-            let first = state.start + i * self.block_rows;
-            demoted.push(first..first + self.block_rows);
+            // reference checksum and lanes from the rounded storage.
+            self.seqs[seq].checks[i] = self.rebuild_block(demoted_ref, self.block_rows);
+            self.seqs[seq].demoted_rows += self.block_rows;
+            demoted += self.block_rows;
         }
         demoted
     }
@@ -1133,9 +1141,9 @@ impl<T: Scalar> KvCache<T> {
     ///
     /// Panics if `seq` is out of range or retired, or a slice length
     /// differs from the row width.
-    pub fn append(&mut self, seq: usize, k: &[T], v: &[T]) -> AppendOutcome {
+    pub fn append(&mut self, seq: usize, k: &[T], v: &[T]) {
         let anchor = self.live(seq).len; // the new row's position
-        self.append_anchored(seq, k, v, anchor)
+        self.append_anchored(seq, k, v, anchor);
     }
 
     /// [`append`](Self::append) with an explicit eviction anchor: the
@@ -1150,19 +1158,12 @@ impl<T: Scalar> KvCache<T> {
     ///
     /// Panics if `seq` is out of range or retired, or a slice length
     /// differs from the row width.
-    pub fn append_anchored(
-        &mut self,
-        seq: usize,
-        k: &[T],
-        v: &[T],
-        anchor: usize,
-    ) -> AppendOutcome {
+    pub fn append_anchored(&mut self, seq: usize, k: &[T], v: &[T], anchor: usize) {
         assert_eq!(k.len(), self.width, "key row width mismatch");
         assert_eq!(v.len(), self.width, "value row width mismatch");
         let block_elems = self.block_rows * self.width;
         let state = self.live(seq);
         let local = state.len - state.start;
-        let mut outcome = AppendOutcome::default();
         if local == state.blocks.len() * self.block_rows {
             // Current block full (or first append): claim the next block,
             // recycling a retired block when one is free.
@@ -1173,15 +1174,15 @@ impl<T: Scalar> KvCache<T> {
             state.blocks.push(BlockRef { index: block, bf16 });
             state.checks.push(BlockCheck::zeroed(heads));
             if let KvFormat::Mixed { burst_blocks } = self.format {
-                outcome.demoted = self.demote_beyond_burst(seq, burst_blocks);
+                self.demote_beyond_burst(seq, burst_blocks);
             }
         }
         // Copy-on-write: appending must not mutate a block other owners
         // (co-readers of a shared prefix, or the prefix registry) still
         // read. Claim a private block in the same arena, copy the stored
-        // lanes bitwise — the block's reference checksum stays valid
-        // because the bits are identical — and drop one reference on the
-        // shared original.
+        // lanes and checksum lanes bitwise — the block's reference
+        // checksum stays valid because the bits are identical — and drop
+        // one reference on the shared original.
         {
             let state = self.live(seq);
             let bi = (state.len - state.start) / self.block_rows;
@@ -1196,6 +1197,10 @@ impl<T: Scalar> KvCache<T> {
                     self.k_arena.copy_within(src..src + block_elems, dst);
                     self.v_arena.copy_within(src..src + block_elems, dst);
                 }
+                let lanes = self.block_rows * self.heads;
+                let (src, dst) = (target.index * lanes, fresh * lanes);
+                self.sumrow_lanes_mut(target.bf16)
+                    .copy_within(src..src + lanes, dst);
                 self.release_block(target);
                 self.seqs[seq].blocks[bi] = BlockRef {
                     index: fresh,
@@ -1230,17 +1235,20 @@ impl<T: Scalar> KvCache<T> {
         }
         // Fold the stored row (post-rounding, for BF16 blocks) into the
         // block's reference checksum — per head, rows accumulate in
-        // append order, matching `recompute_block_check`'s fold bitwise.
+        // append order, matching `recompute_block_check`'s fold bitwise —
+        // and keep its value sum as the row's checksum lane, so the lane
+        // always predicts what the output lanes will actually consume.
         let bi = local / self.block_rows;
         for h in 0..self.heads {
             let (ks, vs) = self.stored_lane_sums(blk, r, h);
             let check = &mut self.seqs[seq].checks[bi];
             check.ksum[h] += ks;
             check.vsum[h] += vs;
+            let at = self.sumrow_index(blk, r, h);
+            self.sumrow_lanes_mut(blk.bf16)[at] = vs;
         }
         self.seqs[seq].len += 1;
         self.evict_below_anchor(seq, anchor);
-        outcome
     }
 
     /// The block (and row-within-block) holding logical position `i` of
@@ -1269,6 +1277,70 @@ impl<T: Scalar> KvCache<T> {
     #[inline]
     fn lane_offset(&self, r: usize, head: usize) -> usize {
         (head * self.block_rows + r) * self.head_dim
+    }
+
+    /// Index of row `r`, head `head` of `blk` in its arena's checksum
+    /// lanes.
+    #[inline]
+    fn sumrow_index(&self, blk: BlockRef, r: usize, head: usize) -> usize {
+        (blk.index * self.heads + head) * self.block_rows + r
+    }
+
+    /// The checksum lanes of the arena `bf16` selects.
+    fn sumrow_lanes(&self, bf16: bool) -> &[f64] {
+        if bf16 {
+            &self.sumrows16
+        } else {
+            &self.sumrows
+        }
+    }
+
+    /// [`sumrow_lanes`](Self::sumrow_lanes), writable.
+    fn sumrow_lanes_mut(&mut self, bf16: bool) -> &mut [f64] {
+        if bf16 {
+            &mut self.sumrows16
+        } else {
+            &mut self.sumrows
+        }
+    }
+
+    /// Where the checksum lane of position `i`, head `head` of sequence
+    /// `seq` lives: its block, row, and index in the block's arena lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` is out of range or retired, `i` is out of range or
+    /// evicted, or `head` is out of range.
+    fn sumrow_slot(&self, seq: usize, i: usize, head: usize) -> (BlockRef, usize, usize) {
+        assert!(head < self.heads, "head {head} out of {}", self.heads);
+        let (blk, r) = self.block_of(seq, i);
+        (blk, r, self.sumrow_index(blk, r, head))
+    }
+
+    /// The stored `sumrow` lane of position `i`, head `head` of sequence
+    /// `seq`, and its recompute from the stored value row — bitwise
+    /// equal unless one of them is corrupt. The audit, the scrub and the
+    /// rewind check compare through here.
+    ///
+    /// # Panics
+    ///
+    /// As [`sumrow_slot`](Self::sumrow_slot).
+    pub(crate) fn sumrow(&self, seq: usize, i: usize, head: usize) -> (f64, f64) {
+        let (blk, r, at) = self.sumrow_slot(seq, i, head);
+        let stored = self.sumrow_lanes(blk.bf16)[at];
+        (stored, self.stored_lane_sums(blk, r, head).1)
+    }
+
+    /// The stored `sumrow` lane of position `i`, head `head` of sequence
+    /// `seq`, writable — for fault injection and repair. A lane of a
+    /// shared block is one cell for every reader.
+    ///
+    /// # Panics
+    ///
+    /// As [`sumrow_slot`](Self::sumrow_slot).
+    pub(crate) fn sumrow_mut(&mut self, seq: usize, i: usize, head: usize) -> &mut f64 {
+        let (blk, _, at) = self.sumrow_slot(seq, i, head);
+        &mut self.sumrow_lanes_mut(blk.bf16)[at]
     }
 
     /// The cached key row at position `i` of sequence `seq`, gathered
@@ -1321,26 +1393,14 @@ impl<T: Scalar> KvCache<T> {
         out
     }
 
-    /// The sum of the stored value lanes of `(seq, position, head)`,
-    /// widened to f64 in lane order — the Eq. 4 `sumrow` input of the
-    /// checksum lane, computed from **what the cache actually holds** so
-    /// demoted/BF16-stored rows contribute their rounded values and the
-    /// per-token verdict stays exact across format boundaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is out of range or retired, or `i` is out of range
-    /// or evicted, or `head` is out of range.
-    pub fn value_head_sum(&self, seq: usize, i: usize, head: usize) -> f64 {
-        assert!(head < self.heads, "head {head} out of {}", self.heads);
-        let (blk, r) = self.block_of(seq, i);
-        self.stored_lane_sums(blk, r, head).1
-    }
-
     /// Lane-order f64 sums of the **stored** key and value lanes of one
     /// (block, row, head) slot — the increment both the incremental
     /// reference-checksum update and the audit recompute fold, so the
-    /// two can never disagree on summation order.
+    /// two can never disagree on summation order. The value sum is also
+    /// the row's Eq. 4 `sumrow` checksum lane: computed from **what the
+    /// cache actually holds**, so BF16-stored rows contribute their
+    /// rounded values and the per-token verdict stays exact across
+    /// format boundaries.
     fn stored_lane_sums(&self, blk: BlockRef, r: usize, head: usize) -> (f64, f64) {
         let slot = blk.index * self.block_rows * self.width + self.lane_offset(r, head);
         let d = self.head_dim;
@@ -1380,6 +1440,24 @@ impl<T: Scalar> KvCache<T> {
                 let (ks, vs) = self.stored_lane_sums(blk, r, h);
                 check.ksum[h] += ks;
                 check.vsum[h] += vs;
+            }
+        }
+        check
+    }
+
+    /// [`recompute_block_check`](Self::recompute_block_check) that also
+    /// rewrites the first `rows` rows' checksum lanes, in the same pass —
+    /// after the stored rows changed (demotion rounded them, recovery
+    /// restored them).
+    fn rebuild_block(&mut self, blk: BlockRef, rows: usize) -> BlockCheck {
+        let mut check = BlockCheck::zeroed(self.heads);
+        for h in 0..self.heads {
+            for r in 0..rows {
+                let (ks, vs) = self.stored_lane_sums(blk, r, h);
+                check.ksum[h] += ks;
+                check.vsum[h] += vs;
+                let at = self.sumrow_index(blk, r, h);
+                self.sumrow_lanes_mut(blk.bf16)[at] = vs;
             }
         }
         check
@@ -1434,6 +1512,8 @@ impl<T: Scalar> KvCache<T> {
         let rows = (state.len - first).min(self.block_rows);
         let base = blk.index * self.block_rows * self.width + self.lane_offset(0, head);
         let span = rows * self.head_dim;
+        let at = self.sumrow_index(blk, 0, head);
+        let sumrow = &self.sumrow_lanes(blk.bf16)[at..at + rows];
         let data = if blk.bf16 {
             HeadBlockData::Demoted {
                 k: &self.k_arena16[base..base + span],
@@ -1445,7 +1525,12 @@ impl<T: Scalar> KvCache<T> {
                 v: &self.v_arena[base..base + span],
             }
         };
-        HeadBlock { first, rows, data }
+        HeadBlock {
+            first,
+            rows,
+            data,
+            sumrow,
+        }
     }
 }
 
@@ -1457,7 +1542,7 @@ pub struct DecodeStepOutput {
     pub output: Vec<f64>,
     /// Predicted checksum: `Σ_h c_h/ℓ_h` over the sequence's **query**
     /// heads (Alg. 3 line 10, summed across heads; grouped heads share
-    /// their kv head's `sumrow` inputs but keep per-head verdict terms).
+    /// their kv head's `sumrow` lanes but keep per-head verdict terms).
     pub predicted: f64,
     /// Actual checksum: the sum of all produced output lanes.
     pub actual: f64,
@@ -1556,22 +1641,11 @@ impl<T: Scalar> PendingPrompt<T> {
 }
 
 /// Everything the engine tracks for one sequence slot beyond the cache
-/// blocks themselves: checksum inputs and totals, coverage counters, and
-/// the chunked-admission queue. One `SequenceState` per slot replaces the
-/// PR-3 parallel vectors, so policy state (pending prompts, demotion
-/// bookkeeping) has one home.
+/// blocks themselves (which also hold the rows' `sumrow(V)` checksum
+/// lanes): checksum totals, coverage counters, the chunked-admission
+/// queue and the recovery log.
 #[derive(Clone, Debug)]
 struct SequenceState<T: Scalar> {
-    /// `sumrow_g(v_i)` for every cached position `i` and **kv head** `g`,
-    /// stored `i·kv_heads + g` — the Eq. 4 vector the checksum lane
-    /// consumes, shared by every query head of group `g` (the per-group
-    /// `sumrow(V)` saving GQA gets for free), computed
-    /// from the **stored** row (so BF16-rounded rows contribute their
-    /// rounded values) and recomputed for demoted ranges. Entries for
-    /// evicted positions are retained but never read again (masked).
-    /// Cleared on retire and rebuilt on slot reuse, so recycled blocks
-    /// never leak a previous owner's checksum inputs.
-    sumrows: Vec<f64>,
     /// Running (predicted, actual) totals over the admitted prompt and
     /// all checked decoded tokens — the session-level Alg. 3 line 11
     /// state. Survives block recycling (it lives outside the arena) and
@@ -1613,7 +1687,6 @@ struct SequenceState<T: Scalar> {
 impl<T: Scalar> SequenceState<T> {
     fn fresh() -> Self {
         SequenceState {
-            sumrows: Vec::new(),
             totals: (0.0, 0.0),
             prompt_tokens: 0,
             checked_steps: 0,
@@ -1629,8 +1702,8 @@ impl<T: Scalar> SequenceState<T> {
 }
 
 /// A registered shared prefix: one prefilled copy of a common prompt
-/// prefix (a system prompt) whose cache blocks, reference checksums,
-/// `sumrow(V)` inputs, scored outputs and prompt-checksum totals serve
+/// prefix (a system prompt) whose cache blocks (with their `sumrow(V)`
+/// lanes), reference checksums and prompt-checksum totals serve
 /// **every** sequence enqueued behind it — the registry holds one block
 /// reference per block so the storage outlives any individual reader.
 #[derive(Clone, Debug)]
@@ -1645,16 +1718,10 @@ struct SharedPrefix<T: Scalar> {
     start: usize,
     /// Prefix length in tokens.
     rows: usize,
-    /// Per-(position, kv head) `sumrow(V)` inputs for positions
-    /// `0..rows` — computed once at registration, cloned to every
-    /// reader: one `sumrow(V)` serves all of them.
-    sumrows: Vec<f64>,
     /// Original (pre-rounding) prefix K/V rows — the recovery-log seed
     /// for readers with logging enabled.
     k: Matrix<T>,
     v: Matrix<T>,
-    /// The prefix prompt's scored outputs (`rows × q_dim`).
-    output: Matrix<f64>,
     /// Prompt checksum totals over the prefix (per-chunk Kahan folds) —
     /// seeded into every reader's running totals.
     predicted: f64,
@@ -1934,8 +2001,7 @@ impl<T: Scalar> DecodeBatch<T> {
     }
 
     /// Retires sequence `seq`: its cache blocks return to the free lists
-    /// for later admissions, its sumrow staging and any pending prompt
-    /// chunks are dropped, and the slot becomes reusable. The running
+    /// for later admissions, any pending prompt chunks are dropped, and the slot becomes reusable. The running
     /// totals stay readable (for a final verdict) until the slot is
     /// reused by [`add_sequence`](Self::add_sequence) /
     /// [`enqueue`](Self::enqueue) / [`enqueue_shared`](Self::enqueue_shared).
@@ -1947,7 +2013,6 @@ impl<T: Scalar> DecodeBatch<T> {
         self.assert_no_window();
         self.cache.retire_sequence(seq);
         let state = &mut self.seqs[seq];
-        state.sumrows = Vec::new();
         state.pending = None;
         state.ready = None;
         state.log_k = Vec::new();
@@ -2197,10 +2262,10 @@ impl<T: Scalar> DecodeBatch<T> {
     /// and erases the demotion). Works under any [`KvFormat`], reusing
     /// the `Mixed` path's in-place block swap: each demoted block's rows
     /// round RNE into a BF16 arena block, the native block returns to
-    /// the free list, the block's reference checksums rebuild from the
-    /// rounded storage, and the demoted rows' `sumrow` checksum inputs
-    /// refresh — so audits stay clean and the online verdict keeps
-    /// predicting exactly what the output lanes consume. Returns the
+    /// the free list, and the block's reference checksums and `sumrow`
+    /// lanes rebuild from the rounded storage — so audits stay clean and
+    /// the online verdict keeps predicting exactly what the output lanes
+    /// consume. Returns the
     /// number of rows demoted (0 when nothing native qualifies; the
     /// call is idempotent at a given length and burst).
     ///
@@ -2209,22 +2274,7 @@ impl<T: Scalar> DecodeBatch<T> {
     /// Panics if `seq` is out of range or retired.
     pub fn demote(&mut self, seq: usize, burst_blocks: usize) -> usize {
         self.assert_no_window();
-        let kv = self.cfg.kv_heads;
-        let demoted = self.cache.demote_full_blocks(seq, burst_blocks);
-        let first_retained = self.cache.first_retained(seq);
-        let mut rows = 0;
-        for range in demoted {
-            for p in range {
-                if p < first_retained {
-                    continue;
-                }
-                for g in 0..kv {
-                    self.seqs[seq].sumrows[p * kv + g] = self.cache.value_head_sum(seq, p, g);
-                }
-                rows += 1;
-            }
-        }
-        rows
+        self.cache.demote_full_blocks(seq, burst_blocks)
     }
 
     /// Gracefully degrades sequence `seq` after unrecoverable damage
@@ -2257,7 +2307,6 @@ impl<T: Scalar> DecodeBatch<T> {
         let state = &mut self.seqs[seq];
         state.pending = None;
         state.ready = None;
-        state.sumrows = Vec::new();
         state.totals = (0.0, 0.0);
         state.prompt_tokens = 0;
         state.checked_steps = 0;
@@ -2358,39 +2407,11 @@ impl<T: Scalar> DecodeBatch<T> {
     }
 
     fn append_token_anchored(&mut self, seq: usize, k: &[T], v: &[T], anchor: usize) {
-        let kv = self.cfg.kv_heads;
         if self.recovery_log {
             self.seqs[seq].log_k.extend_from_slice(k);
             self.seqs[seq].log_v.extend_from_slice(v);
         }
-        let outcome = self.cache.append_anchored(seq, k, v, anchor);
-        let pos = self.cache.seq_len(seq) - 1;
-        // Checksum inputs come from the *stored* row: identical to the
-        // input row for native storage (same values, same lane order),
-        // RNE-rounded for BF16 storage — so the checksum lane always
-        // predicts what the output lanes will actually consume. One
-        // sumrow per **kv head**: every query head of a group reads the
-        // same entry — the shared-`sumrow(V)` saving the paper notes GQA
-        // inherits for free.
-        for g in 0..kv {
-            let sumrow = self.cache.value_head_sum(seq, pos, g);
-            self.seqs[seq].sumrows.push(sumrow);
-        }
-        // Demoted rows changed value mid-sequence: refresh their sumrows
-        // from the rounded storage. (A range can straddle eviction when
-        // both policies fire on one claim; evicted positions are masked
-        // forever, so skip them.)
-        let first_retained = self.cache.first_retained(seq);
-        for range in outcome.demoted {
-            for p in range {
-                if p < first_retained {
-                    continue;
-                }
-                for g in 0..kv {
-                    self.seqs[seq].sumrows[p * kv + g] = self.cache.value_head_sum(seq, p, g);
-                }
-            }
-        }
+        self.cache.append_anchored(seq, k, v, anchor);
         // Eviction below the window may have freed leading log rows; the
         // budget truncation runs opportunistically on the append path.
         self.truncate_log(seq);
@@ -2465,9 +2486,9 @@ impl<T: Scalar> DecodeBatch<T> {
     /// through the normal chunked-admission machinery (checked passes,
     /// checksum folds, demotion/eviction maintenance — so the cached
     /// bits are exactly what an unshared admission of the same rows
-    /// would produce at the same chunk schedule), then its blocks,
-    /// reference checksums, `sumrow(V)` inputs, outputs and checksum
-    /// totals move into the prefix registry. Returns the prefix id for
+    /// would produce at the same chunk schedule), then its blocks (with
+    /// their `sumrow(V)` lanes), reference checksums and checksum totals
+    /// move into the prefix registry. Returns the prefix id for
     /// [`enqueue_shared`](Self::enqueue_shared).
     ///
     /// The registry owns one reference per block; sequences admitted
@@ -2487,7 +2508,6 @@ impl<T: Scalar> DecodeBatch<T> {
         let adm = self
             .take_admitted(seq)
             .expect("registration drains the prefix prompt");
-        let sumrows = core::mem::take(&mut self.seqs[seq].sumrows);
         let (blocks, checks, start) = self.cache.detach_into_registry(seq);
         self.seqs[seq] = SequenceState::fresh();
         self.prefixes.push(Some(SharedPrefix {
@@ -2495,10 +2515,8 @@ impl<T: Scalar> DecodeBatch<T> {
             checks,
             start,
             rows: k.rows(),
-            sumrows,
             k: k.clone(),
             v: v.clone(),
-            output: adm.output,
             predicted: adm.predicted,
             actual: adm.actual,
             token_hash: Self::prefix_token_hash(k, v),
@@ -2520,24 +2538,6 @@ impl<T: Scalar> DecodeBatch<T> {
         for &blk in &p.blocks {
             self.cache.release_block(blk);
         }
-    }
-
-    /// Registered prefix `id`'s length in tokens.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is unknown or released.
-    pub fn prefix_rows(&self, id: usize) -> usize {
-        self.prefixes[id].as_ref().expect("released prefix").rows
-    }
-
-    /// Registered prefix `id`'s scored prompt outputs (`rows × q_dim`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is unknown or released.
-    pub fn prefix_output(&self, id: usize) -> &Matrix<f64> {
-        &self.prefixes[id].as_ref().expect("released prefix").output
     }
 
     /// Registered prefix `id`'s cache blocks (registry-owned refs).
@@ -2567,8 +2567,8 @@ impl<T: Scalar> DecodeBatch<T> {
 
     /// Enqueues a prompt **behind a registered shared prefix**: the new
     /// sequence adopts the prefix's cache blocks (one new reference
-    /// each; zero K/V bytes copied), its reference checksums, `sumrow`
-    /// inputs and checksum totals, then stages only the `suffix` rows
+    /// each; zero K/V or `sumrow` bytes copied), its reference checksums
+    /// and checksum totals, then stages only the `suffix` rows
     /// for chunked prefill — so admitting `k` sequences with an
     /// `L`-token common prefix costs O(L + k·suffix) prefill work and
     /// blocks, not O(k·L).
@@ -2582,7 +2582,8 @@ impl<T: Scalar> DecodeBatch<T> {
     /// suffix chunks score against the same history through the same
     /// kernels. The parked [`AdmittedPrompt`] covers the **suffix**
     /// rows; its checksum totals cover prefix + suffix. The prefix's
-    /// own outputs are at [`prefix_output`](Self::prefix_output).
+    /// own outputs are not kept: [`register_prefix`](Self::register_prefix)
+    /// scores them once and keeps only their checksum totals.
     ///
     /// With the recovery log enabled the reader's log is seeded with the
     /// prefix rows, so quarantine rebuilds the full history privately
@@ -2610,7 +2611,6 @@ impl<T: Scalar> DecodeBatch<T> {
         let q_dim = self.cfg.q_dim();
         let p = self.prefixes[id].as_ref().expect("released prefix");
         let (blocks, checks, start, rows) = (p.blocks.clone(), p.checks.clone(), p.start, p.rows);
-        let sumrows = p.sumrows.clone();
         let (predicted, actual) = (p.predicted, p.actual);
         let (log_k, log_v) = if self.recovery_log {
             let width = self.cfg.kv_dim();
@@ -2627,7 +2627,6 @@ impl<T: Scalar> DecodeBatch<T> {
         let seq = self.add_sequence();
         self.cache.attach_shared(seq, &blocks, &checks, start, rows);
         let state = &mut self.seqs[seq];
-        state.sumrows = sumrows;
         state.totals = (predicted, actual);
         state.prompt_tokens = rows;
         state.log_k = log_k;
@@ -3461,11 +3460,10 @@ mod tests {
             EvictionPolicy::RetainAll,
         );
         let s = mixed.add_sequence();
-        let outcome_first = mixed.append(s, &row, &row);
-        assert!(outcome_first.demoted.is_empty(), "nothing to demote yet");
+        mixed.append(s, &row, &row);
+        assert_eq!(mixed.demoted_rows(s), 0, "nothing to demote yet");
         // Claiming the second block demotes the first (burst 0).
-        let outcome = mixed.append(s, &[1.0, 1.0], &[1.0, 1.0]);
-        assert_eq!(outcome.demoted, vec![0..1]);
+        mixed.append(s, &[1.0, 1.0], &[1.0, 1.0]);
         let demoted = mixed.value_row(s, 0);
         assert_eq!(demoted[0], round_bf16(above_tie).to_f64());
         assert_eq!(demoted[1], round_bf16(tie_odd).to_f64());
@@ -4151,7 +4149,6 @@ mod tests {
         let (mut shared, mut plain) = (mk(), mk());
         let (pq, pk, pv) = (rand(8, qd, 10), rand(8, kd, 11), rand(8, kd, 12));
         let id = shared.register_prefix(&pq, &pk, &pv);
-        assert_eq!(shared.prefix_rows(id), 8);
 
         // Three readers: short suffix, suffix spilling past one chunk,
         // and an empty suffix (prefix-only admission).
@@ -4346,7 +4343,6 @@ mod tests {
         assert_eq!(e.find_prefix(h0), Some(id0));
         assert_eq!(e.find_prefix(h1), Some(id1));
         assert_eq!(e.prefix_ids(), vec![id0, id1]);
-        assert_eq!(e.prefix_output(id0).rows(), 4);
         e.release_prefix(id0);
         assert_eq!(e.find_prefix(h0), None);
         assert_eq!(e.prefix_ids(), vec![id1]);
@@ -4431,6 +4427,51 @@ mod tests {
             }
             for &s in &sids {
                 assert!(shared.audit(s, 1e-6).is_empty(), "{format:?} {eviction:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn shared_prefix_sumrow_lane_is_one_cell_for_all_readers() {
+        let topo = GqaConfig::new(2, 2, AttentionConfig::new(4)).topology();
+        let (qd, kd) = (topo.q_dim(), topo.kv_dim());
+        let mk = || {
+            let mut e = DecodeBatch::<f64>::new(topo, 4);
+            e.set_prefill_chunk(4);
+            let id = e.register_prefix(&rand(8, qd, 40), &rand(8, kd, 41), &rand(8, kd, 42));
+            let s0 = e.enqueue_shared(id, &rand(2, qd, 43), &rand(2, kd, 44), &rand(2, kd, 45));
+            let s1 = e.enqueue_shared(id, &rand(3, qd, 46), &rand(3, kd, 47), &rand(3, kd, 48));
+            while e.prefill_step_for(&[s0, s1]) > 0 {}
+            (e, s0, s1)
+        };
+        let ((mut faulty, s0, s1), (mut twin, t0, t1)) = (mk(), mk());
+
+        // The checksum lane of prefix position 1 lives in the shared
+        // block: a flip through reader 0 alarms both readers' audits.
+        faulty.flip_sumrow_bit(s0, 1, 0, 60);
+        let want = vec![guard::LocalizedFault::CorruptSumrow { pos: 1, kv_head: 0 }];
+        assert_eq!(faulty.audit(s0, 1e-9), want, "reader 0 alarms");
+        assert_eq!(faulty.audit(s1, 1e-9), want, "reader 1 alarms");
+
+        // One repair through reader 0 clears reader 1 too.
+        let report = faulty.audit_and_repair(s0, 1e-9);
+        assert_eq!(report.sumrows_repaired, 1);
+        assert!(faulty.audit(s0, 1e-9).is_empty());
+        assert!(
+            faulty.audit(s1, 1e-9).is_empty(),
+            "one repair serves all readers"
+        );
+
+        // Both readers decode bit-identically to the never-faulted twin.
+        for t in 0..4u64 {
+            let qs = rand(2, qd, 4900 + t);
+            let ks = rand(2, kd, 4910 + t);
+            let vs = rand(2, kd, 4920 + t);
+            let oa = faulty.step_decode(&[s0, s1], &qs, &ks, &vs);
+            let ob = twin.step_decode(&[t0, t1], &qs, &ks, &vs);
+            for (a, b) in oa.iter().zip(&ob) {
+                assert_eq!(a.output, b.output, "step {t}");
+                assert_eq!(a.predicted.to_bits(), b.predicted.to_bits(), "step {t}");
             }
         }
     }

@@ -11,8 +11,8 @@
 //!   / [`flip_sumrow_bit`](DecodeBatch::flip_sumrow_bit) /
 //!   [`flip_total_bit`](DecodeBatch::flip_total_bit) flip single bits in
 //!   a *live* engine's K/V block storage (native f64 or demoted BF16
-//!   rows), its `sumrow(V)` checksum inputs, and its running verdict
-//!   accumulator — each a distinct detection story (see below).
+//!   rows), its blocks' `sumrow(V)` checksum lanes, and its running
+//!   verdict accumulator — each a distinct detection story (see below).
 //! * **Localization** — [`audit`](DecodeBatch::audit) walks the
 //!   per-(sequence, kv head, block) [`BlockCheck`](super::BlockCheck)
 //!   reference structure, comparing stored references against a fresh
@@ -25,7 +25,7 @@
 //!   [`recover_block`](DecodeBatch::recover_block) rewrites **only the
 //!   poisoned block** from the log (honoring the block's storage format,
 //!   so restored bits equal the never-corrupted bits exactly), rebuilds
-//!   its reference checksum and `sumrow` inputs, and
+//!   its reference checksum and `sumrow` lanes, and
 //!   [`clear_verdict`](DecodeBatch::clear_verdict) opens a fresh verdict
 //!   epoch — decode resumes **bit-identical** to an uninjected run
 //!   (property-tested across formats, eviction policies, and GQA group
@@ -37,14 +37,14 @@
 //! |---|---|---|
 //! | V storage | alarms (prediction uses clean `sumrow`s, outputs use corrupted rows) | value-side [`LocalizedFault::CorruptBlock`] |
 //! | K storage | **coherent** — corrupted scores weight output lanes *and* checksum lane identically, so the residual stays small while outputs diverge | key-side [`LocalizedFault::CorruptBlock`] (the periodic scrub is the only lane that sees it) |
-//! | `sumrow` | alarms (prediction corrupted, outputs clean — the checker-site false-positive story) | [`LocalizedFault::CorruptSumrow`] |
+//! | `sumrow` lane | alarms (prediction corrupted, outputs clean — the checker-site false-positive story); a lane of a shared prefix block is one cell, so every reader alarms | [`LocalizedFault::CorruptSumrow`] |
 //! | totals | session verdict alarms, outputs untouched | [`LocalizedFault::CorruptTotals`] |
 //!
 //! One honest caveat the live campaign measures: under
 //! [`KvFormat::Mixed`](super::KvFormat::Mixed), demotion *launders*
 //! storage corruption — the demote path recomputes the block's reference
-//! and `sumrow`s from the (corrupted) stored rows, after which both
-//! lanes agree with the poison. Corruption must be audited before the
+//! and `sumrow` lanes from the (corrupted) stored rows, after which both
+//! agree with the poison. Corruption must be audited before the
 //! block ages out of the burst.
 
 use super::{round_bf16, DecodeBatch};
@@ -80,8 +80,8 @@ impl WindowVerdict {
 impl<T: Scalar> DecodeBatch<T> {
     /// Post-rollback integrity sweep: recomputes every retained block's
     /// reference checksum from its stored rows and every retained
-    /// position's `sumrow(V)` entries from its stored value row, and
-    /// compares both against the engine's live structures **bitwise**.
+    /// position's `sumrow(V)` lanes from its stored value row, and
+    /// compares both against the stored ones **bitwise**.
     /// After [`resolve_speculation`](Self::resolve_speculation) rewinds
     /// rejected speculative appends this must hold for every windowed
     /// sequence — the check-rewind half of the rollback contract (the
@@ -110,19 +110,12 @@ impl<T: Scalar> DecodeBatch<T> {
                 }
             }
         }
-        let sumrows = &self.seqs[seq].sumrows;
-        if sumrows.len() != len * kv {
-            return false;
-        }
-        for p in start..len {
-            for g in 0..kv {
-                let fresh = self.cache.value_head_sum(seq, p, g);
-                if fresh.to_bits() != sumrows[p * kv + g].to_bits() {
-                    return false;
-                }
-            }
-        }
-        true
+        (start..len).all(|p| {
+            (0..kv).all(|g| {
+                let (stored, fresh) = self.cache.sumrow(seq, p, g);
+                stored.to_bits() == fresh.to_bits()
+            })
+        })
     }
 }
 
@@ -133,7 +126,7 @@ pub enum InjectionSite {
     Key,
     /// A stored value lane of a retained cache block.
     Value,
-    /// A `sumrow(V)` checksum input (checker state).
+    /// A block's `sumrow(V)` checksum lane (checker state).
     Sumrow,
     /// The running (predicted, actual) verdict accumulator (checker
     /// state).
@@ -178,8 +171,8 @@ pub enum LocalizedFault {
         /// the value side.
         key_side: bool,
     },
-    /// A stored `sumrow` disagrees with the (clean) stored value row —
-    /// checker-input corruption, recoverable by
+    /// A stored `sumrow` lane disagrees with the (clean) stored value
+    /// row — checker-input corruption, recoverable by
     /// [`DecodeBatch::repair_sumrow`].
     CorruptSumrow {
         /// The corrupted position.
@@ -212,7 +205,7 @@ pub struct RepairReport {
     /// Rows rewritten across those blocks (the block-granular recovery
     /// cost — compare against recomputing the whole sequence).
     pub rows_rewritten: usize,
-    /// `sumrow` entries recomputed from clean storage.
+    /// `sumrow` lanes recomputed from clean storage.
     pub sumrows_repaired: usize,
     /// Distinct corrupt blocks the log could **not** restore (its rows
     /// were truncated past them, or the log is disabled) — the signal
@@ -298,18 +291,16 @@ impl DecodeBatch<f64> {
         blk.bf16
     }
 
-    /// Flips one f64 bit of the stored `sumrow` checksum input of
-    /// `(seq, pos, kv_head)`.
+    /// Flips one f64 bit of the stored `sumrow` checksum lane of
+    /// `(seq, pos, kv_head)`. The lane lives in the block holding the
+    /// row, so a flip inside a shared prefix block hits every reader.
     ///
     /// # Panics
     ///
-    /// Panics if `seq` is out of range or retired, or `pos`/`kv_head` is
-    /// out of range.
+    /// Panics if `seq` is out of range or retired, `pos` is out of range
+    /// or evicted, or `kv_head` is out of range.
     pub fn flip_sumrow_bit(&mut self, seq: usize, pos: usize, kv_head: usize, bit: u32) {
-        let kv = self.cfg.kv_heads;
-        assert!(kv_head < kv, "kv head out of range");
-        assert!(pos < self.cache.seq_len(seq), "position out of range");
-        let cell = &mut self.seqs[seq].sumrows[pos * kv + kv_head];
+        let cell = self.cache.sumrow_mut(seq, pos, kv_head);
         *cell = f64::from_bits(cell.to_bits() ^ (1u64 << (bit % 64)));
     }
 
@@ -338,8 +329,8 @@ impl DecodeBatch<f64> {
     ///    recompute, compared **bitwise** (one shared fold order makes a
     ///    clean block an exact match) — mismatches become
     ///    [`LocalizedFault::CorruptBlock`];
-    /// 2. per retained (position, kv head): the stored `sumrow` vs its
-    ///    recompute from the stored value row, bitwise — skipping
+    /// 2. per retained (position, kv head): the stored `sumrow` lane vs
+    ///    its recompute from the stored value row, bitwise — skipping
     ///    positions inside value-corrupted blocks (there the *storage*
     ///    is the liar and the stored `sumrow` the witness) — mismatches
     ///    become [`LocalizedFault::CorruptSumrow`];
@@ -385,14 +376,13 @@ impl DecodeBatch<f64> {
                 }
             }
         }
-        let sumrows = &self.seqs[seq].sumrows;
         for p in state.start..state.len {
             if value_bad[(p - state.start) / cache.block_rows] {
                 continue;
             }
             for g in 0..kv {
-                let recomputed = cache.value_head_sum(seq, p, g);
-                if recomputed.to_bits() != sumrows[p * kv + g].to_bits() {
+                let (stored, fresh) = cache.sumrow(seq, p, g);
+                if stored.to_bits() != fresh.to_bits() {
                     faults.push(LocalizedFault::CorruptSumrow { pos: p, kv_head: g });
                 }
             }
@@ -427,9 +417,8 @@ impl DecodeBatch<f64> {
     /// format (native rows are copied back exactly; BF16 rows re-round
     /// through the cache's single [`round_bf16`] helper, reproducing the
     /// never-corrupted stored bits exactly), then rebuilds the block's
-    /// reference checksum and its positions' `sumrow` inputs from the
-    /// restored storage. Returns the number of rows rewritten (the
-    /// recovery cost).
+    /// reference checksum and `sumrow` lanes from the restored storage.
+    /// Returns the number of rows rewritten (the recovery cost).
     ///
     /// # Panics
     ///
@@ -479,14 +468,7 @@ impl DecodeBatch<f64> {
                 }
             }
         }
-        cache.seqs[seq].checks[block] = cache.recompute_block_check(blk, rows);
-        let kv = self.cfg.kv_heads;
-        for r in 0..rows {
-            let pos = first + r;
-            for g in 0..kv {
-                self.seqs[seq].sumrows[pos * kv + g] = self.cache.value_head_sum(seq, pos, g);
-            }
-        }
+        cache.seqs[seq].checks[block] = cache.rebuild_block(blk, rows);
         rows
     }
 
@@ -513,17 +495,17 @@ impl DecodeBatch<f64> {
         self.recovery_log && self.seqs[seq].log_start <= first
     }
 
-    /// Recomputes one `sumrow` checksum input from the (clean) stored
-    /// value row — the repair for [`LocalizedFault::CorruptSumrow`].
+    /// Recomputes one `sumrow` checksum lane from the (clean) stored
+    /// value row — the repair for [`LocalizedFault::CorruptSumrow`]. A
+    /// lane of a shared prefix block is repaired once for every reader.
     ///
     /// # Panics
     ///
     /// Panics if `seq` is out of range or retired, `pos` is out of range
     /// or evicted, or `kv_head` is out of range.
     pub fn repair_sumrow(&mut self, seq: usize, pos: usize, kv_head: usize) {
-        let kv = self.cfg.kv_heads;
-        let fresh = self.cache.value_head_sum(seq, pos, kv_head);
-        self.seqs[seq].sumrows[pos * kv + kv_head] = fresh;
+        let (_, fresh) = self.cache.sumrow(seq, pos, kv_head);
+        *self.cache.sumrow_mut(seq, pos, kv_head) = fresh;
     }
 
     /// Resets sequence `seq`'s running (predicted, actual) verdict
@@ -556,11 +538,11 @@ impl DecodeBatch<f64> {
     /// signalling the caller to [`quarantine`](Self::quarantine) the
     /// sequence instead.
     ///
-    /// Repairs write into the *physical* block, so a block shared
-    /// through the prefix registry repairs **exactly once for all
-    /// readers**: a poisoned shared block alarms every reader's audit,
-    /// one repair through any single reader restores it, and every
-    /// other reader's next audit is clean (property-tested). Repair
+    /// Repairs write into the *physical* block and its lanes, so a block
+    /// shared through the prefix registry repairs **exactly once for all
+    /// readers**: a poisoned shared block or lane alarms every reader's
+    /// audit, one repair through any single reader restores it, and
+    /// every other reader's next audit is clean (property-tested). Repair
     /// never triggers copy-on-write — the restored bits are the bits
     /// every reader expects, unlike a demotion's rounding.
     ///
@@ -979,6 +961,21 @@ mod tests {
         );
         subject.repair(seq, &faults);
         assert!(subject.audit(seq, TOL).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "evicted")]
+    fn sumrow_flip_at_evicted_position_panics() {
+        // The lane left with its evicted block: there is nothing to flip.
+        let (mut subject, _, ids) = lockstep_pair(
+            KvFormat::F64,
+            EvictionPolicy::SlidingWindow { window_blocks: 2 },
+            mha(2, 4),
+            16,
+            6,
+        );
+        assert!(subject.evicted_len(ids[0]) > 0, "window evicted a prefix");
+        subject.flip_sumrow_bit(ids[0], 0, 0, 60);
     }
 
     #[test]

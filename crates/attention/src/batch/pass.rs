@@ -156,9 +156,10 @@ impl<T: Scalar> DecodeBatch<T> {
     ///
     /// Each retained K/V block streams once for the whole panel, and a
     /// grouped topology pays one kv head's traffic for `group_size`
-    /// query states. The checksum lane reads the per-(position, kv head)
-    /// `sumrow`, shared by the group's members and, for a shared prefix,
-    /// by every reader (cloned at attach). `shared` carries a decode
+    /// query states. The checksum lane reads the block's own per-(row,
+    /// kv head) `sumrow` lane beside the V rows it weights, shared by the
+    /// group's members and, for a shared prefix block, by every reader
+    /// (one physical lane, like the K/V rows). `shared` carries a decode
     /// step's shared-score row (1-position panels only): a block whose
     /// tile covers the query's exact range is read from the tile instead
     /// of being re-scored — same per-(query, row) dot kernel, same bits.
@@ -182,9 +183,6 @@ impl<T: Scalar> DecodeBatch<T> {
             positions: pos0..pos0 + n_pos,
             gs,
             mask_window: self.mask_window,
-            sumrows: &self.seqs[seq].sumrows,
-            kv: self.cfg.kv_heads,
-            kv_head,
             checked,
             states: (0..n_pos * gs)
                 .map(|_| (OnlineSoftmax::new(), vec![0.0f64; d + 1]))
@@ -206,10 +204,10 @@ impl<T: Scalar> DecodeBatch<T> {
                 let &(r0, r1, off) = row.get(bi)?;
                 (off != SHARED_NONE).then(|| (r0, r1, &arena[off..off + gs * (r1 - r0)]))
             });
-            let (first, rows) = (blk.first, blk.rows);
+            let (first, rows, sumrow) = (blk.first, blk.rows, blk.sumrow);
             match blk.data {
                 HeadBlockData::Native { k, v } => {
-                    panel.fold_block((first, rows), v, tile, |qi, r0, n, out| {
+                    panel.fold_block((first, rows), v, sumrow, tile, |qi, r0, n, out| {
                         let q = &queries[qi * d..(qi + 1) * d];
                         ops::dot_then_scale_rows(q, &k[r0 * d..], d, n, scale, out);
                     })
@@ -219,7 +217,7 @@ impl<T: Scalar> DecodeBatch<T> {
                         q_wide = queries.iter().map(|x| x.to_f64()).collect();
                     }
                     let q_wide = &q_wide;
-                    panel.fold_block((first, rows), v, tile, |qi, r0, n, out| {
+                    panel.fold_block((first, rows), v, sumrow, tile, |qi, r0, n, out| {
                         let q = &q_wide[qi * d..(qi + 1) * d];
                         ops::dot_then_scale_rows_bf16(q, &k[r0 * d..], d, n, scale, out);
                     })
@@ -431,15 +429,12 @@ impl<T: Scalar> DecodeBatch<T> {
     }
 }
 
-/// One [`DecodeBatch::panel_pass`] in flight: the panel's geometry and
-/// checksum inputs plus its per-(position, member) online states.
-struct Panel<'a> {
+/// One [`DecodeBatch::panel_pass`] in flight: the panel's geometry plus
+/// its per-(position, member) online states.
+struct Panel {
     positions: Range<usize>,
     gs: usize,
     mask_window: Option<usize>,
-    sumrows: &'a [f64],
-    kv: usize,
-    kv_head: usize,
     checked: bool,
     /// `(softmax terminal, lanes)` per query, in packing order.
     states: Vec<(OnlineSoftmax, Vec<f64>)>,
@@ -447,17 +442,19 @@ struct Panel<'a> {
     scores: Vec<f64>,
 }
 
-impl Panel<'_> {
+impl Panel {
     /// The per-block body, generic over the block's stored value format:
     /// for each panel position whose visible range `[r0, r1)` reaches
     /// into the block (`first`, `rows`), each member's scores come from
     /// the shared `tile` when its range matches, else from
     /// `score(query, r0, rows, out)`, and fold through
-    /// [`accumulate_block`].
+    /// [`accumulate_block`] with the block's values `v` and checksum
+    /// lanes `sumrow`.
     fn fold_block<V: Scalar>(
         &mut self,
         (first, rows): (usize, usize),
         v: &[V],
+        sumrow: &[f64],
         tile: Option<(usize, usize, &[f64])>,
         mut score: impl FnMut(usize, usize, usize, &mut Vec<f64>),
     ) {
@@ -479,40 +476,25 @@ impl Panel<'_> {
                     }
                 };
                 let (os, lanes) = &mut self.states[qi];
-                accumulate_block(
-                    os,
-                    lanes,
-                    member_scores,
-                    v,
-                    r0,
-                    first,
-                    self.sumrows,
-                    self.kv,
-                    self.kv_head,
-                    self.checked,
-                );
+                accumulate_block(os, lanes, member_scores, v, sumrow, r0, self.checked);
             }
         }
     }
 }
 
 /// Folds one scored block through the online recurrence: lines 4–6 of
-/// Alg. 3 for each of the block's visible rows, plus the checksum lane
-/// when `checked`. `v` is the block's contiguous `rows × d` value panel.
-/// Generic over the block's stored value format (native `T` or demoted
-/// BF16) — [`ops::axpy_f64`] handles both with identical per-lane
-/// rounding.
-#[allow(clippy::too_many_arguments)]
+/// Alg. 3 for each of the block's visible rows from `r0` on, plus the
+/// checksum lane when `checked`. `v` is the block's contiguous `rows × d`
+/// value panel and `sumrow` its per-row checksum lanes. Generic over the
+/// block's stored value format (native `T` or demoted BF16) —
+/// [`ops::axpy_f64`] handles both with identical per-lane rounding.
 fn accumulate_block<V: Scalar>(
     os: &mut OnlineSoftmax,
     lanes: &mut [f64],
     scores: &[f64],
     v: &[V],
+    sumrow: &[f64],
     r0: usize,
-    first: usize,
-    sumrows: &[f64],
-    heads: usize,
-    head: usize,
     checked: bool,
 ) {
     let d = lanes.len() - 1;
@@ -527,8 +509,7 @@ fn accumulate_block<V: Scalar>(
             step.weight_new,
         );
         if checked {
-            let pos = first + r;
-            lanes[d] = lanes[d] * step.scale_old + sumrows[pos * heads + head] * step.weight_new;
+            lanes[d] = lanes[d] * step.scale_old + sumrow[r] * step.weight_new;
         }
     }
 }

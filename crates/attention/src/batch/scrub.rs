@@ -87,10 +87,10 @@ impl DecodeBatch<f64> {
     /// Audits one retained block of one sequence — the unit of scrub
     /// work. Exactly the per-block slice of [`audit`](Self::audit):
     /// stored [`BlockCheck`](super::BlockCheck) references vs a fresh
-    /// bitwise recompute per kv head and side, then the block's
-    /// positions' `sumrow` inputs (skipped while the block is
-    /// value-corrupt — there the storage is the liar and the stored
-    /// `sumrow` the witness). Returns every corrupt site in the block.
+    /// bitwise recompute per kv head and side, then the block's `sumrow`
+    /// lanes (skipped while the block is value-corrupt — there the
+    /// storage is the liar and the stored lane the witness). Returns
+    /// every corrupt site in the block.
     ///
     /// # Panics
     ///
@@ -134,11 +134,10 @@ impl DecodeBatch<f64> {
             }
         }
         if !value_bad {
-            let sumrows = &self.seqs[seq].sumrows;
             for p in first..first + rows {
                 for g in 0..kv {
-                    let fresh = cache.value_head_sum(seq, p, g);
-                    if fresh.to_bits() != sumrows[p * kv + g].to_bits() {
+                    let (stored, fresh) = cache.sumrow(seq, p, g);
+                    if stored.to_bits() != fresh.to_bits() {
                         sites.push(LocalizedFault::CorruptSumrow { pos: p, kv_head: g });
                     }
                 }

@@ -16,22 +16,22 @@
 //! draft tokens before it), and appends are deeply entangled with the
 //! paged cache's policy machinery: block claims, copy-on-write splits of
 //! shared tails, Mixed-format demotion, sliding-window eviction,
-//! [`BlockCheck`] references, `sumrow(V)` checksum inputs, and the
+//! [`BlockCheck`] references, `sumrow(V)` checksum lanes, and the
 //! bounded recovery log. When the verifier rejects a suffix, all of that
 //! must rewind **exactly** — not approximately — or the engine's
 //! bit-identity and fault-localization contracts silently rot. The
 //! implementation:
 //!
 //! * [`DecodeBatch::speculate`] snapshots each windowed sequence's block
-//!   list, references, `sumrow`s and log length, switches the arena into
+//!   list, references and log length, switches the arena into
 //!   *deferred-frees* mode (a block whose last reference drops mid-window
-//!   parks with its lanes intact instead of returning to the free lists,
-//!   so demotion/eviction/CoW can run **live** and still be undone), then
-//!   appends and scores the window. Mixed-format windows append and
-//!   score in *segments* split at block-claim boundaries, one panel per
-//!   segment, so demotion fires at exactly the sequential schedule's
-//!   steps; F64/BF16 windows are one segment (their appends never change
-//!   earlier rows' bits).
+//!   parks with its K/V and `sumrow` lanes intact instead of returning to
+//!   the free lists, so demotion/eviction/CoW can run **live** and still
+//!   be undone), then appends and scores the window. Mixed-format windows
+//!   append and score in *segments* split at block-claim boundaries, one
+//!   panel per segment, so demotion fires at exactly the sequential
+//!   schedule's steps; F64/BF16 windows are one segment (their appends
+//!   never change earlier rows' bits).
 //! * [`DecodeBatch::resolve_speculation`] rolls **every** windowed
 //!   sequence back to its snapshot (resurrecting parked blocks), flushes
 //!   still-unowned parked blocks to the free lists, then **replays** the
@@ -68,8 +68,8 @@ pub(crate) struct SpecSeq<T: Scalar> {
     /// query's visible rows may evict before it scores).
     len0: usize,
     /// Snapshot of the retained block list (handles only; the blocks'
-    /// stored lanes survive mid-window frees via the deferred-frees
-    /// parking lot).
+    /// stored K/V and `sumrow` lanes survive mid-window frees via the
+    /// deferred-frees parking lot).
     blocks: Vec<BlockRef>,
     /// Snapshot of the per-block reference checksums.
     checks: Vec<BlockCheck>,
@@ -77,11 +77,6 @@ pub(crate) struct SpecSeq<T: Scalar> {
     start: usize,
     /// Snapshot of the demotion counter.
     demoted_rows: usize,
-    /// Full `sumrow(V)` snapshot — mid-window demotion refreshes
-    /// *pre-window* entries in place (rounded storage), so truncating is
-    /// not enough; the clone is `len·kv_heads` f64s, strictly smaller
-    /// than one K-panel sweep.
-    sumrows: Vec<f64>,
     /// Recovery-log rows retained at open (window appends only extend;
     /// budget truncation is deferred while a window is open).
     log_rows: usize,
@@ -191,7 +186,6 @@ impl<T: Scalar> DecodeBatch<T> {
                     checks: sb.checks.clone(),
                     start: sb.start,
                     demoted_rows: sb.demoted_rows,
-                    sumrows: st.sumrows.clone(),
                     log_rows: st.log_k.len() / width,
                     log_start: st.log_start,
                     ks: {
@@ -360,7 +354,6 @@ impl<T: Scalar> DecodeBatch<T> {
                 self.cache.release_block(b);
             }
             let st = &mut self.seqs[s.seq];
-            st.sumrows.clone_from(&s.sumrows);
             debug_assert_eq!(
                 st.log_start, s.log_start,
                 "recovery-log truncation ran mid-window"
@@ -448,7 +441,7 @@ mod tests {
     }
 
     /// Asserts two engines' **logical** sequence state is bitwise equal:
-    /// retained rows, references, sumrows, totals, lengths. Physical
+    /// retained rows, references, sumrow lanes, totals, lengths. Physical
     /// block indices are free to differ.
     fn assert_twin(a: &DecodeBatch<f64>, b: &DecodeBatch<f64>, seq: usize, what: &str) {
         assert_eq!(a.seq_len(seq), b.seq_len(seq), "{what}: length");
@@ -490,18 +483,11 @@ mod tests {
                 );
             }
         }
-        assert_eq!(
-            a.seqs[seq].sumrows.len(),
-            b.seqs[seq].sumrows.len(),
-            "{what}: sumrow count"
-        );
-        for (i, (x, y)) in a.seqs[seq]
-            .sumrows
-            .iter()
-            .zip(&b.seqs[seq].sumrows)
-            .enumerate()
-        {
-            assert_eq!(x.to_bits(), y.to_bits(), "{what}: sumrow {i}");
+        for p in a.cache().first_retained(seq)..a.seq_len(seq) {
+            for g in 0..a.config().kv_heads {
+                let (x, y) = (a.cache.sumrow(seq, p, g).0, b.cache.sumrow(seq, p, g).0);
+                assert_eq!(x.to_bits(), y.to_bits(), "{what}: sumrow {p} head {g}");
+            }
         }
         assert_eq!(
             a.seqs[seq].totals.0.to_bits(),

@@ -995,12 +995,12 @@ impl Scheduler {
     /// would resubmit a truncated history).
     fn absorb(&mut self, i: usize, report: &mut StepReport) {
         let seq = self.active[i].seq;
-        let rep = self.engine.audit_and_repair(seq, self.cfg.tol);
-        report.repaired_blocks += rep.blocks_recovered;
-        report.repaired_sumrows += rep.sumrows_repaired;
-        report.unrecoverable_blocks += rep.blocks_unrecoverable;
+        let repair = self.engine.audit_and_repair(seq, self.cfg.tol);
+        report.repaired_blocks += repair.blocks_recovered;
+        report.repaired_sumrows += repair.sumrows_repaired;
+        report.unrecoverable_blocks += repair.blocks_unrecoverable;
         let phase = self.records[self.active[i].rec].phase;
-        if rep.blocks_unrecoverable > 0 && !matches!(phase, Phase::Requeued(_)) {
+        if repair.blocks_unrecoverable > 0 && !matches!(phase, Phase::Requeued(_)) {
             self.requeue(i, RequeueCause::Corruption, report);
         }
     }
