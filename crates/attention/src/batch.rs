@@ -1726,8 +1726,6 @@ struct SharedPrefix<T: Scalar> {
     /// seeded into every reader's running totals.
     predicted: f64,
     actual: f64,
-    /// FNV-1a hash of the prefix K/V token bits (registry lookup key).
-    token_hash: u64,
     /// Sequences admitted behind this prefix so far (observability).
     readers: usize,
 }
@@ -2451,37 +2449,6 @@ impl<T: Scalar> DecodeBatch<T> {
         seq
     }
 
-    /// FNV-1a hash of a prompt prefix's K/V token bits (shape included)
-    /// — the content key [`find_prefix`](Self::find_prefix) matches
-    /// registered prefixes by.
-    pub fn prefix_token_hash(k: &Matrix<T>, v: &Matrix<T>) -> u64 {
-        fn fold(h: &mut u64, x: u64) {
-            for b in x.to_le_bytes() {
-                *h ^= b as u64;
-                *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        fold(&mut h, k.rows() as u64);
-        fold(&mut h, k.cols() as u64);
-        for m in [k, v] {
-            for i in 0..m.rows() {
-                for x in m.row(i) {
-                    fold(&mut h, x.to_f64().to_bits());
-                }
-            }
-        }
-        h
-    }
-
-    /// The registered, unreleased prefix whose token hash equals `hash`,
-    /// if any (first match in registration order).
-    pub fn find_prefix(&self, hash: u64) -> Option<usize> {
-        self.prefixes
-            .iter()
-            .position(|p| p.as_ref().is_some_and(|p| p.token_hash == hash))
-    }
-
     /// Registers a shared prompt prefix: the prefix is prefilled **once**
     /// through the normal chunked-admission machinery (checked passes,
     /// checksum folds, demotion/eviction maintenance — so the cached
@@ -2519,7 +2486,6 @@ impl<T: Scalar> DecodeBatch<T> {
             v: v.clone(),
             predicted: adm.predicted,
             actual: adm.actual,
-            token_hash: Self::prefix_token_hash(k, v),
             readers: 0,
         }));
         self.prefixes.len() - 1
@@ -4329,7 +4295,7 @@ mod tests {
     }
 
     #[test]
-    fn prefix_registry_finds_by_token_hash_and_releases() {
+    fn prefix_registry_lists_and_releases() {
         let topo = GqaConfig::new(2, 1, AttentionConfig::new(4)).topology();
         let (qd, kd) = (topo.q_dim(), topo.kv_dim());
         let mut e = DecodeBatch::<f64>::new(topo, 4);
@@ -4337,14 +4303,8 @@ mod tests {
         let (q1, k1, v1) = (rand(4, qd, 21), rand(4, kd, 22), rand(4, kd, 23));
         let id0 = e.register_prefix(&q0, &k0, &v0);
         let id1 = e.register_prefix(&q1, &k1, &v1);
-        let h0 = DecodeBatch::<f64>::prefix_token_hash(&k0, &v0);
-        let h1 = DecodeBatch::<f64>::prefix_token_hash(&k1, &v1);
-        assert_ne!(h0, h1);
-        assert_eq!(e.find_prefix(h0), Some(id0));
-        assert_eq!(e.find_prefix(h1), Some(id1));
         assert_eq!(e.prefix_ids(), vec![id0, id1]);
         e.release_prefix(id0);
-        assert_eq!(e.find_prefix(h0), None);
         assert_eq!(e.prefix_ids(), vec![id1]);
         assert_eq!(
             e.cache().live_unique_blocks(),

@@ -236,9 +236,9 @@ impl RequestRecord {
         self.token_gaps_steps().into_iter().max().unwrap_or(0)
     }
 
-    /// Whether the request finished inside the SLO: admitted-to-first
-    /// token within `ttft_steps` and every inter-token gap within
-    /// `per_token_steps`.
+    /// Whether the request finished inside the SLO: arrival-to-first
+    /// token within `ttft_steps` (as [`ttft_steps`](Self::ttft_steps)
+    /// measures it) and every inter-token gap within `per_token_steps`.
     pub fn meets_slo(&self, slo: &SloSpec) -> bool {
         self.phase == Phase::Finished
             && self.ttft_steps().is_some_and(|t| t <= slo.ttft_steps)
@@ -360,16 +360,15 @@ pub struct StepReport {
     pub spec_rejected: usize,
 }
 
-/// A request currently owning an engine slot.
+/// A request currently owning an engine slot. The frontend keeps token
+/// identities, not K/V rows: the accepted history is prefix ‖ prompt ‖
+/// `decoded` tokens, every row a pure function of the request's seeds,
+/// and a requeue regenerates it ([`history_kv`](Scheduler::history_kv)).
 struct Active {
     /// Index into `records`.
     rec: usize,
     /// Engine sequence id (changes if a prefilling victim restarts).
     seq: usize,
-    /// Frontend copy of every accepted K row — the resubmission source.
-    hist_k: Vec<f64>,
-    /// Frontend copy of every accepted V row.
-    hist_v: Vec<f64>,
     /// Accepted decode tokens so far (also the next token index).
     decoded: usize,
     /// Soft-tier demotion already applied at the current length.
@@ -514,37 +513,61 @@ impl Scheduler {
 
     /// Admits request `rec` into the engine. Unshared prompts enqueue
     /// whole. Prefixed prompts register their `(prefix_seed, tokens)`
-    /// pair once — the registration prefills the prefix synchronously,
-    /// a one-time O(L) cost charged outside the step budget — and then
-    /// enqueue only the suffix behind the shared blocks, so `k` readers
-    /// cost O(L + k·suffix) prefill work and arena blocks. Returns the
-    /// engine sequence, the full accepted-row history (prefix ‖ suffix,
-    /// the resubmission source), and the prefix tokens a first-time
+    /// pair once — the registration generates and prefills the prefix
+    /// synchronously, a one-time O(L) cost charged outside the step
+    /// budget — and then enqueue only the suffix behind the shared
+    /// blocks, so `k` readers cost O(L + k·suffix) prefill work and
+    /// arena blocks; a registry hit generates no prefix rows at all.
+    /// Returns the engine sequence and the prefix tokens a first-time
     /// registration prefilled (0 on a registry hit).
-    fn admit_engine(&mut self, rec: usize) -> (usize, Vec<f64>, Vec<f64>, usize) {
+    fn admit_engine(&mut self, rec: usize) -> (usize, usize) {
         let r = &self.records[rec];
         let (q, k, v) = self.seeded_rows(r.prompt_tokens, r.seed, 1, true);
         let Some(pseed) = r.prefix_seed else {
-            let seq = self.engine.enqueue(&q, &k, &v);
-            return (seq, k.as_slice().to_vec(), v.as_slice().to_vec(), 0);
+            return (self.engine.enqueue(&q, &k, &v), 0);
         };
         let rows = r.prefix_tokens;
-        // A registry hit only needs the prefix K/V for the history.
-        let hit = self.prefix_ids.get(&(pseed, rows)).copied();
-        let (pq, pk, pv) = self.seeded_rows(rows, pseed, 1, hit.is_none());
-        let mut registered = 0;
-        let id = hit.unwrap_or_else(|| {
-            let id = self.engine.register_prefix(&pq, &pk, &pv);
-            self.prefix_ids.insert((pseed, rows), id);
-            registered = rows;
-            id
-        });
-        let seq = self.engine.enqueue_shared(id, &q, &k, &v);
-        let mut hist_k = pk.as_slice().to_vec();
-        hist_k.extend_from_slice(k.as_slice());
-        let mut hist_v = pv.as_slice().to_vec();
-        hist_v.extend_from_slice(v.as_slice());
-        (seq, hist_k, hist_v, registered)
+        let (id, registered) = match self.prefix_ids.get(&(pseed, rows)) {
+            Some(&id) => (id, 0),
+            None => {
+                let (pq, pk, pv) = self.seeded_rows(rows, pseed, 1, true);
+                let id = self.engine.register_prefix(&pq, &pk, &pv);
+                self.prefix_ids.insert((pseed, rows), id);
+                (id, rows)
+            }
+        };
+        (self.engine.enqueue_shared(id, &q, &k, &v), registered)
+    }
+
+    /// Rows in `active[i]`'s accepted history: prefix ‖ prompt ‖
+    /// delivered tokens.
+    fn history_rows(&self, i: usize) -> usize {
+        let a = &self.active[i];
+        let r = &self.records[a.rec];
+        r.prefix_tokens + r.prompt_tokens + a.decoded
+    }
+
+    /// Regenerates `active[i]`'s accepted K/V history — the resubmission
+    /// source — segment by segment under the lane rule of
+    /// [`seeded_rows`](Self::seeded_rows): the exact rows admission and
+    /// decode fed the engine.
+    fn history_kv(&self, i: usize) -> (Matrix<f64>, Matrix<f64>) {
+        let a = &self.active[i];
+        let r = &self.records[a.rec];
+        let (kd, rows) = (self.engine.config().kv_dim(), self.history_rows(i));
+        let (mut k, mut v) = (Vec::with_capacity(rows * kd), Vec::with_capacity(rows * kd));
+        let segments = r
+            .prefix_seed
+            .map(|s| (r.prefix_tokens, s, 1))
+            .into_iter()
+            .chain([(r.prompt_tokens, r.seed, 1)])
+            .chain((0..a.decoded).map(|t| (1, r.seed, 4 + 3 * t as u64)));
+        for (n, seed, lane) in segments {
+            let (_, sk, sv) = self.seeded_rows(n, seed, lane, false);
+            k.extend_from_slice(sk.as_slice());
+            v.extend_from_slice(sv.as_slice());
+        }
+        (Matrix::from_vec(rows, kd, k), Matrix::from_vec(rows, kd, v))
     }
 
     /// Prompt tokens this queued request would pay for *new* cache
@@ -590,7 +613,7 @@ impl Scheduler {
         let outs = self.engine.step_decode(&seq_ids, &qs, &ks, &vs);
 
         let mut alarmed: Vec<usize> = Vec::new();
-        for (j, (&i, out)) in chosen.iter().zip(&outs).enumerate() {
+        for (&i, out) in chosen.iter().zip(&outs) {
             let res = out.residual().abs();
             if res.is_nan() || res > self.cfg.tol {
                 report.online_alarms += 1;
@@ -599,25 +622,17 @@ impl Scheduler {
             }
             let tenant = self.records[self.active[i].rec].tenant;
             self.decoded_tokens[tenant] += 1;
-            self.deliver(i, out, ks.row(j), vs.row(j), report);
+            self.deliver(i, out, report);
         }
         self.requeue_alarmed(alarmed, report);
     }
 
-    /// Delivers one accepted token of `active[i]`: its K/V rows join the
-    /// accepted-row history (the resubmission source) and the request
-    /// record stamps the token's step and output hash.
-    fn deliver(
-        &mut self,
-        i: usize,
-        out: &DecodeStepOutput,
-        krow: &[f64],
-        vrow: &[f64],
-        report: &mut StepReport,
-    ) {
+    /// Delivers one accepted token of `active[i]`: the token joins the
+    /// accepted history (its index is all a requeue needs to regenerate
+    /// its rows) and the request record stamps the token's step and
+    /// output hash.
+    fn deliver(&mut self, i: usize, out: &DecodeStepOutput, report: &mut StepReport) {
         let a = &mut self.active[i];
-        a.hist_k.extend_from_slice(krow);
-        a.hist_v.extend_from_slice(vrow);
         a.decoded += 1;
         a.demoted = false;
         let r = &mut self.records[a.rec];
@@ -738,11 +753,10 @@ impl Scheduler {
             report.speculated_tokens += gamma;
             report.spec_accepted += accepted[j];
             report.spec_rejected += gamma - accepted[j];
-            // An accepted position is a bitwise-true proposal, so its
-            // window row is the stream row the history needs.
-            for (t, out) in outs[j].iter().take(accepted[j]).enumerate() {
-                let row = j * gamma + t;
-                self.deliver(i, out, ks.row(row), vs.row(row), report);
+            // An accepted position is a bitwise-true proposal, so the
+            // history's token index covers its row.
+            for out in outs[j].iter().take(accepted[j]) {
+                self.deliver(i, out, report);
             }
         }
         // The window is already closed (rolled back), so alarmed victims
@@ -833,7 +847,7 @@ impl Scheduler {
                 break;
             }
             self.queue.remove(qi);
-            let (seq, hist_k, hist_v, registered) = self.admit_engine(rec);
+            let (seq, registered) = self.admit_engine(rec);
             report.prefill_tokens += registered;
             let r = &mut self.records[rec];
             r.admitted_step = Some(self.now);
@@ -842,8 +856,6 @@ impl Scheduler {
             self.active.push(Active {
                 rec,
                 seq,
-                hist_k,
-                hist_v,
                 decoded: 0,
                 demoted: false,
             });
@@ -1010,7 +1022,8 @@ impl Scheduler {
     /// A `Prefilling` victim restarts the scored admission from scratch
     /// (its prompt outputs were never delivered); anyone else is
     /// quarantined and — unless the recovery log already requeued the
-    /// full history — resubmitted from the frontend's accepted-row copy.
+    /// full history — resubmitted with its history regenerated from the
+    /// request's seeds ([`history_kv`](Self::history_kv)).
     fn requeue(&mut self, i: usize, cause: RequeueCause, report: &mut StepReport) {
         let rec = self.active[i].rec;
         let seq = self.active[i].seq;
@@ -1018,22 +1031,18 @@ impl Scheduler {
             self.engine.retire(seq);
             // A prefixed victim re-admits behind the still-registered
             // shared prefix (a registry hit: no prefix re-prefill).
-            let (new_seq, hist_k, hist_v, registered) = self.admit_engine(rec);
+            let (new_seq, registered) = self.admit_engine(rec);
             report.prefill_tokens += registered;
             let a = &mut self.active[i];
             a.seq = new_seq;
-            a.hist_k = hist_k;
-            a.hist_v = hist_v;
             a.decoded = 0;
             a.demoted = false;
         } else {
             let q = self.engine.quarantine(seq);
-            let kd = self.engine.config().kv_dim();
-            let rows = self.active[i].hist_k.len() / kd;
-            if q.requeued_rows != rows {
+            if q.requeued_rows != self.history_rows(i) {
                 // The recovery log replays every *cached* row, which can
                 // include the K/V row of a token the frontend discarded
-                // at the online alarm — rebuild from the accepted-row
+                // at the online alarm — rebuild from the accepted
                 // history instead so the re-decode sees a clean prefix.
                 let seq = if q.requeued_rows > 0 {
                     self.engine.retire(seq);
@@ -1042,8 +1051,7 @@ impl Scheduler {
                     seq
                 };
                 self.active[i].seq = seq;
-                let k = Matrix::from_vec(rows, kd, self.active[i].hist_k.clone());
-                let v = Matrix::from_vec(rows, kd, self.active[i].hist_v.clone());
+                let (k, v) = self.history_kv(i);
                 if self.engine.resubmit(seq, &k, &v).is_err() {
                     // Lost a race with the slot: drop the request rather
                     // than wedge the batch.
@@ -1083,7 +1091,6 @@ impl Scheduler {
     /// newest request breaking ties. `fresh_only` skips requests
     /// already demoted at their current length.
     fn pick_victim(&self, fresh_only: bool) -> Option<usize> {
-        let kd = self.engine.config().kv_dim();
         (0..self.active.len())
             .filter(|&i| {
                 let a = &self.active[i];
@@ -1095,7 +1102,7 @@ impl Scheduler {
                 let a = &self.active[i];
                 (
                     self.records[a.rec].priority,
-                    a.hist_k.len() / kd,
+                    self.history_rows(i),
                     core::cmp::Reverse(a.rec),
                 )
             })
@@ -1387,11 +1394,11 @@ mod tests {
         )
     }
 
-    fn run(cfg: ServeConfig, load_seed: u64, steps: usize) -> Scheduler {
+    fn run(cfg: ServeConfig, spec: LoadSpec, load_seed: u64, steps: usize) -> Scheduler {
         let mut e = engine();
         e.set_prefill_chunk(4);
         let mut sched = Scheduler::new(e, cfg);
-        let mut gen = LoadGen::new(LoadSpec::default(), load_seed);
+        let mut gen = LoadGen::new(spec, load_seed);
         for _ in 0..steps {
             let arrivals = gen.step();
             sched.step(&arrivals);
@@ -1434,7 +1441,7 @@ mod tests {
 
     #[test]
     fn clean_run_finishes_requests_within_invariants() {
-        let sched = run(ServeConfig::default(), 11, 60);
+        let sched = run(ServeConfig::default(), LoadSpec::default(), 11, 60);
         let finished = sched
             .records()
             .iter()
@@ -1456,8 +1463,8 @@ mod tests {
 
     #[test]
     fn identical_schedulers_replay_identically() {
-        let a = run(ServeConfig::default(), 23, 50);
-        let b = run(ServeConfig::default(), 23, 50);
+        let a = run(ServeConfig::default(), LoadSpec::default(), 23, 50);
+        let b = run(ServeConfig::default(), LoadSpec::default(), 23, 50);
         assert_eq!(a.records().len(), b.records().len());
         for (x, y) in a.records().iter().zip(b.records().iter()) {
             assert_eq!(x.phase, y.phase);
@@ -1598,8 +1605,8 @@ mod tests {
             max_kv_bytes: Some(6 * 2 * 4 * 16 * 8),
             ..base
         };
-        let free = run(base, 41, 50);
-        let tight = run(pressured, 41, 50);
+        let free = run(base, LoadSpec::default(), 41, 50);
+        let tight = run(pressured, LoadSpec::default(), 41, 50);
         let total_dem: usize = tight.records().iter().map(|r| r.demotions as usize).sum();
         let total_pre: usize = tight.records().iter().map(|r| r.preemptions as usize).sum();
         assert!(total_dem > 0, "pressure must trigger soft-tier demotions");
@@ -1631,6 +1638,56 @@ mod tests {
     }
 
     #[test]
+    fn preempted_prefixed_requests_rebuild_from_seeds() {
+        // With the recovery log off every preemption resubmits a history
+        // the frontend regenerates from the request's seeds — prefix ‖
+        // suffix ‖ decoded for a prefixed request. The soft tier keeps
+        // every block native (the burst covers all of them), so every
+        // request finishing under pressure matches its unpressured twin.
+        let spec = LoadSpec {
+            tenants: 2,
+            prefix_tokens: 8,
+            prefix_share_prob: 0.7,
+            ..LoadSpec::default()
+        };
+        let base = ServeConfig {
+            token_budget: 12,
+            prefill_budget: 6,
+            recovery_log: false,
+            demote_burst_blocks: 1 << 20,
+            ..ServeConfig::default()
+        };
+        let pressured = ServeConfig {
+            max_kv_bytes: Some(6 * 2 * 4 * 16 * 8),
+            ..base
+        };
+        let free = run(base, spec, 41, 50);
+        let tight = run(pressured, spec, 41, 50);
+        assert_eq!(free.records().len(), tight.records().len());
+        let (mut compared, mut rebuilt_prefixed) = (0, 0);
+        for (f, t) in free.records().iter().zip(tight.records()) {
+            assert_eq!(t.demotions, 0, "the soft tier demotes nothing");
+            if f.phase == Phase::Finished && t.phase == Phase::Finished {
+                assert_eq!(
+                    f.token_hashes, t.token_hashes,
+                    "a regenerated history must rebuild the same cache"
+                );
+                compared += 1;
+                if t.prefix_seed.is_some() && t.preemptions > 0 {
+                    rebuilt_prefixed += 1;
+                }
+            }
+        }
+        let preemptions: u32 = tight.records().iter().map(|r| r.preemptions).sum();
+        assert!(preemptions > 0, "pressure must evict");
+        assert!(compared > 0);
+        assert!(
+            rebuilt_prefixed > 0,
+            "some preempted prefixed request must finish"
+        );
+    }
+
+    #[test]
     fn online_alarm_discards_the_token_and_recovers_bit_identically() {
         let cfg = ServeConfig {
             token_budget: 8,
@@ -1643,57 +1700,63 @@ mod tests {
             e.set_prefill_chunk(4);
             Scheduler::new(e, cfg)
         };
-        let (mut subject, mut golden) = (mk(), mk());
-        let req = Request {
-            tenant: 0,
-            priority: Priority::Interactive,
-            prompt_tokens: 8,
-            output_tokens: 12,
-            seed: 999,
-            prefix_seed: None,
-            prefix_tokens: 0,
-        };
-        subject.step(core::slice::from_ref(&req));
-        golden.step(core::slice::from_ref(&req));
-        // Admit fully and decode a few tokens.
-        for _ in 0..6 {
-            subject.step(&[]);
-            golden.step(&[]);
-        }
-        let targets = subject.active_decoding();
-        assert_eq!(targets.len(), 1);
-        let (_, seq) = targets[0];
-        // A value-side flip makes the next decode residual alarm.
-        subject
-            .engine_mut()
-            .flip_storage_bit(seq, 1, 0, 2, false, 62);
-        let mut alarms = 0;
-        for _ in 0..200 {
-            let rep = subject.step(&[]);
-            golden.step(&[]);
-            alarms += rep.online_alarms;
-            if subject.records()[0].phase == Phase::Finished {
-                break;
+        // Unshared, then behind an 8-token shared prefix with the flip
+        // at a private suffix position. The log replays the discarded
+        // token's row, so the requeue regenerates the whole history —
+        // prefix ‖ suffix ‖ decoded — from the request's seeds.
+        for (prefix_seed, prefix_tokens, flip_pos) in [(None, 0, 1), (Some(77), 8, 9)] {
+            let (mut subject, mut golden) = (mk(), mk());
+            let req = Request {
+                tenant: 0,
+                priority: Priority::Interactive,
+                prompt_tokens: 8,
+                output_tokens: 12,
+                seed: 999,
+                prefix_seed,
+                prefix_tokens,
+            };
+            subject.step(core::slice::from_ref(&req));
+            golden.step(core::slice::from_ref(&req));
+            // Admit fully and decode a few tokens.
+            for _ in 0..6 {
+                subject.step(&[]);
+                golden.step(&[]);
             }
-        }
-        for _ in 0..200 {
-            if golden.records()[0].phase == Phase::Finished {
-                break;
+            let targets = subject.active_decoding();
+            assert_eq!(targets.len(), 1);
+            let (_, seq) = targets[0];
+            // A value-side flip makes the next decode residual alarm.
+            subject
+                .engine_mut()
+                .flip_storage_bit(seq, flip_pos, 0, 2, false, 62);
+            let mut alarms = 0;
+            for _ in 0..200 {
+                let rep = subject.step(&[]);
+                golden.step(&[]);
+                alarms += rep.online_alarms;
+                if subject.records()[0].phase == Phase::Finished {
+                    break;
+                }
             }
-            golden.step(&[]);
+            for _ in 0..200 {
+                if golden.records()[0].phase == Phase::Finished {
+                    break;
+                }
+                golden.step(&[]);
+            }
+            assert!(alarms > 0, "the corrupted value must alarm online");
+            let (s, g) = (&subject.records()[0], &golden.records()[0]);
+            assert_eq!(s.phase, Phase::Finished);
+            assert_eq!(g.phase, Phase::Finished);
+            assert!(
+                s.quarantines > 0,
+                "the alarm must trigger evict-and-requeue"
+            );
+            assert_eq!(
+                s.token_hashes, g.token_hashes,
+                "recovery must replay every token bit-identically"
+            );
         }
-        assert!(alarms > 0, "the corrupted value must alarm online");
-        let (s, g) = (&subject.records()[0], &golden.records()[0]);
-        assert_eq!(s.phase, Phase::Finished);
-        assert_eq!(g.phase, Phase::Finished);
-        assert!(
-            s.quarantines > 0,
-            "the alarm must trigger evict-and-requeue"
-        );
-        assert_eq!(
-            s.token_hashes, g.token_hashes,
-            "recovery must replay every token bit-identically"
-        );
     }
 
     #[test]
@@ -1937,13 +2000,14 @@ mod tests {
     fn speculation_gamma_zero_and_one_are_bit_identical() {
         // γ ∈ {0, 1} must leave the pre-speculation scheduler untouched:
         // same phases, same token bits, same step timing.
-        let base = run(ServeConfig::default(), 41, 50);
+        let base = run(ServeConfig::default(), LoadSpec::default(), 41, 50);
         let g1 = run(
             ServeConfig {
                 speculation_gamma: 1,
                 draft_acceptance: 0.7,
                 ..ServeConfig::default()
             },
+            LoadSpec::default(),
             41,
             50,
         );
@@ -1960,13 +2024,14 @@ mod tests {
         // Accepted speculative tokens are the *same* stream rows the
         // sequential scheduler decodes, so every request that finishes
         // under both configs carries bitwise-identical token hashes.
-        let seq = run(ServeConfig::default(), 53, 60);
+        let seq = run(ServeConfig::default(), LoadSpec::default(), 53, 60);
         let spec = run(
             ServeConfig {
                 speculation_gamma: 4,
                 draft_acceptance: 0.9,
                 ..ServeConfig::default()
             },
+            LoadSpec::default(),
             53,
             60,
         );
@@ -2040,7 +2105,7 @@ mod tests {
             prefill_budget: 4,
             ..ServeConfig::default()
         };
-        let sched = run(cfg, 67, 80);
+        let sched = run(cfg, LoadSpec::default(), 67, 80);
         let per_tenant: Vec<usize> = (0..LoadSpec::default().tenants)
             .map(|t| {
                 sched

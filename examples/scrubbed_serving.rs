@@ -61,15 +61,15 @@ fn main() {
     }
     // The frontend's copy of every admitted K/V row — what a real stack
     // would rebuild from the token history on resubmission.
-    let mut hist_k: Vec<Vec<f64>> = vec![Vec::new(); ids.len()];
-    let mut hist_v: Vec<Vec<f64>> = vec![Vec::new(); ids.len()];
+    let mut kept_k: Vec<Vec<f64>> = vec![Vec::new(); ids.len()];
+    let mut kept_v: Vec<Vec<f64>> = vec![Vec::new(); ids.len()];
     for (i, &id) in ids.iter().enumerate() {
         let k = rand(20, topo.kv_dim(), 10 + i as u64);
         let v = rand(20, topo.kv_dim(), 50 + i as u64);
         engine.prefill(id, &k, &v);
         golden.prefill(id, &k, &v);
-        hist_k[i].extend_from_slice(k.as_slice());
-        hist_v[i].extend_from_slice(v.as_slice());
+        kept_k[i].extend_from_slice(k.as_slice());
+        kept_v[i].extend_from_slice(v.as_slice());
     }
     println!(
         "serving {} sequences (4:2 GQA, d=16), 20 prompt tokens each; \
@@ -84,8 +84,8 @@ fn main() {
     let mut step = 0u64;
     let mut serve = |engine: &mut DecodeBatch<f64>,
                      golden: &mut DecodeBatch<f64>,
-                     hist_k: &mut Vec<Vec<f64>>,
-                     hist_v: &mut Vec<Vec<f64>>,
+                     kept_k: &mut Vec<Vec<f64>>,
+                     kept_v: &mut Vec<Vec<f64>>,
                      active: &[usize]|
      -> (
         bool,
@@ -100,8 +100,8 @@ fn main() {
         let a = engine.step_decode(&sub, &qs, &ks, &vs);
         let b = golden.step_decode(&sub, &qs, &ks, &vs);
         for (j, &i) in active.iter().enumerate() {
-            hist_k[i].extend_from_slice(ks.row(j));
-            hist_v[i].extend_from_slice(vs.row(j));
+            kept_k[i].extend_from_slice(ks.row(j));
+            kept_v[i].extend_from_slice(vs.row(j));
         }
         let diverged = a.iter().zip(&b).any(|(x, y)| {
             x.output
@@ -117,7 +117,7 @@ fn main() {
     // Warm-up: healthy lockstep, scrub finds nothing.
     for _ in 0..3 {
         let (diverged, r, findings) =
-            serve(&mut engine, &mut golden, &mut hist_k, &mut hist_v, &all);
+            serve(&mut engine, &mut golden, &mut kept_k, &mut kept_v, &all);
         assert!(!diverged && r < TOL && findings.is_empty());
     }
     println!("warm-up: 3 clean steps, outputs bit-identical, scrub quiet\n");
@@ -134,7 +134,7 @@ fn main() {
     let mut caught = None;
     for s in 1..=bound {
         let (diverged, r, findings) =
-            serve(&mut engine, &mut golden, &mut hist_k, &mut hist_v, &all);
+            serve(&mut engine, &mut golden, &mut kept_k, &mut kept_v, &all);
         assert!(
             r < TOL,
             "key flips never alarm online (coherent corruption)"
@@ -160,7 +160,7 @@ fn main() {
     assert_eq!(report.blocks_unrecoverable, 0);
     for _ in 0..4 {
         let (diverged, r, findings) =
-            serve(&mut engine, &mut golden, &mut hist_k, &mut hist_v, &all);
+            serve(&mut engine, &mut golden, &mut kept_k, &mut kept_v, &all);
         assert!(!diverged && r < TOL && findings.is_empty());
     }
     println!("  resumed 4 steps bit-identical to the golden twin\n");
@@ -200,7 +200,7 @@ fn main() {
     let mut findings = Vec::new();
     // Live blocks grow while we wait, so allow two full cursor cycles.
     for _ in 0..2 * engine.live_blocks() {
-        let (_, _, f) = serve(&mut engine, &mut golden, &mut hist_k, &mut hist_v, &all);
+        let (_, _, f) = serve(&mut engine, &mut golden, &mut kept_k, &mut kept_v, &all);
         if !f.is_empty() {
             findings = f;
             break;
@@ -221,11 +221,11 @@ fn main() {
         "  quarantined: {} blocks freed, {} log rows dropped; frontend resubmits {} tokens",
         q.blocks_freed,
         q.log_rows_dropped,
-        hist_k[2].len() / topo.kv_dim()
+        kept_k[2].len() / topo.kv_dim()
     );
-    let rows = hist_k[2].len() / topo.kv_dim();
-    let k = Matrix::from_vec(rows, topo.kv_dim(), hist_k[2].clone());
-    let v = Matrix::from_vec(rows, topo.kv_dim(), hist_v[2].clone());
+    let rows = kept_k[2].len() / topo.kv_dim();
+    let k = Matrix::from_vec(rows, topo.kv_dim(), kept_k[2].clone());
+    let v = Matrix::from_vec(rows, topo.kv_dim(), kept_v[2].clone());
     engine
         .resubmit(victim, &k, &v)
         .expect("a quarantined sequence accepts its history");
@@ -236,7 +236,7 @@ fn main() {
     let mut waited = 0;
     while engine.is_pending(victim) {
         engine.prefill_step_for(&[victim]);
-        let (diverged, r, _) = serve(&mut engine, &mut golden, &mut hist_k, &mut hist_v, &[0, 1]);
+        let (diverged, r, _) = serve(&mut engine, &mut golden, &mut kept_k, &mut kept_v, &[0, 1]);
         assert!(!diverged && r < TOL, "peers bit-identical during requeue");
         waited += 1;
         assert!(waited < 100, "re-admission must terminate");
@@ -249,7 +249,7 @@ fn main() {
     );
     for _ in 0..4 {
         let (diverged, r, findings) =
-            serve(&mut engine, &mut golden, &mut hist_k, &mut hist_v, &all);
+            serve(&mut engine, &mut golden, &mut kept_k, &mut kept_v, &all);
         assert!(!diverged && r < TOL && findings.is_empty());
     }
     println!("  resumed 4 full-batch steps bit-identical to the golden twin");
