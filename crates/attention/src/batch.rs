@@ -8,7 +8,8 @@
 //! together:
 //!
 //! * [`KvCache`] — a paged, block-allocated cache: fixed-size blocks
-//!   carved from one shared arena, appended per sequence (the
+//!   carved from two shared arenas (one per storage format, native and
+//!   BF16; see `batch/arena.rs`), appended per sequence (the
 //!   vLLM/paged-attention layout), stored **head-major**: each head's
 //!   rows form a contiguous `block_rows × head_dim` panel inside the
 //!   block, so a (sequence, head) pass reads one pure contiguous K stream
@@ -68,6 +69,7 @@
 //! and admit/retire schedule (property-tested).
 
 use crate::topology::HeadTopology;
+use arena::Arena;
 use fa_numerics::{KahanSum, BF16};
 use fa_tensor::{Matrix, Scalar};
 use pass::{HeadState, SharedScratch};
@@ -283,11 +285,12 @@ impl std::error::Error for ResubmitError {}
 /// inputs within 2⁻²⁵ of a BF16 tie this double rounding can differ from
 /// a single direct f64→BF16 RNE, exactly as documented on the helper).
 /// Every path that narrows a cached element — direct BF16 appends under
-/// [`KvFormat::Bf16`] and in-place block demotion under
-/// [`KvFormat::Mixed`] — goes through this one function, so the two
-/// paths can never disagree on rounding again (one previously rounded
-/// RNE while the other truncated mantissa bits; the regression tests pin
-/// tie cases that distinguish the two).
+/// [`KvFormat::Bf16`], in-place block demotion under [`KvFormat::Mixed`]
+/// and recovery into a BF16 block — rounds through the BF16 arena's
+/// `Scalar::from_f64`, which is exactly this function, so the paths can
+/// never disagree on rounding again (appends and demotion once did: one
+/// rounded RNE while the other truncated mantissa bits; the regression
+/// tests pin tie cases that distinguish the two).
 #[inline]
 pub fn round_bf16<T: Scalar>(x: T) -> BF16 {
     BF16::from_f64(x.to_f64())
@@ -393,9 +396,12 @@ pub struct HeadBlock<'a, T> {
 }
 
 /// A paged key/value cache: rows of `num_heads · head_dim` elements stored
-/// in fixed-size blocks carved out of one shared arena, with an
-/// append-only block list per live sequence and a free list recycling the
-/// blocks of retired sequences.
+/// in fixed-size blocks, with an append-only block list per live sequence.
+/// Blocks come from two arenas of the same block geometry, one per
+/// storage format: native `T` and BF16 (demoted or direct-BF16 blocks). A
+/// [`BlockRef`] names the arena and the block within it; each arena holds
+/// its blocks' storage, per-block reference counts and a free list
+/// recycling the blocks of retired sequences.
 ///
 /// The cache's heads are **kv heads**: under a grouped topology
 /// ([`HeadTopology`]) the engine constructs the cache with `kv_heads`
@@ -403,7 +409,7 @@ pub struct HeadBlock<'a, T> {
 /// the per-sequence arena bound is proportional to `kv_heads` (not
 /// `query_heads`) — query-head grouping lives entirely above the cache.
 ///
-/// Blocks from different sequences interleave in the arena (whichever
+/// Blocks from different sequences interleave in an arena (whichever
 /// sequence appends next claims the next block), so memory grows with
 /// *live* tokens, not `sequences × longest` — and, with retirement, not
 /// with total traffic history either.
@@ -434,31 +440,11 @@ pub struct KvCache<T> {
     block_rows: usize,
     format: KvFormat,
     eviction: EvictionPolicy,
-    k_arena: Vec<T>,
-    v_arena: Vec<T>,
-    /// BF16 side arenas holding demoted (or direct-appended BF16) blocks;
-    /// same block geometry as the native arenas.
-    k_arena16: Vec<BF16>,
-    v_arena16: Vec<BF16>,
-    /// Per-(block, head, row) `sumrow(V)` lanes, index-parallel to the
-    /// native arena: `block_rows` entries per (block, head), head-major.
-    sumrows: Vec<f64>,
-    /// The BF16 arena's lanes (same geometry).
-    sumrows16: Vec<f64>,
+    /// Blocks in the native element format.
+    native: Arena<T>,
+    /// Demoted (or direct-appended BF16) blocks.
+    bf16: Arena<BF16>,
     seqs: Vec<SeqBlocks>,
-    /// Native-arena blocks owned by no live sequence, ready for reuse
-    /// (LIFO).
-    free_blocks: Vec<usize>,
-    /// BF16-arena blocks ready for reuse.
-    free_blocks16: Vec<usize>,
-    /// Per-block reference counts for the native arena, index-parallel
-    /// to its blocks. A block is owned by every live sequence listing it
-    /// plus (for registered shared prefixes) the prefix registry; it
-    /// returns to the free list only when the count reaches zero.
-    /// Free-listed blocks sit at zero; unshared blocks at one.
-    ref_counts: Vec<u32>,
-    /// Per-block reference counts for the BF16 arena.
-    ref_counts16: Vec<u32>,
     /// Sequence slots whose owner retired, ready for reuse.
     free_seqs: Vec<usize>,
     /// Total block claims served from either free list (observability).
@@ -466,16 +452,29 @@ pub struct KvCache<T> {
     /// Shared blocks copied before a divergent write (copy-on-write
     /// appends into a shared tail block; observability).
     cow_copies: usize,
-    /// While a speculative window is open, blocks whose last reference
-    /// dropped are parked here instead of the free lists, so their
-    /// stored lanes survive for an exact rollback (a freed block on the
-    /// free list could be re-claimed and overwritten mid-window). The
-    /// window's resolve flushes still-unowned entries back to the free
-    /// lists.
-    deferred_frees: Vec<BlockRef>,
-    /// Whether frees are currently deferred (a speculative window is
-    /// open).
-    defer_frees: bool,
+}
+
+/// Evaluates `$body` with `$a` bound to the arena the `$bf16` flag of a
+/// [`BlockRef`] selects — the one dispatch between the two formats.
+macro_rules! with_arena {
+    (&mut $cache:expr, $bf16:expr, |$a:ident| $body:expr) => {
+        if $bf16 {
+            let $a = &mut $cache.bf16;
+            $body
+        } else {
+            let $a = &mut $cache.native;
+            $body
+        }
+    };
+    (&$cache:expr, $bf16:expr, |$a:ident| $body:expr) => {
+        if $bf16 {
+            let $a = &$cache.bf16;
+            $body
+        } else {
+            let $a = &$cache.native;
+            $body
+        }
+    };
 }
 
 #[derive(Clone, Debug)]
@@ -548,22 +547,12 @@ impl<T: Scalar> KvCache<T> {
             block_rows,
             format,
             eviction,
-            k_arena: Vec::new(),
-            v_arena: Vec::new(),
-            k_arena16: Vec::new(),
-            v_arena16: Vec::new(),
-            sumrows: Vec::new(),
-            sumrows16: Vec::new(),
+            native: Arena::new(num_heads, head_dim, block_rows),
+            bf16: Arena::new(num_heads, head_dim, block_rows),
             seqs: Vec::new(),
-            free_blocks: Vec::new(),
-            free_blocks16: Vec::new(),
-            ref_counts: Vec::new(),
-            ref_counts16: Vec::new(),
             free_seqs: Vec::new(),
             recycled_blocks: 0,
             cow_copies: 0,
-            deferred_frees: Vec::new(),
-            defer_frees: false,
         }
     }
 
@@ -623,22 +612,22 @@ impl<T: Scalar> KvCache<T> {
 
     /// Total blocks carved from the **native** arena so far.
     pub fn allocated_blocks(&self) -> usize {
-        self.k_arena.len() / (self.block_rows * self.width)
+        self.native.allocated()
     }
 
     /// Total blocks carved from the **BF16** arena so far.
     pub fn allocated_blocks16(&self) -> usize {
-        self.k_arena16.len() / (self.block_rows * self.width)
+        self.bf16.allocated()
     }
 
     /// Native-arena blocks currently on the free list.
     pub fn free_block_list(&self) -> &[usize] {
-        &self.free_blocks
+        self.native.free_list()
     }
 
     /// BF16-arena blocks currently on the free list.
     pub fn free_block_list16(&self) -> &[usize] {
-        &self.free_blocks16
+        self.bf16.free_list()
     }
 
     /// The arena blocks retained by sequence `seq`, in position order
@@ -680,7 +669,9 @@ impl<T: Scalar> KvCache<T> {
 
     /// Bytes of K/V storage held by owned arena blocks — native blocks
     /// at `size_of::<T>()` per lane, demoted/direct-BF16 blocks at
-    /// `size_of::<BF16>()`, K and V both counted. This is the
+    /// `size_of::<BF16>()`, K and V both counted. The blocks' f64
+    /// `sumrow(V)` checksum lanes (one per row and head) are **not**
+    /// counted. This is the
     /// arena-pressure signal a serving frontend throttles against:
     /// demoting a victim halves its share (native f64 → BF16) without
     /// freeing blocks, and quarantine/retirement drops it to zero.
@@ -688,10 +679,7 @@ impl<T: Scalar> KvCache<T> {
     /// (plus the prefix registry) costs its bytes once, which is the
     /// memory win sharing exists for.
     pub fn live_kv_bytes(&self) -> usize {
-        let block_lanes = self.block_rows * self.width;
-        let native = self.allocated_blocks() - self.free_blocks.len();
-        let bf16 = self.allocated_blocks16() - self.free_blocks16.len();
-        2 * block_lanes * (native * core::mem::size_of::<T>() + bf16 * core::mem::size_of::<BF16>())
+        self.native.live_kv_bytes() + self.bf16.live_kv_bytes()
     }
 
     /// Registers a new (empty) sequence and returns its id, reusing a
@@ -831,29 +819,18 @@ impl<T: Scalar> KvCache<T> {
     /// Blocks are claimed per sequence, so each live sequence may occupy
     /// one partially-filled block; the reservation accounts for that
     /// worst case (one extra block per live sequence) on top of the raw
-    /// row count, minus blocks already waiting on the free list.
+    /// row count, minus blocks already waiting on each arena's free list.
+    /// Every arena the format writes is reserved: native under
+    /// [`KvFormat::F64`], BF16 under [`KvFormat::Bf16`], and both under
+    /// [`KvFormat::Mixed`], which appends native and then demotes — its
+    /// BF16 demand is bounded by the same row count.
     pub fn reserve_rows(&mut self, additional_rows: usize) {
-        // Appends land in the BF16 arena under the direct-BF16 format and
-        // in the native arena otherwise (Mixed appends native, then
-        // migrates — its BF16 demand is bounded by the same row count).
-        let appends_bf16 = self.format.appends_bf16();
-        let free_len = if appends_bf16 {
-            self.free_blocks16.len()
-        } else {
-            self.free_blocks.len()
-        };
-        let blocks = (additional_rows.div_ceil(self.block_rows) + self.live_sequences())
-            .saturating_sub(free_len);
-        let elems = blocks * self.block_rows * self.width;
-        let lanes = blocks * self.block_rows * self.heads;
-        if appends_bf16 {
-            self.k_arena16.reserve(elems);
-            self.v_arena16.reserve(elems);
-            self.sumrows16.reserve(lanes);
-        } else {
-            self.k_arena.reserve(elems);
-            self.v_arena.reserve(elems);
-            self.sumrows.reserve(lanes);
+        let blocks = additional_rows.div_ceil(self.block_rows) + self.live_sequences();
+        if self.format != KvFormat::Bf16 {
+            self.native.reserve(blocks);
+        }
+        if self.format != KvFormat::F64 {
+            self.bf16.reserve(blocks);
         }
     }
 
@@ -875,147 +852,59 @@ impl<T: Scalar> KvCache<T> {
     /// Claims a block in the requested arena — from its free list when
     /// possible, growing the arena otherwise. The claimed block starts
     /// with a reference count of one (sole owner).
-    fn claim_block(&mut self, bf16: bool) -> usize {
-        let block_elems = self.block_rows * self.width;
-        let block_lanes = self.block_rows * self.heads;
-        if bf16 {
-            if let Some(freed) = self.free_blocks16.pop() {
-                self.recycled_blocks += 1;
-                debug_assert_eq!(self.ref_counts16[freed], 0, "free-listed block had owners");
-                self.ref_counts16[freed] = 1;
-                return freed;
-            }
-            let fresh = self.k_arena16.len() / block_elems;
-            self.k_arena16
-                .resize(self.k_arena16.len() + block_elems, BF16::ZERO);
-            self.v_arena16
-                .resize(self.v_arena16.len() + block_elems, BF16::ZERO);
-            self.sumrows16
-                .resize(self.sumrows16.len() + block_lanes, 0.0);
-            self.ref_counts16.push(1);
-            fresh
-        } else {
-            if let Some(freed) = self.free_blocks.pop() {
-                self.recycled_blocks += 1;
-                debug_assert_eq!(self.ref_counts[freed], 0, "free-listed block had owners");
-                self.ref_counts[freed] = 1;
-                return freed;
-            }
-            let fresh = self.k_arena.len() / block_elems;
-            self.k_arena
-                .resize(self.k_arena.len() + block_elems, T::zero());
-            self.v_arena
-                .resize(self.v_arena.len() + block_elems, T::zero());
-            self.sumrows.resize(self.sumrows.len() + block_lanes, 0.0);
-            self.ref_counts.push(1);
-            fresh
-        }
+    fn claim_block(&mut self, bf16: bool) -> BlockRef {
+        let (index, recycled) = with_arena!(&mut self, bf16, |a| a.claim());
+        self.recycled_blocks += usize::from(recycled);
+        BlockRef { index, bf16 }
     }
 
     /// Drops one reference to `blk`, returning it to its arena's free
-    /// list when the last owner lets go. Returns whether the block was
-    /// actually freed (refcount reached zero).
+    /// list when the last owner lets go — or, while a speculative window
+    /// is open, parking it with its lanes intact for an exact rollback
+    /// until the window's resolve flushes it. Returns whether the block
+    /// was actually freed (refcount reached zero).
     ///
     /// # Panics
     ///
     /// Panics if the block has no outstanding references (double free).
     pub(crate) fn release_block(&mut self, blk: BlockRef) -> bool {
-        let rc = if blk.bf16 {
-            &mut self.ref_counts16[blk.index]
-        } else {
-            &mut self.ref_counts[blk.index]
-        };
-        assert!(
-            *rc > 0,
-            "double free of {} block {}",
-            if blk.bf16 { "bf16" } else { "native" },
-            blk.index
-        );
-        *rc -= 1;
-        if *rc > 0 {
-            return false;
-        }
-        if self.defer_frees {
-            // Speculative window open: keep the lanes intact for
-            // rollback. The block is unreachable for claims (absent
-            // from the free lists) until the window's resolve flushes.
-            self.deferred_frees.push(blk);
-        } else if blk.bf16 {
-            self.free_blocks16.push(blk.index);
-        } else {
-            self.free_blocks.push(blk.index);
-        }
-        true
+        with_arena!(&mut self, blk.bf16, |a| a.release(blk.index))
     }
 
     /// Starts deferring frees for an opening speculative window.
     pub(crate) fn begin_deferred_frees(&mut self) {
-        debug_assert!(
-            !self.defer_frees && self.deferred_frees.is_empty(),
-            "speculative windows cannot nest"
-        );
-        self.defer_frees = true;
+        self.native.begin_deferred();
+        self.bf16.begin_deferred();
     }
 
     /// Re-takes a reference on `blk` during speculative rollback —
     /// unlike [`retain_block`](Self::retain_block) the count may be
-    /// zero: a block demoted, evicted or CoW-replaced mid-window sits in
-    /// `deferred_frees` with intact lanes, and restoring the snapshot
-    /// resurrects the owner's reference.
+    /// zero: a block demoted, evicted or CoW-replaced mid-window sits
+    /// parked with intact lanes, and restoring the snapshot resurrects
+    /// the owner's reference.
     pub(crate) fn resurrect_block(&mut self, blk: BlockRef) {
-        let rc = if blk.bf16 {
-            &mut self.ref_counts16[blk.index]
-        } else {
-            &mut self.ref_counts[blk.index]
-        };
-        *rc += 1;
+        with_arena!(&mut self, blk.bf16, |a| a.resurrect(blk.index));
     }
 
-    /// Ends the deferred-frees window: entries whose reference count is
-    /// still zero (not resurrected by a rollback) return to their free
-    /// lists.
+    /// Ends the deferred-frees window: parked blocks whose reference
+    /// count is still zero (not resurrected by a rollback) return to
+    /// their free lists.
     pub(crate) fn flush_deferred_frees(&mut self) {
-        debug_assert!(self.defer_frees, "no deferred-frees window is open");
-        self.defer_frees = false;
-        let deferred = core::mem::take(&mut self.deferred_frees);
-        for blk in deferred {
-            let rc = if blk.bf16 {
-                self.ref_counts16[blk.index]
-            } else {
-                self.ref_counts[blk.index]
-            };
-            if rc > 0 {
-                continue;
-            }
-            if blk.bf16 {
-                self.free_blocks16.push(blk.index);
-            } else {
-                self.free_blocks.push(blk.index);
-            }
-        }
+        self.native.flush_deferred();
+        self.bf16.flush_deferred();
     }
 
     /// Takes one additional reference on `blk` (a live owner is handing
     /// a copy of the handle to another owner).
     pub(crate) fn retain_block(&mut self, blk: BlockRef) {
-        let rc = if blk.bf16 {
-            &mut self.ref_counts16[blk.index]
-        } else {
-            &mut self.ref_counts[blk.index]
-        };
-        assert!(*rc > 0, "retaining a free block");
-        *rc += 1;
+        with_arena!(&mut self, blk.bf16, |a| a.retain(blk.index));
     }
 
     /// Outstanding references on `blk` — zero for free-listed blocks,
     /// one for privately-owned blocks, more when a registered prefix (or
     /// several sequences sharing one) holds it.
     pub fn block_ref_count(&self, blk: BlockRef) -> u32 {
-        if blk.bf16 {
-            self.ref_counts16[blk.index]
-        } else {
-            self.ref_counts[blk.index]
-        }
+        with_arena!(&self, blk.bf16, |a| a.ref_count(blk.index))
     }
 
     /// Shared blocks copied before a divergent write so far (the
@@ -1030,8 +919,7 @@ impl<T: Scalar> KvCache<T> {
     /// block **once**, which is exactly the arena-footprint win the
     /// sharing bench reports.
     pub fn live_unique_blocks(&self) -> usize {
-        self.allocated_blocks() - self.free_blocks.len() + self.allocated_blocks16()
-            - self.free_blocks16.len()
+        self.native.live_blocks() + self.bf16.live_blocks()
     }
 
     /// Demotes sequence `seq`'s full native blocks beyond the newest
@@ -1065,35 +953,23 @@ impl<T: Scalar> KvCache<T> {
     /// Demotes `seq`'s first `demote_until` retained blocks (those not
     /// already BF16) to the BF16 arena, returning the rows demoted.
     fn demote_blocks(&mut self, seq: usize, demote_until: usize) -> usize {
-        let block_elems = self.block_rows * self.width;
         let mut demoted = 0;
         for i in 0..demote_until {
-            if self.seqs[seq].blocks[i].bf16 {
+            let native = self.seqs[seq].blocks[i];
+            if native.bf16 {
                 continue;
             }
-            let native = self.seqs[seq].blocks[i].index;
             let b16 = self.claim_block(true);
-            let (src, dst) = (native * block_elems, b16 * block_elems);
-            for e in 0..block_elems {
-                self.k_arena16[dst + e] = round_bf16(self.k_arena[src + e]);
-                self.v_arena16[dst + e] = round_bf16(self.v_arena[src + e]);
-            }
+            self.bf16.narrow_from(b16.index, &self.native, native.index);
             // Demotion of a *shared* block is copy-on-write by
             // construction: this sequence walks away with a private
             // rounded copy while the native block stays alive for its
             // other readers (freed only when the last one lets go).
-            self.release_block(BlockRef {
-                index: native,
-                bf16: false,
-            });
-            let demoted_ref = BlockRef {
-                index: b16,
-                bf16: true,
-            };
-            self.seqs[seq].blocks[i] = demoted_ref;
+            self.release_block(native);
+            self.seqs[seq].blocks[i] = b16;
             // The stored rows changed format: rebuild the block's
             // reference checksum and lanes from the rounded storage.
-            self.seqs[seq].checks[i] = self.rebuild_block(demoted_ref, self.block_rows);
+            self.seqs[seq].checks[i] = self.bf16.rebuild(b16.index, self.block_rows);
             self.seqs[seq].demoted_rows += self.block_rows;
             demoted += self.block_rows;
         }
@@ -1161,17 +1037,16 @@ impl<T: Scalar> KvCache<T> {
     pub fn append_anchored(&mut self, seq: usize, k: &[T], v: &[T], anchor: usize) {
         assert_eq!(k.len(), self.width, "key row width mismatch");
         assert_eq!(v.len(), self.width, "value row width mismatch");
-        let block_elems = self.block_rows * self.width;
         let state = self.live(seq);
         let local = state.len - state.start;
-        if local == state.blocks.len() * self.block_rows {
+        let (bi, r) = (local / self.block_rows, local % self.block_rows);
+        if bi == state.blocks.len() {
             // Current block full (or first append): claim the next block,
             // recycling a retired block when one is free.
-            let bf16 = self.format.appends_bf16();
-            let block = self.claim_block(bf16);
+            let block = self.claim_block(self.format.appends_bf16());
             let heads = self.heads;
             let state = &mut self.seqs[seq];
-            state.blocks.push(BlockRef { index: block, bf16 });
+            state.blocks.push(block);
             state.checks.push(BlockCheck::zeroed(heads));
             if let KvFormat::Mixed { burst_blocks } = self.format {
                 self.demote_beyond_burst(seq, burst_blocks);
@@ -1183,70 +1058,19 @@ impl<T: Scalar> KvCache<T> {
         // lanes and checksum lanes bitwise — the block's reference
         // checksum stays valid because the bits are identical — and drop
         // one reference on the shared original.
-        {
-            let state = self.live(seq);
-            let bi = (state.len - state.start) / self.block_rows;
-            let target = state.blocks[bi];
-            if self.block_ref_count(target) > 1 {
-                let fresh = self.claim_block(target.bf16);
-                let (src, dst) = (target.index * block_elems, fresh * block_elems);
-                if target.bf16 {
-                    self.k_arena16.copy_within(src..src + block_elems, dst);
-                    self.v_arena16.copy_within(src..src + block_elems, dst);
-                } else {
-                    self.k_arena.copy_within(src..src + block_elems, dst);
-                    self.v_arena.copy_within(src..src + block_elems, dst);
-                }
-                let lanes = self.block_rows * self.heads;
-                let (src, dst) = (target.index * lanes, fresh * lanes);
-                self.sumrow_lanes_mut(target.bf16)
-                    .copy_within(src..src + lanes, dst);
-                self.release_block(target);
-                self.seqs[seq].blocks[bi] = BlockRef {
-                    index: fresh,
-                    bf16: target.bf16,
-                };
-                self.cow_copies += 1;
-            }
+        let target = self.seqs[seq].blocks[bi];
+        if self.block_ref_count(target) > 1 {
+            let fresh = self.claim_block(target.bf16);
+            let (src, dst) = (target.index, fresh.index);
+            with_arena!(&mut self, target.bf16, |a| a.copy_block(src, dst));
+            self.release_block(target);
+            self.seqs[seq].blocks[bi] = fresh;
+            self.cow_copies += 1;
         }
-        let state = &self.seqs[seq];
-        let local = state.len - state.start;
-        let blk = state.blocks[local / self.block_rows];
-        let r = local % self.block_rows;
-        let d = self.head_dim;
         // The head-major scatter happens once on append (cold path: one
         // row per step) so every later read of the head panels streams
         // contiguously (hot path: the whole history per step).
-        for h in 0..self.heads {
-            let slot = blk.index * block_elems + self.lane_offset(r, h);
-            if blk.bf16 {
-                for (e, (&kx, &vx)) in k[h * d..(h + 1) * d]
-                    .iter()
-                    .zip(&v[h * d..(h + 1) * d])
-                    .enumerate()
-                {
-                    self.k_arena16[slot + e] = round_bf16(kx);
-                    self.v_arena16[slot + e] = round_bf16(vx);
-                }
-            } else {
-                self.k_arena[slot..slot + d].copy_from_slice(&k[h * d..(h + 1) * d]);
-                self.v_arena[slot..slot + d].copy_from_slice(&v[h * d..(h + 1) * d]);
-            }
-        }
-        // Fold the stored row (post-rounding, for BF16 blocks) into the
-        // block's reference checksum — per head, rows accumulate in
-        // append order, matching `recompute_block_check`'s fold bitwise —
-        // and keep its value sum as the row's checksum lane, so the lane
-        // always predicts what the output lanes will actually consume.
-        let bi = local / self.block_rows;
-        for h in 0..self.heads {
-            let (ks, vs) = self.stored_lane_sums(blk, r, h);
-            let check = &mut self.seqs[seq].checks[bi];
-            check.ksum[h] += ks;
-            check.vsum[h] += vs;
-            let at = self.sumrow_index(blk, r, h);
-            self.sumrow_lanes_mut(blk.bf16)[at] = vs;
-        }
+        self.write_row(seq, bi, r, k, v);
         self.seqs[seq].len += 1;
         self.evict_below_anchor(seq, anchor);
     }
@@ -1273,48 +1097,30 @@ impl<T: Scalar> KvCache<T> {
         )
     }
 
-    /// Element offset of row `r`, head `head` within a block.
-    #[inline]
-    fn lane_offset(&self, r: usize, head: usize) -> usize {
-        (head * self.block_rows + r) * self.head_dim
+    /// Scatters one K/V row into row `r` of `seq`'s retained block `bi`
+    /// (rounded to BF16 when the block is) and folds the stored row into
+    /// the block's reference checksum and checksum lanes — per head, rows
+    /// accumulate in write order, matching
+    /// [`recompute_block_check`](Self::recompute_block_check)'s fold
+    /// bitwise. Append writes each row once; recovery rewrites a block's
+    /// rows in order over a zeroed reference.
+    fn write_row(&mut self, seq: usize, bi: usize, r: usize, k: &[T], v: &[T]) {
+        let state = &mut self.seqs[seq];
+        let (blk, check) = (state.blocks[bi], &mut state.checks[bi]);
+        with_arena!(&mut self, blk.bf16, |a| a
+            .write_row(blk.index, r, k, v, check));
     }
 
-    /// Index of row `r`, head `head` of `blk` in its arena's checksum
-    /// lanes.
-    #[inline]
-    fn sumrow_index(&self, blk: BlockRef, r: usize, head: usize) -> usize {
-        (blk.index * self.heads + head) * self.block_rows + r
-    }
-
-    /// The checksum lanes of the arena `bf16` selects.
-    fn sumrow_lanes(&self, bf16: bool) -> &[f64] {
-        if bf16 {
-            &self.sumrows16
-        } else {
-            &self.sumrows
-        }
-    }
-
-    /// [`sumrow_lanes`](Self::sumrow_lanes), writable.
-    fn sumrow_lanes_mut(&mut self, bf16: bool) -> &mut [f64] {
-        if bf16 {
-            &mut self.sumrows16
-        } else {
-            &mut self.sumrows
-        }
-    }
-
-    /// Where the checksum lane of position `i`, head `head` of sequence
-    /// `seq` lives: its block, row, and index in the block's arena lanes.
+    /// The block and row holding the checksum lane of position `i`, head
+    /// `head` of sequence `seq`.
     ///
     /// # Panics
     ///
     /// Panics if `seq` is out of range or retired, `i` is out of range or
     /// evicted, or `head` is out of range.
-    fn sumrow_slot(&self, seq: usize, i: usize, head: usize) -> (BlockRef, usize, usize) {
+    fn sumrow_slot(&self, seq: usize, i: usize, head: usize) -> (BlockRef, usize) {
         assert!(head < self.heads, "head {head} out of {}", self.heads);
-        let (blk, r) = self.block_of(seq, i);
-        (blk, r, self.sumrow_index(blk, r, head))
+        self.block_of(seq, i)
     }
 
     /// The stored `sumrow` lane of position `i`, head `head` of sequence
@@ -1326,9 +1132,8 @@ impl<T: Scalar> KvCache<T> {
     ///
     /// As [`sumrow_slot`](Self::sumrow_slot).
     pub(crate) fn sumrow(&self, seq: usize, i: usize, head: usize) -> (f64, f64) {
-        let (blk, r, at) = self.sumrow_slot(seq, i, head);
-        let stored = self.sumrow_lanes(blk.bf16)[at];
-        (stored, self.stored_lane_sums(blk, r, head).1)
+        let (blk, r) = self.sumrow_slot(seq, i, head);
+        with_arena!(&self, blk.bf16, |a| a.sumrow(blk.index, r, head))
     }
 
     /// The stored `sumrow` lane of position `i`, head `head` of sequence
@@ -1339,8 +1144,8 @@ impl<T: Scalar> KvCache<T> {
     ///
     /// As [`sumrow_slot`](Self::sumrow_slot).
     pub(crate) fn sumrow_mut(&mut self, seq: usize, i: usize, head: usize) -> &mut f64 {
-        let (blk, _, at) = self.sumrow_slot(seq, i, head);
-        &mut self.sumrow_lanes_mut(blk.bf16)[at]
+        let (blk, r) = self.sumrow_slot(seq, i, head);
+        with_arena!(&mut self, blk.bf16, |a| a.sumrow_mut(blk.index, r, head))
     }
 
     /// The cached key row at position `i` of sequence `seq`, gathered
@@ -1369,64 +1174,7 @@ impl<T: Scalar> KvCache<T> {
 
     fn gather_row(&self, keys: bool, seq: usize, i: usize) -> Vec<T> {
         let (blk, r) = self.block_of(seq, i);
-        let base = blk.index * self.block_rows * self.width;
-        let d = self.head_dim;
-        let mut out = Vec::with_capacity(self.width);
-        for h in 0..self.heads {
-            let slot = base + self.lane_offset(r, h);
-            if blk.bf16 {
-                let arena = if keys {
-                    &self.k_arena16
-                } else {
-                    &self.v_arena16
-                };
-                out.extend(
-                    arena[slot..slot + d]
-                        .iter()
-                        .map(|x| T::from_f64(x.to_f64())),
-                );
-            } else {
-                let arena = if keys { &self.k_arena } else { &self.v_arena };
-                out.extend_from_slice(&arena[slot..slot + d]);
-            }
-        }
-        out
-    }
-
-    /// Lane-order f64 sums of the **stored** key and value lanes of one
-    /// (block, row, head) slot — the increment both the incremental
-    /// reference-checksum update and the audit recompute fold, so the
-    /// two can never disagree on summation order. The value sum is also
-    /// the row's Eq. 4 `sumrow` checksum lane: computed from **what the
-    /// cache actually holds**, so BF16-stored rows contribute their
-    /// rounded values and the per-token verdict stays exact across
-    /// format boundaries.
-    fn stored_lane_sums(&self, blk: BlockRef, r: usize, head: usize) -> (f64, f64) {
-        let slot = blk.index * self.block_rows * self.width + self.lane_offset(r, head);
-        let d = self.head_dim;
-        if blk.bf16 {
-            (
-                self.k_arena16[slot..slot + d]
-                    .iter()
-                    .map(|x| x.to_f64())
-                    .sum(),
-                self.v_arena16[slot..slot + d]
-                    .iter()
-                    .map(|x| x.to_f64())
-                    .sum(),
-            )
-        } else {
-            (
-                self.k_arena[slot..slot + d]
-                    .iter()
-                    .map(|x| x.to_f64())
-                    .sum(),
-                self.v_arena[slot..slot + d]
-                    .iter()
-                    .map(|x| x.to_f64())
-                    .sum(),
-            )
-        }
+        with_arena!(&self, blk.bf16, |a| a.gather_row(keys, blk.index, r))
     }
 
     /// Recomputes one block's [`BlockCheck`] from its stored rows: per
@@ -1434,33 +1182,7 @@ impl<T: Scalar> KvCache<T> {
     /// same order the incremental append-path update used, so a clean
     /// block's recomputation equals its stored reference **bitwise**.
     fn recompute_block_check(&self, blk: BlockRef, rows: usize) -> BlockCheck {
-        let mut check = BlockCheck::zeroed(self.heads);
-        for h in 0..self.heads {
-            for r in 0..rows {
-                let (ks, vs) = self.stored_lane_sums(blk, r, h);
-                check.ksum[h] += ks;
-                check.vsum[h] += vs;
-            }
-        }
-        check
-    }
-
-    /// [`recompute_block_check`](Self::recompute_block_check) that also
-    /// rewrites the first `rows` rows' checksum lanes, in the same pass —
-    /// after the stored rows changed (demotion rounded them, recovery
-    /// restored them).
-    fn rebuild_block(&mut self, blk: BlockRef, rows: usize) -> BlockCheck {
-        let mut check = BlockCheck::zeroed(self.heads);
-        for h in 0..self.heads {
-            for r in 0..rows {
-                let (ks, vs) = self.stored_lane_sums(blk, r, h);
-                check.ksum[h] += ks;
-                check.vsum[h] += vs;
-                let at = self.sumrow_index(blk, r, h);
-                self.sumrow_lanes_mut(blk.bf16)[at] = vs;
-            }
-        }
-        check
+        with_arena!(&self, blk.bf16, |a| a.block_check(blk.index, rows))
     }
 
     /// The reference checksums of sequence `seq`'s retained blocks,
@@ -1505,25 +1227,17 @@ impl<T: Scalar> KvCache<T> {
     }
 
     /// Slices head `head` of retained block `bi` out of the arena that
-    /// stores it.
+    /// stores it, tagged with its format.
     fn head_view<'a>(&'a self, state: &SeqBlocks, bi: usize, head: usize) -> HeadBlock<'a, T> {
         let blk = state.blocks[bi];
         let first = state.start + bi * self.block_rows;
         let rows = (state.len - first).min(self.block_rows);
-        let base = blk.index * self.block_rows * self.width + self.lane_offset(0, head);
-        let span = rows * self.head_dim;
-        let at = self.sumrow_index(blk, 0, head);
-        let sumrow = &self.sumrow_lanes(blk.bf16)[at..at + rows];
-        let data = if blk.bf16 {
-            HeadBlockData::Demoted {
-                k: &self.k_arena16[base..base + span],
-                v: &self.v_arena16[base..base + span],
-            }
+        let (data, sumrow) = if blk.bf16 {
+            let (k, v, sumrow) = self.bf16.head_panels(blk.index, head, rows);
+            (HeadBlockData::Demoted { k, v }, sumrow)
         } else {
-            HeadBlockData::Native {
-                k: &self.k_arena[base..base + span],
-                v: &self.v_arena[base..base + span],
-            }
+            let (k, v, sumrow) = self.native.head_panels(blk.index, head, rows);
+            (HeadBlockData::Native { k, v }, sumrow)
         };
         HeadBlock {
             first,
@@ -2975,6 +2689,7 @@ impl<T: Scalar> DecodeBatch<T> {
     }
 }
 
+mod arena;
 pub mod guard;
 mod pass;
 pub mod scrub;

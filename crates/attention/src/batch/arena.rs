@@ -1,0 +1,394 @@
+//! The cache's block store: one [`Arena`] per storage format.
+//!
+//! [`KvCache`](super::KvCache) keeps two arenas, `Arena<T>` for blocks in
+//! the engine's native element format and `Arena<BF16>` for demoted (or
+//! direct-BF16) blocks — one pool type holding storage, refcounts and a
+//! free list, instantiated per format, as in the PagedAttention block
+//! manager. A [`BlockRef`](super::BlockRef) names the arena (`bf16`) and
+//! the block index within it; everything about a block's bytes and
+//! ownership lives here, so the native and BF16 paths share one body.
+//!
+//! A block holds `block_rows` rows of `heads × head_dim` elements for K
+//! and for V, stored **head-major** (each head's rows form one contiguous
+//! `block_rows × head_dim` panel), plus one f64 `sumrow(V)` checksum lane
+//! per (row, head) — the extra column of the paper's checksum-augmented
+//! value matrix, head-major like V. Only this module computes element or
+//! lane offsets.
+
+use super::BlockCheck;
+use core::ops::Range;
+use fa_tensor::Scalar;
+
+/// A pool of fixed-size cache blocks in element format `E`.
+#[derive(Clone, Debug)]
+pub(super) struct Arena<E> {
+    heads: usize,
+    head_dim: usize,
+    block_rows: usize,
+    /// Key panels, `block_rows · heads · head_dim` elements per block.
+    k: Vec<E>,
+    /// Value panels, same addressing as `k`.
+    v: Vec<E>,
+    /// `sumrow(V)` lanes, `block_rows` per (block, head), head-major.
+    sumrows: Vec<f64>,
+    /// Per-block owner counts: a block is owned by every live sequence
+    /// listing it plus (for registered shared prefixes) the prefix
+    /// registry. Free-listed blocks sit at zero; unshared blocks at one.
+    ref_counts: Vec<u32>,
+    /// Blocks owned by nobody, ready for reuse (LIFO).
+    free: Vec<usize>,
+    /// While a speculative window is open, blocks whose last reference
+    /// dropped park here instead of `free`, so their stored lanes survive
+    /// for an exact rollback (a free-listed block could be re-claimed and
+    /// overwritten mid-window). `None` outside a window.
+    parked: Option<Vec<usize>>,
+}
+
+impl<E: Scalar> Arena<E> {
+    pub(super) fn new(heads: usize, head_dim: usize, block_rows: usize) -> Self {
+        Arena {
+            heads,
+            head_dim,
+            block_rows,
+            k: Vec::new(),
+            v: Vec::new(),
+            sumrows: Vec::new(),
+            ref_counts: Vec::new(),
+            free: Vec::new(),
+            parked: None,
+        }
+    }
+
+    #[inline]
+    fn block_elems(&self) -> usize {
+        self.block_rows * self.heads * self.head_dim
+    }
+
+    /// Element offset of row `r`, head `head` of block `index` in `k`/`v`.
+    #[inline]
+    fn slot(&self, index: usize, r: usize, head: usize) -> usize {
+        index * self.block_elems() + (head * self.block_rows + r) * self.head_dim
+    }
+
+    /// Index of row `r`, head `head` of block `index` in `sumrows`.
+    #[inline]
+    fn lane(&self, index: usize, r: usize, head: usize) -> usize {
+        (index * self.heads + head) * self.block_rows + r
+    }
+
+    /// Blocks carved from this arena so far.
+    pub(super) fn allocated(&self) -> usize {
+        self.ref_counts.len()
+    }
+
+    /// Blocks currently on the free list.
+    pub(super) fn free_list(&self) -> &[usize] {
+        &self.free
+    }
+
+    /// Blocks owned by at least one holder (each shared block once).
+    pub(super) fn live_blocks(&self) -> usize {
+        self.allocated() - self.free.len()
+    }
+
+    /// K and V bytes of the owned blocks (the checksum lanes are not
+    /// counted).
+    pub(super) fn live_kv_bytes(&self) -> usize {
+        2 * self.live_blocks() * self.block_elems() * core::mem::size_of::<E>()
+    }
+
+    /// Reserves capacity for `blocks` more claims, less those the free
+    /// list already covers, so the claims never reallocate.
+    pub(super) fn reserve(&mut self, blocks: usize) {
+        let grow = blocks.saturating_sub(self.free.len());
+        self.k.reserve(grow * self.block_elems());
+        self.v.reserve(grow * self.block_elems());
+        self.sumrows.reserve(grow * self.block_rows * self.heads);
+        self.ref_counts.reserve(grow);
+    }
+
+    /// Claims a block — from the free list when possible (`true` in the
+    /// second field), growing the arena otherwise. The claimed block
+    /// starts with a reference count of one (sole owner).
+    pub(super) fn claim(&mut self) -> (usize, bool) {
+        if let Some(index) = self.free.pop() {
+            debug_assert_eq!(self.ref_counts[index], 0, "free-listed block had owners");
+            self.ref_counts[index] = 1;
+            return (index, true);
+        }
+        let (elems, lanes) = (self.block_elems(), self.block_rows * self.heads);
+        self.k.resize(self.k.len() + elems, E::zero());
+        self.v.resize(self.v.len() + elems, E::zero());
+        self.sumrows.resize(self.sumrows.len() + lanes, 0.0);
+        self.ref_counts.push(1);
+        (self.ref_counts.len() - 1, false)
+    }
+
+    /// Drops one reference to block `index`, returning it to the free
+    /// list (or parking it, inside a speculative window) when the last
+    /// owner lets go. Returns whether the count reached zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block has no outstanding references (double free).
+    pub(super) fn release(&mut self, index: usize) -> bool {
+        let rc = &mut self.ref_counts[index];
+        assert!(*rc > 0, "double free of {} block {index}", E::NAME);
+        *rc -= 1;
+        if *rc > 0 {
+            return false;
+        }
+        self.parked.as_mut().unwrap_or(&mut self.free).push(index);
+        true
+    }
+
+    /// Takes one more reference on a block a live owner holds.
+    pub(super) fn retain(&mut self, index: usize) {
+        let rc = &mut self.ref_counts[index];
+        assert!(*rc > 0, "retaining a free block");
+        *rc += 1;
+    }
+
+    /// Re-takes a reference during speculative rollback; unlike
+    /// [`retain`](Self::retain) the count may be zero (a parked block).
+    pub(super) fn resurrect(&mut self, index: usize) {
+        self.ref_counts[index] += 1;
+    }
+
+    /// Outstanding references on block `index`.
+    #[inline]
+    pub(super) fn ref_count(&self, index: usize) -> u32 {
+        self.ref_counts[index]
+    }
+
+    /// Starts parking last-reference frees (a speculative window opens).
+    pub(super) fn begin_deferred(&mut self) {
+        debug_assert!(self.parked.is_none(), "speculative windows cannot nest");
+        self.parked = Some(Vec::new());
+    }
+
+    /// Ends parking: parked blocks still unowned (not resurrected by a
+    /// rollback) return to the free list, in park order.
+    pub(super) fn flush_deferred(&mut self) {
+        let parked = self.parked.take();
+        debug_assert!(parked.is_some(), "no deferred-frees window is open");
+        for index in parked.into_iter().flatten() {
+            if self.ref_counts[index] == 0 {
+                self.free.push(index);
+            }
+        }
+    }
+
+    /// Copies block `src`'s K/V panels and checksum lanes bitwise into
+    /// block `dst` (copy-on-write).
+    pub(super) fn copy_block(&mut self, src: usize, dst: usize) {
+        let elems = self.block_elems();
+        self.k
+            .copy_within(src * elems..(src + 1) * elems, dst * elems);
+        self.v
+            .copy_within(src * elems..(src + 1) * elems, dst * elems);
+        let lanes = self.block_rows * self.heads;
+        self.sumrows
+            .copy_within(src * lanes..(src + 1) * lanes, dst * lanes);
+    }
+
+    /// Rounds every K/V element of `from`'s block `src` into block `dst`
+    /// of this arena through `E::from_f64` — for `E = BF16` exactly
+    /// [`round_bf16`](super::round_bf16). The checksum lanes are left for
+    /// [`rebuild`](Self::rebuild).
+    pub(super) fn narrow_from<S: Scalar>(&mut self, dst: usize, from: &Arena<S>, src: usize) {
+        let elems = self.block_elems();
+        let (to, at) = (
+            dst * elems..(dst + 1) * elems,
+            src * elems..(src + 1) * elems,
+        );
+        convert(&mut self.k[to.clone()], &from.k[at.clone()]);
+        convert(&mut self.v[to], &from.v[at]);
+    }
+
+    /// Scatters one `heads · head_dim`-wide K/V row into row `r` of block
+    /// `index` (rounding through `E::from_f64`; exact when `S = E`), then
+    /// folds the row into `check` and stores its checksum lanes (see
+    /// [`fold_rows`](Self::fold_rows)).
+    pub(super) fn write_row<S: Scalar>(
+        &mut self,
+        index: usize,
+        r: usize,
+        k: &[S],
+        v: &[S],
+        check: &mut BlockCheck,
+    ) {
+        let d = self.head_dim;
+        for h in 0..self.heads {
+            let at = self.slot(index, r, h);
+            convert(&mut self.k[at..at + d], &k[h * d..(h + 1) * d]);
+            convert(&mut self.v[at..at + d], &v[h * d..(h + 1) * d]);
+        }
+        self.fold_rows(index, r..r + 1, check);
+    }
+
+    /// Folds rows `rows` of block `index` into `check` — per head, their
+    /// stored lane sums add to the running reference in row order,
+    /// exactly as [`block_check`](Self::block_check) recomputes them —
+    /// and stores each (row, head) value sum as its checksum lane, so the
+    /// lane predicts what the output lanes actually consume.
+    fn fold_rows(&mut self, index: usize, rows: Range<usize>, check: &mut BlockCheck) {
+        for h in 0..self.heads {
+            for r in rows.clone() {
+                let (ks, vs) = self.stored_lane_sums(index, r, h);
+                check.ksum[h] += ks;
+                check.vsum[h] += vs;
+                let at = self.lane(index, r, h);
+                self.sumrows[at] = vs;
+            }
+        }
+    }
+
+    /// Rebuilds block `index`'s reference checksum and checksum lanes
+    /// over its first `rows` rows from the stored elements — after the
+    /// stored rows changed format (demotion).
+    pub(super) fn rebuild(&mut self, index: usize, rows: usize) -> BlockCheck {
+        let mut check = BlockCheck::zeroed(self.heads);
+        self.fold_rows(index, 0..rows, &mut check);
+        check
+    }
+
+    /// Recomputes block `index`'s [`BlockCheck`] over its first `rows`
+    /// rows from the stored elements, without touching the lanes — on a
+    /// clean block it equals the stored reference **bitwise**.
+    pub(super) fn block_check(&self, index: usize, rows: usize) -> BlockCheck {
+        let mut check = BlockCheck::zeroed(self.heads);
+        for h in 0..self.heads {
+            for r in 0..rows {
+                let (ks, vs) = self.stored_lane_sums(index, r, h);
+                check.ksum[h] += ks;
+                check.vsum[h] += vs;
+            }
+        }
+        check
+    }
+
+    /// Lane-order f64 sums of the **stored** key and value lanes of row
+    /// `r`, head `head` of block `index` — the increment both the
+    /// incremental reference-checksum update and the audit recompute
+    /// fold. The value sum is also the row's Eq. 4 `sumrow` lane:
+    /// computed from what the block actually holds, so BF16-stored rows
+    /// contribute their rounded values.
+    #[inline]
+    pub(super) fn stored_lane_sums(&self, index: usize, r: usize, head: usize) -> (f64, f64) {
+        let at = self.slot(index, r, head);
+        let span = at..at + self.head_dim;
+        (
+            self.k[span.clone()].iter().map(|x| x.to_f64()).sum(),
+            self.v[span].iter().map(|x| x.to_f64()).sum(),
+        )
+    }
+
+    /// The stored checksum lane of row `r`, head `head` of block `index`,
+    /// and its recompute from the stored value row.
+    pub(super) fn sumrow(&self, index: usize, r: usize, head: usize) -> (f64, f64) {
+        let stored = self.sumrows[self.lane(index, r, head)];
+        (stored, self.stored_lane_sums(index, r, head).1)
+    }
+
+    /// The stored checksum lane of row `r`, head `head` of block `index`,
+    /// writable.
+    pub(super) fn sumrow_mut(&mut self, index: usize, r: usize, head: usize) -> &mut f64 {
+        let at = self.lane(index, r, head);
+        &mut self.sumrows[at]
+    }
+
+    /// Row `r` of block `index` (keys when `keys`, else values), gathered
+    /// across heads and widened into `S` (exact: every cache format
+    /// embeds in f64).
+    pub(super) fn gather_row<S: Scalar>(&self, keys: bool, index: usize, r: usize) -> Vec<S> {
+        let panel = if keys { &self.k } else { &self.v };
+        let mut out = Vec::with_capacity(self.heads * self.head_dim);
+        for h in 0..self.heads {
+            let at = self.slot(index, r, h);
+            out.extend(
+                panel[at..at + self.head_dim]
+                    .iter()
+                    .map(|x| S::from_f64(x.to_f64())),
+            );
+        }
+        out
+    }
+
+    /// Head `head`'s first `rows` rows of block `index`: the contiguous
+    /// K and V spans (`rows × head_dim`) and their checksum lanes.
+    #[inline]
+    pub(super) fn head_panels(
+        &self,
+        index: usize,
+        head: usize,
+        rows: usize,
+    ) -> (&[E], &[E], &[f64]) {
+        let at = self.slot(index, 0, head);
+        let span = at..at + rows * self.head_dim;
+        let lane = self.lane(index, 0, head);
+        (
+            &self.k[span.clone()],
+            &self.v[span],
+            &self.sumrows[lane..lane + rows],
+        )
+    }
+
+    /// One stored K (`key_side`) or V element of row `r`, head `head` of
+    /// block `index`, writable — for fault injection.
+    pub(super) fn element_mut(
+        &mut self,
+        key_side: bool,
+        index: usize,
+        r: usize,
+        head: usize,
+        lane: usize,
+    ) -> &mut E {
+        let at = self.slot(index, r, head) + lane;
+        if key_side {
+            &mut self.k[at]
+        } else {
+            &mut self.v[at]
+        }
+    }
+}
+
+/// Stores each `src` element into `dst` through `E::from_f64` (rounding
+/// when `E` is narrower; the identity when `S = E`).
+fn convert<S: Scalar, E: Scalar>(dst: &mut [E], src: &[S]) {
+    for (x, &y) in dst.iter_mut().zip(src) {
+        *x = E::from_f64(y.to_f64());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{EvictionPolicy, KvCache, KvFormat, KvLayout};
+
+    /// `reserve_rows` under `Mixed` reserves both arenas: appends that
+    /// force demotion reallocate neither the native nor the BF16 panels.
+    #[test]
+    fn mixed_reserve_rows_keeps_both_arenas_reallocation_free() {
+        let mut cache = KvCache::<f64>::with_policy(
+            2,
+            4,
+            4,
+            KvLayout::HeadMajor,
+            KvFormat::Mixed { burst_blocks: 1 },
+            EvictionPolicy::RetainAll,
+        );
+        let seqs = [cache.add_sequence(), cache.add_sequence()];
+        let rows_per_seq = 24;
+        cache.reserve_rows(seqs.len() * rows_per_seq);
+        let capacity = |c: &KvCache<f64>| (c.native.k.capacity(), c.bf16.k.capacity());
+        let reserved = capacity(&cache);
+        for t in 0..rows_per_seq {
+            for &s in &seqs {
+                let row = [t as f64 + 0.25; 8];
+                cache.append(s, &row, &row);
+            }
+        }
+        assert!(cache.allocated_blocks16() > 0, "the appends demoted blocks");
+        assert_eq!(capacity(&cache), reserved);
+    }
+}

@@ -14,7 +14,7 @@
 //!   rows), its blocks' `sumrow(V)` checksum lanes, and its running
 //!   verdict accumulator — each a distinct detection story (see below).
 //! * **Localization** — [`audit`](DecodeBatch::audit) walks the
-//!   per-(sequence, kv head, block) [`BlockCheck`](super::BlockCheck)
+//!   per-(sequence, kv head, block) [`BlockCheck`]
 //!   reference structure, comparing stored references against a fresh
 //!   recompute **bitwise** (the folds share one summation order, so a
 //!   clean block matches exactly), and pins each fault as a
@@ -23,9 +23,10 @@
 //!   [`enable_recovery_log`](DecodeBatch::enable_recovery_log), the
 //!   engine retains each sequence's original rows;
 //!   [`recover_block`](DecodeBatch::recover_block) rewrites **only the
-//!   poisoned block** from the log (honoring the block's storage format,
-//!   so restored bits equal the never-corrupted bits exactly), rebuilds
-//!   its reference checksum and `sumrow` lanes, and
+//!   poisoned block** from the log, in place in the block's arena (the
+//!   native or the BF16 one; see `batch/arena.rs`) through the append
+//!   path's row scatter, so restored bits equal the never-corrupted bits
+//!   exactly — rebuilds its reference checksum and `sumrow` lanes, and
 //!   [`clear_verdict`](DecodeBatch::clear_verdict) opens a fresh verdict
 //!   epoch — decode resumes **bit-identical** to an uninjected run
 //!   (property-tested across formats, eviction policies, and GQA group
@@ -47,7 +48,7 @@
 //! agree with the poison. Corruption must be audited before the
 //! block ages out of the burst.
 
-use super::{round_bf16, DecodeBatch};
+use super::{BlockCheck, DecodeBatch};
 use fa_numerics::BF16;
 use fa_tensor::Scalar;
 
@@ -266,27 +267,20 @@ impl DecodeBatch<f64> {
         key_side: bool,
         bit: u32,
     ) -> bool {
-        let d = self.cache.head_dim;
-        assert!(kv_head < self.cache.heads, "kv head out of range");
-        assert!(lane < d, "lane out of range");
-        let (blk, r) = self.cache.block_of(seq, pos);
-        let slot = blk.index * self.cache.block_rows * self.cache.width
-            + self.cache.lane_offset(r, kv_head)
-            + lane;
+        let cache = &mut self.cache;
+        assert!(kv_head < cache.heads, "kv head out of range");
+        assert!(lane < cache.head_dim, "lane out of range");
+        let (blk, r) = cache.block_of(seq, pos);
         if blk.bf16 {
-            let arena = if key_side {
-                &mut self.cache.k_arena16
-            } else {
-                &mut self.cache.v_arena16
-            };
-            arena[slot] = BF16::from_bits(arena[slot].to_bits() ^ (1 << (bit % 16)));
+            let x = cache
+                .bf16
+                .element_mut(key_side, blk.index, r, kv_head, lane);
+            *x = BF16::from_bits(x.to_bits() ^ (1 << (bit % 16)));
         } else {
-            let arena = if key_side {
-                &mut self.cache.k_arena
-            } else {
-                &mut self.cache.v_arena
-            };
-            arena[slot] = f64::from_bits(arena[slot].to_bits() ^ (1u64 << (bit % 64)));
+            let x = cache
+                .native
+                .element_mut(key_side, blk.index, r, kv_head, lane);
+            *x = f64::from_bits(x.to_bits() ^ (1u64 << (bit % 64)));
         }
         blk.bf16
     }
@@ -325,7 +319,7 @@ impl DecodeBatch<f64> {
     /// can localize:
     ///
     /// 1. per retained (block, kv head): the stored
-    ///    [`BlockCheck`](super::BlockCheck) reference vs a fresh
+    ///    [`BlockCheck`] reference vs a fresh
     ///    recompute, compared **bitwise** (one shared fold order makes a
     ///    clean block an exact match) — mismatches become
     ///    [`LocalizedFault::CorruptBlock`];
@@ -413,12 +407,13 @@ impl DecodeBatch<f64> {
     }
 
     /// Rewrites retained block `block` of sequence `seq` from the
-    /// recovery log — **only this block** — honoring the block's storage
-    /// format (native rows are copied back exactly; BF16 rows re-round
-    /// through the cache's single [`round_bf16`] helper, reproducing the
-    /// never-corrupted stored bits exactly), then rebuilds the block's
-    /// reference checksum and `sumrow` lanes from the restored storage.
-    /// Returns the number of rows rewritten (the recovery cost).
+    /// recovery log — **only this block** — through the same row scatter
+    /// appends use, into the arena that stores the block (native rows are
+    /// copied back exactly; BF16 rows re-round through
+    /// [`round_bf16`](super::round_bf16), reproducing the never-corrupted
+    /// stored bits exactly), refolding the block's reference checksum and
+    /// `sumrow` lanes from the restored storage row by row. Returns the
+    /// number of rows rewritten (the recovery cost).
     ///
     /// # Panics
     ///
@@ -437,12 +432,9 @@ impl DecodeBatch<f64> {
             "block {block} out of {} retained",
             state.blocks.len()
         );
-        let blk = state.blocks[block];
         let first = state.start + block * cache.block_rows;
         let rows = (state.len - first).min(cache.block_rows);
         let width = cache.width;
-        let d = cache.head_dim;
-        let base = blk.index * cache.block_rows * width;
         let log = &self.seqs[seq];
         assert!(
             log.log_start <= first,
@@ -450,25 +442,12 @@ impl DecodeBatch<f64> {
              quarantine the sequence instead",
             log.log_start
         );
+        cache.seqs[seq].checks[block] = BlockCheck::zeroed(cache.heads);
         for r in 0..rows {
-            let pos = first + r;
-            let lr = pos - log.log_start;
-            let logged_k = &log.log_k[lr * width..(lr + 1) * width];
-            let logged_v = &log.log_v[lr * width..(lr + 1) * width];
-            for h in 0..cache.heads {
-                let slot = base + cache.lane_offset(r, h);
-                if blk.bf16 {
-                    for e in 0..d {
-                        cache.k_arena16[slot + e] = round_bf16(logged_k[h * d + e]);
-                        cache.v_arena16[slot + e] = round_bf16(logged_v[h * d + e]);
-                    }
-                } else {
-                    cache.k_arena[slot..slot + d].copy_from_slice(&logged_k[h * d..(h + 1) * d]);
-                    cache.v_arena[slot..slot + d].copy_from_slice(&logged_v[h * d..(h + 1) * d]);
-                }
-            }
+            let at = (first + r - log.log_start) * width;
+            let (k, v) = (&log.log_k[at..at + width], &log.log_v[at..at + width]);
+            cache.write_row(seq, block, r, k, v);
         }
-        cache.seqs[seq].checks[block] = cache.rebuild_block(blk, rows);
         rows
     }
 

@@ -67,12 +67,6 @@ impl HeadTopology {
         Self::gqa(heads, heads, head)
     }
 
-    /// Whether every query head owns its K/V stream (plain multi-head).
-    #[inline]
-    pub fn is_mha(&self) -> bool {
-        self.kv_heads == self.query_heads
-    }
-
     /// Query heads per KV group.
     #[inline]
     pub fn group_size(&self) -> usize {
@@ -104,18 +98,6 @@ impl HeadTopology {
             self.query_heads
         );
         query_head / self.group_size()
-    }
-
-    /// The query heads served by kv head `g`, as a contiguous range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g >= kv_heads`.
-    #[inline]
-    pub fn group_members(&self, g: usize) -> core::ops::Range<usize> {
-        assert!(g < self.kv_heads, "kv head {g} out of {}", self.kv_heads);
-        let gs = self.group_size();
-        g * gs..(g + 1) * gs
     }
 
     /// The column range kv head `g`'s **whole group** of query heads
@@ -186,11 +168,9 @@ mod tests {
         assert_eq!(t.group_size(), 4);
         assert_eq!(t.q_dim(), 128);
         assert_eq!(t.kv_dim(), 32);
-        assert!(!t.is_mha());
         assert_eq!(t.group_of(0), 0);
         assert_eq!(t.group_of(3), 0);
         assert_eq!(t.group_of(4), 1);
-        assert_eq!(t.group_members(1), 4..8);
         assert_eq!(t.q_head_cols(2), 32..48);
         assert_eq!(t.kv_head_cols(1), 16..32);
     }
@@ -198,12 +178,10 @@ mod tests {
     #[test]
     fn mha_is_the_degenerate_point() {
         let t = HeadTopology::mha(3, AttentionConfig::new(4));
-        assert!(t.is_mha());
         assert_eq!(t.group_size(), 1);
         assert_eq!(t.q_dim(), t.kv_dim());
         for h in 0..3 {
             assert_eq!(t.group_of(h), h);
-            assert_eq!(t.group_members(h), h..h + 1);
         }
     }
 

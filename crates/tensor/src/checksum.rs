@@ -11,7 +11,6 @@
 //! matching the paper's double-precision checksum accumulators.
 
 use crate::{Matrix, Scalar};
-use fa_numerics::KahanSum;
 
 impl<T: Scalar> Matrix<T> {
     /// Per-row sums: element `k` is `Σ_j self[k][j]` — the paper's
@@ -38,29 +37,6 @@ impl<T: Scalar> Matrix<T> {
             }
         }
         sums
-    }
-
-    /// Per-row sums with compensated (Kahan–Neumaier) accumulation, for
-    /// golden-model use where the checksum itself must not drift.
-    pub fn row_sums_compensated(&self) -> Vec<f64> {
-        self.iter_rows()
-            .map(|row| {
-                let mut acc = KahanSum::new();
-                for x in row {
-                    acc.add(x.to_f64());
-                }
-                acc.value()
-            })
-            .collect()
-    }
-
-    /// Sum of all elements via compensated accumulation.
-    pub fn sum_all_compensated(&self) -> f64 {
-        let mut acc = KahanSum::new();
-        for x in self.as_slice() {
-            acc.add(x.to_f64());
-        }
-        acc.value()
     }
 }
 
@@ -113,13 +89,6 @@ mod tests {
         let m = Matrix::<BF16>::from_fn(1, 256, |_, _| BF16::from_f32(0.01));
         let expected = v * 256.0;
         assert!((m.row_sums()[0] - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn compensated_matches_plain_on_benign_input() {
-        let m = Matrix::<f64>::from_fn(4, 4, |r, c| (r * 4 + c) as f64);
-        assert_eq!(m.row_sums(), m.row_sums_compensated());
-        assert_eq!(m.sum_all(), m.sum_all_compensated());
     }
 
     #[test]

@@ -174,11 +174,6 @@ impl<T: Scalar> Matrix<T> {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning the flat element vector.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix<T> {
         Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
@@ -232,18 +227,6 @@ impl<T: Scalar> Matrix<T> {
     /// Whether all elements are finite (no NaN/Inf anywhere).
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
-    }
-
-    /// Frobenius norm, accumulated in f64.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data
-            .iter()
-            .map(|x| {
-                let v = x.to_f64();
-                v * v
-            })
-            .sum::<f64>()
-            .sqrt()
     }
 
     /// Sum of all elements, accumulated in f64.
@@ -404,9 +387,8 @@ mod tests {
     }
 
     #[test]
-    fn frobenius_and_sum() {
+    fn sum_all_adds_every_element() {
         let m = Matrix::<f64>::from_rows(&[&[3.0, 4.0]]);
-        assert_eq!(m.frobenius_norm(), 5.0);
         assert_eq!(m.sum_all(), 7.0);
     }
 
@@ -425,11 +407,5 @@ mod tests {
         let s = format!("{:?}", m);
         assert!(s.contains("more rows"));
         assert!(s.contains("20×20"));
-    }
-
-    #[test]
-    fn into_vec_roundtrip() {
-        let m = Matrix::<f64>::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.clone().into_vec(), vec![1.0, 2.0, 3.0, 4.0]);
     }
 }

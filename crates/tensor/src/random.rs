@@ -45,6 +45,7 @@ impl Default for ElementDist {
 
 impl ElementDist {
     /// Samples one value.
+    #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         match *self {
             ElementDist::Uniform { lo, hi } => rng.gen_range(lo..hi),
