@@ -22,10 +22,12 @@
 //!   on a loaded engine — the steady-state cost of scrubbing and the
 //!   price of a repair.
 
+use crate::serving::drill_json;
 use fa_attention::batch::guard::InjectionSite;
 use fa_attention::batch::{DecodeBatch, EvictionPolicy, KvFormat, KvLayout};
 use fa_attention::{AttentionConfig, HeadTopology};
 use fa_fault::{run_drill, run_live, DrillSpec, DrillStats, LiveCampaignSpec, LiveCampaignStats};
+use fa_json::{obj, Json};
 use fa_tensor::{random::ElementDist, Matrix};
 use std::time::Instant;
 
@@ -311,182 +313,97 @@ impl FaultBenchReport {
     /// analytical bound each point must respect), and a `multi_fault`
     /// section (localization accuracy vs. burst size).
     pub fn to_json(&self) -> String {
-        let detection: Vec<String> = self
-            .sites
-            .iter()
-            .map(|s| {
-                let st = &s.stats;
-                let (lo, hi) = st.base.wilson95(st.base.detected);
-                format!(
-                    "    \"{}\": {{ \"trials\": {}, \"detected\": {}, \"false_positive\": {}, \
-                     \"silent\": {}, \"masked\": {}, \"online_detected\": {}, \
-                     \"scrub_detected\": {}, \"mean_steps_to_verdict\": {:.3}, \
-                     \"detected_pct_lo\": {:.2}, \"detected_pct_hi\": {:.2} }}",
-                    site_key(s.site),
-                    st.total(),
-                    st.base.detected,
-                    st.base.false_positive,
-                    st.base.silent,
-                    st.base.masked,
-                    st.online_detected,
-                    st.scrub_detected,
-                    st.mean_steps_to_verdict(),
-                    lo,
-                    hi,
-                )
-            })
-            .collect();
-        let localization: Vec<String> = self
-            .sites
-            .iter()
-            .map(|s| {
-                let st = &s.stats;
-                format!(
-                    "    \"{}\": {{ \"localized\": {}, \"mislocalized\": {}, \
-                     \"accuracy_pct\": {:.2}, \"evicted_before_detect\": {} }}",
-                    site_key(s.site),
-                    st.localized,
-                    st.mislocalized,
-                    st.localization_accuracy_pct(),
-                    st.evicted_before_detect,
-                )
-            })
-            .collect();
-        let recovery: Vec<String> = self
-            .sites
-            .iter()
-            .map(|s| {
-                let st = &s.stats;
-                format!(
-                    "    \"{}\": {{ \"recoveries\": {}, \"recovered_rows\": {}, \
-                     \"post_recovery_divergent\": {} }}",
-                    site_key(s.site),
-                    st.recoveries,
-                    st.recovered_rows,
-                    st.post_recovery_divergent,
-                )
-            })
-            .collect();
-        let sweep: Vec<String> = self
-            .policy_sweep
-            .iter()
-            .map(|leg| {
-                let st = &leg.stats;
-                format!(
-                    "    {{ \"format\": \"{}\", \"eviction\": \"{}\", \"trials\": {}, \
-                     \"detected\": {}, \"silent\": {}, \"localized\": {}, \
-                     \"recoveries\": {}, \"post_recovery_divergent\": {}, \
-                     \"evicted_before_detect\": {} }}",
-                    format_key(leg.format),
-                    eviction_key(leg.eviction),
-                    st.total(),
-                    st.base.detected,
-                    st.base.silent,
-                    st.localized,
-                    st.recoveries,
-                    st.post_recovery_divergent,
-                    st.evicted_before_detect,
-                )
-            })
-            .collect();
-        let scrub: Vec<String> = self
-            .scrub_sweep
-            .iter()
-            .map(|leg| {
-                let st = &leg.stats;
-                format!(
-                    "    {{ \"blocks_per_step\": {}, \"latency_bound_steps\": {}, \
-                     \"trials\": {}, \"detected\": {}, \"silent\": {}, \
-                     \"online_detected\": {}, \"scrub_detected\": {}, \
-                     \"mean_steps_to_verdict\": {:.3}, \"detection_steps_max\": {}, \
-                     \"scrubbed_blocks\": {} }}",
-                    leg.blocks_per_step,
-                    leg.latency_bound_steps,
-                    st.total(),
-                    st.base.detected,
-                    st.base.silent,
-                    st.online_detected,
-                    st.scrub_detected,
-                    st.mean_steps_to_verdict(),
-                    st.detection_steps_max,
-                    st.scrubbed_blocks,
-                )
-            })
-            .collect();
-        let multi: Vec<String> = self
-            .multi_fault
-            .iter()
-            .map(|leg| {
-                let st = &leg.stats;
-                format!(
-                    "    {{ \"flips_per_trial\": {}, \"injected_flips\": {}, \
-                     \"localized\": {}, \"mislocalized\": {}, \"accuracy_pct\": {:.2}, \
-                     \"recoveries\": {}, \"recovered_rows\": {}, \
-                     \"post_recovery_divergent\": {} }}",
-                    leg.flips_per_trial,
-                    st.injected_flips,
-                    st.localized,
-                    st.mislocalized,
-                    st.localization_accuracy_pct(),
-                    st.recoveries,
-                    st.recovered_rows,
-                    st.post_recovery_divergent,
-                )
-            })
-            .collect();
-        let sp = &self.shared_prefix_drill;
-        let shared_prefix = format!(
-            "{{\n    \"prefix_tokens\": {}, \"share_prob\": {:.2}, \"gamma\": {},\n    \
-             \"trials\": {}, \"drained\": {}, \"injections_landed\": {},\n    \
-             \"online_alarms\": {}, \"scrub_findings\": {}, \"repaired_blocks\": {},\n    \
-             \"quarantined_requests\": {}, \"recovered_requests\": {},\n    \
-             \"tokens_compared\": {}, \"tokens_divergent\": {},\n    \
-             \"detection_pct\": {:.2}, \"recovery_pct\": {:.2}, \
-             \"token_fidelity_pct\": {:.2}\n  }}",
-            self.shared_prefix_tokens,
-            self.shared_prefix_share_prob,
-            self.shared_prefix_gamma,
-            sp.trials,
-            sp.drained_trials,
-            sp.injections_landed,
-            sp.online_alarms,
-            sp.scrub_findings,
-            sp.repaired_blocks,
-            sp.quarantined_requests,
-            sp.recovered_requests,
-            sp.tokens_compared,
-            sp.tokens_divergent,
-            sp.detection_pct(),
-            sp.recovery_pct(),
-            sp.token_fidelity_pct(),
-        );
-        format!(
-            "{{\n  \"batch\": {},\n  \"prefill\": {},\n  \"steps\": {},\n  \
-             \"trials\": {},\n  \"tolerance\": {:e},\n  \
-             \"detection_latency\": {{\n{}\n  }},\n  \
-             \"localization\": {{\n{}\n  }},\n  \
-             \"recovery\": {{\n{},\n    \"audit_ms\": {:.4}, \"recover_block_ms\": {:.4}, \
-             \"timed_recovery_rows\": {}\n  }},\n  \
-             \"policy_sweep\": [\n{}\n  ],\n  \
-             \"scrub\": [\n{}\n  ],\n  \
-             \"multi_fault\": [\n{}\n  ],\n  \
-             \"shared_prefix_drill\": {}\n}}\n",
-            self.batch,
-            self.prefill,
-            self.steps,
-            self.trials,
-            self.tolerance,
-            detection.join(",\n"),
-            localization.join(",\n"),
-            recovery.join(",\n"),
-            self.audit_ms,
-            self.recover_block_ms,
-            self.recovered_rows,
-            sweep.join(",\n"),
-            scrub.join(",\n"),
-            multi.join(",\n"),
-            shared_prefix,
-        )
+        let by_site = |row: &dyn Fn(&LiveCampaignStats) -> Json| -> Vec<(String, Json)> {
+            self.sites
+                .iter()
+                .map(|s| (site_key(s.site).into(), row(&s.stats)))
+                .collect()
+        };
+        let detection = by_site(&|st| {
+            let (lo, hi) = st.base.wilson95(st.base.detected);
+            obj! {
+                "trials" => st.total(), "detected" => st.base.detected,
+                "false_positive" => st.base.false_positive,
+                "silent" => st.base.silent, "masked" => st.base.masked,
+                "online_detected" => st.online_detected, "scrub_detected" => st.scrub_detected,
+                "mean_steps_to_verdict" => Json::fixed(st.mean_steps_to_verdict(), 3),
+                "detected_pct_lo" => Json::fixed(lo, 2),
+                "detected_pct_hi" => Json::fixed(hi, 2),
+            }
+        });
+        let localization = by_site(&|st| {
+            obj! {
+                "localized" => st.localized, "mislocalized" => st.mislocalized,
+                "accuracy_pct" => Json::fixed(st.localization_accuracy_pct(), 2),
+                "evicted_before_detect" => st.evicted_before_detect,
+            }
+        });
+        let mut recovery = by_site(&|st| {
+            obj! {
+                "recoveries" => st.recoveries, "recovered_rows" => st.recovered_rows,
+                "post_recovery_divergent" => st.post_recovery_divergent,
+            }
+        });
+        recovery.extend([
+            ("audit_ms".into(), Json::fixed(self.audit_ms, 4)),
+            (
+                "recover_block_ms".into(),
+                Json::fixed(self.recover_block_ms, 4),
+            ),
+            ("timed_recovery_rows".into(), self.recovered_rows.into()),
+        ]);
+        let sweep = self.policy_sweep.iter().map(|leg| {
+            let st = &leg.stats;
+            obj! {
+                "format" => format_key(leg.format), "eviction" => eviction_key(leg.eviction),
+                "trials" => st.total(), "detected" => st.base.detected, "silent" => st.base.silent,
+                "localized" => st.localized, "recoveries" => st.recoveries,
+                "post_recovery_divergent" => st.post_recovery_divergent,
+                "evicted_before_detect" => st.evicted_before_detect,
+            }
+        });
+        let scrub = self.scrub_sweep.iter().map(|leg| {
+            let st = &leg.stats;
+            obj! {
+                "blocks_per_step" => leg.blocks_per_step,
+                "latency_bound_steps" => leg.latency_bound_steps,
+                "trials" => st.total(), "detected" => st.base.detected, "silent" => st.base.silent,
+                "online_detected" => st.online_detected, "scrub_detected" => st.scrub_detected,
+                "mean_steps_to_verdict" => Json::fixed(st.mean_steps_to_verdict(), 3),
+                "detection_steps_max" => st.detection_steps_max,
+                "scrubbed_blocks" => st.scrubbed_blocks,
+            }
+        });
+        let multi = self.multi_fault.iter().map(|leg| {
+            let st = &leg.stats;
+            obj! {
+                "flips_per_trial" => leg.flips_per_trial, "injected_flips" => st.injected_flips,
+                "localized" => st.localized, "mislocalized" => st.mislocalized,
+                "accuracy_pct" => Json::fixed(st.localization_accuracy_pct(), 2),
+                "recoveries" => st.recoveries, "recovered_rows" => st.recovered_rows,
+                "post_recovery_divergent" => st.post_recovery_divergent,
+            }
+        });
+        let setup = obj! {
+            "prefix_tokens" => self.shared_prefix_tokens,
+            "share_prob" => Json::fixed(self.shared_prefix_share_prob, 2),
+            "gamma" => self.shared_prefix_gamma,
+        };
+        obj! {
+            "batch" => self.batch,
+            "prefill" => self.prefill,
+            "steps" => self.steps,
+            "trials" => self.trials,
+            "tolerance" => Json::exp(self.tolerance),
+            "detection_latency" => Json::Obj(detection),
+            "localization" => Json::Obj(localization),
+            "recovery" => Json::Obj(recovery),
+            "policy_sweep" => Json::Arr(sweep.collect()),
+            "scrub" => Json::Arr(scrub.collect()),
+            "multi_fault" => Json::Arr(multi.collect()),
+            "shared_prefix_drill" => drill_json(setup, &self.shared_prefix_drill),
+        }
+        .write()
     }
 }
 
@@ -579,39 +496,30 @@ mod tests {
     #[test]
     fn fault_json_has_required_sections() {
         let report = measure(true);
-        let json = report.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        for key in [
-            "detection_latency",
-            "localization",
-            "recovery",
-            "mean_steps_to_verdict",
-            "online_detected",
-            "scrub_detected",
-            "accuracy_pct",
-            "evicted_before_detect",
-            "recovered_rows",
-            "post_recovery_divergent",
-            "audit_ms",
-            "recover_block_ms",
-            "policy_sweep",
-            "\"scrub\"",
-            "multi_fault",
-            "blocks_per_step",
-            "latency_bound_steps",
-            "detection_steps_max",
-            "scrubbed_blocks",
-            "flips_per_trial",
-            "injected_flips",
-            "shared_prefix_drill",
-            "token_fidelity_pct",
-            "\"key\"",
-            "\"value\"",
-            "\"sumrow\"",
-            "\"accumulator\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
+        crate::assert_paths(
+            &report.to_json(),
+            &[
+                "detection_latency.key.mean_steps_to_verdict",
+                "detection_latency.value.online_detected",
+                "detection_latency.sumrow.scrub_detected",
+                "detection_latency.accumulator",
+                "localization.key.accuracy_pct",
+                "localization.value.evicted_before_detect",
+                "recovery.key.recovered_rows",
+                "recovery.value.post_recovery_divergent",
+                "recovery.audit_ms",
+                "recovery.recover_block_ms",
+                "policy_sweep.0.evicted_before_detect",
+                "scrub.0.blocks_per_step",
+                "scrub.0.latency_bound_steps",
+                "scrub.0.detection_steps_max",
+                "scrub.0.scrubbed_blocks",
+                "multi_fault.0.flips_per_trial",
+                "multi_fault.0.injected_flips",
+                "shared_prefix_drill.prefix_tokens",
+                "shared_prefix_drill.token_fidelity_pct",
+                "shared_prefix_drill.divergent_requests",
+            ],
+        );
     }
 }

@@ -14,6 +14,7 @@ use fa_attention::batch::{DecodeBatch, EvictionPolicy, KvFormat, KvLayout};
 use fa_attention::decode::DecodeSession;
 use fa_attention::multihead::MultiHeadConfig;
 use fa_attention::{flash2, AttentionConfig, HeadTopology};
+use fa_json::{obj, Json};
 use fa_numerics::BF16;
 use fa_tensor::{ops, random::ElementDist, Matrix};
 use flash_abft::decode::CheckedDecodeSession;
@@ -403,226 +404,160 @@ pub struct KernelBenchReport {
 }
 
 impl KernelBenchReport {
-    /// Renders the report as a JSON object (written by hand — the offline
-    /// serde stand-in has no format backend).
+    /// Renders the report as the `BENCH_kernels.json` document.
     pub fn to_json(&self) -> String {
-        let matmul: Vec<String> = self
-            .matmul
-            .iter()
-            .map(|p| {
-                format!(
-                    "    {{\n      \"n\": {},\n      \"bf16\": {},\n      \"f64\": {},\n      \
-                     \"f64_acc_bf16\": {},\n      \"bf16_gflops\": {:.3}\n    }}",
-                    p.n,
-                    timing_json(&p.bf16),
-                    timing_json(&p.f64_mm),
-                    timing_json(&p.f64_acc_bf16),
-                    p.bf16_gflops,
-                )
-            })
-            .collect();
-        let flash2: Vec<String> = self
-            .flash2
-            .iter()
-            .map(|p| {
-                format!(
-                    "    {{\n      \"seq_len\": {},\n      \"parallel_vs_serial\": {},\n      \
-                     \"tokens_per_s\": {:.1},\n      \"fused_checksum\": {{ \
-                     \"vs_unchecked_flash2\": {}, \"overhead_pct\": {:.2} }}\n    }}",
-                    p.seq_len,
-                    timing_json(&p.parallel),
-                    p.tokens_per_s,
-                    timing_json(&p.fused_checksum),
-                    p.checksum_overhead_pct(),
-                )
-            })
-            .collect();
-        let decode: Vec<String> = self
-            .decode_batched
-            .iter()
-            .map(|p| {
-                format!(
-                    "      {{ \"batch\": {}, \"baseline_ms\": {:.3}, \"batched_ms\": {:.3}, \
-                     \"baseline_tokens_per_s\": {:.1}, \"batched_tokens_per_s\": {:.1}, \
-                     \"speedup\": {:.2}, \"checked_overhead_pct\": {:.2} }}",
-                    p.batch,
-                    p.baseline_ms,
-                    p.batched_ms,
-                    p.baseline_tokens_per_s,
-                    p.batched_tokens_per_s,
-                    p.speedup(),
-                    p.checked_overhead_pct,
-                )
-            })
-            .collect();
-        let shape = self.decode_shape;
-        let continuous_point = |p: &ContinuousCachePoint| {
-            format!(
-                "{{ \"total_ms\": {:.3}, \"tokens_per_s\": {:.1}, \
-                 \"decode_tokens_per_s\": {:.1}, \"bytes_per_step\": {:.0} }}",
-                p.total_ms, p.tokens_per_s, p.decode_tokens_per_s, p.bytes_per_step,
-            )
-        };
-        let cont = &self.decode_continuous;
-        let mixed = &self.decode_mixed_format;
-        let sw = &self.decode_sliding_window;
-        let gq = &self.decode_gqa;
-        let gqa_points: Vec<String> = gq
-            .points
-            .iter()
-            .map(|p| {
-                format!(
-                    "      {{ \"group_size\": {}, \"kv_heads\": {}, \"checked_ms\": {:.3}, \
-                     \"tokens_per_s\": {:.1}, \"bf16_checked_ms\": {:.3}, \
-                     \"bf16_tokens_per_s\": {:.1}, \"bytes_per_step\": {:.0}, \
-                     \"arena_blocks\": {} }}",
-                    p.group_size,
-                    p.kv_heads,
-                    p.checked_ms,
-                    p.tokens_per_s,
-                    p.bf16_checked_ms,
-                    p.bf16_tokens_per_s,
-                    p.bytes_per_step,
-                    p.arena_blocks,
-                )
-            })
-            .collect();
+        let (shape, prefill) = (self.decode_shape, self.decode_shape.prefill);
+        let (single, kv) = (&self.decode_single, &self.decode_kv_bf16);
+        let (cont, mixed) = (&self.decode_continuous, &self.decode_mixed_format);
+        let (sw, gq) = (&self.decode_sliding_window, &self.decode_gqa);
         let ps = &self.prefix_sharing;
-        let ps_points: Vec<String> = ps
-            .points
-            .iter()
-            .map(|p| {
-                format!(
-                    "      {{ \"queries\": {}, \"gemv_ms\": {:.3}, \"multi_ms\": {:.3}, \
-                     \"speedup\": {:.2}, \"bitwise_match\": {} }}",
-                    p.queries,
-                    p.gemv_ms,
-                    p.multi_ms,
-                    p.speedup(),
-                    p.bitwise_match,
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"host_threads\": {},\n  \"matmul\": [\n{}\n  ],\n  \"flash2\": [\n{}\n  ],\n  \
-             \"dot_simd\": {{\n    \"len\": {},\n    \"f64\": {},\n    \"bf16\": {}\n  }},\n  \
-             \"decode_single\": {{\n    \"head_dim\": {}, \"heads\": {}, \"prefill\": {}, \
-             \"steps\": {},\n    \"unchecked_tokens_per_s\": {:.1},\n    \
-             \"checked_tokens_per_s\": {:.1}\n  }},\n  \"decode_batched\": {{\n    \
-             \"head_dim\": {}, \"heads\": {}, \"prefill\": {}, \"steps\": {},\n    \
-             \"points\": [\n{}\n    ]\n  }},\n  \"decode_kv_bf16\": {{ \"batch\": {}, \
-             \"f64_cache_ms\": {:.3}, \"bf16_cache_ms\": {:.3}, \"speedup\": {:.2}, \
-             \"bf16_tokens_per_s\": {:.1} }},\n  \"decode_continuous\": {{\n    \
-             \"batch\": {}, \"steps\": {}, \"churn_every\": {}, \"prefill\": {},\n    \
-             \"f64\": {},\n    \"bf16\": {},\n    \
-             \"recycled_blocks\": {}, \"arena_blocks\": {}\n  }},\n  \
-             \"decode_mixed_format\": {{\n    \
-             \"batch\": {}, \"steps\": {}, \"churn_every\": {}, \"prefill\": {}, \
-             \"prefill_chunk\": {}, \"block_rows\": {}, \"burst_blocks\": {},\n    \
-             \"f64\": {},\n    \"bf16\": {},\n    \"mixed\": {},\n    \
-             \"steady_block_rows\": {}, \"steady_burst_blocks\": {},\n    \
-             \"f64_steady\": {},\n    \"bf16_steady\": {},\n    \"mixed_steady\": {},\n    \
-             \"mixed_demoted_rows\": {}, \"mixed_arena_blocks\": {}, \
-             \"mixed_arena_blocks16\": {}\n  }},\n  \
-             \"decode_sliding_window\": {{\n    \
-             \"batch\": {}, \"steps\": {}, \"prefill\": {}, \"block_rows\": {}, \
-             \"window_blocks\": {},\n    \
-             \"retain_all\": {},\n    \"sliding_window\": {},\n    \
-             \"evicted_rows\": {}, \"retain_arena_blocks\": {}, \
-             \"sliding_arena_blocks\": {}\n  }},\n  \
-             \"decode_gqa\": {{\n    \
-             \"batch\": {}, \"steps\": {}, \"prefill\": {}, \"query_heads\": {}, \
-             \"head_dim\": {},\n    \
-             \"points\": [\n{}\n    ]\n  }},\n  \
-             \"prefix_sharing\": {{\n    \
-             \"d\": {}, \"n_rows\": {}, \"iters\": {},\n    \
-             \"points\": [\n{}\n    ]\n  }}\n}}\n",
-            self.host_threads,
-            matmul.join(",\n"),
-            flash2.join(",\n"),
-            self.dot_simd.len,
-            timing_json(&self.dot_simd.f64_dot),
-            timing_json(&self.dot_simd.bf16_dot),
-            shape.head_dim,
-            shape.heads,
-            shape.prefill,
-            shape.steps,
-            self.decode_single.unchecked_tokens_per_s,
-            self.decode_single.checked_tokens_per_s,
-            shape.head_dim,
-            shape.heads,
-            shape.prefill,
-            shape.steps,
-            decode.join(",\n"),
-            self.decode_kv_bf16.batch,
-            self.decode_kv_bf16.f64_cache_ms,
-            self.decode_kv_bf16.bf16_cache_ms,
-            self.decode_kv_bf16.speedup(),
-            self.decode_kv_bf16.bf16_tokens_per_s,
-            cont.batch,
-            cont.steps,
-            cont.churn_every,
-            shape.prefill,
-            continuous_point(&cont.f64_cache),
-            continuous_point(&cont.bf16_cache),
-            cont.recycled_blocks,
-            cont.arena_blocks,
-            mixed.batch,
-            mixed.steps,
-            mixed.churn_every,
-            shape.prefill,
-            mixed.prefill_chunk,
-            mixed.block_rows,
-            mixed.burst_blocks,
-            continuous_point(&mixed.f64_cache),
-            continuous_point(&mixed.bf16_cache),
-            continuous_point(&mixed.mixed_cache),
-            mixed.steady_block_rows,
-            mixed.steady_burst_blocks,
-            steady_json(&mixed.f64_steady),
-            steady_json(&mixed.bf16_steady),
-            steady_json(&mixed.mixed_steady),
-            mixed.mixed_demoted_rows,
-            mixed.mixed_arena_blocks,
-            mixed.mixed_arena_blocks16,
-            sw.batch,
-            sw.steps,
-            shape.prefill,
-            sw.block_rows,
-            sw.window_blocks,
-            continuous_point(&sw.retain_all),
-            continuous_point(&sw.sliding),
-            sw.evicted_rows,
-            sw.retain_arena_blocks,
-            sw.sliding_arena_blocks,
-            gq.batch,
-            gq.steps,
-            gq.prefill,
-            gq.query_heads,
-            gq.head_dim,
-            gqa_points.join(",\n"),
-            ps.d,
-            ps.n_rows,
-            ps.iters,
-            ps_points.join(",\n"),
-        )
+        let matmul = self.matmul.iter().map(|p| {
+            obj! {
+                "n" => p.n,
+                "bf16" => timing_json(&p.bf16),
+                "f64" => timing_json(&p.f64_mm),
+                "f64_acc_bf16" => timing_json(&p.f64_acc_bf16),
+                "bf16_gflops" => Json::fixed(p.bf16_gflops, 3),
+            }
+        });
+        let flash2 = self.flash2.iter().map(|p| {
+            obj! {
+                "seq_len" => p.seq_len,
+                "parallel_vs_serial" => timing_json(&p.parallel),
+                "tokens_per_s" => Json::fixed(p.tokens_per_s, 1),
+                "fused_checksum" => obj! {
+                    "vs_unchecked_flash2" => timing_json(&p.fused_checksum),
+                    "overhead_pct" => Json::fixed(p.checksum_overhead_pct(), 2),
+                },
+            }
+        });
+        let batched = self.decode_batched.iter().map(|p| {
+            obj! {
+                "batch" => p.batch,
+                "baseline_ms" => Json::fixed(p.baseline_ms, 3),
+                "batched_ms" => Json::fixed(p.batched_ms, 3),
+                "baseline_tokens_per_s" => Json::fixed(p.baseline_tokens_per_s, 1),
+                "batched_tokens_per_s" => Json::fixed(p.batched_tokens_per_s, 1),
+                "speedup" => Json::fixed(p.speedup(), 2),
+                "checked_overhead_pct" => Json::fixed(p.checked_overhead_pct, 2),
+            }
+        });
+        let gqa = gq.points.iter().map(|p| {
+            obj! {
+                "group_size" => p.group_size, "kv_heads" => p.kv_heads,
+                "checked_ms" => Json::fixed(p.checked_ms, 3),
+                "tokens_per_s" => Json::fixed(p.tokens_per_s, 1),
+                "bf16_checked_ms" => Json::fixed(p.bf16_checked_ms, 3),
+                "bf16_tokens_per_s" => Json::fixed(p.bf16_tokens_per_s, 1),
+                "bytes_per_step" => Json::fixed(p.bytes_per_step, 0),
+                "arena_blocks" => p.arena_blocks,
+            }
+        });
+        let multi = ps.points.iter().map(|p| {
+            obj! {
+                "queries" => p.queries,
+                "gemv_ms" => Json::fixed(p.gemv_ms, 3),
+                "multi_ms" => Json::fixed(p.multi_ms, 3),
+                "speedup" => Json::fixed(p.speedup(), 2),
+                "bitwise_match" => p.bitwise_match,
+            }
+        });
+        obj! {
+            "host_threads" => self.host_threads,
+            "matmul" => Json::Arr(matmul.collect()),
+            "flash2" => Json::Arr(flash2.collect()),
+            "dot_simd" => obj! {
+                "len" => self.dot_simd.len,
+                "f64" => timing_json(&self.dot_simd.f64_dot),
+                "bf16" => timing_json(&self.dot_simd.bf16_dot),
+            },
+            "decode_single" => obj! {
+                "head_dim" => shape.head_dim, "heads" => shape.heads,
+                "prefill" => prefill, "steps" => shape.steps,
+                "unchecked_tokens_per_s" => Json::fixed(single.unchecked_tokens_per_s, 1),
+                "checked_tokens_per_s" => Json::fixed(single.checked_tokens_per_s, 1),
+            },
+            "decode_batched" => obj! {
+                "head_dim" => shape.head_dim, "heads" => shape.heads,
+                "prefill" => prefill, "steps" => shape.steps,
+                "points" => Json::Arr(batched.collect()),
+            },
+            "decode_kv_bf16" => obj! {
+                "batch" => kv.batch,
+                "f64_cache_ms" => Json::fixed(kv.f64_cache_ms, 3),
+                "bf16_cache_ms" => Json::fixed(kv.bf16_cache_ms, 3),
+                "speedup" => Json::fixed(kv.speedup(), 2),
+                "bf16_tokens_per_s" => Json::fixed(kv.bf16_tokens_per_s, 1),
+            },
+            "decode_continuous" => obj! {
+                "batch" => cont.batch, "steps" => cont.steps,
+                "churn_every" => cont.churn_every, "prefill" => prefill,
+                "f64" => continuous_json(&cont.f64_cache),
+                "bf16" => continuous_json(&cont.bf16_cache),
+                "recycled_blocks" => cont.recycled_blocks, "arena_blocks" => cont.arena_blocks,
+            },
+            "decode_mixed_format" => obj! {
+                "batch" => mixed.batch, "steps" => mixed.steps,
+                "churn_every" => mixed.churn_every, "prefill" => prefill,
+                "prefill_chunk" => mixed.prefill_chunk, "block_rows" => mixed.block_rows,
+                "burst_blocks" => mixed.burst_blocks,
+                "f64" => continuous_json(&mixed.f64_cache),
+                "bf16" => continuous_json(&mixed.bf16_cache),
+                "mixed" => continuous_json(&mixed.mixed_cache),
+                "steady_block_rows" => mixed.steady_block_rows,
+                "steady_burst_blocks" => mixed.steady_burst_blocks,
+                "f64_steady" => steady_json(&mixed.f64_steady),
+                "bf16_steady" => steady_json(&mixed.bf16_steady),
+                "mixed_steady" => steady_json(&mixed.mixed_steady),
+                "mixed_demoted_rows" => mixed.mixed_demoted_rows,
+                "mixed_arena_blocks" => mixed.mixed_arena_blocks,
+                "mixed_arena_blocks16" => mixed.mixed_arena_blocks16,
+            },
+            "decode_sliding_window" => obj! {
+                "batch" => sw.batch, "steps" => sw.steps, "prefill" => prefill,
+                "block_rows" => sw.block_rows, "window_blocks" => sw.window_blocks,
+                "retain_all" => continuous_json(&sw.retain_all),
+                "sliding_window" => continuous_json(&sw.sliding),
+                "evicted_rows" => sw.evicted_rows,
+                "retain_arena_blocks" => sw.retain_arena_blocks,
+                "sliding_arena_blocks" => sw.sliding_arena_blocks,
+            },
+            "decode_gqa" => obj! {
+                "batch" => gq.batch, "steps" => gq.steps, "prefill" => gq.prefill,
+                "query_heads" => gq.query_heads, "head_dim" => gq.head_dim,
+                "points" => Json::Arr(gqa.collect()),
+            },
+            "prefix_sharing" => obj! {
+                "d" => ps.d, "n_rows" => ps.n_rows, "iters" => ps.iters,
+                "points" => Json::Arr(multi.collect()),
+            },
+        }
+        .write()
     }
 }
 
-fn steady_json(p: &SteadyDecodePoint) -> String {
-    format!(
-        "{{ \"tokens_per_s\": {:.1}, \"bytes_per_step\": {:.0} }}",
-        p.tokens_per_s, p.bytes_per_step,
-    )
+fn continuous_json(p: &ContinuousCachePoint) -> Json {
+    obj! {
+        "total_ms" => Json::fixed(p.total_ms, 3),
+        "tokens_per_s" => Json::fixed(p.tokens_per_s, 1),
+        "decode_tokens_per_s" => Json::fixed(p.decode_tokens_per_s, 1),
+        "bytes_per_step" => Json::fixed(p.bytes_per_step, 0),
+    }
 }
 
-fn timing_json(t: &KernelTiming) -> String {
-    format!(
-        "{{ \"baseline_ms\": {:.3}, \"optimized_ms\": {:.3}, \"speedup\": {:.2} }}",
-        t.baseline_ms,
-        t.optimized_ms,
-        t.speedup()
-    )
+fn steady_json(p: &SteadyDecodePoint) -> Json {
+    obj! {
+        "tokens_per_s" => Json::fixed(p.tokens_per_s, 1),
+        "bytes_per_step" => Json::fixed(p.bytes_per_step, 0),
+    }
+}
+
+fn timing_json(t: &KernelTiming) -> Json {
+    obj! {
+        "baseline_ms" => Json::fixed(t.baseline_ms, 3),
+        "optimized_ms" => Json::fixed(t.optimized_ms, 3),
+        "speedup" => Json::fixed(t.speedup(), 2),
+    }
 }
 
 /// Best-of-`reps` wall-clock milliseconds for `f` (after one warmup call).
@@ -2076,41 +2011,30 @@ mod tests {
     }
 
     #[test]
-    fn json_is_well_formed_enough() {
+    fn json_parses_and_holds_every_section() {
         let report = measure(true);
-        let json = report.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        for key in [
-            "host_threads",
-            "matmul",
-            "bf16_gflops",
-            "flash2",
-            "tokens_per_s",
-            "fused_checksum",
-            "overhead_pct",
-            "dot_simd",
-            "decode_single",
-            "decode_batched",
-            "decode_kv_bf16",
-            "decode_continuous",
-            "decode_mixed_format",
-            "decode_sliding_window",
-            "mixed_demoted_rows",
-            "window_blocks",
-            "evicted_rows",
-            "bytes_per_step",
-            "recycled_blocks",
-            "speedup",
-            "decode_gqa",
-            "group_size",
-            "bf16_checked_ms",
-            "prefix_sharing",
-            "queries",
-            "multi_ms",
-            "bitwise_match",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
+        crate::assert_paths(
+            &report.to_json(),
+            &[
+                "host_threads",
+                "matmul.0.bf16_gflops",
+                "flash2.0.tokens_per_s",
+                "flash2.0.fused_checksum.overhead_pct",
+                "dot_simd.f64.speedup",
+                "decode_single",
+                "decode_batched.points.0.speedup",
+                "decode_kv_bf16",
+                "decode_continuous.recycled_blocks",
+                "decode_continuous.f64.bytes_per_step",
+                "decode_mixed_format.mixed_demoted_rows",
+                "decode_sliding_window.window_blocks",
+                "decode_sliding_window.evicted_rows",
+                "decode_gqa.points.0.group_size",
+                "decode_gqa.points.0.bf16_checked_ms",
+                "prefix_sharing.points.0.queries",
+                "prefix_sharing.points.0.multi_ms",
+                "prefix_sharing.points.0.bitwise_match",
+            ],
+        );
     }
 }

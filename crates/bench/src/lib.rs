@@ -19,6 +19,23 @@ pub mod faults;
 pub mod kernels;
 pub mod serving;
 
+/// Parses a report's JSON and asserts that each dotted key path in
+/// `paths` resolves (a numeric segment indexes an array).
+#[cfg(test)]
+fn assert_paths(text: &str, paths: &[&str]) {
+    let doc = fa_json::Json::parse(text).unwrap_or_else(|e| panic!("report JSON: {e}"));
+    for path in paths {
+        let mut at = &doc;
+        for seg in path.split('.') {
+            at = match seg.parse::<usize>() {
+                Ok(i) => at.as_arr().and_then(|items| items.get(i)),
+                Err(_) => at.get(seg),
+            }
+            .unwrap_or_else(|| panic!("no {path} in {text}"));
+        }
+    }
+}
+
 /// Simple fixed-width table printer for experiment reports.
 pub struct TablePrinter {
     headers: Vec<String>,

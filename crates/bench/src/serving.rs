@@ -25,6 +25,7 @@ use fa_attention::batch::{DecodeBatch, EvictionPolicy, KvFormat, KvLayout};
 use fa_attention::serve::{LoadGen, LoadSpec, Scheduler, ServeConfig, ServeSummary, SloSpec};
 use fa_attention::{AttentionConfig, HeadTopology};
 use fa_fault::{run_drill, DrillSpec, DrillStats};
+use fa_json::{obj, Json};
 use fa_tensor::{random::ElementDist, Matrix};
 use std::time::Instant;
 
@@ -843,169 +844,124 @@ pub fn measure(quick: bool) -> ServingBenchReport {
     }
 }
 
-fn leg_json(leg: &ServingLeg) -> String {
+fn leg_json(leg: &ServingLeg) -> Json {
     let s = &leg.summary;
-    format!(
-        "{{\n      \"steps_run\": {}, \"ms_per_step\": {:.6},\n      \
-         \"submitted\": {}, \"finished\": {}, \"shed\": {},\n      \
-         \"ttft_p50_steps\": {}, \"ttft_p99_steps\": {}, \"per_token_p99_steps\": {},\n      \
-         \"ttft_p50_ms\": {:.4}, \"ttft_p99_ms\": {:.4}, \"per_token_p99_ms\": {:.4},\n      \
-         \"slo_met\": {}, \"goodput_tokens\": {}, \"total_tokens\": {}, \
-         \"goodput_under_slo\": {:.4},\n      \
-         \"demotions\": {}, \"preemptions\": {}, \"quarantines\": {}\n    }}",
-        leg.steps_run,
-        leg.ms_per_step,
-        s.submitted,
-        s.finished,
-        s.shed,
-        s.ttft_p50_steps,
-        s.ttft_p99_steps,
-        s.per_token_p99_steps,
-        leg.ttft_p50_ms(),
-        leg.ttft_p99_ms(),
-        leg.per_token_p99_ms(),
-        s.slo_met,
-        s.goodput_tokens,
-        s.total_tokens,
-        leg.goodput_under_slo(),
-        s.demotions,
-        s.preemptions,
-        s.quarantines,
-    )
+    obj! {
+        "steps_run" => leg.steps_run,
+        "ms_per_step" => Json::fixed(leg.ms_per_step, 6),
+        "submitted" => s.submitted, "finished" => s.finished, "shed" => s.shed,
+        "ttft_p50_steps" => s.ttft_p50_steps,
+        "ttft_p99_steps" => s.ttft_p99_steps,
+        "per_token_p99_steps" => s.per_token_p99_steps,
+        "ttft_p50_ms" => Json::fixed(leg.ttft_p50_ms(), 4),
+        "ttft_p99_ms" => Json::fixed(leg.ttft_p99_ms(), 4),
+        "per_token_p99_ms" => Json::fixed(leg.per_token_p99_ms(), 4),
+        "slo_met" => s.slo_met,
+        "goodput_tokens" => s.goodput_tokens,
+        "total_tokens" => s.total_tokens,
+        "goodput_under_slo" => Json::fixed(leg.goodput_under_slo(), 4),
+        "demotions" => s.demotions, "preemptions" => s.preemptions,
+        "quarantines" => s.quarantines,
+    }
 }
 
-fn drill_json(st: &DrillStats) -> String {
-    format!(
-        "{{\n      \"trials\": {}, \"drained\": {}, \"injections_landed\": {},\n      \
-         \"online_alarms\": {}, \"scrub_findings\": {}, \"repaired_blocks\": {}, \
-         \"unrecoverable_blocks\": {},\n      \
-         \"demotions\": {}, \"preemptions\": {}, \"quarantines\": {},\n      \
-         \"finished_both\": {}, \"shed_subject\": {},\n      \
-         \"tokens_compared\": {}, \"tokens_divergent\": {}, \"divergent_requests\": {},\n      \
-         \"quarantined_requests\": {}, \"recovered_requests\": {},\n      \
-         \"detection_pct\": {:.2}, \"recovery_pct\": {:.2}, \"token_fidelity_pct\": {:.2}\n    }}",
-        st.trials,
-        st.drained_trials,
-        st.injections_landed,
-        st.online_alarms,
-        st.scrub_findings,
-        st.repaired_blocks,
-        st.unrecoverable_blocks,
-        st.demotions,
-        st.preemptions,
-        st.quarantines,
-        st.finished_both,
-        st.shed_subject,
-        st.tokens_compared,
-        st.tokens_divergent,
-        st.divergent_requests,
-        st.quarantined_requests,
-        st.recovered_requests,
-        st.detection_pct(),
-        st.recovery_pct(),
-        st.token_fidelity_pct(),
-    )
+/// Serializes a golden-twin drill's counters and rates after `setup`,
+/// the object members that say how the drill ran.
+pub(crate) fn drill_json(setup: Json, st: &DrillStats) -> Json {
+    let counters = obj! {
+        "trials" => st.trials, "drained" => st.drained_trials,
+        "injections_landed" => st.injections_landed,
+        "online_alarms" => st.online_alarms, "scrub_findings" => st.scrub_findings,
+        "repaired_blocks" => st.repaired_blocks,
+        "unrecoverable_blocks" => st.unrecoverable_blocks,
+        "demotions" => st.demotions, "preemptions" => st.preemptions,
+        "quarantines" => st.quarantines,
+        "finished_both" => st.finished_both, "shed_subject" => st.shed_subject,
+        "tokens_compared" => st.tokens_compared, "tokens_divergent" => st.tokens_divergent,
+        "divergent_requests" => st.divergent_requests,
+        "quarantined_requests" => st.quarantined_requests,
+        "recovered_requests" => st.recovered_requests,
+        "detection_pct" => Json::fixed(st.detection_pct(), 2),
+        "recovery_pct" => Json::fixed(st.recovery_pct(), 2),
+        "token_fidelity_pct" => Json::fixed(st.token_fidelity_pct(), 2),
+    };
+    let (Json::Obj(mut members), Json::Obj(counters)) = (setup, counters) else {
+        unreachable!("drill setup and counters are objects");
+    };
+    members.extend(counters);
+    Json::Obj(members)
 }
 
-fn prefix_sharing_json(ps: &PrefixSharingBench) -> String {
-    let points: Vec<String> = ps
-        .points
-        .iter()
-        .map(|p| {
-            format!(
-                "      {{ \"readers\": {}, \"shared_prefill_ms\": {:.3}, \
-                 \"unshared_prefill_ms\": {:.3},\n        \
-                 \"shared_prefill_tokens_per_s\": {:.1}, \
-                 \"unshared_prefill_tokens_per_s\": {:.1},\n        \
-                 \"shared_arena_blocks\": {}, \"unshared_arena_blocks\": {},\n        \
-                 \"shared_decode_tokens_per_s\": {:.1}, \
-                 \"gemv_decode_tokens_per_s\": {:.1},\n        \
-                 \"shared_bytes_per_step\": {:.0}, \"gemv_bytes_per_step\": {:.0},\n        \
-                 \"shared_score_tiles\": {}, \"decode_bitwise_match\": {} }}",
-                p.readers,
-                p.shared_prefill_ms,
-                p.unshared_prefill_ms,
-                p.shared_prefill_tokens_per_s,
-                p.unshared_prefill_tokens_per_s,
-                p.shared_arena_blocks,
-                p.unshared_arena_blocks,
-                p.shared_decode_tokens_per_s,
-                p.gemv_decode_tokens_per_s,
-                p.shared_bytes_per_step,
-                p.gemv_bytes_per_step,
-                p.shared_score_tiles,
-                p.decode_bitwise_match,
-            )
-        })
-        .collect();
-    format!(
-        "{{\n    \"prefix_tokens\": {}, \"suffix_tokens\": {}, \"block_rows\": {}, \
-         \"decode_steps\": {},\n    \"points\": [\n{}\n    ]\n  }}",
-        ps.prefix_tokens,
-        ps.suffix_tokens,
-        ps.block_rows,
-        ps.decode_steps,
-        points.join(",\n"),
-    )
+fn prefix_sharing_json(ps: &PrefixSharingBench) -> Json {
+    let points = ps.points.iter().map(|p| {
+        obj! {
+            "readers" => p.readers,
+            "shared_prefill_ms" => Json::fixed(p.shared_prefill_ms, 3),
+            "unshared_prefill_ms" => Json::fixed(p.unshared_prefill_ms, 3),
+            "shared_prefill_tokens_per_s" => Json::fixed(p.shared_prefill_tokens_per_s, 1),
+            "unshared_prefill_tokens_per_s" => Json::fixed(p.unshared_prefill_tokens_per_s, 1),
+            "shared_arena_blocks" => p.shared_arena_blocks,
+            "unshared_arena_blocks" => p.unshared_arena_blocks,
+            "shared_decode_tokens_per_s" => Json::fixed(p.shared_decode_tokens_per_s, 1),
+            "gemv_decode_tokens_per_s" => Json::fixed(p.gemv_decode_tokens_per_s, 1),
+            "shared_bytes_per_step" => Json::fixed(p.shared_bytes_per_step, 0),
+            "gemv_bytes_per_step" => Json::fixed(p.gemv_bytes_per_step, 0),
+            "shared_score_tiles" => p.shared_score_tiles,
+            "decode_bitwise_match" => p.decode_bitwise_match,
+        }
+    });
+    obj! {
+        "prefix_tokens" => ps.prefix_tokens,
+        "suffix_tokens" => ps.suffix_tokens,
+        "block_rows" => ps.block_rows,
+        "decode_steps" => ps.decode_steps,
+        "points" => Json::Arr(points.collect()),
+    }
 }
 
-fn speculative_json(sp: &SpeculativeBench) -> String {
-    let points: Vec<String> = sp
-        .points
-        .iter()
-        .map(|p| {
-            format!(
-                "      {{ \"gamma\": {}, \"acceptance_rate\": {:.2}, \
-                 \"measured_acceptance\": {:.4},\n        \
-                 \"delivered_tokens\": {}, \"tokens_per_s\": {:.1}, \
-                 \"sequential_tokens_per_s\": {:.1},\n        \
-                 \"bytes_per_step\": {:.0}, \"sequential_bytes_per_step\": {:.0}, \
-                 \"decode_bitwise_match\": {} }}",
-                p.gamma,
-                p.acceptance_rate,
-                p.measured_acceptance,
-                p.delivered_tokens,
-                p.tokens_per_s,
-                p.sequential_tokens_per_s,
-                p.bytes_per_step,
-                p.sequential_bytes_per_step,
-                p.decode_bitwise_match,
-            )
-        })
-        .collect();
-    format!(
-        "{{\n    \"batch\": {}, \"prefill_tokens\": {}, \"windows\": {},\n    \
-         \"points\": [\n{}\n    ]\n  }}",
-        sp.batch,
-        sp.prefill_tokens,
-        sp.windows,
-        points.join(",\n"),
-    )
+fn speculative_json(sp: &SpeculativeBench) -> Json {
+    let points = sp.points.iter().map(|p| {
+        obj! {
+            "gamma" => p.gamma,
+            "acceptance_rate" => Json::fixed(p.acceptance_rate, 2),
+            "measured_acceptance" => Json::fixed(p.measured_acceptance, 4),
+            "delivered_tokens" => p.delivered_tokens,
+            "tokens_per_s" => Json::fixed(p.tokens_per_s, 1),
+            "sequential_tokens_per_s" => Json::fixed(p.sequential_tokens_per_s, 1),
+            "bytes_per_step" => Json::fixed(p.bytes_per_step, 0),
+            "sequential_bytes_per_step" => Json::fixed(p.sequential_bytes_per_step, 0),
+            "decode_bitwise_match" => p.decode_bitwise_match,
+        }
+    });
+    obj! {
+        "batch" => sp.batch,
+        "prefill_tokens" => sp.prefill_tokens,
+        "windows" => sp.windows,
+        "points" => Json::Arr(points.collect()),
+    }
 }
 
 impl ServingBenchReport {
     /// Serializes the report for `BENCH_serving.json`.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"schema\": \"serving-bench/v1\",\n  \
-             \"slo\": {{ \"ttft_steps\": {}, \"per_token_steps\": {} }},\n  \
-             \"load_steps\": {},\n  \
-             \"clean\": {},\n  \
-             \"preemption\": {},\n  \
-             \"fault_drill\": {{\n    \"trials\": {},\n    \"value\": {},\n    \"key\": {}\n  }},\n  \
-             \"prefix_sharing\": {},\n  \
-             \"speculative\": {}\n}}\n",
-            self.slo.ttft_steps,
-            self.slo.per_token_steps,
-            self.load_steps,
-            leg_json(&self.clean),
-            leg_json(&self.preemption),
-            self.drill_trials,
-            drill_json(&self.value_drill),
-            drill_json(&self.key_drill),
-            prefix_sharing_json(&self.prefix_sharing),
-            speculative_json(&self.speculative),
-        )
+        obj! {
+            "schema" => "serving-bench/v1",
+            "slo" => obj! {
+                "ttft_steps" => self.slo.ttft_steps,
+                "per_token_steps" => self.slo.per_token_steps,
+            },
+            "load_steps" => self.load_steps,
+            "clean" => leg_json(&self.clean),
+            "preemption" => leg_json(&self.preemption),
+            "fault_drill" => obj! {
+                "trials" => self.drill_trials,
+                "value" => drill_json(obj! {}, &self.value_drill),
+                "key" => drill_json(obj! {}, &self.key_drill),
+            },
+            "prefix_sharing" => prefix_sharing_json(&self.prefix_sharing),
+            "speculative" => speculative_json(&self.speculative),
+        }
+        .write()
     }
 }
 
@@ -1040,25 +996,25 @@ mod tests {
         assert!(report.key_drill.injections_landed > 0);
         assert!(report.key_drill.token_fidelity_pct() > 90.0);
 
-        // The JSON carries every key CI greps for.
-        let json = report.to_json();
-        for key in [
-            "ttft_p50_ms",
-            "ttft_p99_ms",
-            "per_token_p99_ms",
-            "goodput_under_slo",
-            "fault_drill",
-            "preemption",
-            "prefix_sharing",
-            "speculative",
-            "gamma",
-            "acceptance_rate",
-            "tokens_per_s",
-            "bytes_per_step",
-            "decode_bitwise_match",
-        ] {
-            assert!(json.contains(&format!("\"{key}\"")), "missing key {key}");
-        }
+        // The JSON parses and carries every key CI greps for.
+        crate::assert_paths(
+            &report.to_json(),
+            &[
+                "clean.ttft_p50_ms",
+                "clean.ttft_p99_ms",
+                "clean.per_token_p99_ms",
+                "clean.goodput_under_slo",
+                "fault_drill.value.token_fidelity_pct",
+                "fault_drill.key.divergent_requests",
+                "preemption.ttft_p99_ms",
+                "prefix_sharing.points.0.decode_bitwise_match",
+                "speculative.points.0.gamma",
+                "speculative.points.0.acceptance_rate",
+                "speculative.points.0.tokens_per_s",
+                "speculative.points.0.bytes_per_step",
+                "speculative.points.0.decode_bitwise_match",
+            ],
+        );
     }
 
     #[test]

@@ -1,171 +1,23 @@
-//! README numbers cannot drift from the committed benchmark JSON.
+//! README numbers cannot drift from the committed benchmark JSON, and
+//! every committed artifact parses.
 //!
-//! Every cell of README's three numbers tables — scrub bandwidth
-//! (`BENCH_faults.json` `scrub`), the serving legs (`BENCH_serving.json`
-//! `clean` / `preemption`) and the speculative α×γ grid
-//! (`BENCH_serving.json` `speculative.points`) — is recomputed from the
-//! JSON and compared at the precision the README prints: a cell reading
-//! `13.6` must equal the JSON value formatted to one decimal.
+//! Every cell of README's numbers tables — fused-checksum overhead and
+//! the GQA sweep (`BENCH_kernels.json` `flash2` / `decode_gqa`), scrub
+//! bandwidth (`BENCH_faults.json` `scrub`), the serving legs
+//! (`BENCH_serving.json` `clean` / `preemption`) and the speculative
+//! α×γ grid (`BENCH_serving.json` `speculative.points`) — is recomputed
+//! from the JSON and compared at the precision the README prints: a
+//! cell reading `13.6` must equal the JSON value formatted to one
+//! decimal.
 
+use fa_json::Json;
 use std::path::Path;
 
-/// A parsed JSON value — just enough of the format for the committed
-/// `BENCH_*.json` artifacts (the workspace has no JSON crate). Payloads
-/// other than numbers are only ever printed, hence `dead_code`.
-#[allow(dead_code)]
-#[derive(Debug)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> &Json {
-        match self {
-            Json::Obj(fields) => fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .unwrap_or_else(|| panic!("JSON object has no key {key:?}")),
-            other => panic!("expected an object holding {key:?}, got {other:?}"),
-        }
-    }
-
-    fn num(&self, key: &str) -> f64 {
-        match self.get(key) {
-            Json::Num(x) => *x,
-            other => panic!("{key:?} is not a number: {other:?}"),
-        }
-    }
-
-    fn arr(&self) -> &[Json] {
-        match self {
-            Json::Arr(items) => items,
-            other => panic!("expected an array, got {other:?}"),
-        }
-    }
-}
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self.s.get(self.i).is_some_and(u8::is_ascii_whitespace) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) {
-        self.ws();
-        assert_eq!(
-            self.s.get(self.i),
-            Some(&c),
-            "expected {:?} at byte {}",
-            c as char,
-            self.i
-        );
-        self.i += 1;
-    }
-
-    /// Parses a comma-separated sequence up to `close`.
-    fn seq(&mut self, close: u8, mut item: impl FnMut(&mut Self)) {
-        self.ws();
-        if self.s[self.i] == close {
-            self.i += 1;
-            return;
-        }
-        loop {
-            item(self);
-            self.ws();
-            self.i += 1;
-            match self.s[self.i - 1] {
-                b',' => {}
-                c if c == close => return,
-                c => panic!("unexpected {:?} at byte {}", c as char, self.i - 1),
-            }
-        }
-    }
-
-    fn string(&mut self) -> String {
-        self.eat(b'"');
-        let mut out = String::new();
-        loop {
-            let c = self.s[self.i];
-            self.i += 1;
-            match c {
-                b'"' => return out,
-                b'\\' => {
-                    let e = self.s[self.i];
-                    self.i += 1;
-                    out.push(match e {
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'u' => {
-                            let hex = std::str::from_utf8(&self.s[self.i..self.i + 4]).unwrap();
-                            self.i += 4;
-                            char::from_u32(u32::from_str_radix(hex, 16).unwrap()).unwrap()
-                        }
-                        other => other as char,
-                    });
-                }
-                _ => {
-                    // Copy one whole UTF-8 scalar.
-                    let start = self.i - 1;
-                    while self.s.get(self.i).is_some_and(|b| b & 0xC0 == 0x80) {
-                        self.i += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.s[start..self.i]).unwrap());
-                }
-            }
-        }
-    }
-
-    fn value(&mut self) -> Json {
-        self.ws();
-        match self.s[self.i] {
-            b'{' => {
-                self.i += 1;
-                let mut fields = Vec::new();
-                self.seq(b'}', |p| {
-                    let k = p.string();
-                    p.eat(b':');
-                    fields.push((k, p.value()));
-                });
-                Json::Obj(fields)
-            }
-            b'[' => {
-                self.i += 1;
-                let mut items = Vec::new();
-                self.seq(b']', |p| items.push(p.value()));
-                Json::Arr(items)
-            }
-            b'"' => Json::Str(self.string()),
-            _ => {
-                let start = self.i;
-                while self
-                    .s
-                    .get(self.i)
-                    .is_some_and(|b| b.is_ascii_alphanumeric() || b"+-.".contains(b))
-                {
-                    self.i += 1;
-                }
-                match std::str::from_utf8(&self.s[start..self.i]).unwrap() {
-                    "null" => Json::Null,
-                    "true" => Json::Bool(true),
-                    "false" => Json::Bool(false),
-                    num => Json::Num(num.parse().unwrap_or_else(|_| panic!("bad number {num:?}"))),
-                }
-            }
-        }
-    }
-}
+const ARTIFACTS: [&str; 3] = [
+    "BENCH_kernels.json",
+    "BENCH_faults.json",
+    "BENCH_serving.json",
+];
 
 fn read(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(name);
@@ -173,15 +25,24 @@ fn read(name: &str) -> String {
 }
 
 fn json(name: &str) -> Json {
-    let text = read(name);
-    let mut p = Parser {
-        s: text.as_bytes(),
-        i: 0,
-    };
-    let v = p.value();
-    p.ws();
-    assert_eq!(p.i, text.len(), "trailing bytes in {name}");
-    v
+    Json::parse(&read(name)).unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
+fn get<'a>(j: &'a Json, key: &str) -> &'a Json {
+    j.get(key)
+        .unwrap_or_else(|| panic!("no key {key:?} in {j:?}"))
+}
+
+fn num(j: &Json, key: &str) -> f64 {
+    get(j, key)
+        .as_f64()
+        .unwrap_or_else(|| panic!("{key:?} is not a number in {j:?}"))
+}
+
+fn arr<'a>(j: &'a Json, key: &str) -> &'a [Json] {
+    get(j, key)
+        .as_arr()
+        .unwrap_or_else(|| panic!("{key:?} is not an array in {j:?}"))
 }
 
 /// The body rows of the README table whose header line is exactly
@@ -226,28 +87,28 @@ fn pair(cell: &str) -> (&str, &str) {
 fn scrub_table_matches_bench_faults() {
     let readme = read("README.md");
     let faults = json("BENCH_faults.json");
-    let points = faults.get("scrub").arr();
+    let points = arr(&faults, "scrub");
     let rows = table(
         &readme,
         "| blocks/step | bound (steps) | mean steps to verdict | worst observed |",
     );
     assert_eq!(rows.len(), points.len(), "one README row per scrub point");
     for (row, p) in rows.iter().zip(points) {
-        let bps = p.num("blocks_per_step");
+        let bps = num(p, "blocks_per_step");
         let what = format!("scrub blocks/step {bps}");
         // The off row reads "0 (off)" and has no analytical bound.
         check(row[0].split_whitespace().next().unwrap(), bps, &what);
-        if p.num("latency_bound_steps") == 0.0 {
+        if num(p, "latency_bound_steps") == 0.0 {
             assert!(
                 row[1].starts_with('—'),
                 "{what}: unbounded row prints {:?}",
                 row[1]
             );
         } else {
-            check(&row[1], p.num("latency_bound_steps"), &what);
+            check(&row[1], num(p, "latency_bound_steps"), &what);
         }
-        check(&row[2], p.num("mean_steps_to_verdict"), &what);
-        check(&row[3], p.num("detection_steps_max"), &what);
+        check(&row[2], num(p, "mean_steps_to_verdict"), &what);
+        check(&row[3], num(p, "detection_steps_max"), &what);
     }
 }
 
@@ -270,18 +131,18 @@ fn serving_legs_table_matches_bench_serving() {
         "README lists both serving legs"
     );
     for (row, leg) in rows.iter().zip(legs) {
-        let j = serving.get(leg);
+        let j = get(&serving, leg);
         let (finished, submitted) = pair(&row[1]);
-        check(finished, j.num("finished"), leg);
-        check(submitted, j.num("submitted"), leg);
+        check(finished, num(j, "finished"), leg);
+        check(submitted, num(j, "submitted"), leg);
         let (p50, p99) = pair(&row[2]);
-        check(p50, j.num("ttft_p50_steps"), leg);
-        check(p99, j.num("ttft_p99_steps"), leg);
-        check(&row[3], j.num("per_token_p99_steps"), leg);
-        check(&row[4], j.num("goodput_under_slo"), leg);
+        check(p50, num(j, "ttft_p50_steps"), leg);
+        check(p99, num(j, "ttft_p99_steps"), leg);
+        check(&row[3], num(j, "per_token_p99_steps"), leg);
+        check(&row[4], num(j, "goodput_under_slo"), leg);
         let (demote, preempt) = pair(&row[5]);
-        check(demote, j.num("demotions"), leg);
-        check(preempt, j.num("preemptions"), leg);
+        check(demote, num(j, "demotions"), leg);
+        check(preempt, num(j, "preemptions"), leg);
     }
 }
 
@@ -289,7 +150,7 @@ fn serving_legs_table_matches_bench_serving() {
 fn speculative_table_matches_bench_serving() {
     let readme = read("README.md");
     let serving = json("BENCH_serving.json");
-    let points = serving.get("speculative").get("points").arr();
+    let points = arr(get(&serving, "speculative"), "points");
     let header = "| γ (window) | α = 0.3 | α = 0.6 | α = 0.9 |";
     let alphas: Vec<f64> = header
         .split('|')
@@ -309,16 +170,87 @@ fn speculative_table_matches_bench_serving() {
             let p = points
                 .iter()
                 .find(|p| {
-                    p.num("gamma") == gamma && (p.num("acceptance_rate") - alpha).abs() < 1e-9
+                    num(p, "gamma") == gamma && (num(p, "acceptance_rate") - alpha).abs() < 1e-9
                 })
                 .unwrap_or_else(|| panic!("{what}: no committed point"));
             // "37.1k vs 34.4k (1.08×)"
             let (spec, rest) = cell.split_once(" vs ").unwrap();
             let (seq, ratio) = rest.split_once(" (").unwrap();
-            let (tok, seq_tok) = (p.num("tokens_per_s"), p.num("sequential_tokens_per_s"));
+            let (tok, seq_tok) = (num(p, "tokens_per_s"), num(p, "sequential_tokens_per_s"));
             check(spec.strip_suffix('k').unwrap(), tok / 1000.0, &what);
             check(seq.strip_suffix('k').unwrap(), seq_tok / 1000.0, &what);
             check(ratio.strip_suffix("×)").unwrap(), tok / seq_tok, &what);
         }
+    }
+}
+
+#[test]
+fn committed_artifacts_parse_and_round_trip() {
+    for name in ARTIFACTS {
+        let doc = json(name);
+        assert_eq!(
+            Json::parse(&doc.write()).as_ref(),
+            Ok(&doc),
+            "{name}: rewriting the parsed document changed it"
+        );
+    }
+}
+
+#[test]
+fn fused_checksum_table_matches_bench_kernels() {
+    let readme = read("README.md");
+    let kernels = json("BENCH_kernels.json");
+    let threads = num(&kernels, "host_threads");
+    assert!(
+        readme.contains(&format!("`host_threads: {threads}`")),
+        "README must name the committed run's host_threads ({threads})"
+    );
+    let points = arr(&kernels, "flash2");
+    let rows = table(
+        &readme,
+        "| seq_len | unchecked flash2 (ms) | fused checked (ms) | overhead |",
+    );
+    assert_eq!(rows.len(), points.len(), "one README row per flash2 point");
+    for (row, p) in rows.iter().zip(points) {
+        let what = format!("flash2 seq_len {}", num(p, "seq_len"));
+        let fused = get(p, "fused_checksum");
+        let timing = get(fused, "vs_unchecked_flash2");
+        check(&row[0], num(p, "seq_len"), &what);
+        check(&row[1], num(timing, "baseline_ms"), &what);
+        check(&row[2], num(timing, "optimized_ms"), &what);
+        let pct = row[3].strip_suffix('%').expect("overhead cell ends in %");
+        check(pct, num(fused, "overhead_pct"), &what);
+    }
+}
+
+#[test]
+fn gqa_table_matches_bench_kernels() {
+    let readme = read("README.md");
+    let kernels = json("BENCH_kernels.json");
+    let points = arr(get(&kernels, "decode_gqa"), "points");
+    let rows = table(
+        &readme,
+        "| group size | kv heads | tokens/s | MB/step | vs MHA |",
+    );
+    assert_eq!(rows.len(), points.len(), "one README row per GQA leg");
+    let mha = &points[0];
+    assert_eq!(num(mha, "group_size"), 1.0, "the first leg is MHA");
+    for (row, p) in rows.iter().zip(points) {
+        let what = format!("decode_gqa group {}", num(p, "group_size"));
+        // "1 (MHA)" / "8 (MQA)" name the extreme legs.
+        check(
+            row[0].split_whitespace().next().unwrap(),
+            num(p, "group_size"),
+            &what,
+        );
+        check(&row[1], num(p, "kv_heads"), &what);
+        check(&row[2], num(p, "tokens_per_s"), &what);
+        check(&row[3], num(p, "bytes_per_step") / 1e6, &what);
+        let ratio = row[4].strip_suffix('×').expect("ratio cell ends in ×");
+        check(
+            ratio,
+            num(p, "tokens_per_s") / num(mha, "tokens_per_s"),
+            &what,
+        );
     }
 }
