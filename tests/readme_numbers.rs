@@ -13,12 +13,6 @@
 use fa_json::Json;
 use std::path::Path;
 
-const ARTIFACTS: [&str; 3] = [
-    "BENCH_kernels.json",
-    "BENCH_faults.json",
-    "BENCH_serving.json",
-];
-
 fn read(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(name);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
@@ -186,7 +180,11 @@ fn speculative_table_matches_bench_serving() {
 
 #[test]
 fn committed_artifacts_parse_and_round_trip() {
-    for name in ARTIFACTS {
+    for name in [
+        "BENCH_kernels.json",
+        "BENCH_faults.json",
+        "BENCH_serving.json",
+    ] {
         let doc = json(name);
         assert_eq!(
             Json::parse(&doc.write()).as_ref(),
