@@ -1,6 +1,6 @@
 //! Composite checking: Flash-ABFT's checksum plus an extreme-value scan.
 //!
-//! The fault-injection results (EXPERIMENTS.md) show Flash-ABFT's
+//! The fault-injection results (`table1_fault_detection`) show Flash-ABFT's
 //! residual risk is concentrated in NaN/INF-poisoned outputs: the
 //! magnitude comparator cannot fire on a NaN difference (the paper's
 //! "Silent" category 3). An ATTNChecker-style scan is blind to numeric

@@ -1,5 +1,5 @@
 //! Component cost library — the analytical substitute for the paper's
-//! 28 nm standard-cell synthesis (see DESIGN.md).
+//! 28 nm standard-cell synthesis.
 //!
 //! Costs are expressed in *relative units*: 1.0 area unit = one BF16
 //! adder, 1.0 energy unit = one BF16 addition. Ratios are calibrated to

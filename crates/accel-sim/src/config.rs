@@ -42,8 +42,7 @@ impl ExpUnitKind {
 /// The paper states: operands in BFloat16, "all checksum accumulators ...
 /// built with double-precision floats" (§IV-A). It is silent on the width
 /// of the output/ℓ accumulators; for the stated 10⁻⁶ fault-free bound to
-/// hold they must be wide (see DESIGN.md "Numerics & fault semantics"),
-/// which [`PrecisionPolicy::paper`] adopts. [`PrecisionPolicy::narrow`]
+/// hold they must be wide, which [`PrecisionPolicy::paper`] adopts. [`PrecisionPolicy::narrow`]
 /// makes every kernel register BF16 — the ablation showing why narrow
 /// accumulators break the absolute threshold.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]

@@ -2,8 +2,7 @@
 //!
 //! Cycle-level simulator and hardware cost model of the block-parallel
 //! FlashAttention-2 accelerator with the Flash-ABFT checker (paper
-//! Fig. 2/3) — the substitute for the paper's Catapult-HLS/28 nm flow
-//! (see DESIGN.md).
+//! Fig. 2/3) — the substitute for the paper's Catapult-HLS/28 nm flow.
 //!
 //! ## What is modelled
 //!

@@ -71,8 +71,8 @@
 use crate::topology::HeadTopology;
 use arena::Arena;
 use fa_numerics::{KahanSum, BF16};
-use fa_tensor::{Matrix, Scalar};
-use pass::{HeadState, SharedScratch};
+use fa_tensor::{online::MergedAccumulator, Matrix, Scalar};
+use pass::SharedScratch;
 use rayon::prelude::*;
 
 /// Element-format policy for cache blocks — the "mixed-format KV" lever.
@@ -2464,7 +2464,7 @@ impl<T: Scalar> DecodeBatch<T> {
             let queries = pass::pack_panel(&pend.q, p0..p1, engine.cfg.group_q_cols(g));
             engine.panel_pass(seq, g, &queries, pend.base + p0, true, None)
         };
-        let states: Vec<Vec<HeadState>> =
+        let states: Vec<Vec<MergedAccumulator>> =
             if crate::par::worth_parallelizing_units(pairs.len(), per_pair_elems) {
                 pairs.into_par_iter().map(pass).collect()
             } else {
@@ -2496,14 +2496,14 @@ impl<T: Scalar> DecodeBatch<T> {
                 let mut pred = KahanSum::new();
                 let mut act = KahanSum::new();
                 for j in 0..p1 - p0 {
-                    let state = &group_states[j * gs + m];
-                    let p = p0 + j;
-                    for (c, &lane) in state.lanes[..d].iter().enumerate() {
-                        let val = lane / state.sum_exp;
-                        pend.output[(p, hi * d + c)] = val;
+                    let (lanes, check) = group_states[j * gs + m]
+                        .normalized()
+                        .expect("every query sees its own row");
+                    for (c, val) in lanes.enumerate() {
+                        pend.output[(p0 + j, hi * d + c)] = val;
                         act.add(val);
                     }
-                    pred.add(state.lanes[d] / state.sum_exp);
+                    pred.add(check);
                 }
                 predicted += pred.value();
                 actual += act.value();
@@ -2606,8 +2606,8 @@ impl<T: Scalar> DecodeBatch<T> {
 
     /// Appends every input token, then runs all `batch × kv_heads`
     /// 1-position panel passes in a single fork. Returns one
-    /// [`HeadState`] per (sequence, **query head**), in query-head order
-    /// per sequence.
+    /// unnormalized accumulator per (sequence, **query head**), in
+    /// query-head order per sequence.
     fn run_passes(
         &mut self,
         seq_ids: &[usize],
@@ -2615,7 +2615,7 @@ impl<T: Scalar> DecodeBatch<T> {
         ks: &Matrix<T>,
         vs: &Matrix<T>,
         checked: bool,
-    ) -> Vec<HeadState> {
+    ) -> Vec<MergedAccumulator> {
         assert_eq!(qs.cols(), self.cfg.q_dim(), "Q width mismatch");
         assert_eq!(ks.cols(), self.cfg.kv_dim(), "K width mismatch");
         assert_eq!(vs.cols(), self.cfg.kv_dim(), "V width mismatch");
@@ -2678,12 +2678,12 @@ impl<T: Scalar> DecodeBatch<T> {
                 scratch.tiles_for(flat),
             )
         };
-        let groups: Vec<Vec<HeadState>> = if crate::par::worth_parallelizing(work, max_len, d * gs)
-        {
-            (0..work).into_par_iter().map(pass).collect()
-        } else {
-            (0..work).map(pass).collect()
-        };
+        let groups: Vec<Vec<MergedAccumulator>> =
+            if crate::par::worth_parallelizing(work, max_len, d * gs) {
+                (0..work).into_par_iter().map(pass).collect()
+            } else {
+                (0..work).map(pass).collect()
+            };
         self.shared_scratch = scratch;
         groups.into_iter().flatten().collect()
     }

@@ -19,25 +19,17 @@
 //! position whose causal/window range reaches into it scores its own
 //! rows per group member through the GEMV kernels
 //! ([`ops::dot_then_scale_rows`] / [`ops::dot_then_scale_rows_bf16`])
-//! and folds them through [`accumulate_block`]. Each query therefore
+//! and folds them, with the block's V rows in their stored format and
+//! its `sumrow` lanes, through [`MergedAccumulator::fold`] — the same
+//! fold the fused kernel and the golden sessions use. Each query therefore
 //! sees exactly its own rows, in ascending order, with the per-row
 //! arithmetic of a one-query sweep: a panel is bit-identical to scoring
 //! its positions one at a time (unit-tested below), and every engine
 //! path stays bit-identical to the golden sessions (property-tested).
 
 use super::{DecodeBatch, DecodeStepOutput, HeadBlockData};
-use fa_numerics::OnlineSoftmax;
-use fa_tensor::{ops, Matrix, Scalar};
+use fa_tensor::{online::MergedAccumulator, ops, Matrix, Scalar};
 use std::ops::Range;
-
-/// Unnormalized per-(query, head) state produced by one panel pass:
-/// `d` output lanes plus the checksum lane, and the softmax terminal.
-pub(super) struct HeadState {
-    /// Lanes `0..d` = output accumulator, lane `d` = checksum (only
-    /// meaningful on checked passes).
-    pub(super) lanes: Vec<f64>,
-    pub(super) sum_exp: f64,
-}
 
 /// Sort key of one tile candidate: `(physical block index, stored as
 /// BF16, first visible row, one-past-last visible row)`. Two readers
@@ -163,7 +155,7 @@ impl<T: Scalar> DecodeBatch<T> {
     /// step's shared-score row (1-position panels only): a block whose
     /// tile covers the query's exact range is read from the tile instead
     /// of being re-scored — same per-(query, row) dot kernel, same bits.
-    /// Returns the states in packing order.
+    /// Returns the unnormalized states in packing order.
     pub(super) fn panel_pass(
         &self,
         seq: usize,
@@ -172,7 +164,7 @@ impl<T: Scalar> DecodeBatch<T> {
         pos0: usize,
         checked: bool,
         shared: Option<SharedTiles<'_>>,
-    ) -> Vec<HeadState> {
+    ) -> Vec<MergedAccumulator> {
         let d = self.cfg.head.head_dim();
         let gs = self.cfg.group_size();
         let scale = self.cfg.head.scale();
@@ -184,9 +176,7 @@ impl<T: Scalar> DecodeBatch<T> {
             gs,
             mask_window: self.mask_window,
             checked,
-            states: (0..n_pos * gs)
-                .map(|_| (OnlineSoftmax::new(), vec![0.0f64; d + 1]))
-                .collect(),
+            states: (0..n_pos * gs).map(|_| MergedAccumulator::new(d)).collect(),
             scores: Vec::new(),
         };
         // Demoted blocks score through the mixed-operand kernel, which
@@ -224,14 +214,7 @@ impl<T: Scalar> DecodeBatch<T> {
                 }
             }
         }
-        panel
-            .states
-            .into_iter()
-            .map(|(os, lanes)| HeadState {
-                lanes,
-                sum_exp: os.sum_exp(),
-            })
-            .collect()
+        panel.states
     }
 
     /// Builds the decode step's shared-block score table: for every
@@ -436,8 +419,8 @@ struct Panel {
     gs: usize,
     mask_window: Option<usize>,
     checked: bool,
-    /// `(softmax terminal, lanes)` per query, in packing order.
-    states: Vec<(OnlineSoftmax, Vec<f64>)>,
+    /// One accumulator per query, in packing order.
+    states: Vec<MergedAccumulator>,
     /// Per-member score scratch, reused across blocks and queries.
     scores: Vec<f64>,
 }
@@ -447,9 +430,9 @@ impl Panel {
     /// for each panel position whose visible range `[r0, r1)` reaches
     /// into the block (`first`, `rows`), each member's scores come from
     /// the shared `tile` when its range matches, else from
-    /// `score(query, r0, rows, out)`, and fold through
-    /// [`accumulate_block`] with the block's values `v` and checksum
-    /// lanes `sumrow`.
+    /// `score(query, r0, rows, out)`, and fold through the query's
+    /// accumulator with the block's values `v` and (when checked) its
+    /// checksum lanes `sumrow`.
     fn fold_block<V: Scalar>(
         &mut self,
         (first, rows): (usize, usize),
@@ -475,65 +458,33 @@ impl Panel {
                         &self.scores
                     }
                 };
-                let (os, lanes) = &mut self.states[qi];
-                accumulate_block(os, lanes, member_scores, v, sumrow, r0, self.checked);
+                let acc = &mut self.states[qi];
+                let d = acc.dim();
+                let sumrow = self.checked.then(|| &sumrow[r0..r1]);
+                acc.fold(member_scores, &v[r0 * d..r1 * d], sumrow);
             }
-        }
-    }
-}
-
-/// Folds one scored block through the online recurrence: lines 4–6 of
-/// Alg. 3 for each of the block's visible rows from `r0` on, plus the
-/// checksum lane when `checked`. `v` is the block's contiguous `rows × d`
-/// value panel and `sumrow` its per-row checksum lanes. Generic over the
-/// block's stored value format (native `T` or demoted BF16) —
-/// [`ops::axpy_f64`] handles both with identical per-lane rounding.
-fn accumulate_block<V: Scalar>(
-    os: &mut OnlineSoftmax,
-    lanes: &mut [f64],
-    scores: &[f64],
-    v: &[V],
-    sumrow: &[f64],
-    r0: usize,
-    checked: bool,
-) {
-    let d = lanes.len() - 1;
-    for (j, &s) in scores.iter().enumerate() {
-        let r = r0 + j;
-        let step = os.push(s);
-        let vo = r * d;
-        ops::axpy_f64(
-            &mut lanes[..d],
-            &v[vo..vo + d],
-            step.scale_old,
-            step.weight_new,
-        );
-        if checked {
-            lanes[d] = lanes[d] * step.scale_old + sumrow[r] * step.weight_new;
         }
     }
 }
 
 /// Normalizes one token's per-query-head states, given in query-head
 /// order, into its `q_dim`-wide output row and checksum pair (Alg. 3
-/// lines 9–11): lanes divide by their head's `ℓ`, `actual` sums the
-/// produced lanes and `predicted` the per-head `c/ℓ` terms, both in head
-/// order.
+/// lines 9–11): `actual` sums the normalized lanes and `predicted` the
+/// per-head checks, both in head order.
 pub(super) fn finalize_token<'a>(
     q_dim: usize,
-    heads: impl IntoIterator<Item = &'a HeadState>,
+    heads: impl IntoIterator<Item = &'a MergedAccumulator>,
 ) -> DecodeStepOutput {
     let mut output = Vec::with_capacity(q_dim);
     let mut predicted = 0.0f64;
     let mut actual = 0.0f64;
-    for state in heads {
-        let d = state.lanes.len() - 1;
-        for &lane in &state.lanes[..d] {
-            let val = lane / state.sum_exp;
+    for acc in heads {
+        let (lanes, check) = acc.normalized().expect("every query sees its own row");
+        for val in lanes {
             output.push(val);
             actual += val;
         }
-        predicted += state.lanes[d] / state.sum_exp;
+        predicted += check;
     }
     DecodeStepOutput {
         output,
@@ -623,8 +574,17 @@ mod tests {
                                     let at = format!(
                                         "{what}: panel {pos0}+{n_pos} kv {g} pos {p} member {m}"
                                     );
-                                    assert_eq!(x.sum_exp.to_bits(), s.sum_exp.to_bits(), "{at}");
-                                    for (a, c) in x.lanes.iter().zip(&s.lanes) {
+                                    assert_eq!(
+                                        x.sum_exp().to_bits(),
+                                        s.sum_exp().to_bits(),
+                                        "{at}"
+                                    );
+                                    assert_eq!(
+                                        x.checksum().to_bits(),
+                                        s.checksum().to_bits(),
+                                        "{at}"
+                                    );
+                                    for (a, c) in x.output().iter().zip(s.output()) {
                                         assert_eq!(a.to_bits(), c.to_bits(), "{at}");
                                     }
                                 }

@@ -53,8 +53,8 @@
 
 use super::guard::WindowVerdict;
 use super::pass::{finalize_token, pack_panel};
-use super::{BlockCheck, BlockRef, DecodeBatch, DecodeStepOutput, HeadState, KvFormat};
-use fa_tensor::{Matrix, Scalar};
+use super::{BlockCheck, BlockRef, DecodeBatch, DecodeStepOutput, KvFormat};
+use fa_tensor::{online::MergedAccumulator, Matrix, Scalar};
 use rayon::prelude::*;
 
 /// Rollback snapshot and scored-window state for one speculating
@@ -269,7 +269,7 @@ impl<T: Scalar> DecodeBatch<T> {
                 let queries = pack_panel(qs, rows, self.cfg.group_q_cols(g));
                 self.panel_pass(seq_ids[i], g, &queries, len0s[i] + j0, true, None)
             };
-            let states: Vec<Vec<HeadState>> =
+            let states: Vec<Vec<MergedAccumulator>> =
                 if crate::par::worth_parallelizing(work, max_len, d * gs * gamma) {
                     (0..work).into_par_iter().map(pass).collect()
                 } else {

@@ -10,8 +10,7 @@
 
 use crate::topology::HeadTopology;
 use crate::AttentionConfig;
-use fa_numerics::OnlineSoftmax;
-use fa_tensor::{Matrix, Scalar};
+use fa_tensor::{online::MergedAccumulator, Matrix, Scalar};
 
 /// An incremental decoding session: a KV cache plus the kernel config.
 ///
@@ -123,8 +122,7 @@ impl<T: Scalar> DecodeSession<T> {
         self.values.push(v.to_vec());
 
         let newest = self.keys.len() - 1;
-        let mut os = OnlineSoftmax::new();
-        let mut acc = vec![0.0f64; d];
+        let mut acc = MergedAccumulator::new(d);
         // Sliding-window masking relative to the newest position: the
         // visible cache positions are exactly the causal window interval.
         let lo = self
@@ -134,14 +132,10 @@ impl<T: Scalar> DecodeSession<T> {
             .start;
         for i in lo..self.keys.len() {
             let s = fa_tensor::ops::dot_then_scale(q, &self.keys[i], self.cfg.scale());
-            let step = os.push(s);
-            fa_tensor::ops::axpy_f64(&mut acc, &self.values[i], step.scale_old, step.weight_new);
+            acc.fold(&[s], &self.values[i], None);
         }
-        let l = os.sum_exp();
-        for a in acc.iter_mut() {
-            *a /= l;
-        }
-        (acc, l, os.max())
+        let (output, _) = acc.normalized().expect("the new token is visible");
+        (output.collect(), acc.sum_exp(), acc.max_score())
     }
 }
 
@@ -270,22 +264,15 @@ impl<T: Scalar> GqaDecodeSession<T> {
         for h in 0..self.topo.query_heads {
             let g = self.topo.group_of(h);
             let q_sub = &q[self.topo.q_head_cols(h)];
-            let mut os = OnlineSoftmax::new();
-            let mut acc = vec![0.0f64; d];
+            let mut acc = MergedAccumulator::new(d);
             for i in lo..self.len() {
                 let s =
                     fa_tensor::ops::dot_then_scale(q_sub, &self.keys[g][i], self.topo.head.scale());
-                let step = os.push(s);
-                fa_tensor::ops::axpy_f64(
-                    &mut acc,
-                    &self.values[g][i],
-                    step.scale_old,
-                    step.weight_new,
-                );
+                acc.fold(&[s], &self.values[g][i], None);
             }
-            let l = os.sum_exp();
-            for (c, a) in acc.iter().enumerate() {
-                out[h * d + c] = a / l;
+            let (output, _) = acc.normalized().expect("the new token is visible");
+            for (o, val) in out[h * d..(h + 1) * d].iter_mut().zip(output) {
+                *o = val;
             }
         }
         out

@@ -9,8 +9,7 @@
 //! checksum (which obeys the *same* recurrence) can be computed online.
 
 use crate::{par, AttentionConfig};
-use fa_numerics::OnlineSoftmax;
-use fa_tensor::{Matrix, Scalar};
+use fa_tensor::{online::MergedAccumulator, Matrix, Scalar};
 use rayon::prelude::*;
 
 /// Per-query result of the online pass, before the final division.
@@ -57,9 +56,9 @@ pub fn attention<T: Scalar>(
     let d = cfg.head_dim();
     let mut out = Matrix::zeros(q.rows(), d);
     let fill_row = |qi: usize, row: &mut [T]| {
-        let state = query_state(q, k, v, cfg, qi);
-        for (o, &val) in row.iter_mut().zip(&state.output) {
-            *o = T::from_f64(val / state.sum_exp);
+        let acc = query_pass(q, k, v, cfg, qi);
+        for (o, &val) in row.iter_mut().zip(acc.output()) {
+            *o = T::from_f64(val / acc.sum_exp());
         }
     };
     if par::worth_parallelizing(q.rows(), k.rows(), d) {
@@ -92,9 +91,9 @@ pub fn attention_serial<T: Scalar>(
     let d = cfg.head_dim();
     let mut out = Matrix::zeros(q.rows(), d);
     for qi in 0..q.rows() {
-        let state = query_state(q, k, v, cfg, qi);
+        let acc = query_pass(q, k, v, cfg, qi);
         for c in 0..d {
-            out[(qi, c)] = T::from_f64(state.output[c] / state.sum_exp);
+            out[(qi, c)] = T::from_f64(acc.output()[c] / acc.sum_exp());
         }
     }
     out
@@ -126,10 +125,26 @@ pub fn query_state<T: Scalar>(
 ) -> OnlineQueryState {
     cfg.validate_shapes(q, k, v);
     assert!(query_idx < q.rows(), "query index out of bounds");
-    let d = cfg.head_dim();
-    let mut os = OnlineSoftmax::new();
-    let mut output = vec![0.0f64; d];
+    let acc = query_pass(q, k, v, cfg, query_idx);
+    OnlineQueryState {
+        output: acc.output().to_vec(),
+        sum_exp: acc.sum_exp(),
+        max_score: acc.max_score(),
+        steps: acc.softmax().len(),
+    }
+}
 
+/// The body of [`query_state`]: the blocked loop, folding each block's
+/// V rows with no checksum lane.
+fn query_pass<T: Scalar>(
+    q: &Matrix<T>,
+    k: &Matrix<T>,
+    v: &Matrix<T>,
+    cfg: &AttentionConfig,
+    query_idx: usize,
+) -> MergedAccumulator {
+    let d = cfg.head_dim();
+    let mut acc = MergedAccumulator::new(d);
     let visible = cfg.visible_range(query_idx, k.rows());
     let q_row = q.row(query_idx);
     let mut scores = Vec::with_capacity(SCORE_BLOCK.min(visible.len()));
@@ -146,21 +161,12 @@ pub fn query_state<T: Scalar>(
             cfg.scale(),
             &mut scores,
         );
-        for (j, &s) in scores.iter().enumerate() {
-            // Lines 4–5: max update and rescaled sum of exponentials.
-            let step = os.push(s);
-            // Line 6: o_i = o_{i-1}·e^{m_{i-1}-m_i} + v_i·e^{s_i-m_i}.
-            fa_tensor::ops::axpy_f64(&mut output, v.row(i + j), step.scale_old, step.weight_new);
-        }
+        // Lines 4–6: max update, rescaled sum of exponentials and
+        // o_i = o_{i-1}·e^{m_{i-1}-m_i} + v_i·e^{s_i-m_i}.
+        acc.fold(&scores, &v.as_slice()[i * d..(i + rows) * d], None);
         i += rows;
     }
-
-    OnlineQueryState {
-        output,
-        sum_exp: os.sum_exp(),
-        max_score: os.max(),
-        steps: os.len(),
-    }
+    acc
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 
 use crate::{par, AttentionConfig};
 use fa_numerics::OnlineSoftmax;
-use fa_tensor::{Matrix, Scalar};
+use fa_tensor::{online::MergedAccumulator, Matrix, Scalar};
 use rayon::prelude::*;
 
 /// Runs the blocked key/value streaming loop for one query row, writing
@@ -33,23 +33,19 @@ fn fill_query_row<T: Scalar>(
         let block_end = (block_start + block_size).min(n);
 
         // Local pass over this key/value block.
-        let mut local = OnlineSoftmax::new();
-        let mut local_acc = vec![0.0f64; d];
+        let mut local = MergedAccumulator::new(d);
         for i in block_start..block_end {
             if !cfg.visible(qi, i) {
                 continue;
             }
             let s = fa_tensor::ops::dot_then_scale(q.row(qi), k.row(i), cfg.scale());
-            let step = local.push(s);
-            fa_tensor::ops::axpy_f64(&mut local_acc, v.row(i), step.scale_old, step.weight_new);
+            local.fold(&[s], v.row(i), None);
         }
 
         // Merge block state into the running per-query state.
-        if !local.is_empty() {
-            let step = global.merge(&local);
-            for (g, l) in acc.iter_mut().zip(&local_acc) {
-                *g = *g * step.scale_old + *l * step.weight_new;
-            }
+        if !local.softmax().is_empty() {
+            let step = global.merge(local.softmax());
+            fa_tensor::ops::axpy_f64(&mut acc, local.output(), step.scale_old, step.weight_new);
         }
         block_start = block_end;
     }

@@ -38,7 +38,10 @@ fn bench_checksum(c: &mut Criterion) {
             for (i, row) in rows.iter().enumerate() {
                 acc.step(i as f64 * 0.01, row);
             }
-            black_box(acc.finalize())
+            black_box(
+                acc.normalized()
+                    .map(|(out, check)| (out.sum::<f64>(), check)),
+            )
         })
     });
     group.finish();

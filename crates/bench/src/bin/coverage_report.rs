@@ -78,7 +78,7 @@ fn main() {
             // *post-hoc software* deployment the prediction is recomputed
             // from the clean inputs, so even score-level corruption is
             // exposed (unlike the fused hardware checker, whose score
-            // path is shared with the kernel — see DESIGN.md).
+            // path is shared with the kernel).
             if engine.verify(&q, &k, &v, &report.output).is_alarm() {
                 caught[2] += 1;
             }
@@ -98,5 +98,5 @@ fn main() {
     println!("fires on INF/NaN (never here). Post-hoc Flash-ABFT verification predicts the");
     println!("checksum from clean inputs and covers all three points with ONE comparison.");
     println!("(In the fused hardware checker the score path is shared with the kernel, so");
-    println!("score-register faults are coherent there — see DESIGN.md finding #1.)");
+    println!("score-register faults are coherent there.)");
 }

@@ -1,7 +1,7 @@
 //! Convenience driver: benchmarks the kernel layer (emitting
 //! `BENCH_kernels.json`), then runs every experiment binary in sequence
 //! with the given flags, printing section headers — regenerates the full
-//! EXPERIMENTS.md evidence in one command.
+//! set of paper artifacts (README "Quickstart") in one command.
 //!
 //! Usage: `cargo run --release -p fa-bench --bin run_all [--quick]`
 
@@ -69,10 +69,7 @@ fn kernel_benchmarks(quick: bool) {
          checksum overhead: {:.2}% | host threads: {}",
         report.matmul.last().map_or(0.0, |p| p.bf16_gflops),
         report.flash2.last().map_or(0.0, |p| p.tokens_per_s),
-        report
-            .flash2
-            .last()
-            .map_or(0.0, |p| p.checksum_overhead_pct()),
+        report.flash2.last().map_or(0.0, |p| p.overhead_pct),
         report.host_threads
     );
 

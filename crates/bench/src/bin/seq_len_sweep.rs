@@ -84,5 +84,5 @@ fn main() {
     print!("{}", dist_table.render());
     println!();
     println!("the Detected/FP/Silent shape is stable across N and input distributions,");
-    println!("supporting the synthetic-workload substitution documented in DESIGN.md.");
+    println!("supporting the synthetic-workload substitution (see `fa_models`).");
 }

@@ -6,7 +6,7 @@
 //! The paper's criterion is the checksum-level discrepancy (§IV-B); this
 //! binary reports that table *and* the strict hardware-comparator
 //! breakdown, plus the Masked category a bit-accurate simulation
-//! necessarily exposes (see EXPERIMENTS.md).
+//! necessarily exposes.
 //!
 //! Usage: `cargo run --release -p fa-bench --bin table1_fault_detection`
 //! (`--quick` = 1 000 campaigns instead of 10 000; `--campaigns N`).

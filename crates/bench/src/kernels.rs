@@ -51,7 +51,8 @@ pub struct MatmulPoint {
     pub bf16_gflops: f64,
 }
 
-/// Flash2 + fused-checksum timings at one sequence length.
+/// Flash2 + fused-checksum timings at one sequence length: medians over
+/// `pairs` interleaved rounds.
 #[derive(Clone, Debug)]
 pub struct Flash2Point {
     /// Sequence length.
@@ -62,13 +63,15 @@ pub struct Flash2Point {
     pub tokens_per_s: f64,
     /// Fused checksum kernel time vs unchecked flash2 (same pass count).
     pub fused_checksum: KernelTiming,
-}
-
-impl Flash2Point {
-    /// Fused-checksum overhead over unchecked flash2, percent.
-    pub fn checksum_overhead_pct(&self) -> f64 {
-        (self.fused_checksum.optimized_ms / self.fused_checksum.baseline_ms - 1.0) * 100.0
-    }
+    /// Fused-checksum overhead over unchecked flash2, percent: the
+    /// median of the per-pair overheads.
+    pub overhead_pct: f64,
+    /// 10th percentile of the per-pair overheads, percent.
+    pub overhead_p10_pct: f64,
+    /// 90th percentile of the per-pair overheads, percent.
+    pub overhead_p90_pct: f64,
+    /// Timed (unchecked, checked) pairs.
+    pub pairs: usize,
 }
 
 /// SIMD dot-product timings vs the seed's sequential add chain.
@@ -427,7 +430,10 @@ impl KernelBenchReport {
                 "tokens_per_s" => Json::fixed(p.tokens_per_s, 1),
                 "fused_checksum" => obj! {
                     "vs_unchecked_flash2" => timing_json(&p.fused_checksum),
-                    "overhead_pct" => Json::fixed(p.checksum_overhead_pct(), 2),
+                    "overhead_pct" => Json::fixed(p.overhead_pct, 2),
+                    "overhead_p10_pct" => Json::fixed(p.overhead_p10_pct, 2),
+                    "overhead_p90_pct" => Json::fixed(p.overhead_p90_pct, 2),
+                    "pairs" => p.pairs,
                 },
             }
         });
@@ -601,49 +607,75 @@ fn measure_matmul(n: usize, reps: usize) -> MatmulPoint {
     }
 }
 
-fn measure_flash2(seq_len: usize, reps: usize) -> Flash2Point {
+/// Timed (unchecked, checked) flash2 pairs per sequence length. Odd, so
+/// the nearest-rank median is one observed pair.
+const FLASH2_PAIRS: usize = 31;
+
+/// Nearest-rank percentile `pct` (0–100) of an ascending-sorted,
+/// non-empty slice.
+fn nearest_rank(sorted: &[f64], pct: f64) -> f64 {
+    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+fn measure_flash2(seq_len: usize) -> Flash2Point {
     let d = 64;
     let q = Matrix::<f64>::random_seeded(seq_len, d, ElementDist::default(), 10);
     let k = Matrix::<f64>::random_seeded(seq_len, d, ElementDist::default(), 11);
     let v = Matrix::<f64>::random_seeded(seq_len, d, ElementDist::default(), 12);
     let cfg = AttentionConfig::new(d);
-
-    // Interleave the three variants round-robin (see `timed_once`): the
-    // checksum overhead is a small ratio of two large numbers, and
-    // measuring the variants in separate blocks lets host-speed drift
-    // masquerade as multiple points of overhead. Extra rounds here (the
-    // section is cheap) because both ratios are drift-dominated on a
-    // shared core — on a 1-thread pool the "parallel" entry point IS the
-    // serial code path, so parallel_vs_serial measures pure container
-    // drift and should read ≈1.0.
-    let reps = reps + 2;
-    let (mut serial_ms, mut parallel_ms, mut checked_ms) =
-        (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    for rep in 0..=reps {
-        let a = timed_once(|| (), |_| flash2::attention_serial(&q, &k, &v, &cfg));
-        let b = timed_once(|| (), |_| flash2::attention(&q, &k, &v, &cfg));
-        let c = timed_once(
+    let unchecked = || timed_once(|| (), |_| flash2::attention(&q, &k, &v, &cfg));
+    let checked = || {
+        timed_once(
             || (),
             |_| flash_abft::flash2_with_checksum(&q, &k, &v, &cfg),
-        );
-        if rep > 0 {
-            serial_ms = serial_ms.min(a);
-            parallel_ms = parallel_ms.min(b);
-            checked_ms = checked_ms.min(c);
+        )
+    };
+
+    // The checksum overhead is a small ratio of two large numbers: time
+    // unchecked and checked back to back in each round, alternating which
+    // runs first, and report the spread of the per-pair overheads, so
+    // host-speed drift shows as spread instead of as overhead. The serial
+    // kernel rides each round for `parallel_vs_serial` (on a 1-thread
+    // pool the "parallel" entry point IS the serial code path, so that
+    // ratio measures pure drift and should read ≈1.0). Round 0 warms up.
+    let (mut serial, mut plain, mut fused, mut overheads) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for round in 0..=FLASH2_PAIRS {
+        let a = timed_once(|| (), |_| flash2::attention_serial(&q, &k, &v, &cfg));
+        let (u, c) = if round % 2 == 0 {
+            let u = unchecked();
+            (u, checked())
+        } else {
+            let c = checked();
+            (unchecked(), c)
+        };
+        if round > 0 {
+            serial.push(a);
+            plain.push(u);
+            fused.push(c);
+            overheads.push((c / u - 1.0) * 100.0);
         }
     }
-    let parallel = KernelTiming {
-        baseline_ms: serial_ms,
-        optimized_ms: parallel_ms,
-    };
+    for xs in [&mut serial, &mut plain, &mut fused, &mut overheads] {
+        xs.sort_by(f64::total_cmp);
+    }
+    let parallel_ms = nearest_rank(&plain, 50.0);
     Flash2Point {
         seq_len,
-        parallel,
+        parallel: KernelTiming {
+            baseline_ms: nearest_rank(&serial, 50.0),
+            optimized_ms: parallel_ms,
+        },
         tokens_per_s: seq_len as f64 / (parallel_ms * 1e-3),
         fused_checksum: KernelTiming {
             baseline_ms: parallel_ms,
-            optimized_ms: checked_ms,
+            optimized_ms: nearest_rank(&fused, 50.0),
         },
+        overhead_pct: nearest_rank(&overheads, 50.0),
+        overhead_p10_pct: nearest_rank(&overheads, 10.0),
+        overhead_p90_pct: nearest_rank(&overheads, 90.0),
+        pairs: FLASH2_PAIRS,
     }
 }
 
@@ -1813,10 +1845,7 @@ pub fn measure(quick: bool) -> KernelBenchReport {
         .iter()
         .map(|&n| measure_matmul(n, reps))
         .collect();
-    let flash2 = flash2_sizes
-        .iter()
-        .map(|&s| measure_flash2(s, reps))
-        .collect();
+    let flash2 = flash2_sizes.iter().map(|&s| measure_flash2(s)).collect();
     let dot_simd = measure_dot(4096, dot_iters, reps);
     let decode_single = measure_decode_single(decode_shape, decode_reps);
     let decode_batched: Vec<DecodeBatchPoint> = [1usize, 8, 32]
@@ -1881,7 +1910,9 @@ mod tests {
         assert!(report.matmul[0].bf16.optimized_ms > 0.0);
         assert_eq!(report.flash2.len(), 1);
         assert!(report.flash2[0].tokens_per_s > 0.0);
-        assert!(report.flash2[0].checksum_overhead_pct().is_finite());
+        let f = &report.flash2[0];
+        assert_eq!(f.pairs, FLASH2_PAIRS);
+        assert!(f.overhead_p10_pct <= f.overhead_pct && f.overhead_pct <= f.overhead_p90_pct);
         assert!(report.dot_simd.f64_dot.speedup() > 0.0);
         assert!(report.decode_single.checked_tokens_per_s > 0.0);
         assert_eq!(report.decode_batched.len(), 3);
@@ -2020,6 +2051,9 @@ mod tests {
                 "matmul.0.bf16_gflops",
                 "flash2.0.tokens_per_s",
                 "flash2.0.fused_checksum.overhead_pct",
+                "flash2.0.fused_checksum.overhead_p10_pct",
+                "flash2.0.fused_checksum.overhead_p90_pct",
+                "flash2.0.fused_checksum.pairs",
                 "dot_simd.f64.speedup",
                 "decode_single",
                 "decode_batched.points.0.speedup",

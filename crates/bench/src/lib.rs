@@ -1,8 +1,8 @@
 //! # fa-bench
 //!
 //! Benchmark harness regenerating every table and figure of the
-//! Flash-ABFT paper. Each experiment is a binary (see DESIGN.md's
-//! experiment index):
+//! Flash-ABFT paper. Each experiment is a binary (README "Quickstart"
+//! lists the commands):
 //!
 //! | binary | paper artifact |
 //! |---|---|

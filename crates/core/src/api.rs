@@ -1,7 +1,7 @@
 //! High-level public API: [`FlashAbft`] and checked multi-head attention.
 
 use crate::checker::{ChecksumReport, FlashAbftChecker};
-use crate::online::{attention_checked, OnlineChecked};
+use crate::online::{flash2_with_checksum, OnlineChecked};
 use fa_attention::gqa::GqaConfig;
 use fa_attention::multihead::MultiHeadConfig;
 use fa_attention::AttentionConfig;
@@ -113,7 +113,7 @@ impl FlashAbft {
         k: &Matrix<T>,
         v: &Matrix<T>,
     ) -> CheckedAttention<T> {
-        let result = attention_checked(q, k, v, &self.cfg);
+        let result = flash2_with_checksum(q, k, v, &self.cfg);
         let report = self.checker.check_online(&result);
         CheckedAttention { result, report }
     }

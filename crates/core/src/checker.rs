@@ -135,7 +135,7 @@ impl FlashAbftChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::online::attention_checked;
+    use crate::online::flash2_with_checksum;
     use fa_attention::naive;
     use fa_tensor::random::ElementDist;
 
@@ -151,7 +151,7 @@ mod tests {
     fn fault_free_online_check_passes() {
         let (q, k, v) = rand_qkv(16, 8, 400);
         let cfg = AttentionConfig::new(8);
-        let result = attention_checked(&q, &k, &v, &cfg);
+        let result = flash2_with_checksum(&q, &k, &v, &cfg);
         let report = FlashAbftChecker::default().check_online(&result);
         assert_eq!(report.outcome, CheckOutcome::Pass);
         assert!(report.residual().abs() < 1e-10);

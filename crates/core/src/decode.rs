@@ -15,11 +15,10 @@
 //! baseline the decode benchmarks measure the paged engine against.
 
 use crate::checker::{ChecksumReport, FlashAbftChecker};
-use crate::merged::MergedAccumulator;
 use crate::online::OnlineChecked;
 use fa_attention::{AttentionConfig, HeadTopology};
 use fa_numerics::Tolerance;
-use fa_tensor::{Matrix, Scalar};
+use fa_tensor::{online::MergedAccumulator, Matrix, Scalar};
 
 /// One decode step's output and verification.
 #[derive(Clone, Debug)]
@@ -237,7 +236,8 @@ impl CheckedDecodeSession {
             let s = fa_tensor::ops::dot_then_scale(&qf, &self.keys[i], self.cfg.scale());
             acc.step_with_sumrow(s, &self.values[i], self.sumrows[i]);
         }
-        let (output, check) = acc.finalize().expect("at least the new token is visible");
+        let (output, check) = acc.normalized().expect("at least the new token is visible");
+        let output: Vec<f64> = output.collect();
         let row_sum: f64 = output.iter().sum();
         self.global_check += check;
         self.global_actual += row_sum;
@@ -431,7 +431,8 @@ impl CheckedGqaDecodeSession {
                     fa_tensor::ops::dot_then_scale(&qf, &self.keys[g][i], self.topo.head.scale());
                 acc.step_with_sumrow(s, &self.values[g][i], self.sumrows[g][i]);
             }
-            let (output, check) = acc.finalize().expect("at least the new token is visible");
+            let (output, check) = acc.normalized().expect("at least the new token is visible");
+            let output: Vec<f64> = output.collect();
             let row_sum: f64 = output.iter().sum();
             self.global_check += check;
             self.global_actual += row_sum;

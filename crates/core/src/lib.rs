@@ -19,8 +19,9 @@
 //!   ground truth everywhere;
 //! * [`online`] — Alg. 3: FlashAttention-2 with the online checksum
 //!   computation fused into the kernel loop;
-//! * [`merged`] — the merged accumulator of Eq. 9/10 (`o* = [c, o]`):
-//!   checksum as an extra output lane;
+//! * [`MergedAccumulator`] — the merged accumulator of Eq. 9/10
+//!   (`o* = [c, o]`): checksum as an extra output lane, defined once in
+//!   `fa_tensor::online` for every kernel;
 //! * [`decode`] — checked autoregressive decoding: per-token Alg. 3
 //!   checks over a growing KV cache, with checked prompt prefill through
 //!   the fused kernel — the bit-exact golden model for the
@@ -54,11 +55,10 @@ pub mod checker;
 pub mod checksum;
 pub mod decode;
 pub mod localize;
-pub mod merged;
 pub mod online;
 
 pub use api::{CheckedAttention, FlashAbft};
 pub use checker::{ChecksumReport, FlashAbftChecker};
 pub use decode::{CheckedDecodeSession, CheckedDecodeStep, CheckedGqaDecodeSession};
-pub use merged::MergedAccumulator;
-pub use online::{attention_checked, flash2_with_checksum, flash2_with_checksum_serial};
+pub use fa_tensor::online::MergedAccumulator;
+pub use online::{flash2_with_checksum, flash2_with_checksum_serial};

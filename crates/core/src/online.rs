@@ -14,10 +14,9 @@
 //! calling thread in query order, making the parallel kernel bit-identical
 //! to [`flash2_with_checksum_serial`] at every thread count.
 
-use crate::merged::MergedAccumulator;
 use fa_attention::AttentionConfig;
 use fa_numerics::KahanSum;
-use fa_tensor::{Matrix, Scalar};
+use fa_tensor::{online::MergedAccumulator, Matrix, Scalar};
 use rayon::prelude::*;
 
 /// Everything Alg. 3 produces for one attention computation.
@@ -54,26 +53,24 @@ impl<T: Scalar> OnlineChecked<T> {
 }
 
 /// Key rows scored per block in [`query_pass`]: score a whole block first
-/// (one contiguous K stream), then fold the block's extended value rows
-/// through the merged recurrence — the same two-stream structure as the
-/// unchecked `flash2` kernel, so the checksum lane never costs extra
-/// memory passes.
+/// (one contiguous K stream), then fold the block's value rows and their
+/// sumrow lanes through the merged recurrence — the same two-stream
+/// structure as the unchecked `flash2` kernel, so the checksum lane never
+/// costs extra memory passes.
 const SCORE_BLOCK: usize = 64;
 
 /// Runs the Alg. 3 streaming loop for one query: one pass over K/V
 /// computing scores, online softmax state, output lanes, and the checksum
-/// lane. `vstar` is the packed extended value matrix — row `i` holds
-/// `[v_i, sumrow_i(V)]` widened to f64 (`d+1` lanes per row). In hardware
-/// the shared Σ adder of Fig. 3 fills the extra lane once per streamed V
-/// row for every parallel query lane; the software analog stages the
-/// matrix once per call, so each step is a single vectorized `d+1`-lane
-/// rescale-accumulate with the checksum riding the SIMD lanes. Returns
-/// the unnormalized state ready for finalization.
+/// lane. The V rows fold in their storage format; `sumrows[i]` is
+/// `sumrow_i(V)`, filled once per call by the shared Σ adder of Fig. 3 for
+/// every parallel query lane. Returns the unnormalized state ready for
+/// finalization.
 fn query_pass<T: Scalar>(
     q: &Matrix<T>,
     k: &Matrix<T>,
+    v: &Matrix<T>,
     cfg: &AttentionConfig,
-    vstar: &[f64],
+    sumrows: &[f64],
     qi: usize,
 ) -> MergedAccumulator {
     let d = cfg.head_dim();
@@ -94,33 +91,15 @@ fn query_pass<T: Scalar>(
             cfg.scale(),
             &mut scores,
         );
-        for (j, &s) in scores.iter().enumerate() {
-            // Lines 4–7 via the merged Eq. 9/10 update over the extended
-            // row.
-            let r = i + j;
-            acc.step_ext(s, &vstar[r * (d + 1)..(r + 1) * (d + 1)]);
-        }
+        // Lines 4–7 via the merged Eq. 9/10 update.
+        acc.fold(
+            &scores,
+            &v.as_slice()[i * d..(i + rows) * d],
+            Some(&sumrows[i..i + rows]),
+        );
         i += rows;
     }
     acc
-}
-
-/// Builds the packed extended value matrix `v* = [V | sumrow(V)]` in f64:
-/// one widening sweep over V shared by every query (Eq. 4's shared adder,
-/// plus the operand staging a register-file read port would provide).
-fn extended_values<T: Scalar>(v: &Matrix<T>) -> Vec<f64> {
-    let d = v.cols();
-    let mut vstar = vec![0.0f64; v.rows() * (d + 1)];
-    for (row, dst) in v.iter_rows().zip(vstar.chunks_exact_mut(d + 1)) {
-        let mut sum = 0.0f64;
-        for (lane, &x) in dst.iter_mut().zip(row) {
-            let wide = x.to_f64();
-            *lane = wide;
-            sum += wide;
-        }
-        dst[d] = sum;
-    }
-    vstar
 }
 
 /// Runs Alg. 3: FlashAttention-2 with the fused online checksum,
@@ -149,24 +128,21 @@ pub fn flash2_with_checksum<T: Scalar>(
     let d = cfg.head_dim();
     let n_q = q.rows();
 
-    // v* = [V | sumrow(V)] (Eq. 4 + operand staging): one widening sweep
-    // over V shared by every query — the pipeline register the shared Σ
-    // adder of Fig. 3 fills per cycle.
-    let vstar = extended_values(v);
+    // sumrow(V) (Eq. 4): one sweep over V shared by every query — the
+    // shared Σ adder of Fig. 3.
+    let sumrows: Vec<f64> = v
+        .iter_rows()
+        .map(|row| row.iter().fold(0.0, |sum, x| sum + x.to_f64()))
+        .collect();
 
     // Fan the independent query passes out over the rayon pool. Small
     // shapes (simulator traffic) stay on the calling thread.
     let parallel = fa_tensor::par::worth_parallelizing(n_q, k.rows(), d);
+    let pass = |qi| query_pass(q, k, v, cfg, &sumrows, qi);
     let states: Vec<MergedAccumulator> = if parallel {
-        let vstar = &vstar;
-        (0..n_q)
-            .into_par_iter()
-            .map(|qi| query_pass(q, k, cfg, vstar, qi))
-            .collect()
+        (0..n_q).into_par_iter().map(pass).collect()
     } else {
-        (0..n_q)
-            .map(|qi| query_pass(q, k, cfg, &vstar, qi))
-            .collect()
+        (0..n_q).map(pass).collect()
     };
 
     // Lines 9–11: finalize in query order on one thread, so the Kahan
@@ -177,10 +153,10 @@ pub fn flash2_with_checksum<T: Scalar>(
     let mut actual = KahanSum::new();
     for (qi, acc) in states.iter().enumerate() {
         let (row_out, check_q) = acc
-            .finalize()
+            .normalized()
             .expect("every query sees at least one key (causal j<=i)");
-        for (c, val) in row_out.iter().enumerate() {
-            let rounded = T::from_f64(*val);
+        for (c, val) in row_out.enumerate() {
+            let rounded = T::from_f64(val);
             output[(qi, c)] = rounded;
             actual.add(rounded.to_f64());
         }
@@ -216,22 +192,6 @@ pub fn flash2_with_checksum_serial<T: Scalar>(
         .install(|| flash2_with_checksum(q, k, v, cfg))
 }
 
-/// Runs Alg. 3: FlashAttention-2 with the fused online checksum.
-///
-/// Alias for [`flash2_with_checksum`], kept for API continuity.
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub fn attention_checked<T: Scalar>(
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-    cfg: &AttentionConfig,
-) -> OnlineChecked<T> {
-    flash2_with_checksum(q, k, v, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,7 +211,7 @@ mod tests {
     fn output_matches_naive_attention() {
         let (q, k, v) = rand_qkv(24, 8, 300);
         let cfg = AttentionConfig::new(8);
-        let checked = attention_checked(&q, &k, &v, &cfg);
+        let checked = flash2_with_checksum(&q, &k, &v, &cfg);
         let reference = naive::attention(&q, &k, &v, &cfg);
         assert!(checked.output.max_abs_diff(&reference) < 1e-12);
     }
@@ -260,7 +220,7 @@ mod tests {
     fn online_prediction_matches_closed_form() {
         let (q, k, v) = rand_qkv(16, 4, 301);
         let cfg = AttentionConfig::new(4);
-        let checked = attention_checked(&q, &k, &v, &cfg);
+        let checked = flash2_with_checksum(&q, &k, &v, &cfg);
         let closed = predicted_checksum_eq5(&q, &k, &v, &cfg);
         assert!((checked.predicted - closed).abs() < 1e-10);
     }
@@ -269,7 +229,7 @@ mod tests {
     fn per_query_checks_match_eq8() {
         let (q, k, v) = rand_qkv(10, 4, 302);
         let cfg = AttentionConfig::new(4);
-        let checked = attention_checked(&q, &k, &v, &cfg);
+        let checked = flash2_with_checksum(&q, &k, &v, &cfg);
         for (i, &c) in checked.per_query_checks.iter().enumerate() {
             let expected = per_query_check_eq8(&q, &k, &v, &cfg, i);
             assert!((c - expected).abs() < 1e-11, "query {i}: {c} vs {expected}");
@@ -281,7 +241,7 @@ mod tests {
         for seed in [1, 2, 3, 4, 5] {
             let (q, k, v) = rand_qkv(32, 16, seed * 1000);
             let cfg = AttentionConfig::new(16);
-            let checked = attention_checked(&q, &k, &v, &cfg);
+            let checked = flash2_with_checksum(&q, &k, &v, &cfg);
             assert!(
                 checked.residual().abs() < 1e-10,
                 "seed {seed}: residual {}",
@@ -294,7 +254,7 @@ mod tests {
     fn causal_masking_preserves_identity() {
         let (q, k, v) = rand_qkv(12, 4, 303);
         let cfg = AttentionConfig::new(4).with_causal(true);
-        let checked = attention_checked(&q, &k, &v, &cfg);
+        let checked = flash2_with_checksum(&q, &k, &v, &cfg);
         assert!(checked.residual().abs() < 1e-10);
         let reference = naive::attention(&q, &k, &v, &cfg);
         assert!(checked.output.max_abs_diff(&reference) < 1e-12);
@@ -306,7 +266,7 @@ mod tests {
         // recomputing the actual checksum — the residual must expose it.
         let (q, k, v) = rand_qkv(8, 4, 304);
         let cfg = AttentionConfig::new(4);
-        let mut checked = attention_checked(&q, &k, &v, &cfg);
+        let mut checked = flash2_with_checksum(&q, &k, &v, &cfg);
         checked.output[(3, 2)] += 0.125;
         let new_actual = checked.output.sum_all();
         let residual = checked.predicted - new_actual;
@@ -324,7 +284,7 @@ mod tests {
         let qb: Matrix<BF16> = q.cast();
         let kb: Matrix<BF16> = k.cast();
         let vb: Matrix<BF16> = v.cast();
-        let checked = attention_checked(&qb, &kb, &vb, &cfg);
+        let checked = flash2_with_checksum(&qb, &kb, &vb, &cfg);
         let r = checked.residual().abs();
         assert!(r > 1e-10, "BF16 noise should exceed f64 noise: {r}");
         assert!(r < 1.0, "but remain bounded: {r}");
@@ -336,7 +296,7 @@ mod tests {
         let k = Matrix::<f64>::from_rows(&[&[0.5, 0.5]]);
         let v = Matrix::<f64>::from_rows(&[&[3.0, 4.0]]);
         let cfg = AttentionConfig::new(2);
-        let checked = attention_checked(&q, &k, &v, &cfg);
+        let checked = flash2_with_checksum(&q, &k, &v, &cfg);
         // One key: softmax weight 1, output = v, check = 7.
         assert_eq!(checked.output[(0, 0)], 3.0);
         assert_eq!(checked.output[(0, 1)], 4.0);

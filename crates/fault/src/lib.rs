@@ -11,7 +11,7 @@
 //!
 //! ## Detection criteria
 //!
-//! Two criteria are implemented (see DESIGN.md and the accel-sim docs for
+//! Two criteria are implemented (see the `fa_accel_sim` crate docs for
 //! the architectural background):
 //!
 //! * [`DetectionCriterion::HardwareComparator`] — the strict runtime

@@ -7,7 +7,7 @@
 //! sequence length of 256": Bert (d=64), Phi-3-mini (d=96), Llama-3.1
 //! (d=128) and Gemma2 (d=256), pulled from HuggingFace with PromptBench
 //! prompts (§IV-B). This crate substitutes synthetic embeddings with
-//! matched statistics (see DESIGN.md): the checker's behaviour depends on
+//! matched statistics: the checker's behaviour depends on
 //! score/weight distributions, not on which English words produced them,
 //! and the distribution sweep in [`workload`] demonstrates insensitivity.
 

@@ -14,6 +14,9 @@
 //! * matrix products with selectable accumulator precision ([`ops`]);
 //! * row/column checksum vectors — the primitives of Huang–Abraham ABFT
 //!   ([`checksum`]);
+//! * the merged online-softmax accumulator every attention kernel folds
+//!   its value rows through — output lanes plus the Flash-ABFT checksum
+//!   lane ([`online`]);
 //! * reproducible random generation with the distributions used by the
 //!   workload generator ([`random`]).
 //!
@@ -29,6 +32,7 @@
 //! ```
 
 pub mod checksum;
+pub mod online;
 pub mod ops;
 pub mod par;
 pub mod random;

@@ -1,7 +1,7 @@
 //! Reproducible random matrix generation.
 //!
 //! The paper drives its fault-injection campaigns with embeddings from real
-//! LLM prompts. Our substitute (see DESIGN.md) generates Q/K/V matrices
+//! LLM prompts. Our substitute generates Q/K/V matrices
 //! from parameterized distributions chosen to cover the same value ranges;
 //! campaigns sweep the distributions to demonstrate the checker is
 //! insensitive to the exact inputs.

@@ -204,9 +204,16 @@ fn fused_checksum_table_matches_bench_kernels() {
         "README must name the committed run's host_threads ({threads})"
     );
     let points = arr(&kernels, "flash2");
+    for p in points {
+        let pairs = num(get(p, "fused_checksum"), "pairs");
+        assert!(
+            readme.contains(&format!("medians over {pairs} interleaved pairs")),
+            "README must name the committed run's pair count ({pairs})"
+        );
+    }
     let rows = table(
         &readme,
-        "| seq_len | unchecked flash2 (ms) | fused checked (ms) | overhead |",
+        "| seq_len | unchecked flash2 (ms) | fused checked (ms) | overhead | p10–p90 |",
     );
     assert_eq!(rows.len(), points.len(), "one README row per flash2 point");
     for (row, p) in rows.iter().zip(points) {
@@ -218,6 +225,13 @@ fn fused_checksum_table_matches_bench_kernels() {
         check(&row[2], num(timing, "optimized_ms"), &what);
         let pct = row[3].strip_suffix('%').expect("overhead cell ends in %");
         check(pct, num(fused, "overhead_pct"), &what);
+        // "-0.70 to 10.79%"
+        let spread = row[4].strip_suffix('%').expect("spread cell ends in %");
+        let (p10, p90) = spread
+            .split_once(" to ")
+            .expect("spread cell is \"p10 to p90%\"");
+        check(p10, num(fused, "overhead_p10_pct"), &what);
+        check(p90, num(fused, "overhead_p90_pct"), &what);
     }
 }
 
