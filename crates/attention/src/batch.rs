@@ -1331,24 +1331,23 @@ impl<T: Scalar> PendingPrompt<T> {
     /// checksum totals seeded at `(predicted, actual)` — zero except
     /// behind a shared prefix, whose totals the suffix extends.
     fn new(
-        q: Option<&Matrix<T>>,
-        k: &Matrix<T>,
-        v: &Matrix<T>,
+        q: Option<Matrix<T>>,
+        k: Matrix<T>,
+        v: Matrix<T>,
         base: usize,
         (predicted, actual): (f64, f64),
     ) -> Self {
+        let cache_only = q.is_none();
+        let q = q.unwrap_or_else(|| Matrix::zeros(0, 0));
         PendingPrompt {
-            q: q.map_or_else(|| Matrix::zeros(0, 0), Matrix::clone),
-            k: k.clone(),
-            v: v.clone(),
+            output: Matrix::zeros(q.rows(), q.cols()),
+            q,
+            k,
+            v,
             next: 0,
-            output: q.map_or_else(
-                || Matrix::zeros(0, 0),
-                |q| Matrix::zeros(q.rows(), q.cols()),
-            ),
             predicted,
             actual,
-            cache_only: q.is_none(),
+            cache_only,
             base,
         }
     }
@@ -2043,7 +2042,7 @@ impl<T: Scalar> DecodeBatch<T> {
         let blocks_freed = self.cache.release_blocks(seq);
         let requeued_rows = match history {
             Some((k, v)) => {
-                self.resubmit(seq, &k, &v)
+                self.resubmit_owned(seq, k, v)
                     .expect("quarantine leaves the slot empty and unpending");
                 len
             }
@@ -2082,6 +2081,17 @@ impl<T: Scalar> DecodeBatch<T> {
         seq: usize,
         k: &Matrix<T>,
         v: &Matrix<T>,
+    ) -> Result<(), ResubmitError> {
+        self.resubmit_owned(seq, k.clone(), v.clone())
+    }
+
+    /// [`resubmit`](Self::resubmit) taking the history by value — the
+    /// one body, for callers that already own the rows.
+    pub(crate) fn resubmit_owned(
+        &mut self,
+        seq: usize,
+        k: Matrix<T>,
+        v: Matrix<T>,
     ) -> Result<(), ResubmitError> {
         if k.cols() != self.cfg.kv_dim() || v.cols() != self.cfg.kv_dim() {
             return Err(ResubmitError::WidthMismatch {
@@ -2153,6 +2163,12 @@ impl<T: Scalar> DecodeBatch<T> {
     ///
     /// Panics on shape mismatch.
     pub fn enqueue(&mut self, q: &Matrix<T>, k: &Matrix<T>, v: &Matrix<T>) -> usize {
+        self.enqueue_owned(q.clone(), k.clone(), v.clone())
+    }
+
+    /// [`enqueue`](Self::enqueue) taking the prompt by value — the one
+    /// body, for callers that already own the rows.
+    pub(crate) fn enqueue_owned(&mut self, q: Matrix<T>, k: Matrix<T>, v: Matrix<T>) -> usize {
         assert_eq!(q.cols(), self.cfg.q_dim(), "prompt Q width mismatch");
         assert_eq!(k.cols(), self.cfg.kv_dim(), "prompt K width mismatch");
         assert_eq!(v.cols(), self.cfg.kv_dim(), "prompt V width mismatch");
@@ -2280,6 +2296,18 @@ impl<T: Scalar> DecodeBatch<T> {
         q: &Matrix<T>,
         k: &Matrix<T>,
         v: &Matrix<T>,
+    ) -> usize {
+        self.enqueue_shared_owned(id, q.clone(), k.clone(), v.clone())
+    }
+
+    /// [`enqueue_shared`](Self::enqueue_shared) taking the suffix by
+    /// value — the one body, for callers that already own the rows.
+    pub(crate) fn enqueue_shared_owned(
+        &mut self,
+        id: usize,
+        q: Matrix<T>,
+        k: Matrix<T>,
+        v: Matrix<T>,
     ) -> usize {
         assert_eq!(q.rows(), k.rows(), "suffix Q/K row count mismatch");
         assert_eq!(k.rows(), v.rows(), "suffix K/V row count mismatch");

@@ -54,6 +54,14 @@
 //! seeded by token index, and per-sequence cache evolution is a pure
 //! function of the append history, not of which step performed it).
 //!
+//! Input synthesis: every Q/K/V row the frontend feeds the engine is
+//! written in place by the counter-based ziggurat sampler
+//! [`fill_standard_normal`] under one lane rule (`seeded_rows`): each
+//! matrix is seeded by `mix_seed(seed, lane)` and its element `i` is
+//! `row·cols + col`, a pure function of `(seed, lane, i)` — so decode
+//! writes each token's rows straight into the step's batch buffers, and
+//! a requeue regenerates any history segment without replaying a stream.
+//!
 //! Corruption handling splits by *when* the damage is seen, mirroring
 //! the paper's division of labor:
 //!
@@ -66,18 +74,29 @@
 //!   unrecoverable verdict escalates to quarantine.
 
 use crate::batch::{DecodeBatch, DecodeStepOutput, ScrubPolicy};
-use fa_tensor::{random::ElementDist, Matrix};
+use fa_tensor::random::{fill_standard_normal, mix_seed};
+use fa_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
-/// Splitmix-style seed derivation: one stream per (request, lane) pair,
-/// so regenerating any request's tokens never consults scheduler state.
-fn mix_seed(seed: u64, lane: u64) -> u64 {
-    let mut z = seed ^ lane.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// Fills seeded Q, K and V rows in place from lanes `lane`, `lane + 1`
+/// and `lane + 2` of `seed` — the one generation rule behind every input
+/// the frontend feeds the engine: a prompt uses lanes 1–3 of its request
+/// seed, a shared prefix lanes 1–3 of the prefix seed (so every request
+/// naming the pair regenerates identical rows), decode token `t` lanes
+/// `4+3t..=6+3t` ([`token_rows`](Scheduler::token_rows)), and a
+/// perturbed draft lanes 1–3 of its perturbation seed.
+///
+/// Each matrix is the counter-based standard-normal stream
+/// [`fill_standard_normal`] seeded by `mix_seed(seed, lane)`, element
+/// `i` being `row·cols + col`: rows are pure functions of `(seed, lane,
+/// row)`, so any row range regenerates without the rows before it, and
+/// an empty `q` skips Q without moving K/V bits.
+fn seeded_rows(seed: u64, lane: u64, q: &mut [f64], k: &mut [f64], v: &mut [f64]) {
+    fill_standard_normal(mix_seed(seed, lane), q);
+    fill_standard_normal(mix_seed(seed, lane + 1), k);
+    fill_standard_normal(mix_seed(seed, lane + 2), v);
 }
 
 /// FNV-1a over the exact bit patterns of an output row — the unit of
@@ -477,38 +496,29 @@ impl Scheduler {
         }
     }
 
-    /// `rows` seeded Q, K and V rows drawn from lanes `lane`, `lane + 1`
-    /// and `lane + 2` of `seed` — the one generation rule behind every
-    /// input the frontend feeds the engine: a prompt uses lanes 1–3 of
-    /// its request seed, a shared prefix lanes 1–3 of the prefix seed
-    /// (so every request naming the pair regenerates identical rows),
-    /// decode token `t` lanes `4+3t..=6+3t` ([`token_rows`]
-    /// (Self::token_rows)), and a perturbed draft lanes 1–3 of its
-    /// perturbation seed. Each matrix is seeded by its own lane, so
-    /// `with_q: false` skips Q (returned with zero rows) without moving
-    /// K/V bits.
-    fn seeded_rows(
-        &self,
-        rows: usize,
-        seed: u64,
-        lane: u64,
-        with_q: bool,
-    ) -> (Matrix<f64>, Matrix<f64>, Matrix<f64>) {
+    /// `rows` seeded prompt rows ([`seeded_rows`]) as the three
+    /// matrices admission hands the engine.
+    fn prompt_rows(&self, rows: usize, seed: u64) -> (Matrix<f64>, Matrix<f64>, Matrix<f64>) {
         let (qd, kd) = (self.engine.config().q_dim(), self.engine.config().kv_dim());
-        let gen = |rows, cols, lane| {
-            Matrix::random_seeded(rows, cols, ElementDist::default(), mix_seed(seed, lane))
-        };
-        let q_rows = if with_q { rows } else { 0 };
-        (
-            gen(q_rows, qd, lane),
-            gen(rows, kd, lane + 1),
-            gen(rows, kd, lane + 2),
-        )
+        let (mut q, mut k, mut v) = (
+            Matrix::zeros(rows, qd),
+            Matrix::zeros(rows, kd),
+            Matrix::zeros(rows, kd),
+        );
+        seeded_rows(
+            seed,
+            1,
+            q.as_mut_slice(),
+            k.as_mut_slice(),
+            v.as_mut_slice(),
+        );
+        (q, k, v)
     }
 
-    /// One decode token's Q/K/V rows for request `rec`, token index `t`.
-    fn token_rows(&self, rec: usize, t: usize) -> (Matrix<f64>, Matrix<f64>, Matrix<f64>) {
-        self.seeded_rows(1, self.records[rec].seed, 4 + 3 * t as u64, true)
+    /// Fills one decode token's Q/K/V rows for request `rec`, token index
+    /// `t`, into `q`/`k`/`v`.
+    fn token_rows(&self, rec: usize, t: usize, q: &mut [f64], k: &mut [f64], v: &mut [f64]) {
+        seeded_rows(self.records[rec].seed, 4 + 3 * t as u64, q, k, v);
     }
 
     /// Admits request `rec` into the engine. Unshared prompts enqueue
@@ -522,21 +532,21 @@ impl Scheduler {
     /// registration prefilled (0 on a registry hit).
     fn admit_engine(&mut self, rec: usize) -> (usize, usize) {
         let r = &self.records[rec];
-        let (q, k, v) = self.seeded_rows(r.prompt_tokens, r.seed, 1, true);
+        let (q, k, v) = self.prompt_rows(r.prompt_tokens, r.seed);
         let Some(pseed) = r.prefix_seed else {
-            return (self.engine.enqueue(&q, &k, &v), 0);
+            return (self.engine.enqueue_owned(q, k, v), 0);
         };
         let rows = r.prefix_tokens;
         let (id, registered) = match self.prefix_ids.get(&(pseed, rows)) {
             Some(&id) => (id, 0),
             None => {
-                let (pq, pk, pv) = self.seeded_rows(rows, pseed, 1, true);
+                let (pq, pk, pv) = self.prompt_rows(rows, pseed);
                 let id = self.engine.register_prefix(&pq, &pk, &pv);
                 self.prefix_ids.insert((pseed, rows), id);
                 (id, rows)
             }
         };
-        (self.engine.enqueue_shared(id, &q, &k, &v), registered)
+        (self.engine.enqueue_shared_owned(id, q, k, v), registered)
     }
 
     /// Rows in `active[i]`'s accepted history: prefix ‖ prompt ‖
@@ -548,26 +558,29 @@ impl Scheduler {
     }
 
     /// Regenerates `active[i]`'s accepted K/V history — the resubmission
-    /// source — segment by segment under the lane rule of
-    /// [`seeded_rows`](Self::seeded_rows): the exact rows admission and
-    /// decode fed the engine.
+    /// source — by filling `k`/`v` segment by segment from the
+    /// counter-based sampler [`fill_standard_normal`] under the lane rule
+    /// of [`seeded_rows`] (Q skipped): the exact rows admission and
+    /// decode fed the engine, each segment regenerated on its own.
     fn history_kv(&self, i: usize) -> (Matrix<f64>, Matrix<f64>) {
         let a = &self.active[i];
         let r = &self.records[a.rec];
         let (kd, rows) = (self.engine.config().kv_dim(), self.history_rows(i));
-        let (mut k, mut v) = (Vec::with_capacity(rows * kd), Vec::with_capacity(rows * kd));
+        let (mut k, mut v) = (Matrix::zeros(rows, kd), Matrix::zeros(rows, kd));
         let segments = r
             .prefix_seed
             .map(|s| (r.prefix_tokens, s, 1))
             .into_iter()
             .chain([(r.prompt_tokens, r.seed, 1)])
             .chain((0..a.decoded).map(|t| (1, r.seed, 4 + 3 * t as u64)));
+        let (mut ks, mut vs) = (k.as_mut_slice(), v.as_mut_slice());
         for (n, seed, lane) in segments {
-            let (_, sk, sv) = self.seeded_rows(n, seed, lane, false);
-            k.extend_from_slice(sk.as_slice());
-            v.extend_from_slice(sv.as_slice());
+            let (sk, rest_k) = ks.split_at_mut(n * kd);
+            let (sv, rest_v) = vs.split_at_mut(n * kd);
+            seeded_rows(seed, lane, &mut [], sk, sv);
+            (ks, vs) = (rest_k, rest_v);
         }
-        (Matrix::from_vec(rows, kd, k), Matrix::from_vec(rows, kd, v))
+        (k, v)
     }
 
     /// Prompt tokens this queued request would pay for *new* cache
@@ -595,21 +608,23 @@ impl Scheduler {
             return;
         }
         let (qd, kd) = (self.engine.config().q_dim(), self.engine.config().kv_dim());
-        let mut qdat = Vec::with_capacity(chosen.len() * qd);
-        let mut kdat = Vec::with_capacity(chosen.len() * kd);
-        let mut vdat = Vec::with_capacity(chosen.len() * kd);
-        let mut seq_ids = Vec::with_capacity(chosen.len());
-        for &i in chosen {
+        let n = chosen.len();
+        let mut qdat = vec![0.0; n * qd];
+        let mut kdat = vec![0.0; n * kd];
+        let mut vdat = vec![0.0; n * kd];
+        let mut seq_ids = Vec::with_capacity(n);
+        let rows = qdat
+            .chunks_exact_mut(qd)
+            .zip(kdat.chunks_exact_mut(kd))
+            .zip(vdat.chunks_exact_mut(kd));
+        for (&i, ((q, k), v)) in chosen.iter().zip(rows) {
             let a = &self.active[i];
-            let (q, k, v) = self.token_rows(a.rec, a.decoded);
-            qdat.extend_from_slice(q.as_slice());
-            kdat.extend_from_slice(k.as_slice());
-            vdat.extend_from_slice(v.as_slice());
+            self.token_rows(a.rec, a.decoded, q, k, v);
             seq_ids.push(a.seq);
         }
-        let qs = Matrix::from_vec(chosen.len(), qd, qdat);
-        let ks = Matrix::from_vec(chosen.len(), kd, kdat);
-        let vs = Matrix::from_vec(chosen.len(), kd, vdat);
+        let qs = Matrix::from_vec(n, qd, qdat);
+        let ks = Matrix::from_vec(n, kd, kdat);
+        let vs = Matrix::from_vec(n, kd, vdat);
         let outs = self.engine.step_decode(&seq_ids, &qs, &ks, &vs);
 
         let mut alarmed: Vec<usize> = Vec::new();
@@ -689,9 +704,13 @@ impl Scheduler {
         }
         let (qd, kd) = (self.engine.config().q_dim(), self.engine.config().kv_dim());
         let n = chosen.len();
-        let mut qdat = Vec::with_capacity(n * gamma * qd);
-        let mut kdat = Vec::with_capacity(n * gamma * kd);
-        let mut vdat = Vec::with_capacity(n * gamma * kd);
+        let mut qdat = vec![0.0; n * gamma * qd];
+        let mut kdat = vec![0.0; n * gamma * kd];
+        let mut vdat = vec![0.0; n * gamma * kd];
+        let mut rows = qdat
+            .chunks_exact_mut(qd)
+            .zip(kdat.chunks_exact_mut(kd))
+            .zip(vdat.chunks_exact_mut(kd));
         let mut seq_ids = Vec::with_capacity(n);
         let mut accepted = Vec::with_capacity(n);
         for &i in chosen {
@@ -700,12 +719,12 @@ impl Scheduler {
             let remaining = r.output_tokens - a.decoded;
             let mut matched = true;
             let mut accept = 0usize;
-            for t in 0..gamma {
+            for (t, ((q, k), v)) in rows.by_ref().take(gamma).enumerate() {
                 let token = a.decoded + t;
                 let hit = matched && self.draft_coin(a.rec, token) < self.cfg.draft_acceptance;
-                let (q, k, v) = if hit {
+                if hit {
                     accept += 1;
-                    self.token_rows(a.rec, token)
+                    self.token_rows(a.rec, token, q, k, v);
                 } else {
                     // First miss poisons the rest of the window: a
                     // perturbed proposal can never bitwise-match the
@@ -715,11 +734,8 @@ impl Scheduler {
                         mix_seed(r.seed, 0x0BAD_0000_0000_0000 | token as u64),
                         self.now,
                     );
-                    self.seeded_rows(1, s, 1, true)
-                };
-                qdat.extend_from_slice(q.as_slice());
-                kdat.extend_from_slice(k.as_slice());
-                vdat.extend_from_slice(v.as_slice());
+                    seeded_rows(s, 1, q, k, v);
+                }
             }
             accepted.push(accept.min(remaining));
             seq_ids.push(a.seq);
@@ -1052,7 +1068,7 @@ impl Scheduler {
                 };
                 self.active[i].seq = seq;
                 let (k, v) = self.history_kv(i);
-                if self.engine.resubmit(seq, &k, &v).is_err() {
+                if self.engine.resubmit_owned(seq, k, v).is_err() {
                     // Lost a race with the slot: drop the request rather
                     // than wedge the batch.
                     self.engine.retire(seq);

@@ -81,6 +81,7 @@ fn kernel_benchmarks(quick: bool) {
         "speedup",
         "tokens/s",
         "check ovh %",
+        "p10..p90 %",
     ]);
     for p in &report.decode_batched {
         decode.row(vec![
@@ -90,17 +91,26 @@ fn kernel_benchmarks(quick: bool) {
             format!("{:.2}x", p.speedup()),
             format!("{:.0}", p.batched_tokens_per_s),
             format!("{:.2}", p.checked_overhead_pct),
+            format!(
+                "{:.2}..{:.2}",
+                p.checked_overhead_p10_pct, p.checked_overhead_p90_pct
+            ),
         ]);
     }
     println!(
         "decode (d={}, heads={}, prefill={}, steps={}): single-seq \
-         {:.0} tokens/s unchecked, {:.0} checked",
+         {:.0} tokens/s unchecked, {:.0} checked ({:+.2}%, p10..p90 \
+         {:.2}..{:.2}% over {} pairs)",
         shape.head_dim,
         shape.heads,
         shape.prefill,
         shape.steps,
         report.decode_single.unchecked_tokens_per_s,
         report.decode_single.checked_tokens_per_s,
+        report.decode_single.checked_overhead_pct,
+        report.decode_single.checked_overhead_p10_pct,
+        report.decode_single.checked_overhead_p90_pct,
+        report.decode_single.pairs,
     );
     print!("{}", decode.render());
     let kv = &report.decode_kv_bf16;

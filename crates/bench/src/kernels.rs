@@ -85,17 +85,27 @@ pub struct DotBench {
     pub bf16_dot: KernelTiming,
 }
 
-/// Single-sequence decode throughput (the per-sequence serving path).
+/// Single-sequence decode throughput (the per-sequence serving path):
+/// medians over `pairs` interleaved (unchecked, checked) rounds.
 #[derive(Clone, Debug)]
 pub struct DecodeSingle {
     /// Unchecked per-head `DecodeSession` decode, aggregate tokens/s.
     pub unchecked_tokens_per_s: f64,
     /// Checked per-head `CheckedDecodeSession` decode, aggregate tokens/s.
     pub checked_tokens_per_s: f64,
+    /// Checked over unchecked, percent: the median of the per-pair
+    /// overheads.
+    pub checked_overhead_pct: f64,
+    /// 10th percentile of the per-pair overheads, percent.
+    pub checked_overhead_p10_pct: f64,
+    /// 90th percentile of the per-pair overheads, percent.
+    pub checked_overhead_p90_pct: f64,
+    /// Timed (unchecked, checked) pairs.
+    pub pairs: usize,
 }
 
 /// Batched checked decode vs the per-sequence-loop baseline at one batch
-/// size.
+/// size: medians over `pairs` interleaved rounds.
 #[derive(Clone, Debug)]
 pub struct DecodeBatchPoint {
     /// Number of concurrent sequences.
@@ -109,8 +119,15 @@ pub struct DecodeBatchPoint {
     pub baseline_tokens_per_s: f64,
     /// Batched aggregate throughput, tokens/s.
     pub batched_tokens_per_s: f64,
-    /// Checked `step_decode` vs `step_all_unchecked`, percent.
+    /// Checked `step_decode` over `step_all_unchecked`, percent: the
+    /// median of the per-pair overheads.
     pub checked_overhead_pct: f64,
+    /// 10th percentile of the per-pair overheads, percent.
+    pub checked_overhead_p10_pct: f64,
+    /// 90th percentile of the per-pair overheads, percent.
+    pub checked_overhead_p90_pct: f64,
+    /// Timed (unchecked, checked) pairs.
+    pub pairs: usize,
 }
 
 impl DecodeBatchPoint {
@@ -446,6 +463,9 @@ impl KernelBenchReport {
                 "batched_tokens_per_s" => Json::fixed(p.batched_tokens_per_s, 1),
                 "speedup" => Json::fixed(p.speedup(), 2),
                 "checked_overhead_pct" => Json::fixed(p.checked_overhead_pct, 2),
+                "checked_overhead_p10_pct" => Json::fixed(p.checked_overhead_p10_pct, 2),
+                "checked_overhead_p90_pct" => Json::fixed(p.checked_overhead_p90_pct, 2),
+                "pairs" => p.pairs,
             }
         });
         let gqa = gq.points.iter().map(|p| {
@@ -482,6 +502,10 @@ impl KernelBenchReport {
                 "prefill" => prefill, "steps" => shape.steps,
                 "unchecked_tokens_per_s" => Json::fixed(single.unchecked_tokens_per_s, 1),
                 "checked_tokens_per_s" => Json::fixed(single.checked_tokens_per_s, 1),
+                "checked_overhead_pct" => Json::fixed(single.checked_overhead_pct, 2),
+                "checked_overhead_p10_pct" => Json::fixed(single.checked_overhead_p10_pct, 2),
+                "checked_overhead_p90_pct" => Json::fixed(single.checked_overhead_p90_pct, 2),
+                "pairs" => single.pairs,
             },
             "decode_batched" => obj! {
                 "head_dim" => shape.head_dim, "heads" => shape.heads,
@@ -618,31 +642,35 @@ fn nearest_rank(sorted: &[f64], pct: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-fn measure_flash2(seq_len: usize) -> Flash2Point {
-    let d = 64;
-    let q = Matrix::<f64>::random_seeded(seq_len, d, ElementDist::default(), 10);
-    let k = Matrix::<f64>::random_seeded(seq_len, d, ElementDist::default(), 11);
-    let v = Matrix::<f64>::random_seeded(seq_len, d, ElementDist::default(), 12);
-    let cfg = AttentionConfig::new(d);
-    let unchecked = || timed_once(|| (), |_| flash2::attention(&q, &k, &v, &cfg));
-    let checked = || {
-        timed_once(
-            || (),
-            |_| flash_abft::flash2_with_checksum(&q, &k, &v, &cfg),
-        )
-    };
+/// Medians (milliseconds) of [`overhead_pairs`]' three variants and the
+/// spread of the per-pair checked overhead (percent).
+struct OverheadPairs {
+    ride_ms: f64,
+    unchecked_ms: f64,
+    checked_ms: f64,
+    overhead_pct: f64,
+    overhead_p10_pct: f64,
+    overhead_p90_pct: f64,
+    pairs: usize,
+}
 
-    // The checksum overhead is a small ratio of two large numbers: time
-    // unchecked and checked back to back in each round, alternating which
-    // runs first, and report the spread of the per-pair overheads, so
-    // host-speed drift shows as spread instead of as overhead. The serial
-    // kernel rides each round for `parallel_vs_serial` (on a 1-thread
-    // pool the "parallel" entry point IS the serial code path, so that
-    // ratio measures pure drift and should read ≈1.0). Round 0 warms up.
-    let (mut serial, mut plain, mut fused, mut overheads) =
+/// A checksum overhead is a small ratio of two large numbers: time
+/// `unchecked` and `checked` back to back in each of `pairs` rounds,
+/// alternating which runs first, and report the median and p10 / p90 of
+/// the per-pair overheads, so host-speed drift shows as spread instead
+/// of as overhead. `ride` opens every round (a third variant compared by
+/// its median alone; `|| 0.0` for none). Round 0 warms up and is
+/// dropped.
+fn overhead_pairs(
+    pairs: usize,
+    mut ride: impl FnMut() -> f64,
+    mut unchecked: impl FnMut() -> f64,
+    mut checked: impl FnMut() -> f64,
+) -> OverheadPairs {
+    let (mut rides, mut plain, mut fused, mut overheads) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    for round in 0..=FLASH2_PAIRS {
-        let a = timed_once(|| (), |_| flash2::attention_serial(&q, &k, &v, &cfg));
+    for round in 0..=pairs {
+        let a = ride();
         let (u, c) = if round % 2 == 0 {
             let u = unchecked();
             (u, checked())
@@ -651,31 +679,61 @@ fn measure_flash2(seq_len: usize) -> Flash2Point {
             (unchecked(), c)
         };
         if round > 0 {
-            serial.push(a);
+            rides.push(a);
             plain.push(u);
             fused.push(c);
             overheads.push((c / u - 1.0) * 100.0);
         }
     }
-    for xs in [&mut serial, &mut plain, &mut fused, &mut overheads] {
+    for xs in [&mut rides, &mut plain, &mut fused, &mut overheads] {
         xs.sort_by(f64::total_cmp);
     }
-    let parallel_ms = nearest_rank(&plain, 50.0);
-    Flash2Point {
-        seq_len,
-        parallel: KernelTiming {
-            baseline_ms: nearest_rank(&serial, 50.0),
-            optimized_ms: parallel_ms,
-        },
-        tokens_per_s: seq_len as f64 / (parallel_ms * 1e-3),
-        fused_checksum: KernelTiming {
-            baseline_ms: parallel_ms,
-            optimized_ms: nearest_rank(&fused, 50.0),
-        },
+    OverheadPairs {
+        ride_ms: nearest_rank(&rides, 50.0),
+        unchecked_ms: nearest_rank(&plain, 50.0),
+        checked_ms: nearest_rank(&fused, 50.0),
         overhead_pct: nearest_rank(&overheads, 50.0),
         overhead_p10_pct: nearest_rank(&overheads, 10.0),
         overhead_p90_pct: nearest_rank(&overheads, 90.0),
-        pairs: FLASH2_PAIRS,
+        pairs,
+    }
+}
+
+fn measure_flash2(seq_len: usize) -> Flash2Point {
+    let d = 64;
+    let q = Matrix::<f64>::random_seeded(seq_len, d, ElementDist::default(), 10);
+    let k = Matrix::<f64>::random_seeded(seq_len, d, ElementDist::default(), 11);
+    let v = Matrix::<f64>::random_seeded(seq_len, d, ElementDist::default(), 12);
+    let cfg = AttentionConfig::new(d);
+    // The serial kernel rides each round for `parallel_vs_serial` (on a
+    // 1-thread pool the "parallel" entry point IS the serial code path,
+    // so that ratio measures pure drift and should read ≈1.0).
+    let o = overhead_pairs(
+        FLASH2_PAIRS,
+        || timed_once(|| (), |_| flash2::attention_serial(&q, &k, &v, &cfg)),
+        || timed_once(|| (), |_| flash2::attention(&q, &k, &v, &cfg)),
+        || {
+            timed_once(
+                || (),
+                |_| flash_abft::flash2_with_checksum(&q, &k, &v, &cfg),
+            )
+        },
+    );
+    Flash2Point {
+        seq_len,
+        parallel: KernelTiming {
+            baseline_ms: o.ride_ms,
+            optimized_ms: o.unchecked_ms,
+        },
+        tokens_per_s: seq_len as f64 / (o.unchecked_ms * 1e-3),
+        fused_checksum: KernelTiming {
+            baseline_ms: o.unchecked_ms,
+            optimized_ms: o.checked_ms,
+        },
+        overhead_pct: o.overhead_pct,
+        overhead_p10_pct: o.overhead_p10_pct,
+        overhead_p90_pct: o.overhead_p90_pct,
+        pairs: o.pairs,
     }
 }
 
@@ -820,7 +878,8 @@ impl DecodeInputs {
 /// *interleaving* these single-shot measurements round-robin — on
 /// shared/throttled hosts a slow phase then biases every variant equally
 /// instead of poisoning whichever one it landed on — and taking the best
-/// round per variant.
+/// round per variant, or, for checked-vs-unchecked legs, the medians of
+/// [`overhead_pairs`].
 fn timed_once<S, R>(mut setup: impl FnMut() -> S, mut run: impl FnMut(&mut S) -> R) -> f64 {
     let mut state = setup();
     let start = Instant::now();
@@ -912,79 +971,83 @@ fn run_batched<T: fa_tensor::Scalar>(
     acc
 }
 
-fn measure_decode_single(shape: DecodeShape, reps: usize) -> DecodeSingle {
+fn measure_decode_single(shape: DecodeShape, pairs: usize) -> DecodeSingle {
     let inputs = decode_inputs(shape, 1);
     let head_cfg = AttentionConfig::new(shape.head_dim);
-    let (mut unchecked_ms, mut checked_ms) = (f64::INFINITY, f64::INFINITY);
-    for rep in 0..=reps {
-        let a = timed_once(
-            || {
-                (0..shape.heads)
-                    .map(|h| {
-                        let mut session = DecodeSession::<f64>::new(head_cfg);
-                        session.prefill(&inputs.k_prompt_h[h], &inputs.v_prompt_h[h]);
-                        session
-                    })
-                    .collect::<Vec<_>>()
-            },
-            |sessions| {
-                let mut acc = 0.0;
-                for t in 0..shape.steps {
-                    for (h, session) in sessions.iter_mut().enumerate() {
-                        let (q, k, v) = inputs.sliced(t, 0, h);
-                        acc += session.step(q, k, v)[0];
+    let o = overhead_pairs(
+        pairs,
+        || 0.0,
+        || {
+            timed_once(
+                || {
+                    (0..shape.heads)
+                        .map(|h| {
+                            let mut session = DecodeSession::<f64>::new(head_cfg);
+                            session.prefill(&inputs.k_prompt_h[h], &inputs.v_prompt_h[h]);
+                            session
+                        })
+                        .collect::<Vec<_>>()
+                },
+                |sessions| {
+                    let mut acc = 0.0;
+                    for t in 0..shape.steps {
+                        for (h, session) in sessions.iter_mut().enumerate() {
+                            let (q, k, v) = inputs.sliced(t, 0, h);
+                            acc += session.step(q, k, v)[0];
+                        }
                     }
-                }
-                acc
-            },
-        );
-        let b = timed_once(
-            || baseline_sessions(shape, &inputs),
-            |sessions| run_baseline(shape, &inputs, sessions),
-        );
-        if rep > 0 {
-            // Round 0 is warmup.
-            unchecked_ms = unchecked_ms.min(a);
-            checked_ms = checked_ms.min(b);
-        }
-    }
+                    acc
+                },
+            )
+        },
+        || {
+            timed_once(
+                || baseline_sessions(shape, &inputs),
+                |sessions| run_baseline(shape, &inputs, sessions),
+            )
+        },
+    );
     DecodeSingle {
-        unchecked_tokens_per_s: shape.steps as f64 / (unchecked_ms * 1e-3),
-        checked_tokens_per_s: shape.steps as f64 / (checked_ms * 1e-3),
+        unchecked_tokens_per_s: shape.steps as f64 / (o.unchecked_ms * 1e-3),
+        checked_tokens_per_s: shape.steps as f64 / (o.checked_ms * 1e-3),
+        checked_overhead_pct: o.overhead_pct,
+        checked_overhead_p10_pct: o.overhead_p10_pct,
+        checked_overhead_p90_pct: o.overhead_p90_pct,
+        pairs: o.pairs,
     }
 }
 
-fn measure_decode_batched(shape: DecodeShape, batch: usize, reps: usize) -> DecodeBatchPoint {
+fn measure_decode_batched(shape: DecodeShape, batch: usize, pairs: usize) -> DecodeBatchPoint {
     let inputs = decode_inputs(shape, batch);
-    let (mut baseline_ms, mut batched_ms, mut unchecked_ms) =
-        (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    for rep in 0..=reps {
-        let a = timed_once(
-            || baseline_sessions(shape, &inputs),
-            |sessions| run_baseline(shape, &inputs, sessions),
-        );
-        let b = timed_once(
+    let batched = |checked| {
+        timed_once(
             || batched_engine(shape, &inputs.k_prompt, &inputs.v_prompt),
-            |state| run_batched(shape, &inputs.qs, &inputs.ks, &inputs.vs, state, true),
-        );
-        let c = timed_once(
-            || batched_engine(shape, &inputs.k_prompt, &inputs.v_prompt),
-            |state| run_batched(shape, &inputs.qs, &inputs.ks, &inputs.vs, state, false),
-        );
-        if rep > 0 {
-            baseline_ms = baseline_ms.min(a);
-            batched_ms = batched_ms.min(b);
-            unchecked_ms = unchecked_ms.min(c);
-        }
-    }
+            |state| run_batched(shape, &inputs.qs, &inputs.ks, &inputs.vs, state, checked),
+        )
+    };
+    // The per-sequence-loop baseline rides each round.
+    let o = overhead_pairs(
+        pairs,
+        || {
+            timed_once(
+                || baseline_sessions(shape, &inputs),
+                |sessions| run_baseline(shape, &inputs, sessions),
+            )
+        },
+        || batched(false),
+        || batched(true),
+    );
     let tokens = (batch * shape.steps) as f64;
     DecodeBatchPoint {
         batch,
-        baseline_ms,
-        batched_ms,
-        baseline_tokens_per_s: tokens / (baseline_ms * 1e-3),
-        batched_tokens_per_s: tokens / (batched_ms * 1e-3),
-        checked_overhead_pct: (batched_ms / unchecked_ms - 1.0) * 100.0,
+        baseline_ms: o.ride_ms,
+        batched_ms: o.checked_ms,
+        baseline_tokens_per_s: tokens / (o.ride_ms * 1e-3),
+        batched_tokens_per_s: tokens / (o.checked_ms * 1e-3),
+        checked_overhead_pct: o.overhead_pct,
+        checked_overhead_p10_pct: o.overhead_p10_pct,
+        checked_overhead_p90_pct: o.overhead_p90_pct,
+        pairs: o.pairs,
     }
 }
 
@@ -1847,10 +1910,13 @@ pub fn measure(quick: bool) -> KernelBenchReport {
         .collect();
     let flash2 = flash2_sizes.iter().map(|&s| measure_flash2(s)).collect();
     let dot_simd = measure_dot(4096, dot_iters, reps);
-    let decode_single = measure_decode_single(decode_shape, decode_reps);
+    // Checked-vs-unchecked decode legs: interleaved pairs (odd, so the
+    // nearest-rank median is one observed pair).
+    let decode_pairs = 2 * decode_reps + 1;
+    let decode_single = measure_decode_single(decode_shape, decode_pairs);
     let decode_batched: Vec<DecodeBatchPoint> = [1usize, 8, 32]
         .iter()
-        .map(|&b| measure_decode_batched(decode_shape, b, decode_reps))
+        .map(|&b| measure_decode_batched(decode_shape, b, decode_pairs))
         .collect();
     let decode_kv_bf16 = measure_decode_bf16(decode_shape, largest_batch, decode_reps);
     let decode_continuous =
@@ -1914,11 +1980,22 @@ mod tests {
         assert_eq!(f.pairs, FLASH2_PAIRS);
         assert!(f.overhead_p10_pct <= f.overhead_pct && f.overhead_pct <= f.overhead_p90_pct);
         assert!(report.dot_simd.f64_dot.speedup() > 0.0);
-        assert!(report.decode_single.checked_tokens_per_s > 0.0);
+        let single = &report.decode_single;
+        assert!(single.checked_tokens_per_s > 0.0);
+        assert!(
+            single.checked_overhead_p10_pct <= single.checked_overhead_pct
+                && single.checked_overhead_pct <= single.checked_overhead_p90_pct
+        );
         assert_eq!(report.decode_batched.len(), 3);
         for p in &report.decode_batched {
             assert!(p.batched_tokens_per_s > 0.0, "batch {}", p.batch);
-            assert!(p.checked_overhead_pct.is_finite());
+            assert_eq!(p.pairs, single.pairs);
+            assert!(
+                p.checked_overhead_p10_pct <= p.checked_overhead_pct
+                    && p.checked_overhead_pct <= p.checked_overhead_p90_pct,
+                "batch {}",
+                p.batch
+            );
         }
         assert!(report.decode_kv_bf16.speedup() > 0.0);
         let cont = &report.decode_continuous;
@@ -2055,8 +2132,14 @@ mod tests {
                 "flash2.0.fused_checksum.overhead_p90_pct",
                 "flash2.0.fused_checksum.pairs",
                 "dot_simd.f64.speedup",
-                "decode_single",
+                "decode_single.checked_overhead_pct",
+                "decode_single.checked_overhead_p10_pct",
+                "decode_single.checked_overhead_p90_pct",
+                "decode_single.pairs",
                 "decode_batched.points.0.speedup",
+                "decode_batched.points.0.checked_overhead_p10_pct",
+                "decode_batched.points.0.checked_overhead_p90_pct",
+                "decode_batched.points.0.pairs",
                 "decode_kv_bf16",
                 "decode_continuous.recycled_blocks",
                 "decode_continuous.f64.bytes_per_step",
