@@ -14,10 +14,19 @@
 //! per (row, head) — the extra column of the paper's checksum-augmented
 //! value matrix, head-major like V. Only this module computes element or
 //! lane offsets.
+//!
+//! K and V live in fixed-size slabs of [`SLAB_BLOCKS`] blocks, so the
+//! arena grows a slab at a time and a stored block never moves. A flat
+//! buffer doubling on growth would copy every stored block once per
+//! doubling, and for a moment hold both copies: a transient of the whole
+//! cache's size on top of it.
 
 use super::BlockCheck;
 use core::ops::Range;
 use fa_tensor::Scalar;
+
+/// Blocks per K/V storage slab.
+const SLAB_BLOCKS: usize = 16;
 
 /// A pool of fixed-size cache blocks in element format `E`.
 #[derive(Clone, Debug)]
@@ -25,10 +34,12 @@ pub(super) struct Arena<E> {
     heads: usize,
     head_dim: usize,
     block_rows: usize,
-    /// Key panels, `block_rows · heads · head_dim` elements per block.
-    k: Vec<E>,
+    /// Key panels, `block_rows · heads · head_dim` elements per block,
+    /// [`SLAB_BLOCKS`] blocks per slab (each slab allocated at full
+    /// capacity, so claiming a block never reallocates).
+    k: Vec<Vec<E>>,
     /// Value panels, same addressing as `k`.
-    v: Vec<E>,
+    v: Vec<Vec<E>>,
     /// `sumrow(V)` lanes, `block_rows` per (block, head), head-major.
     sumrows: Vec<f64>,
     /// Per-block owner counts: a block is owned by every live sequence
@@ -64,10 +75,41 @@ impl<E: Scalar> Arena<E> {
         self.block_rows * self.heads * self.head_dim
     }
 
-    /// Element offset of row `r`, head `head` of block `index` in `k`/`v`.
+    /// Element offset of row `r`, head `head` within a block's K or V
+    /// panel.
     #[inline]
-    fn slot(&self, index: usize, r: usize, head: usize) -> usize {
-        index * self.block_elems() + (head * self.block_rows + r) * self.head_dim
+    fn slot(&self, r: usize, head: usize) -> usize {
+        (head * self.block_rows + r) * self.head_dim
+    }
+
+    /// Slab and element range of block `index` in `k`/`v`.
+    #[inline]
+    fn span(&self, index: usize) -> (usize, Range<usize>) {
+        let at = index % SLAB_BLOCKS * self.block_elems();
+        (index / SLAB_BLOCKS, at..at + self.block_elems())
+    }
+
+    /// Block `index`'s K and V panels.
+    #[inline]
+    fn block(&self, index: usize) -> (&[E], &[E]) {
+        let (slab, span) = self.span(index);
+        (&self.k[slab][span.clone()], &self.v[slab][span])
+    }
+
+    /// Block `index`'s K and V panels, writable.
+    #[inline]
+    fn block_mut(&mut self, index: usize) -> (&mut [E], &mut [E]) {
+        let (slab, span) = self.span(index);
+        (&mut self.k[slab][span.clone()], &mut self.v[slab][span])
+    }
+
+    /// Adds empty full-capacity K/V slabs until `blocks` blocks fit.
+    fn add_slabs(&mut self, blocks: usize) {
+        while self.k.len() * SLAB_BLOCKS < blocks {
+            let elems = SLAB_BLOCKS * self.block_elems();
+            self.k.push(Vec::with_capacity(elems));
+            self.v.push(Vec::with_capacity(elems));
+        }
     }
 
     /// Index of row `r`, head `head` of block `index` in `sumrows`.
@@ -101,8 +143,7 @@ impl<E: Scalar> Arena<E> {
     /// list already covers, so the claims never reallocate.
     pub(super) fn reserve(&mut self, blocks: usize) {
         let grow = blocks.saturating_sub(self.free.len());
-        self.k.reserve(grow * self.block_elems());
-        self.v.reserve(grow * self.block_elems());
+        self.add_slabs(self.allocated() + grow);
         self.sumrows.reserve(grow * self.block_rows * self.heads);
         self.ref_counts.reserve(grow);
     }
@@ -116,12 +157,15 @@ impl<E: Scalar> Arena<E> {
             self.ref_counts[index] = 1;
             return (index, true);
         }
-        let (elems, lanes) = (self.block_elems(), self.block_rows * self.heads);
-        self.k.resize(self.k.len() + elems, E::zero());
-        self.v.resize(self.v.len() + elems, E::zero());
+        let index = self.allocated();
+        self.add_slabs(index + 1);
+        let (slab, span) = self.span(index);
+        self.k[slab].resize(span.end, E::zero());
+        self.v[slab].resize(span.end, E::zero());
+        let lanes = self.block_rows * self.heads;
         self.sumrows.resize(self.sumrows.len() + lanes, 0.0);
         self.ref_counts.push(1);
-        (self.ref_counts.len() - 1, false)
+        (index, false)
     }
 
     /// Drops one reference to block `index`, returning it to the free
@@ -182,11 +226,9 @@ impl<E: Scalar> Arena<E> {
     /// Copies block `src`'s K/V panels and checksum lanes bitwise into
     /// block `dst` (copy-on-write).
     pub(super) fn copy_block(&mut self, src: usize, dst: usize) {
-        let elems = self.block_elems();
-        self.k
-            .copy_within(src * elems..(src + 1) * elems, dst * elems);
-        self.v
-            .copy_within(src * elems..(src + 1) * elems, dst * elems);
+        let (from, to) = (self.span(src), self.span(dst));
+        copy_span(&mut self.k, from.clone(), to.clone());
+        copy_span(&mut self.v, from, to);
         let lanes = self.block_rows * self.heads;
         self.sumrows
             .copy_within(src * lanes..(src + 1) * lanes, dst * lanes);
@@ -197,13 +239,9 @@ impl<E: Scalar> Arena<E> {
     /// [`round_bf16`](super::round_bf16). The checksum lanes are left for
     /// [`rebuild`](Self::rebuild).
     pub(super) fn narrow_from<S: Scalar>(&mut self, dst: usize, from: &Arena<S>, src: usize) {
-        let elems = self.block_elems();
-        let (to, at) = (
-            dst * elems..(dst + 1) * elems,
-            src * elems..(src + 1) * elems,
-        );
-        convert(&mut self.k[to.clone()], &from.k[at.clone()]);
-        convert(&mut self.v[to], &from.v[at]);
+        let ((k, v), (fk, fv)) = (self.block_mut(dst), from.block(src));
+        convert(k, fk);
+        convert(v, fv);
     }
 
     /// Scatters one `heads · head_dim`-wide K/V row into row `r` of block
@@ -220,9 +258,10 @@ impl<E: Scalar> Arena<E> {
     ) {
         let d = self.head_dim;
         for h in 0..self.heads {
-            let at = self.slot(index, r, h);
-            convert(&mut self.k[at..at + d], &k[h * d..(h + 1) * d]);
-            convert(&mut self.v[at..at + d], &v[h * d..(h + 1) * d]);
+            let at = self.slot(r, h);
+            let (kb, vb) = self.block_mut(index);
+            convert(&mut kb[at..at + d], &k[h * d..(h + 1) * d]);
+            convert(&mut vb[at..at + d], &v[h * d..(h + 1) * d]);
         }
         self.fold_rows(index, r..r + 1, check);
     }
@@ -276,11 +315,12 @@ impl<E: Scalar> Arena<E> {
     /// contribute their rounded values.
     #[inline]
     pub(super) fn stored_lane_sums(&self, index: usize, r: usize, head: usize) -> (f64, f64) {
-        let at = self.slot(index, r, head);
+        let at = self.slot(r, head);
         let span = at..at + self.head_dim;
+        let (k, v) = self.block(index);
         (
-            self.k[span.clone()].iter().map(|x| x.to_f64()).sum(),
-            self.v[span].iter().map(|x| x.to_f64()).sum(),
+            k[span.clone()].iter().map(|x| x.to_f64()).sum(),
+            v[span].iter().map(|x| x.to_f64()).sum(),
         )
     }
 
@@ -302,10 +342,11 @@ impl<E: Scalar> Arena<E> {
     /// across heads and widened into `S` (exact: every cache format
     /// embeds in f64).
     pub(super) fn gather_row<S: Scalar>(&self, keys: bool, index: usize, r: usize) -> Vec<S> {
-        let panel = if keys { &self.k } else { &self.v };
+        let (k, v) = self.block(index);
+        let panel = if keys { k } else { v };
         let mut out = Vec::with_capacity(self.heads * self.head_dim);
         for h in 0..self.heads {
-            let at = self.slot(index, r, h);
+            let at = self.slot(r, h);
             out.extend(
                 panel[at..at + self.head_dim]
                     .iter()
@@ -324,14 +365,11 @@ impl<E: Scalar> Arena<E> {
         head: usize,
         rows: usize,
     ) -> (&[E], &[E], &[f64]) {
-        let at = self.slot(index, 0, head);
+        let at = self.slot(0, head);
         let span = at..at + rows * self.head_dim;
         let lane = self.lane(index, 0, head);
-        (
-            &self.k[span.clone()],
-            &self.v[span],
-            &self.sumrows[lane..lane + rows],
-        )
+        let (k, v) = self.block(index);
+        (&k[span.clone()], &v[span], &self.sumrows[lane..lane + rows])
     }
 
     /// One stored K (`key_side`) or V element of row `r`, head `head` of
@@ -344,12 +382,32 @@ impl<E: Scalar> Arena<E> {
         head: usize,
         lane: usize,
     ) -> &mut E {
-        let at = self.slot(index, r, head) + lane;
+        let at = self.slot(r, head) + lane;
+        let (k, v) = self.block_mut(index);
         if key_side {
-            &mut self.k[at]
+            &mut k[at]
         } else {
-            &mut self.v[at]
+            &mut v[at]
         }
+    }
+}
+
+/// Copies the elements at `from` (slab, range) over those at `to` within
+/// one set of slabs.
+fn copy_span<E: Copy>(
+    slabs: &mut [Vec<E>],
+    from: (usize, Range<usize>),
+    to: (usize, Range<usize>),
+) {
+    let ((fs, fr), (ts, tr)) = (from, to);
+    if fs == ts {
+        slabs[fs].copy_within(fr, tr.start);
+    } else if fs < ts {
+        let (head, tail) = slabs.split_at_mut(ts);
+        tail[0][tr].copy_from_slice(&head[fs][fr]);
+    } else {
+        let (head, tail) = slabs.split_at_mut(fs);
+        head[ts][tr].copy_from_slice(&tail[0][fr]);
     }
 }
 
@@ -380,7 +438,12 @@ mod tests {
         let seqs = [cache.add_sequence(), cache.add_sequence()];
         let rows_per_seq = 24;
         cache.reserve_rows(seqs.len() * rows_per_seq);
-        let capacity = |c: &KvCache<f64>| (c.native.k.capacity(), c.bf16.k.capacity());
+        // Each slab's address and capacity: equal means no slab was
+        // added or moved.
+        fn slabs<E>(a: &[Vec<E>]) -> Vec<(*const E, usize)> {
+            a.iter().map(|s| (s.as_ptr(), s.capacity())).collect()
+        }
+        let capacity = |c: &KvCache<f64>| (slabs(&c.native.k), slabs(&c.bf16.k));
         let reserved = capacity(&cache);
         for t in 0..rows_per_seq {
             for &s in &seqs {

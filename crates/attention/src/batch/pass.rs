@@ -221,12 +221,11 @@ impl<T: Scalar> DecodeBatch<T> {
     /// physical block read by **two or more** of the stepping sequences
     /// at the same visible row range, all readers' per-member score
     /// rows are computed in one K-panel sweep
-    /// ([`ops::dot_then_scale_rows_multi_into`] — rows outer, queries
-    /// inner, so each K row is loaded from DRAM once and reused
-    /// register/L1-hot across all `k · group_size` queries: the
-    /// (k·gs × d)·(dᵀ × rows) matmul realized with the same
-    /// per-(query, row) [`ops::dot_f64`] microkernel the GEMV path uses,
-    /// hence bit-identical scores). Returns the number of tiles built;
+    /// ([`ops::dot_then_scale_rows_multi_into`] — 16-row tiles outer,
+    /// queries inner, so each K row is loaded from DRAM once and reused
+    /// L1-hot across all `k · group_size` queries: the
+    /// (k·gs × d)·(dᵀ × rows) matmul realized with the same block scorer
+    /// the GEMV path uses, hence bit-identical scores). Returns the number of tiles built;
     /// leaves `s.active` false when sharing is off or no block qualifies.
     ///
     /// The table is rebuilt every step, so the builder stays strictly

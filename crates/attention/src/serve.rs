@@ -99,17 +99,39 @@ fn seeded_rows(seed: u64, lane: u64, q: &mut [f64], k: &mut [f64], v: &mut [f64]
     fill_standard_normal(mix_seed(seed, lane + 2), v);
 }
 
-/// FNV-1a over the exact bit patterns of an output row — the unit of
-/// bitwise comparison between a drill subject and its golden twin.
+/// A 64-bit hash of the exact bit patterns of an output row — the unit
+/// of bitwise comparison between a drill subject and its golden twin
+/// (hashes are only ever compared within one run).
+///
+/// Whole 64-bit words feed four interleaved xor–multiply–rotate lanes
+/// (element `i` into lane `i % 4`), so four short dependency chains
+/// overlap instead of one serial multiply per byte; the row length and
+/// the four lanes then fold through the same round and a final
+/// avalanche. Each round is a bijection of the word for a fixed state
+/// and of the state for a fixed word, so two rows that differ in one
+/// element always hash differently.
 pub fn hash_bits(xs: &[f64]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for x in xs {
-        for b in x.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+    let round = |h: u64, w: u64| (h ^ w).wrapping_mul(MUL).rotate_left(29);
+    let mut lanes = [
+        0xCBF2_9CE4_8422_2325u64,
+        0x8422_2325_CBF2_9CE4,
+        0x2325_CBF2_9CE4_8422,
+        0x9CE4_8422_2325_CBF2,
+    ];
+    let mut words = xs.chunks_exact(4);
+    for w in &mut words {
+        for (h, x) in lanes.iter_mut().zip(w) {
+            *h = round(*h, x.to_bits());
         }
     }
-    h
+    for (h, x) in lanes.iter_mut().zip(words.remainder()) {
+        *h = round(*h, x.to_bits());
+    }
+    let mut h = lanes.into_iter().fold(xs.len() as u64, round);
+    h ^= h >> 32;
+    h = h.wrapping_mul(MUL);
+    h ^ (h >> 29)
 }
 
 /// Request priority class. `Batch` requests are shed first and preempted
@@ -1408,6 +1430,24 @@ mod tests {
             KvFormat::F64,
             EvictionPolicy::RetainAll,
         )
+    }
+
+    #[test]
+    fn hash_bits_separates_every_single_bit_flip() {
+        // 11 values: two full four-lane words plus a three-value tail.
+        let row: Vec<f64> = (0..11).map(|i| (i as f64 - 4.5) / 3.0).collect();
+        let h = hash_bits(&row);
+        assert_eq!(h, hash_bits(&row.clone()), "equal rows hash equal");
+        for lane in [0, 1, 3, 6, 8, 10] {
+            for bit in 0..64 {
+                let mut flipped = row.clone();
+                flipped[lane] = f64::from_bits(row[lane].to_bits() ^ (1 << bit));
+                assert_ne!(hash_bits(&flipped), h, "lane {lane} bit {bit}");
+            }
+        }
+        let (pos, neg) = ([1.0, 0.0, 2.0], [1.0, -0.0, 2.0]);
+        assert_ne!(hash_bits(&pos), hash_bits(&neg), "+0.0 vs -0.0");
+        assert_ne!(hash_bits(&[]), hash_bits(&[0.0]), "length is hashed");
     }
 
     fn run(cfg: ServeConfig, spec: LoadSpec, load_seed: u64, steps: usize) -> Scheduler {

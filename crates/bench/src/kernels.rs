@@ -352,28 +352,38 @@ pub struct DecodeShape {
     pub steps: usize,
 }
 
+/// A speed ratio from [`ratio_pairs`]: the two variants' median times
+/// and the median, p10 and p90 of the per-pair ratio `base / variant`
+/// (above 1: the variant is faster).
+#[derive(Clone, Copy, Debug)]
+pub struct RatioPairs {
+    /// Median baseline time, milliseconds.
+    pub base_ms: f64,
+    /// Median variant time, milliseconds.
+    pub variant_ms: f64,
+    /// Median per-pair `base / variant`.
+    pub ratio: f64,
+    /// 10th percentile of the per-pair ratio.
+    pub ratio_p10: f64,
+    /// 90th percentile of the per-pair ratio.
+    pub ratio_p90: f64,
+    /// Timed pairs (after one discarded warm-up pair).
+    pub pairs: usize,
+}
+
 /// Shared-block scoring at one packed-query count: one K-panel sweep
-/// feeding all queries ([`ops::dot_then_scale_rows_multi`], rows outer /
-/// queries inner) vs one [`ops::dot_then_scale_rows`] GEMV sweep per
-/// query — the kernel under the shared-prefix decode win.
+/// feeding all queries ([`ops::dot_then_scale_rows_multi`], row tiles
+/// outer / queries inner) vs one [`ops::dot_then_scale_rows`] GEMV sweep
+/// per query — the kernel under the shared-prefix decode win.
 #[derive(Clone, Copy, Debug)]
 pub struct MultiScorePoint {
     /// Queries packed into the multi sweep (readers of the block).
     pub queries: usize,
-    /// Per-query GEMV sweeps, milliseconds.
-    pub gemv_ms: f64,
-    /// Single rows-outer multi sweep, milliseconds.
-    pub multi_ms: f64,
+    /// Per-query GEMV sweeps (base) vs the multi sweep (variant).
+    pub timing: RatioPairs,
     /// Both kernels produced bit-identical score panels (the sharing
     /// contract: same `dot_f64` per (query, row)).
     pub bitwise_match: bool,
-}
-
-impl MultiScorePoint {
-    /// GEMV time over multi-sweep time.
-    pub fn speedup(&self) -> f64 {
-        self.gemv_ms / self.multi_ms
-    }
 }
 
 /// The prefix-sharing kernel sweep: score a fixed K panel against 1, 4,
@@ -482,9 +492,12 @@ impl KernelBenchReport {
         let multi = ps.points.iter().map(|p| {
             obj! {
                 "queries" => p.queries,
-                "gemv_ms" => Json::fixed(p.gemv_ms, 3),
-                "multi_ms" => Json::fixed(p.multi_ms, 3),
-                "speedup" => Json::fixed(p.speedup(), 2),
+                "gemv_ms" => Json::fixed(p.timing.base_ms, 3),
+                "multi_ms" => Json::fixed(p.timing.variant_ms, 3),
+                "speedup" => Json::fixed(p.timing.ratio, 2),
+                "speedup_p10" => Json::fixed(p.timing.ratio_p10, 2),
+                "speedup_p90" => Json::fixed(p.timing.ratio_p90, 2),
+                "pairs" => p.timing.pairs,
                 "bitwise_match" => p.bitwise_match,
             }
         });
@@ -635,11 +648,44 @@ fn measure_matmul(n: usize, reps: usize) -> MatmulPoint {
 /// the nearest-rank median is one observed pair.
 const FLASH2_PAIRS: usize = 31;
 
-/// Nearest-rank percentile `pct` (0–100) of an ascending-sorted,
-/// non-empty slice.
-fn nearest_rank(sorted: &[f64], pct: f64) -> f64 {
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+/// Median, p10 and p90 (nearest rank) of a non-empty sample.
+fn spread(mut xs: Vec<f64>) -> [f64; 3] {
+    xs.sort_by(f64::total_cmp);
+    [50.0, 10.0, 90.0].map(|pct| {
+        let rank = ((pct / 100.0) * xs.len() as f64).ceil() as usize;
+        xs[rank.clamp(1, xs.len()) - 1]
+    })
+}
+
+/// The interleaved pair protocol of every paired leg: in each of
+/// `pairs` rounds `ride` runs first (a third variant compared by its
+/// median alone; `|| 0.0` for none), then `a` and `b` back to back,
+/// alternating which of them runs first, so host-speed drift shows as
+/// spread instead of as a difference. One extra round warms up and is
+/// dropped. Each closure returns its own wall milliseconds, so per-run
+/// set-up stays outside the timer. Returns each kept round's
+/// `[ride, a, b]` times.
+fn timed_pairs(
+    pairs: usize,
+    mut ride: impl FnMut() -> f64,
+    mut a: impl FnMut() -> f64,
+    mut b: impl FnMut() -> f64,
+) -> Vec<[f64; 3]> {
+    let mut rounds = Vec::with_capacity(pairs);
+    for round in 0..=pairs {
+        let r = ride();
+        let (ta, tb) = if round % 2 == 0 {
+            let ta = a();
+            (ta, b())
+        } else {
+            let tb = b();
+            (a(), tb)
+        };
+        if round > 0 {
+            rounds.push([r, ta, tb]);
+        }
+    }
+    rounds
 }
 
 /// Medians (milliseconds) of [`overhead_pairs`]' three variants and the
@@ -655,46 +701,55 @@ struct OverheadPairs {
 }
 
 /// A checksum overhead is a small ratio of two large numbers: time
-/// `unchecked` and `checked` back to back in each of `pairs` rounds,
-/// alternating which runs first, and report the median and p10 / p90 of
-/// the per-pair overheads, so host-speed drift shows as spread instead
-/// of as overhead. `ride` opens every round (a third variant compared by
-/// its median alone; `|| 0.0` for none). Round 0 warms up and is
-/// dropped.
+/// `unchecked` and `checked` as [`timed_pairs`] and report the median
+/// and p10 / p90 of the per-pair overheads `checked / unchecked − 1`.
 fn overhead_pairs(
     pairs: usize,
-    mut ride: impl FnMut() -> f64,
-    mut unchecked: impl FnMut() -> f64,
-    mut checked: impl FnMut() -> f64,
+    ride: impl FnMut() -> f64,
+    unchecked: impl FnMut() -> f64,
+    checked: impl FnMut() -> f64,
 ) -> OverheadPairs {
-    let (mut rides, mut plain, mut fused, mut overheads) =
-        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    for round in 0..=pairs {
-        let a = ride();
-        let (u, c) = if round % 2 == 0 {
-            let u = unchecked();
-            (u, checked())
-        } else {
-            let c = checked();
-            (unchecked(), c)
-        };
-        if round > 0 {
-            rides.push(a);
-            plain.push(u);
-            fused.push(c);
-            overheads.push((c / u - 1.0) * 100.0);
-        }
-    }
-    for xs in [&mut rides, &mut plain, &mut fused, &mut overheads] {
-        xs.sort_by(f64::total_cmp);
-    }
+    let rounds = timed_pairs(pairs, ride, unchecked, checked);
+    let median = |i: usize| spread(rounds.iter().map(|r| r[i]).collect())[0];
+    let [overhead_pct, overhead_p10_pct, overhead_p90_pct] = spread(
+        rounds
+            .iter()
+            .map(|[_, u, c]| (c / u - 1.0) * 100.0)
+            .collect(),
+    );
     OverheadPairs {
-        ride_ms: nearest_rank(&rides, 50.0),
-        unchecked_ms: nearest_rank(&plain, 50.0),
-        checked_ms: nearest_rank(&fused, 50.0),
-        overhead_pct: nearest_rank(&overheads, 50.0),
-        overhead_p10_pct: nearest_rank(&overheads, 10.0),
-        overhead_p90_pct: nearest_rank(&overheads, 90.0),
+        ride_ms: median(0),
+        unchecked_ms: median(1),
+        checked_ms: median(2),
+        overhead_pct,
+        overhead_p10_pct,
+        overhead_p90_pct,
+        pairs,
+    }
+}
+
+/// Timed (GEMV, multi-sweep) pairs per packed-query count of the
+/// prefix-sharing kernel leg. Odd, so the nearest-rank median is one
+/// observed pair.
+const PREFIX_SHARING_PAIRS: usize = 15;
+
+/// A speed ratio: time `base` and `variant` as [`timed_pairs`] and
+/// report the median and p10 / p90 of the per-pair ratios
+/// `base / variant`.
+pub(crate) fn ratio_pairs(
+    pairs: usize,
+    base: impl FnMut() -> f64,
+    variant: impl FnMut() -> f64,
+) -> RatioPairs {
+    let rounds = timed_pairs(pairs, || 0.0, base, variant);
+    let median = |i: usize| spread(rounds.iter().map(|r| r[i]).collect())[0];
+    let [ratio, ratio_p10, ratio_p90] = spread(rounds.iter().map(|[_, b, v]| b / v).collect());
+    RatioPairs {
+        base_ms: median(1),
+        variant_ms: median(2),
+        ratio,
+        ratio_p10,
+        ratio_p90,
         pairs,
     }
 }
@@ -1800,7 +1855,7 @@ fn measure_decode_gqa(shape: DecodeShape, batch: usize, reps: usize) -> DecodeGq
 
 /// Runs the kernel-layer benchmark. `quick` shrinks problem sizes and
 /// drops the largest matmul/flash2 points for CI smoke runs.
-fn measure_prefix_sharing_kernel(n_rows: usize, iters: usize, reps: usize) -> PrefixSharingKernel {
+fn measure_prefix_sharing_kernel(n_rows: usize, iters: usize, pairs: usize) -> PrefixSharingKernel {
     // kv-row width of the headline serving shapes: the panel a decode
     // step actually sweeps per shared block batch.
     let d = 64usize;
@@ -1812,28 +1867,50 @@ fn measure_prefix_sharing_kernel(n_rows: usize, iters: usize, reps: usize) -> Pr
         .map(|&nq| {
             let qmat = Matrix::<f64>::random_seeded(nq, d, ElementDist::default(), 72);
             let qs = qmat.as_slice();
+            let (mut gemv_out, mut multi_out) = (Vec::new(), Vec::new());
+            let timing = ratio_pairs(
+                pairs,
+                || {
+                    timed_once(
+                        || (),
+                        |_| {
+                            for _ in 0..iters {
+                                for qi in 0..nq {
+                                    ops::dot_then_scale_rows(
+                                        &qs[qi * d..(qi + 1) * d],
+                                        rows,
+                                        d,
+                                        n_rows,
+                                        scale,
+                                        &mut gemv_out,
+                                    );
+                                    std::hint::black_box(&gemv_out);
+                                }
+                            }
+                        },
+                    )
+                },
+                || {
+                    timed_once(
+                        || (),
+                        |_| {
+                            for _ in 0..iters {
+                                ops::dot_then_scale_rows_multi(
+                                    qs,
+                                    d,
+                                    rows,
+                                    d,
+                                    n_rows,
+                                    scale,
+                                    &mut multi_out,
+                                );
+                                std::hint::black_box(&multi_out);
+                            }
+                        },
+                    )
+                },
+            );
             let mut out = Vec::new();
-            let gemv_ms = time_ms(reps, || {
-                for _ in 0..iters {
-                    for qi in 0..nq {
-                        ops::dot_then_scale_rows(
-                            &qs[qi * d..(qi + 1) * d],
-                            rows,
-                            d,
-                            n_rows,
-                            scale,
-                            &mut out,
-                        );
-                        std::hint::black_box(&out);
-                    }
-                }
-            });
-            let multi_ms = time_ms(reps, || {
-                for _ in 0..iters {
-                    ops::dot_then_scale_rows_multi(qs, d, rows, d, n_rows, scale, &mut out);
-                    std::hint::black_box(&out);
-                }
-            });
             // The contract behind the timing: identical bits, only the
             // sweep order (and therefore the bandwidth bill) differs.
             let mut multi = Vec::new();
@@ -1856,8 +1933,7 @@ fn measure_prefix_sharing_kernel(n_rows: usize, iters: usize, reps: usize) -> Pr
                 .all(|(a, b)| a.to_bits() == b.to_bits());
             MultiScorePoint {
                 queries: nq,
-                gemv_ms,
-                multi_ms,
+                timing,
                 bitwise_match,
             }
         })
@@ -1945,7 +2021,7 @@ pub fn measure(quick: bool) -> KernelBenchReport {
     );
     let decode_gqa = measure_decode_gqa(decode_shape, largest_batch, decode_reps);
     let (ps_rows, ps_iters) = if quick { (128, 4) } else { (512, 16) };
-    let prefix_sharing = measure_prefix_sharing_kernel(ps_rows, ps_iters, reps);
+    let prefix_sharing = measure_prefix_sharing_kernel(ps_rows, ps_iters, PREFIX_SHARING_PAIRS);
 
     KernelBenchReport {
         host_threads: rayon::current_num_threads(),
@@ -2071,7 +2147,13 @@ mod tests {
             vec![1, 4, 16, 32]
         );
         for p in &ps.points {
-            assert!(p.gemv_ms > 0.0 && p.multi_ms > 0.0, "queries {}", p.queries);
+            let t = &p.timing;
+            assert!(
+                t.base_ms > 0.0 && t.variant_ms > 0.0,
+                "queries {}",
+                p.queries
+            );
+            assert!(t.ratio_p10 <= t.ratio && t.ratio <= t.ratio_p90);
             assert!(
                 p.bitwise_match,
                 "queries {}: multi sweep must be bit-identical to per-query GEMV",
@@ -2150,6 +2232,9 @@ mod tests {
                 "decode_gqa.points.0.bf16_checked_ms",
                 "prefix_sharing.points.0.queries",
                 "prefix_sharing.points.0.multi_ms",
+                "prefix_sharing.points.0.speedup_p10",
+                "prefix_sharing.points.0.speedup_p90",
+                "prefix_sharing.points.0.pairs",
                 "prefix_sharing.points.0.bitwise_match",
             ],
         );

@@ -21,12 +21,14 @@
 //! units; each leg also measures its wall-clock per step and reports
 //! both (`*_steps` and `*_ms`).
 
+use crate::kernels::{ratio_pairs, RatioPairs};
 use fa_attention::batch::{DecodeBatch, EvictionPolicy, KvFormat, KvLayout};
 use fa_attention::serve::{LoadGen, LoadSpec, Scheduler, ServeConfig, ServeSummary, SloSpec};
 use fa_attention::{AttentionConfig, HeadTopology};
 use fa_fault::{run_drill, DrillSpec, DrillStats};
 use fa_json::{obj, Json};
 use fa_tensor::{random::ElementDist, Matrix};
+use std::cell::Cell;
 use std::time::Instant;
 
 /// One serving leg: aggregate metrics in scheduler steps plus the
@@ -170,11 +172,17 @@ pub struct PrefixSharingPoint {
     /// `k·(prefix_blocks + suffix_blocks)`.
     pub unshared_arena_blocks: usize,
     /// Decode tokens/s with shared-block batched scoring (one K-panel
-    /// sweep per physical block feeding all readers).
+    /// sweep per physical block feeding all readers), at the median of
+    /// the `decode` pairs.
     pub shared_decode_tokens_per_s: f64,
     /// Decode tokens/s on an identical shared cache with batching
-    /// disabled: one GEMV sweep per reader per block.
+    /// disabled — one GEMV sweep per reader per block — at the median of
+    /// the `decode` pairs.
     pub gemv_decode_tokens_per_s: f64,
+    /// Per-reader GEMV (base) vs batched (variant) decode wall time as
+    /// interleaved, order-alternated pairs: `ratio` is the batched
+    /// speedup, with its p10 / p90 over the pairs.
+    pub decode: RatioPairs,
     /// Analytic KV bytes streamed per decode step under batching
     /// (shared blocks counted once).
     pub shared_bytes_per_step: f64,
@@ -346,7 +354,7 @@ fn measure_prefix_sharing_point(
     readers: usize,
     suffix_tokens: usize,
     decode_steps: usize,
-    reps: usize,
+    (reps, decode_pairs): (usize, usize),
 ) -> PrefixSharingPoint {
     let prefix_tokens = prefix.0.rows();
     let suffixes: Vec<Prompt> = (0..readers)
@@ -362,50 +370,53 @@ fn measure_prefix_sharing_point(
 
     let mut shared_prefill_ms = f64::INFINITY;
     let mut unshared_prefill_ms = f64::INFINITY;
-    let mut shared_decode_ms = f64::INFINITY;
-    let mut gemv_decode_ms = f64::INFINITY;
     let mut shared_arena_blocks = 0;
     let mut unshared_arena_blocks = 0;
-    let mut shared_score_tiles = 0;
-    let mut decode_bitwise_match = true;
-    let mut first_outs: Option<Vec<Vec<f64>>> = None;
     for _ in 0..reps {
-        // Registry path: register once, k suffix admissions, then the
-        // batched-scoring decode on the shared cache.
+        // Registry path: register once, k suffix admissions.
         let mut e = ps_engine();
         let t0 = Instant::now();
-        let seqs = ps_admit_shared(&mut e, prefix, &suffixes);
+        ps_admit_shared(&mut e, prefix, &suffixes);
         shared_prefill_ms = shared_prefill_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         shared_arena_blocks = e.cache().live_unique_blocks();
-        let tiles0 = e.shared_score_tiles();
-        let t1 = Instant::now();
-        let outs = ps_decode(&mut e, &seqs, &steps);
-        shared_decode_ms = shared_decode_ms.min(t1.elapsed().as_secs_f64() * 1e3);
-        shared_score_tiles = e.shared_score_tiles() - tiles0;
-
-        // GEMV twin: the identical shared cache, batching disabled —
-        // isolates the scoring kernel from the memory layout.
-        let mut g = ps_engine();
-        g.set_shared_scoring(false);
-        let gseqs = ps_admit_shared(&mut g, prefix, &suffixes);
-        let t2 = Instant::now();
-        let gouts = ps_decode(&mut g, &gseqs, &steps);
-        gemv_decode_ms = gemv_decode_ms.min(t2.elapsed().as_secs_f64() * 1e3);
 
         // Independent path: k full prompts, no registry.
         let mut u = ps_engine();
-        let t3 = Instant::now();
+        let t1 = Instant::now();
         ps_admit_unshared(&mut u, &fulls);
-        unshared_prefill_ms = unshared_prefill_ms.min(t3.elapsed().as_secs_f64() * 1e3);
+        unshared_prefill_ms = unshared_prefill_ms.min(t1.elapsed().as_secs_f64() * 1e3);
         unshared_arena_blocks = u.cache().live_unique_blocks();
-
-        decode_bitwise_match &= outs == gouts;
-        if let Some(first) = &first_outs {
-            decode_bitwise_match &= *first == outs;
-        } else {
-            first_outs = Some(outs);
-        }
     }
+
+    // Decode on identical shared caches with batched scoring on and off
+    // (the GEMV twin isolates the scoring kernel from the memory layout),
+    // timed as interleaved pairs. Every run must reproduce an untimed
+    // GEMV run's outputs bit for bit.
+    let decode_run = |shared: bool| {
+        let mut e = ps_engine();
+        e.set_shared_scoring(shared);
+        let seqs = ps_admit_shared(&mut e, prefix, &suffixes);
+        let tiles0 = e.shared_score_tiles();
+        let t = Instant::now();
+        let outs = ps_decode(&mut e, &seqs, &steps);
+        (
+            t.elapsed().as_secs_f64() * 1e3,
+            outs,
+            e.shared_score_tiles() - tiles0,
+        )
+    };
+    let reference = decode_run(false).1;
+    let decode_bitwise_match = Cell::new(true);
+    let shared_score_tiles = Cell::new(0);
+    let timed = |shared: bool| {
+        let (ms, outs, tiles) = decode_run(shared);
+        decode_bitwise_match.set(decode_bitwise_match.get() && outs == reference);
+        if shared {
+            shared_score_tiles.set(tiles);
+        }
+        ms
+    };
+    let decode = ratio_pairs(decode_pairs, || timed(false), || timed(true));
 
     // Analytic streamed-KV accounting, exact per step: after the step's
     // append every reader sees prefix + suffix + t + 1 rows. Batching
@@ -428,12 +439,13 @@ fn measure_prefix_sharing_point(
         unshared_prefill_tokens_per_s: delivered / unshared_prefill_ms * 1e3,
         shared_arena_blocks,
         unshared_arena_blocks,
-        shared_decode_tokens_per_s: decoded / shared_decode_ms * 1e3,
-        gemv_decode_tokens_per_s: decoded / gemv_decode_ms * 1e3,
+        shared_decode_tokens_per_s: decoded / decode.variant_ms * 1e3,
+        gemv_decode_tokens_per_s: decoded / decode.base_ms * 1e3,
+        decode,
         shared_bytes_per_step: shared_bytes / decode_steps as f64,
         gemv_bytes_per_step: gemv_bytes / decode_steps as f64,
-        shared_score_tiles,
-        decode_bitwise_match,
+        shared_score_tiles: shared_score_tiles.get(),
+        decode_bitwise_match: decode_bitwise_match.get(),
     }
 }
 
@@ -443,12 +455,20 @@ fn measure_prefix_sharing(quick: bool) -> PrefixSharingBench {
     // quick mode shrinks it so the k=32 independent baseline stays CI
     // cheap. Both keep prefix block- and chunk-aligned (no CoW tail:
     // this sweep measures sharing, the CoW paths are property-tested).
-    let (prefix_tokens, decode_steps, reps) = if quick { (128, 4, 2) } else { (512, 8, 3) };
+    // Decode pairs are odd, so the nearest-rank median is one pair.
+    let (prefix_tokens, decode_steps, reps, decode_pairs) = if quick {
+        (128, 4, 2, 3)
+    } else {
+        (512, 8, 3, 9)
+    };
     let suffix_tokens = PS_BLOCK_ROWS;
     let prefix = ps_prompt(prefix_tokens, 0x8000);
     let points = [4usize, 16, 32]
         .iter()
-        .map(|&k| measure_prefix_sharing_point(&prefix, k, suffix_tokens, decode_steps, reps))
+        .map(|&k| {
+            let runs = (reps, decode_pairs);
+            measure_prefix_sharing_point(&prefix, k, suffix_tokens, decode_steps, runs)
+        })
         .collect();
     PrefixSharingBench {
         prefix_tokens,
@@ -904,6 +924,10 @@ fn prefix_sharing_json(ps: &PrefixSharingBench) -> Json {
             "unshared_arena_blocks" => p.unshared_arena_blocks,
             "shared_decode_tokens_per_s" => Json::fixed(p.shared_decode_tokens_per_s, 1),
             "gemv_decode_tokens_per_s" => Json::fixed(p.gemv_decode_tokens_per_s, 1),
+            "decode_speedup" => Json::fixed(p.decode.ratio, 2),
+            "decode_speedup_p10" => Json::fixed(p.decode.ratio_p10, 2),
+            "decode_speedup_p90" => Json::fixed(p.decode.ratio_p90, 2),
+            "decode_pairs" => p.decode.pairs,
             "shared_bytes_per_step" => Json::fixed(p.shared_bytes_per_step, 0),
             "gemv_bytes_per_step" => Json::fixed(p.gemv_bytes_per_step, 0),
             "shared_score_tiles" => p.shared_score_tiles,
@@ -1007,6 +1031,10 @@ mod tests {
                 "fault_drill.value.token_fidelity_pct",
                 "fault_drill.key.divergent_requests",
                 "preemption.ttft_p99_ms",
+                "prefix_sharing.points.0.decode_speedup",
+                "prefix_sharing.points.0.decode_speedup_p10",
+                "prefix_sharing.points.0.decode_speedup_p90",
+                "prefix_sharing.points.0.decode_pairs",
                 "prefix_sharing.points.0.decode_bitwise_match",
                 "speculative.points.0.gamma",
                 "speculative.points.0.acceptance_rate",
@@ -1093,6 +1121,8 @@ mod tests {
             assert!(p.unshared_prefill_tokens_per_s > 0.0);
             assert!(p.shared_decode_tokens_per_s > 0.0);
             assert!(p.gemv_decode_tokens_per_s > 0.0);
+            let d = &p.decode;
+            assert!(d.ratio_p10 <= d.ratio && d.ratio <= d.ratio_p90, "k={k}");
         }
     }
 }

@@ -11,30 +11,37 @@
 //!   (implemented as a scoped override, which is all the tests need);
 //! * [`current_num_threads`].
 //!
-//! Execution model: terminals split the item list into one contiguous span
-//! per worker and run each span on a scoped thread. There is no work
-//! stealing; the kernels this workspace parallelizes are uniform across
-//! items, where eager contiguous splitting is within noise of a stealing
-//! scheduler. Worker threads are flagged so *nested* parallel calls run
+//! Execution model: each terminal runs on one scoped thread per worker.
+//! `collect` and `for_each` are **self-scheduling**: workers claim items
+//! one at a time from a shared atomic counter and write each output into
+//! its item's slot, so items of unequal cost (sequences of unequal
+//! length in one engine fork) balance across workers instead of leaving
+//! one idle behind a pre-cut span. Upstream rayon balances by work
+//! stealing; the claim counter approximates it. `reduce` keeps one
+//! contiguous span per worker, because those spans define its combine
+//! grouping. Worker threads are flagged so *nested* parallel calls run
 //! inline instead of oversubscribing — rayon's pool reuse, approximated.
 //!
-//! Ordering guarantees match rayon's: `collect` and `reduce` combine span
-//! results in item order, so any fold the caller builds from associative
-//! operations is deterministic and thread-count-independent.
+//! Ordering guarantees match rayon's: `collect` returns outputs in item
+//! order whatever the claim order, and `reduce` combines span results in
+//! item order, so any fold the caller builds from associative operations
+//! is deterministic and thread-count-independent.
 
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 thread_local! {
     /// Set inside worker threads: nested parallel terminals run inline.
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
-    /// The worker's span index within its parallel terminal (see
+    /// The worker's index within its parallel terminal (see
     /// [`current_thread_index`]).
     static WORKER_INDEX: Cell<Option<usize>> = const { Cell::new(None) };
     /// Per-thread override installed by [`ThreadPool::install`] (0 = none).
     static NUM_THREADS_OVERRIDE: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Marks the current thread as a pool worker with the given span index.
+/// Marks the current thread as a pool worker with the given index.
 fn enter_worker(index: usize) {
     IN_POOL.with(|flag| flag.set(true));
     WORKER_INDEX.with(|i| i.set(Some(index)));
@@ -101,6 +108,65 @@ fn partition<I>(mut items: Vec<I>, parts: usize) -> Vec<Vec<I>> {
     spans
 }
 
+/// Runs `f` over every item on `threads` scoped workers that claim items
+/// one at a time from a shared atomic counter, so a worker that drew
+/// cheap items keeps drawing instead of idling while another finishes an
+/// expensive one. Each item's output lands in the item's own slot, so
+/// the returned vector is in item order whatever the claim order was.
+fn run_claimed<I, O, F>(items: Vec<I>, threads: usize, f: &F) -> Vec<O>
+where
+    I: Send,
+    O: Send,
+    F: Fn(I) -> O + Sync,
+{
+    // The counter only hands out indices; the items and outputs it
+    // indexes are published through their slots' mutexes, so `Relaxed`
+    // suffices.
+    let next = AtomicUsize::new(0);
+    let inputs: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+    let outputs: Vec<Mutex<Option<O>>> = inputs.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|idx| {
+                let (next, inputs, outputs) = (&next, &inputs, &outputs);
+                scope.spawn(move || {
+                    enter_worker(idx);
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(slot) = inputs.get(i) else { break };
+                        let item = lock(slot).take().expect("each item is claimed once");
+                        let out = f(item);
+                        *lock(&outputs[i]) = Some(out);
+                    }
+                })
+            })
+            .collect();
+        // Explicit joins wait for each worker thread to exit, not just to
+        // finish its closure (all the scope's implicit join waits for), so
+        // the allocator has released the worker's heap arena before the
+        // next fork spawns workers; otherwise back-to-back forks keep
+        // creating arenas, each holding freed memory resident.
+        for h in handles {
+            h.join().expect("rayon-shim worker panicked");
+        }
+    });
+    outputs
+        .iter()
+        .map(|slot| {
+            lock(slot)
+                .take()
+                .expect("every claimed item wrote its output")
+        })
+        .collect()
+}
+
+/// Locks a claim slot. No slot is ever locked while `f` runs, so a
+/// panicking item cannot poison one.
+fn lock<T>(slot: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    slot.lock()
+        .expect("claim slots are never locked across a panic")
+}
+
 /// Runs `f` over every item, producing outputs in item order.
 fn run_ordered<I, O, F>(items: Vec<I>, f: &F) -> Vec<O>
 where
@@ -112,24 +178,7 @@ where
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let spans = partition(items, threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = spans
-            .into_iter()
-            .enumerate()
-            .map(|(idx, span)| {
-                scope.spawn(move || {
-                    enter_worker(idx);
-                    span.into_iter().map(f).collect::<Vec<O>>()
-                })
-            })
-            .collect();
-        let mut out = Vec::new();
-        for h in handles {
-            out.extend(h.join().expect("rayon-shim worker panicked"));
-        }
-        out
-    })
+    run_claimed(items, threads, f)
 }
 
 /// Runs `f` for every item, discarding outputs.
@@ -143,15 +192,7 @@ where
         items.into_iter().for_each(f);
         return;
     }
-    let spans = partition(items, threads);
-    std::thread::scope(|scope| {
-        for (idx, span) in spans.into_iter().enumerate() {
-            scope.spawn(move || {
-                enter_worker(idx);
-                span.into_iter().for_each(f);
-            });
-        }
-    });
+    run_claimed(items, threads, f);
 }
 
 /// An eager parallel iterator: a materialized item list plus a composed
@@ -450,6 +491,53 @@ mod tests {
     fn map_collect_preserves_order() {
         let v: Vec<usize> = (0..1000usize).into_par_iter().map(|x| x * 2).collect();
         assert_eq!(v, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn collect_keeps_item_order_when_items_finish_out_of_order() {
+        // Item 0 blocks until every other item has run, so outputs are
+        // produced out of item order. That completes only if idle workers
+        // keep claiming items: a worker holding a pre-cut span that
+        // starts at item 0 would stall the rest of its span, and item 0
+        // would time out.
+        use std::sync::Condvar;
+        use std::time::Duration;
+        let n = 48usize;
+        for threads in [2, 4] {
+            let (count, ran) = (Mutex::new(0usize), Condvar::new());
+            let out: Vec<usize> = ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| {
+                    (0..n)
+                        .into_par_iter()
+                        .map(|i| {
+                            let mut c = count.lock().unwrap();
+                            if i == 0 {
+                                let wait = Duration::from_secs(10);
+                                let (guard, t) =
+                                    ran.wait_timeout_while(c, wait, |c| *c < n - 1).unwrap();
+                                assert!(!t.timed_out(), "{threads} threads: items stalled");
+                                c = guard;
+                            }
+                            *c += 1;
+                            ran.notify_all();
+                            i * 3 + 1
+                        })
+                        .collect()
+                });
+            assert_eq!(
+                out,
+                (0..n).map(|i| i * 3 + 1).collect::<Vec<_>>(),
+                "{threads} threads"
+            );
+            assert_eq!(
+                *count.lock().unwrap(),
+                n,
+                "{threads} threads: each item ran once"
+            );
+        }
     }
 
     #[test]

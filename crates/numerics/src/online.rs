@@ -8,6 +8,20 @@
 //! Flash-ABFT checker and the cycle-level simulator all share one verified
 //! implementation.
 
+/// `e^x`, returning `1.0` without the libm call when `x == 0.0` — exact,
+/// since `e^{±0} = 1`. Most rows of a softmax sweep leave the running
+/// maximum unchanged, so `m_{i−1} − m_i` is an exact zero and the row's
+/// rescale factor skips `exp`; the `== 0.0` test sends `∞ − ∞ = NaN` down
+/// the `exp` path as before.
+#[inline(always)]
+fn exp_or_one(x: f64) -> f64 {
+    if x == 0.0 {
+        1.0
+    } else {
+        x.exp()
+    }
+}
+
 /// The pair of exponential factors applied on each online-softmax step:
 /// `scale_old = e^{m_{i−1} − m_i}` rescales every accumulator, and
 /// `weight_new = e^{s_i − m_i}` weights the incoming element.
@@ -78,9 +92,9 @@ impl OnlineSoftmax {
         let scale_old = if self.max == f64::NEG_INFINITY {
             0.0
         } else {
-            (self.max - new_max).exp()
+            exp_or_one(self.max - new_max)
         };
-        let weight_new = (score - new_max).exp();
+        let weight_new = exp_or_one(score - new_max);
         self.sum_exp = self.sum_exp * scale_old + weight_new;
         self.max = new_max;
         self.count += 1;

@@ -18,12 +18,29 @@
 //! [`MergedAccumulator::fold`], while the hardware simulator
 //! instantiates the identical structure as one extra MAC lane.
 //!
-//! The value rows stay in their storage format: [`axpy_f64`] widens
-//! each lane inside the update, so no kernel stages an f64 copy of V.
+//! A span folds in two phases over stack chunks of at most 64 rows.
+//! First the scalar recurrence runs row by row — [`OnlineSoftmax::push`]
+//! and the checksum-lane update — recording each row's rescale
+//! factors. Then one AVX2 call folds the chunk's value rows into the
+//! output lanes, lanes outer and rows inner, with a 32-lane accumulator
+//! slab held in registers (`ops::fold_rows`). Every lane still sees
+//! `acc·e^{m_{i−1}−m_i} + v·e^{s_i−m_i}` in ascending row order with
+//! the same two roundings, so the split is bitwise the row-at-a-time
+//! recurrence; a row that leaves the maximum unchanged (rescale factor
+//! exactly `1.0`) skips the exact `acc·1.0` product. A one-row span —
+//! the per-row decode goldens fold one row per call — skips the chunk
+//! scratch.
+//!
+//! The value rows stay in their storage format: the fold widens each
+//! lane inside the update, so no kernel stages an f64 copy of V.
 
-use crate::ops::axpy_f64;
+use crate::ops::fold_rows;
 use crate::Scalar;
 use fa_numerics::{OnlineSoftmax, RescaleStep};
+
+/// Rows per two-phase fold chunk: bounds the stack scratch holding the
+/// chunk's rescale factors (2 · 64 `f64`s = 1 KB).
+const FOLD_CHUNK: usize = 64;
 
 /// A (d+1)-lane online-softmax accumulator: lanes `0..d` hold the output
 /// vector `o_i`, lane `d` holds the running per-query checksum `c_i`
@@ -69,7 +86,7 @@ impl MergedAccumulator {
     /// Folds a span of consecutive value rows through Alg. 3 lines 4–7:
     /// `scores[j]` is row `j`'s score, `values` holds the rows
     /// contiguously (`scores.len() × d`, in storage format — each lane is
-    /// widened inside [`axpy_f64`]), and `sumrows[j]` is row `j`'s
+    /// widened inside the fold), and `sumrows[j]` is row `j`'s
     /// `sumrow(V)` checksum input. With `sumrows == None` (an unchecked
     /// pass) the checksum lane is left untouched; the output lanes and
     /// `ℓ` are bitwise the same either way. Returns the last row's
@@ -107,16 +124,44 @@ impl MergedAccumulator {
             assert_eq!(sumrows.len(), scores.len(), "one sumrow lane per score");
         }
         let (output, check) = self.lanes.split_at_mut(d);
+        let softmax = &mut self.softmax;
+        // Phase 1 for row `j`: the scalar recurrence and the checksum lane.
+        let mut push = |j: usize, s: f64| {
+            let step = softmax.push(s);
+            if let Some(sumrows) = sumrows {
+                check[0] = check[0] * step.scale_old + sumrows[j] * step.weight_new;
+            }
+            step
+        };
+        // One row — the per-row decode goldens' case — needs no chunk
+        // scratch.
+        if let [s] = *scores {
+            let step = push(0, s);
+            fold_rows(output, values, &[step.scale_old], &[step.weight_new]);
+            return step;
+        }
         let mut step = RescaleStep {
             scale_old: 1.0,
             weight_new: 0.0,
         };
-        for (j, (&s, row)) in scores.iter().zip(values.chunks_exact(d)).enumerate() {
-            step = self.softmax.push(s);
-            axpy_f64(output, row, step.scale_old, step.weight_new);
-            if let Some(sumrows) = sumrows {
-                check[0] = check[0] * step.scale_old + sumrows[j] * step.weight_new;
+        let mut scales = [0.0f64; FOLD_CHUNK];
+        let mut weights = [0.0f64; FOLD_CHUNK];
+        for (c, chunk) in scores.chunks(FOLD_CHUNK).enumerate() {
+            let base = c * FOLD_CHUNK;
+            // Phase 1: row by row.
+            for (j, &s) in chunk.iter().enumerate() {
+                step = push(base + j, s);
+                scales[j] = step.scale_old;
+                weights[j] = step.weight_new;
             }
+            // Phase 2: the chunk's value rows, lanes outer, rows inner.
+            let n = chunk.len();
+            fold_rows(
+                output,
+                &values[base * d..(base + n) * d],
+                &scales[..n],
+                &weights[..n],
+            );
         }
         step
     }

@@ -343,9 +343,12 @@ pub fn matmul_f64_acc<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     out
 }
 
-/// Accumulator lanes of the blocked dot product: 4 AVX2 `f64x4` vectors.
-/// Part of the *defining* summation order of [`dot_f64`] — changing it
-/// changes results at the last-ulp level.
+/// Accumulator lanes of the blocked dot product: four AVX2 `f64x4`
+/// vectors per row. Part of the *defining* summation order of
+/// [`dot_f64`] — changing it changes results at the last-ulp level. The
+/// block scorer behind [`dot_then_scale_rows`] keeps this per-row
+/// assignment and only interleaves two rows (eight independent vectors)
+/// per iteration, so block and per-row scores agree bit for bit.
 pub const DOT_LANES: usize = 16;
 
 /// Dot product of two equal-length slices, accumulated in `f64` with the
@@ -388,17 +391,22 @@ pub fn dot_then_scale<T: Scalar>(a: &[T], b: &[T], scale: f64) -> f64 {
 
 /// Scores a block of key rows against one query: `out[i] =
 /// dot_then_scale(q, row_i, scale)` for `n_rows` rows laid out at a fixed
-/// `row_stride` starting at `rows[0]`. Each row goes through the same
-/// [`dot_f64`] kernel as the unfused call, so every score is bit-identical
-/// to calling [`dot_then_scale`] row by row.
+/// `row_stride` starting at `rows[0]`. `out` is cleared and refilled.
 ///
-/// This entry point exists for the decode/attention hot loops: scoring a
-/// whole cache block first means the kernel streams the K block once and
-/// then streams the V block once (in the accumulate loop), instead of
-/// alternating K-row and V-row reads — and with the head-major KV layout
-/// (`row_stride == q.len()`) the K block is one pure contiguous span, the
-/// shape hardware prefetchers and DRAM bursts want. `out` is cleared and
-/// refilled.
+/// For the formats whose dot arithmetic is f64 (`f64`, `f32`) the whole
+/// block goes through the AVX2 **block scorer** in one call: two rows
+/// per iteration, eight independent accumulator chains instead of the
+/// per-row kernel's four, so the loop runs at add throughput rather
+/// than add latency, with one dispatch per block instead of per row.
+/// Each row keeps [`dot_f64`]'s lane assignment, combine tree and tail,
+/// so every score is bit-identical to calling [`dot_then_scale`] row by
+/// row. BF16 blocks keep the per-row range-guarded native kernel
+/// ([`dot_bf16_native`]).
+///
+/// Scoring a whole cache block first means the pass streams the K block
+/// once and then the V block once (in the fold), instead of alternating
+/// K-row and V-row reads — and with the head-major KV layout
+/// (`row_stride == q.len()`) the K block is one contiguous span.
 ///
 /// # Panics
 ///
@@ -414,24 +422,87 @@ pub fn dot_then_scale_rows<T: Scalar>(
     out: &mut Vec<f64>,
 ) {
     out.clear();
+    assert_block_view(q.len(), rows.len(), row_stride, n_rows);
+    out.resize(n_rows, 0.0);
+    score_block(q, rows, row_stride, scale, out, dot_f64);
+}
+
+/// Asserts that `n_rows` rows of `d` elements, `row_stride` apart, fit
+/// in a slice of `len` elements without overlapping.
+fn assert_block_view(d: usize, len: usize, row_stride: usize, n_rows: usize) {
     if n_rows == 0 {
         return;
     }
     assert!(
-        row_stride >= q.len(),
-        "row stride {row_stride} shorter than query length {}",
-        q.len()
+        row_stride >= d,
+        "row stride {row_stride} shorter than query length {d}"
     );
-    let needed = (n_rows - 1) * row_stride + q.len();
-    assert!(
-        rows.len() >= needed,
-        "row block too short: {} < {needed}",
-        rows.len()
-    );
-    out.reserve(n_rows);
-    for r in 0..n_rows {
-        let row = &rows[r * row_stride..r * row_stride + q.len()];
-        out.push(dot_f64(q, row) * scale);
+    let needed = (n_rows - 1) * row_stride + d;
+    assert!(len >= needed, "row block too short: {len} < {needed}");
+}
+
+/// The one block-scoring loop behind every `dot_then_scale_rows*` entry
+/// point: `out[r] = row_dot(q, row_r) · scale` for `out.len()` rows. The
+/// AVX2 block scorer takes the block when it serves the operand formats;
+/// otherwise each row goes through `row_dot`, the per-row kernel the
+/// block scorer is bit-identical to.
+#[inline]
+fn score_block<Q: Scalar, K: Scalar>(
+    q: &[Q],
+    rows: &[K],
+    row_stride: usize,
+    scale: f64,
+    out: &mut [f64],
+    row_dot: impl Fn(&[Q], &[K]) -> f64,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::score_rows(q, rows, row_stride, scale, out) {
+        return;
+    }
+    for (r, o) in out.iter_mut().enumerate() {
+        *o = row_dot(q, &rows[r * row_stride..r * row_stride + q.len()]) * scale;
+    }
+}
+
+/// Key rows per tile of the multi-query scorer: every query scores one
+/// tile before the next loads, so the tile (16 KB of `f64` rows at
+/// `d = 128`) stays L1-hot across all queries.
+const MULTI_ROW_TILE: usize = 16;
+
+/// [`score_block`] for `qs.len() / d` packed queries, query-major into
+/// `out`, tile by tile over the rows.
+#[allow(clippy::too_many_arguments)]
+fn score_block_multi<Q: Scalar, K: Scalar>(
+    qs: &[Q],
+    d: usize,
+    rows: &[K],
+    row_stride: usize,
+    n_rows: usize,
+    scale: f64,
+    out: &mut [f64],
+    row_dot: impl Fn(&[Q], &[K]) -> f64,
+) {
+    assert_eq!(qs.len() % d, 0, "packed queries not a multiple of d");
+    let nq = qs.len() / d;
+    assert_eq!(out.len(), nq * n_rows, "output tile size mismatch");
+    if nq == 0 {
+        return;
+    }
+    assert_block_view(d, rows.len(), row_stride, n_rows);
+    // A tile pays off only when several queries reuse it: one query
+    // scores the whole block in one call.
+    let tile_rows = if nq == 1 {
+        n_rows.max(1)
+    } else {
+        MULTI_ROW_TILE
+    };
+    for t0 in (0..n_rows).step_by(tile_rows) {
+        let t1 = (t0 + tile_rows).min(n_rows);
+        let tile = &rows[t0 * row_stride..];
+        for (qi, q) in qs.chunks_exact(d).enumerate() {
+            let dst = &mut out[qi * n_rows + t0..qi * n_rows + t1];
+            score_block(q, tile, row_stride, scale, dst, &row_dot);
+        }
     }
 }
 
@@ -547,10 +618,11 @@ pub fn dot_f64_bf16_portable(q: &[f64], k: &[fa_numerics::BF16]) -> f64 {
 }
 
 /// [`dot_then_scale_rows`] for demoted (BF16-stored) cache blocks scored
-/// against an `f64` query: `out[i] = dot_f64_bf16(q, row_i) · scale`.
-/// Every score is bit-identical to widening the BF16 row to f64 and
-/// calling [`dot_then_scale`] — the block-demotion equivalence the
-/// mixed-format decode proptests pin.
+/// against an `f64` query: `out[i] = dot_f64_bf16(q, row_i) · scale`,
+/// through the same block scorer (its 4-lane widening load serves the
+/// mixed operands). Every score is bit-identical to widening the BF16
+/// row to f64 and calling [`dot_then_scale`] — the block-demotion
+/// equivalence the mixed-format decode proptests pin.
 ///
 /// # Panics
 ///
@@ -565,36 +637,21 @@ pub fn dot_then_scale_rows_bf16(
     out: &mut Vec<f64>,
 ) {
     out.clear();
-    if n_rows == 0 {
-        return;
-    }
-    assert!(
-        row_stride >= q.len(),
-        "row stride {row_stride} shorter than query length {}",
-        q.len()
-    );
-    let needed = (n_rows - 1) * row_stride + q.len();
-    assert!(
-        rows.len() >= needed,
-        "row block too short: {} < {needed}",
-        rows.len()
-    );
-    out.reserve(n_rows);
-    for r in 0..n_rows {
-        let row = &rows[r * row_stride..r * row_stride + q.len()];
-        out.push(dot_f64_bf16(q, row) * scale);
-    }
+    assert_block_view(q.len(), rows.len(), row_stride, n_rows);
+    out.resize(n_rows, 0.0);
+    score_block(q, rows, row_stride, scale, out, dot_f64_bf16);
 }
 
 /// Scores a block of key rows against **many** queries at once:
 /// `out[qi·n_rows + r] = dot_then_scale(q_qi, row_r, scale)` for `nq =
 /// qs.len()/d` queries packed row-major in `qs`. Every (query, row)
-/// score goes through the same [`dot_f64`] kernel as
-/// [`dot_then_scale_rows`], so the output is bit-identical to calling
-/// that kernel once per query — this entry point exists purely for
-/// memory locality: the row loop is **outer** and the query loop inner,
-/// so each K row is streamed from DRAM once and stays register/L1-hot
-/// while all `nq` queries score it. That turns `k` sequences reading one
+/// score goes through the same block scorer as [`dot_then_scale_rows`],
+/// so the output is bit-identical to calling that kernel once per query
+/// — this entry point exists for memory locality: the rows are cut into
+/// 16-row tiles and every query scores a tile before the next one
+/// loads, so each K row is streamed from DRAM once and stays L1-hot
+/// while all `nq` queries score it (one query scores the whole block
+/// in one call). That turns `k` sequences reading one
 /// shared cache block from `k` separate K-panel sweeps (bandwidth-bound)
 /// into one sweep feeding a `(nq × d)·(dᵀ × n_rows)` matmul's worth of
 /// dots (compute-dense — the shared-prefix decode win).
@@ -644,28 +701,7 @@ pub fn dot_then_scale_rows_multi_into<T: Scalar>(
     scale: f64,
     out: &mut [f64],
 ) {
-    assert_eq!(qs.len() % d, 0, "packed queries not a multiple of d");
-    let nq = qs.len() / d;
-    assert_eq!(out.len(), nq * n_rows, "output tile size mismatch");
-    if n_rows == 0 || nq == 0 {
-        return;
-    }
-    assert!(
-        row_stride >= d,
-        "row stride {row_stride} shorter than query length {d}"
-    );
-    let needed = (n_rows - 1) * row_stride + d;
-    assert!(
-        rows.len() >= needed,
-        "row block too short: {} < {needed}",
-        rows.len()
-    );
-    for r in 0..n_rows {
-        let row = &rows[r * row_stride..r * row_stride + d];
-        for qi in 0..nq {
-            out[qi * n_rows + r] = dot_f64(&qs[qi * d..(qi + 1) * d], row) * scale;
-        }
-    }
+    score_block_multi(qs, d, rows, row_stride, n_rows, scale, out, dot_f64);
 }
 
 /// [`dot_then_scale_rows_multi_into`] for demoted (BF16-stored) blocks
@@ -687,28 +723,7 @@ pub fn dot_then_scale_rows_multi_bf16_into(
     scale: f64,
     out: &mut [f64],
 ) {
-    assert_eq!(qs.len() % d, 0, "packed queries not a multiple of d");
-    let nq = qs.len() / d;
-    assert_eq!(out.len(), nq * n_rows, "output tile size mismatch");
-    if n_rows == 0 || nq == 0 {
-        return;
-    }
-    assert!(
-        row_stride >= d,
-        "row stride {row_stride} shorter than query length {d}"
-    );
-    let needed = (n_rows - 1) * row_stride + d;
-    assert!(
-        rows.len() >= needed,
-        "row block too short: {} < {needed}",
-        rows.len()
-    );
-    for r in 0..n_rows {
-        let row = &rows[r * row_stride..r * row_stride + d];
-        for qi in 0..nq {
-            out[qi * n_rows + r] = dot_f64_bf16(&qs[qi * d..(qi + 1) * d], row) * scale;
-        }
-    }
+    score_block_multi(qs, d, rows, row_stride, n_rows, scale, out, dot_f64_bf16);
 }
 
 /// The seed's sequential dot product (one ascending add chain): the
@@ -744,11 +759,35 @@ pub fn dot_f64_reference<T: Scalar>(a: &[T], b: &[T]) -> f64 {
 #[inline]
 pub fn axpy_f64<T: Scalar>(acc: &mut [f64], x: &[T], scale_acc: f64, weight_x: f64) {
     assert_eq!(acc.len(), x.len(), "axpy length mismatch");
+    fold_rows(acc, x, &[scale_acc], &[weight_x]);
+}
+
+/// The span form of [`axpy_f64`]: `acc ← acc·scales[j] + row_j·weights[j]`
+/// for every row `j` of `values` (`acc.len()` lanes each) in ascending
+/// order — bitwise [`axpy_f64`] row by row. The AVX2 kernel runs lanes
+/// outer, rows inner, keeping a 32-lane accumulator slab in registers
+/// for the whole span, and drops the exact `acc·1.0` product on rows
+/// whose rescale factor is `1.0`.
+///
+/// # Panics
+///
+/// Panics if `scales` and `weights` differ in length or `values` does
+/// not hold one `acc.len()`-lane row per scale.
+#[inline]
+pub(crate) fn fold_rows<V: Scalar>(acc: &mut [f64], values: &[V], scales: &[f64], weights: &[f64]) {
     #[cfg(target_arch = "x86_64")]
-    if crate::simd::axpy_f64(acc, x, scale_acc, weight_x) {
+    if crate::simd::fold_rows(acc, values, scales, weights) {
         return;
     }
-    axpy_f64_portable(acc, x, scale_acc, weight_x);
+    assert_eq!(scales.len(), weights.len(), "one weight per scale");
+    assert_eq!(
+        values.len(),
+        scales.len() * acc.len(),
+        "one value row per scale"
+    );
+    for (j, (&s, &w)) in scales.iter().zip(weights).enumerate() {
+        axpy_f64_portable(acc, &values[j * acc.len()..(j + 1) * acc.len()], s, w);
+    }
 }
 
 /// Portable scalar form of [`axpy_f64`] (also its reference semantics).

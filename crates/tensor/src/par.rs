@@ -31,6 +31,11 @@ pub const MATMUL_ROW_BLOCK: usize = 32;
 /// when `[workspace.dependencies]` is switched to upstream, delete the
 /// `current_thread_index` clause (keep the `current_num_threads` one) or
 /// every `pool.install(|| kernel(..))` call site silently serializes.
+/// Load balance needs no change on a swap: upstream rayon balances items
+/// of unequal cost (sequences of unequal length in one engine fork) by
+/// work stealing, and the shim's `collect` / `for_each` approximate it —
+/// workers claim items one at a time from a shared counter instead of
+/// taking pre-cut contiguous spans.
 #[inline]
 fn forking_possible() -> bool {
     // SWAP NOTE enforcement: under the shim, `install` overrides live on

@@ -1,5 +1,18 @@
 //! SIMD microkernels.
 //!
+//! The attention kernels' f64 arithmetic runs through two AVX2 bodies,
+//! each generic over the storage format through one exact widening
+//! 4-lane load:
+//!
+//! * the **block scorer** scores every row of a cache block for one
+//!   query in one call, two rows per iteration (eight independent add
+//!   chains), with each row in the portable dot's lane order, combine
+//!   tree and ascending tail — bit-identical to the per-row kernel;
+//! * the **span fold** folds a span of value rows into the output
+//!   accumulator lanes outer, rows inner, holding a 32-lane slab in
+//!   registers — per lane the exact `acc·s + v·w` sequence of the
+//!   portable axpy.
+//!
 //! The BF16 datapath matmul rounds *every* MAC to BF16, so its cost is
 //! dominated by rounding arithmetic, not memory traffic. The scalar kernel
 //! pays ~10 cycles per MAC in convert/round ops; the AVX2 kernel here
@@ -43,57 +56,186 @@ fn slice_cast<A: 'static, B: 'static>(x: &[A]) -> &[B] {
 }
 
 // ---------------------------------------------------------------------------
-// Blocked dot product (the inner kernel of every attention score loop).
+// Blocked dot product and the block scorer (the score loop of every
+// attention kernel).
 // ---------------------------------------------------------------------------
+
+/// Loads four consecutive elements starting at `p`, widened exactly to an
+/// `f64x4` — the one load every f64-arithmetic kernel below goes through
+/// (`f32→f64` is exact; `u16 << 16` is the exact BF16→f32 embedding).
+/// The `TypeId` tests fold away per monomorphization.
+///
+/// # Safety
+///
+/// The host must have AVX2, and `p` must be valid for reading four
+/// elements.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn load4<T: Scalar>(p: *const T) -> __m256d {
+    let t = TypeId::of::<T>();
+    if t == TypeId::of::<f64>() {
+        _mm256_loadu_pd(p.cast::<f64>())
+    } else if t == TypeId::of::<f32>() {
+        _mm256_cvtps_pd(_mm_loadu_ps(p.cast::<f32>()))
+    } else if t == TypeId::of::<BF16>() {
+        let raw = _mm_loadl_epi64(p.cast::<__m128i>());
+        let widened = _mm_slli_epi32::<16>(_mm_cvtepu16_epi32(raw));
+        _mm256_cvtps_pd(_mm_castsi128_ps(widened))
+    } else {
+        unreachable!("Scalar is sealed to f64, f32 and BF16")
+    }
+}
 
 /// AVX2 dot product dispatch: `Some(dot)` when the host has AVX2, `None`
 /// to fall back to [`crate::ops::dot_f64_portable`]. Bit-identical to the
 /// portable kernel: same lane assignment (element `16i+l` → lane `l`),
 /// same combine tree, same ascending tail.
 pub(crate) fn dot_f64<T: Scalar>(a: &[T], b: &[T]) -> Option<f64> {
+    assert_eq!(a.len(), b.len(), "dot product length mismatch");
     if !std::arch::is_x86_feature_detected!("avx2") {
         return None;
     }
-    let t = TypeId::of::<T>();
-    // SAFETY (all three arms): AVX2 presence checked above.
-    if t == TypeId::of::<f64>() {
-        Some(unsafe { dot_avx2_f64(slice_cast(a), slice_cast(b)) })
-    } else if t == TypeId::of::<f32>() {
-        Some(unsafe { dot_avx2_f32(slice_cast(a), slice_cast(b)) })
-    } else if t == TypeId::of::<BF16>() {
+    if TypeId::of::<T>() == TypeId::of::<BF16>() {
         // The native kernel is bit-identical to the per-element widening
         // path (f32 BF16 products are exact within f32's normal range;
         // the in-kernel range guard falls back to the widening kernel
         // when any product could leave it) and much cheaper.
+        // SAFETY: AVX2 presence checked above; equal lengths asserted
+        // above.
         Some(unsafe { dot_avx2_bf16_native(slice_cast(a), slice_cast(b)) })
     } else {
-        None
+        // SAFETY: AVX2 presence checked above; `b` holds `a.len()`
+        // elements (asserted above).
+        Some(unsafe { dot_rows::<T, T, 1>(a, [b.as_ptr()])[0] })
     }
 }
 
 /// AVX2 dispatch for [`crate::ops::dot_bf16_native`]: `None` when the
 /// host lacks AVX2.
 pub(crate) fn dot_bf16_native(a: &[BF16], b: &[BF16]) -> Option<f64> {
+    assert_eq!(a.len(), b.len(), "dot product length mismatch");
     if !std::arch::is_x86_feature_detected!("avx2") {
         return None;
     }
-    // SAFETY: AVX2 presence checked above.
+    // SAFETY: AVX2 presence checked above; equal lengths asserted above.
     Some(unsafe { dot_avx2_bf16_native(a, b) })
 }
 
 /// AVX2 dispatch for [`crate::ops::dot_f64_bf16`]: `None` when the host
 /// lacks AVX2.
 pub(crate) fn dot_f64_bf16(q: &[f64], k: &[BF16]) -> Option<f64> {
+    assert_eq!(q.len(), k.len(), "dot product length mismatch");
     if !std::arch::is_x86_feature_detected!("avx2") {
         return None;
     }
-    // SAFETY: AVX2 presence checked above.
-    Some(unsafe { dot_avx2_f64_bf16(q, k) })
+    // SAFETY: AVX2 presence checked above; `k` holds `q.len()` elements
+    // (asserted above).
+    Some(unsafe { dot_rows::<f64, BF16, 1>(q, [k.as_ptr()])[0] })
 }
 
-/// Combines the four accumulator vectors and the scalar tail exactly like
-/// the portable kernel: `(v0+v2) + (v1+v3)` as vector adds, then the
-/// horizontal `(u0+u1) + (u2+u3)`.
+/// AVX2 block scorer: `out[r] = dot(q, row_r) · scale` for the
+/// `out.len()` rows laid `stride` elements apart from `rows[0]`, scored
+/// two at a time in one target-feature call. Serves the formats whose
+/// dot arithmetic is f64 — `f64`, `f32` and the f64×BF16 mixed kernel;
+/// returns `false` (the caller loops its per-row kernel) for BF16×BF16,
+/// whose range-guarded native kernel stays per row, and on hosts
+/// without AVX2. Every score is bit-identical to the per-row kernel.
+///
+/// # Panics
+///
+/// Panics if `stride < q.len()` or `rows` is too short for the view.
+pub(crate) fn score_rows<Q: Scalar, K: Scalar>(
+    q: &[Q],
+    rows: &[K],
+    stride: usize,
+    scale: f64,
+    out: &mut [f64],
+) -> bool {
+    let (tq, tk) = (TypeId::of::<Q>(), TypeId::of::<K>());
+    let f64_arith = (tq == tk && tk != TypeId::of::<BF16>())
+        || (tq == TypeId::of::<f64>() && tk == TypeId::of::<BF16>());
+    if !f64_arith || !std::arch::is_x86_feature_detected!("avx2") {
+        return false;
+    }
+    if let Some(last) = out.len().checked_sub(1) {
+        assert!(stride >= q.len() && rows.len() >= last * stride + q.len());
+    }
+    // SAFETY: AVX2 presence checked above; every row read lies inside
+    // `rows` (asserted above).
+    unsafe { score_rows_avx2(q, rows.as_ptr(), stride, scale, out) };
+    true
+}
+
+/// The body of [`score_rows`].
+///
+/// # Safety
+///
+/// The host must have AVX2, and `rows` must be valid for reading
+/// `(out.len() - 1) · stride + q.len()` elements when `out` is
+/// non-empty.
+#[target_feature(enable = "avx2")]
+unsafe fn score_rows_avx2<Q: Scalar, K: Scalar>(
+    q: &[Q],
+    rows: *const K,
+    stride: usize,
+    scale: f64,
+    out: &mut [f64],
+) {
+    let mut pairs = out.chunks_exact_mut(2);
+    let mut row = rows;
+    for pair in &mut pairs {
+        let [a, b] = dot_rows::<Q, K, 2>(q, [row, row.add(stride)]);
+        pair[0] = a * scale;
+        pair[1] = b * scale;
+        row = row.add(2 * stride);
+    }
+    if let [last] = pairs.into_remainder() {
+        *last = dot_rows::<Q, K, 1>(q, [row])[0] * scale;
+    }
+}
+
+/// The dot body of every f64-arithmetic kernel: `R` rows (each
+/// `rows[i]` points at `q.len()` elements) against one query, four
+/// `f64x4` accumulator chains per row — `R = 2` keeps eight independent
+/// add chains in flight and loads each query vector once for both rows.
+/// Per row it is exactly the portable order: element `16c+l` lands in
+/// lane `l` seeded with −0.0 (the portable kernel's fold identity, so
+/// signed-zero edge cases match bit for bit), the lanes combine through
+/// [`dot_combine`], and the tail adds in ascending order.
+///
+/// # Safety
+///
+/// The host must have AVX2, and each `rows[i]` must be valid for reading
+/// `q.len()` elements.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn dot_rows<Q: Scalar, K: Scalar, const R: usize>(q: &[Q], rows: [*const K; R]) -> [f64; R] {
+    let lanes = crate::ops::DOT_LANES;
+    let d = q.len();
+    let chunks = d / lanes;
+    let mut acc = [[_mm256_set1_pd(-0.0); 4]; R];
+    for c in 0..chunks {
+        let o = c * lanes;
+        for v in 0..4 {
+            let qv = load4(q.as_ptr().add(o + 4 * v));
+            for (a, &row) in acc.iter_mut().zip(&rows) {
+                a[v] = _mm256_add_pd(a[v], _mm256_mul_pd(qv, load4(row.add(o + 4 * v))));
+            }
+        }
+    }
+    let mut sums = [0.0f64; R];
+    for ((s, a), &row) in sums.iter_mut().zip(&acc).zip(&rows) {
+        *s = dot_combine(a[0], a[1], a[2], a[3]);
+        for (k, x) in q.iter().enumerate().skip(chunks * lanes) {
+            *s += x.to_f64() * (*row.add(k)).to_f64();
+        }
+    }
+    sums
+}
+
+/// Combines the four accumulator vectors exactly like the portable
+/// kernel: `(v0+v2) + (v1+v3)` as vector adds, then the horizontal
+/// `(u0+u1) + (u2+u3)`.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn dot_combine(v0: __m256d, v1: __m256d, v2: __m256d, v3: __m256d) -> f64 {
@@ -101,94 +243,6 @@ unsafe fn dot_combine(v0: __m256d, v1: __m256d, v2: __m256d, v3: __m256d) -> f64
     let mut lanes = [0.0f64; 4];
     _mm256_storeu_pd(lanes.as_mut_ptr(), u);
     (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn dot_avx2_f64(a: &[f64], b: &[f64]) -> f64 {
-    let lanes = crate::ops::DOT_LANES;
-    let chunks = a.len() / lanes;
-    // −0.0 seeds: the portable kernel's fold identity (see
-    // `dot_f64_portable`), so signed-zero edge cases match bit for bit.
-    let mut v0 = _mm256_set1_pd(-0.0);
-    let mut v1 = _mm256_set1_pd(-0.0);
-    let mut v2 = _mm256_set1_pd(-0.0);
-    let mut v3 = _mm256_set1_pd(-0.0);
-    for c in 0..chunks {
-        let pa = a.as_ptr().add(c * lanes);
-        let pb = b.as_ptr().add(c * lanes);
-        v0 = _mm256_add_pd(v0, _mm256_mul_pd(_mm256_loadu_pd(pa), _mm256_loadu_pd(pb)));
-        v1 = _mm256_add_pd(
-            v1,
-            _mm256_mul_pd(_mm256_loadu_pd(pa.add(4)), _mm256_loadu_pd(pb.add(4))),
-        );
-        v2 = _mm256_add_pd(
-            v2,
-            _mm256_mul_pd(_mm256_loadu_pd(pa.add(8)), _mm256_loadu_pd(pb.add(8))),
-        );
-        v3 = _mm256_add_pd(
-            v3,
-            _mm256_mul_pd(_mm256_loadu_pd(pa.add(12)), _mm256_loadu_pd(pb.add(12))),
-        );
-    }
-    let mut s = dot_combine(v0, v1, v2, v3);
-    for k in chunks * lanes..a.len() {
-        s += a[k] * b[k];
-    }
-    s
-}
-
-/// Widens four consecutive `f32`s starting at `p` to an `f64x4` (exact).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn load_f32x4_as_f64(p: *const f32) -> __m256d {
-    _mm256_cvtps_pd(_mm_loadu_ps(p))
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn dot_avx2_f32(a: &[f32], b: &[f32]) -> f64 {
-    let lanes = crate::ops::DOT_LANES;
-    let chunks = a.len() / lanes;
-    // −0.0 seeds: the portable kernel's fold identity (see
-    // `dot_f64_portable`), so signed-zero edge cases match bit for bit.
-    let mut v0 = _mm256_set1_pd(-0.0);
-    let mut v1 = _mm256_set1_pd(-0.0);
-    let mut v2 = _mm256_set1_pd(-0.0);
-    let mut v3 = _mm256_set1_pd(-0.0);
-    for c in 0..chunks {
-        let pa = a.as_ptr().add(c * lanes);
-        let pb = b.as_ptr().add(c * lanes);
-        v0 = _mm256_add_pd(
-            v0,
-            _mm256_mul_pd(load_f32x4_as_f64(pa), load_f32x4_as_f64(pb)),
-        );
-        v1 = _mm256_add_pd(
-            v1,
-            _mm256_mul_pd(load_f32x4_as_f64(pa.add(4)), load_f32x4_as_f64(pb.add(4))),
-        );
-        v2 = _mm256_add_pd(
-            v2,
-            _mm256_mul_pd(load_f32x4_as_f64(pa.add(8)), load_f32x4_as_f64(pb.add(8))),
-        );
-        v3 = _mm256_add_pd(
-            v3,
-            _mm256_mul_pd(load_f32x4_as_f64(pa.add(12)), load_f32x4_as_f64(pb.add(12))),
-        );
-    }
-    let mut s = dot_combine(v0, v1, v2, v3);
-    for k in chunks * lanes..a.len() {
-        s += a[k] as f64 * b[k] as f64;
-    }
-    s
-}
-
-/// Widens four consecutive BF16 patterns starting at `p` to an `f64x4`:
-/// `u16 << 16` is the exact BF16→f32 embedding, f32→f64 is exact.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn load_bf16x4_as_f64(p: *const BF16) -> __m256d {
-    let raw = _mm_loadl_epi64(p.cast::<__m128i>());
-    let widened = _mm_slli_epi32::<16>(_mm_cvtepu16_epi32(raw));
-    _mm256_cvtps_pd(_mm_castsi128_ps(widened))
 }
 
 /// Widens eight consecutive BF16 patterns starting at `p` to an `f32x8`
@@ -253,7 +307,9 @@ unsafe fn dot_avx2_bf16_native(a: &[BF16], b: &[BF16]) -> f64 {
         let over = _mm256_cmp_ps::<_CMP_NLT_UQ>(max_abs, _mm256_set1_ps(f32::INFINITY));
         let under = _mm256_cmp_ps::<_CMP_NGE_UQ>(min_abs, _mm256_set1_ps(f32::MIN_POSITIVE));
         if _mm256_movemask_ps(_mm256_or_ps(over, under)) != 0 {
-            return dot_avx2_bf16_widening(a, b);
+            // The per-element-widening form (each operand widened
+            // BF16→f64 before the multiply): exact at every magnitude.
+            return dot_rows::<BF16, BF16, 1>(a, [b.as_ptr()])[0];
         }
     }
     let mut s = dot_combine(v0, v1, v2, v3);
@@ -264,171 +320,119 @@ unsafe fn dot_avx2_bf16_native(a: &[BF16], b: &[BF16]) -> f64 {
     s
 }
 
-/// The per-element-widening BF16 dot (each operand widened BF16→f64 via
-/// an exact 4-lane convert before the multiply): slower than the native
-/// kernel but exact at every magnitude — the fallback the range guard
-/// routes overflow/underflow-prone slices through, and the semantics
-/// both kernels are pinned to.
-#[target_feature(enable = "avx2")]
-unsafe fn dot_avx2_bf16_widening(a: &[BF16], b: &[BF16]) -> f64 {
-    let lanes = crate::ops::DOT_LANES;
-    let chunks = a.len() / lanes;
-    // −0.0 seeds: the portable kernel's fold identity (see
-    // `dot_f64_portable`), so signed-zero edge cases match bit for bit.
-    let mut v0 = _mm256_set1_pd(-0.0);
-    let mut v1 = _mm256_set1_pd(-0.0);
-    let mut v2 = _mm256_set1_pd(-0.0);
-    let mut v3 = _mm256_set1_pd(-0.0);
-    for c in 0..chunks {
-        let pa = a.as_ptr().add(c * lanes);
-        let pb = b.as_ptr().add(c * lanes);
-        v0 = _mm256_add_pd(
-            v0,
-            _mm256_mul_pd(load_bf16x4_as_f64(pa), load_bf16x4_as_f64(pb)),
-        );
-        v1 = _mm256_add_pd(
-            v1,
-            _mm256_mul_pd(load_bf16x4_as_f64(pa.add(4)), load_bf16x4_as_f64(pb.add(4))),
-        );
-        v2 = _mm256_add_pd(
-            v2,
-            _mm256_mul_pd(load_bf16x4_as_f64(pa.add(8)), load_bf16x4_as_f64(pb.add(8))),
-        );
-        v3 = _mm256_add_pd(
-            v3,
-            _mm256_mul_pd(
-                load_bf16x4_as_f64(pa.add(12)),
-                load_bf16x4_as_f64(pb.add(12)),
-            ),
-        );
-    }
-    let mut s = dot_combine(v0, v1, v2, v3);
-    for k in chunks * lanes..a.len() {
-        s += a[k].to_f64() * b[k].to_f64();
-    }
-    s
-}
-
-/// Mixed-operand dot: `f64` query lanes against BF16 key lanes widened
-/// 4-at-a-time (exact), in the portable kernel's lane order — bit-identical
-/// to `dot_f64_bf16_portable` and to `dot_f64` on a pre-widened key row.
-#[target_feature(enable = "avx2")]
-unsafe fn dot_avx2_f64_bf16(q: &[f64], k: &[BF16]) -> f64 {
-    let lanes = crate::ops::DOT_LANES;
-    let chunks = q.len() / lanes;
-    // −0.0 seeds: the portable kernel's fold identity (see
-    // `dot_f64_portable`), so signed-zero edge cases match bit for bit.
-    let mut v0 = _mm256_set1_pd(-0.0);
-    let mut v1 = _mm256_set1_pd(-0.0);
-    let mut v2 = _mm256_set1_pd(-0.0);
-    let mut v3 = _mm256_set1_pd(-0.0);
-    for c in 0..chunks {
-        let pq = q.as_ptr().add(c * lanes);
-        let pk = k.as_ptr().add(c * lanes);
-        v0 = _mm256_add_pd(
-            v0,
-            _mm256_mul_pd(_mm256_loadu_pd(pq), load_bf16x4_as_f64(pk)),
-        );
-        v1 = _mm256_add_pd(
-            v1,
-            _mm256_mul_pd(_mm256_loadu_pd(pq.add(4)), load_bf16x4_as_f64(pk.add(4))),
-        );
-        v2 = _mm256_add_pd(
-            v2,
-            _mm256_mul_pd(_mm256_loadu_pd(pq.add(8)), load_bf16x4_as_f64(pk.add(8))),
-        );
-        v3 = _mm256_add_pd(
-            v3,
-            _mm256_mul_pd(_mm256_loadu_pd(pq.add(12)), load_bf16x4_as_f64(pk.add(12))),
-        );
-    }
-    let mut s = dot_combine(v0, v1, v2, v3);
-    for i in chunks * lanes..q.len() {
-        s += q[i] * k[i].to_f64();
-    }
-    s
-}
-
 // ---------------------------------------------------------------------------
-// Rescale-accumulate (the online-softmax accumulator update).
+// Value fold (the online-softmax accumulator update over a span of rows).
 // ---------------------------------------------------------------------------
 
-/// AVX2 axpy dispatch: `true` when handled, `false` to fall back to the
-/// portable loop. Element-wise `acc·c1 + x·c2` with the same two
-/// roundings per lane as the scalar expression — bit-identical by IEEE
-/// semantics (mul and add vectorize lane-exact; no FMA contraction).
-pub(crate) fn axpy_f64<T: Scalar>(acc: &mut [f64], x: &[T], c1: f64, c2: f64) -> bool {
+/// AVX2 span fold: `acc ← acc·scales[j] + row_j·weights[j]` for rows `j`
+/// ascending, `values` holding the rows contiguously (`acc.len()` lanes
+/// each, widened exactly per lane). Lanes outer, rows inner: a 32-lane
+/// slab of `acc` stays in eight registers while every row of the span
+/// folds into it, so the accumulator is loaded and stored once per span
+/// instead of once per row. Per lane the roundings are exactly the
+/// portable axpy sequence `acc·s + v·w` — no FMA contraction, no
+/// reassociation — except that a row with `s == 1.0` folds as
+/// `acc + v·w`, which is exact (`x·1.0 == x`). Returns `false` on hosts
+/// without AVX2.
+///
+/// # Panics
+///
+/// Panics if `scales` and `weights` differ in length or `values` does
+/// not hold one `acc.len()`-lane row per scale.
+#[inline]
+pub(crate) fn fold_rows<V: Scalar>(
+    acc: &mut [f64],
+    values: &[V],
+    scales: &[f64],
+    weights: &[f64],
+) -> bool {
     if !std::arch::is_x86_feature_detected!("avx2") {
         return false;
     }
-    let t = TypeId::of::<T>();
-    // SAFETY (all three arms): AVX2 presence checked above.
-    if t == TypeId::of::<f64>() {
-        unsafe { axpy_avx2_f64(acc, slice_cast(x), c1, c2) }
-    } else if t == TypeId::of::<f32>() {
-        unsafe { axpy_avx2_f32(acc, slice_cast(x), c1, c2) }
-    } else if t == TypeId::of::<BF16>() {
-        unsafe { axpy_avx2_bf16(acc, slice_cast(x), c1, c2) }
-    } else {
-        return false;
-    }
+    assert_eq!(scales.len(), weights.len(), "one weight per scale");
+    assert_eq!(
+        values.len(),
+        scales.len() * acc.len(),
+        "one value row per scale"
+    );
+    // SAFETY: AVX2 presence checked above; the shapes are asserted.
+    unsafe { fold_rows_avx2(acc, values, scales, weights) };
     true
 }
 
+/// The body of [`fold_rows`].
+///
+/// # Safety
+///
+/// The host must have AVX2, `weights` must be as long as `scales`, and
+/// `values` must hold `scales.len() · acc.len()` elements.
 #[target_feature(enable = "avx2")]
-unsafe fn axpy_avx2_f64(acc: &mut [f64], x: &[f64], c1: f64, c2: f64) {
-    let vc1 = _mm256_set1_pd(c1);
-    let vc2 = _mm256_set1_pd(c2);
-    let chunks = acc.len() / 4;
-    for i in 0..chunks {
-        let pa = acc.as_mut_ptr().add(i * 4);
-        let vx = _mm256_loadu_pd(x.as_ptr().add(i * 4));
-        let r = _mm256_add_pd(
-            _mm256_mul_pd(_mm256_loadu_pd(pa), vc1),
-            _mm256_mul_pd(vx, vc2),
-        );
-        _mm256_storeu_pd(pa, r);
+unsafe fn fold_rows_avx2<V: Scalar>(
+    acc: &mut [f64],
+    values: &[V],
+    scales: &[f64],
+    weights: &[f64],
+) {
+    let d = acc.len();
+    let mut lane = 0;
+    while lane + 32 <= d {
+        fold_slab::<V, 8>(acc, values, lane, scales, weights);
+        lane += 32;
     }
-    for k in chunks * 4..acc.len() {
-        acc[k] = acc[k] * c1 + x[k] * c2;
+    while lane + 4 <= d {
+        fold_slab::<V, 1>(acc, values, lane, scales, weights);
+        lane += 4;
+    }
+    for l in lane..d {
+        let mut a = acc[l];
+        for (j, (&s, &w)) in scales.iter().zip(weights).enumerate() {
+            let x = values[j * d + l].to_f64();
+            a = if s == 1.0 { a + x * w } else { a * s + x * w };
+        }
+        acc[l] = a;
     }
 }
 
+/// Folds every row of the span into lanes `lane..lane + 4N` of `acc`,
+/// held in `N` registers for the whole span.
+///
+/// # Safety
+///
+/// As for [`fold_rows_avx2`], and `lane + 4N <= acc.len()`.
+#[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn axpy_avx2_f32(acc: &mut [f64], x: &[f32], c1: f64, c2: f64) {
-    let vc1 = _mm256_set1_pd(c1);
-    let vc2 = _mm256_set1_pd(c2);
-    let chunks = acc.len() / 4;
-    for i in 0..chunks {
-        let pa = acc.as_mut_ptr().add(i * 4);
-        let vx = load_f32x4_as_f64(x.as_ptr().add(i * 4));
-        let r = _mm256_add_pd(
-            _mm256_mul_pd(_mm256_loadu_pd(pa), vc1),
-            _mm256_mul_pd(vx, vc2),
-        );
-        _mm256_storeu_pd(pa, r);
+unsafe fn fold_slab<V: Scalar, const N: usize>(
+    acc: &mut [f64],
+    values: &[V],
+    lane: usize,
+    scales: &[f64],
+    weights: &[f64],
+) {
+    let d = acc.len();
+    let pa = acc.as_mut_ptr().add(lane);
+    let mut a = [_mm256_setzero_pd(); N];
+    for (i, r) in a.iter_mut().enumerate() {
+        *r = _mm256_loadu_pd(pa.add(4 * i));
     }
-    for k in chunks * 4..acc.len() {
-        acc[k] = acc[k] * c1 + x[k] as f64 * c2;
+    for (j, (&s, &w)) in scales.iter().zip(weights).enumerate() {
+        let row = values.as_ptr().add(j * d + lane);
+        let vw = _mm256_set1_pd(w);
+        if s == 1.0 {
+            for (i, r) in a.iter_mut().enumerate() {
+                *r = _mm256_add_pd(*r, _mm256_mul_pd(load4(row.add(4 * i)), vw));
+            }
+        } else {
+            let vs = _mm256_set1_pd(s);
+            for (i, r) in a.iter_mut().enumerate() {
+                *r = _mm256_add_pd(
+                    _mm256_mul_pd(*r, vs),
+                    _mm256_mul_pd(load4(row.add(4 * i)), vw),
+                );
+            }
+        }
     }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn axpy_avx2_bf16(acc: &mut [f64], x: &[BF16], c1: f64, c2: f64) {
-    let vc1 = _mm256_set1_pd(c1);
-    let vc2 = _mm256_set1_pd(c2);
-    let chunks = acc.len() / 4;
-    for i in 0..chunks {
-        let pa = acc.as_mut_ptr().add(i * 4);
-        let vx = load_bf16x4_as_f64(x.as_ptr().add(i * 4));
-        let r = _mm256_add_pd(
-            _mm256_mul_pd(_mm256_loadu_pd(pa), vc1),
-            _mm256_mul_pd(vx, vc2),
-        );
-        _mm256_storeu_pd(pa, r);
-    }
-    for k in chunks * 4..acc.len() {
-        acc[k] = acc[k] * c1 + x[k].to_f64() * c2;
+    for (i, r) in a.iter().enumerate() {
+        _mm256_storeu_pd(pa.add(4 * i), *r);
     }
 }
 
@@ -647,7 +651,7 @@ mod tests {
     }
 
     #[test]
-    fn avx2_axpy_bit_identical_to_portable() {
+    fn avx2_one_row_fold_bit_identical_to_portable_axpy() {
         if !std::arch::is_x86_feature_detected!("avx2") {
             return;
         }
@@ -656,7 +660,7 @@ mod tests {
             let acc0 = rand_vec(len, 77 + len as u64);
             for (c1, c2) in [(1.0, 0.5), (0.125, 1.0), (0.9817, 0.0213)] {
                 let mut fast = acc0.clone();
-                assert!(axpy_f64(&mut fast, &x, c1, c2), "avx2 detected");
+                assert!(fold_rows(&mut fast, &x, &[c1], &[c2]), "avx2 detected");
                 let mut slow = acc0.clone();
                 axpy_f64_portable(&mut slow, &x, c1, c2);
                 for (f, s) in fast.iter().zip(&slow) {
@@ -665,7 +669,7 @@ mod tests {
 
                 let x16: Vec<BF16> = x.iter().map(|&v| BF16::from_f64(v)).collect();
                 let mut fast = acc0.clone();
-                assert!(axpy_f64(&mut fast, &x16, c1, c2));
+                assert!(fold_rows(&mut fast, &x16, &[c1], &[c2]));
                 let mut slow = acc0.clone();
                 axpy_f64_portable(&mut slow, &x16, c1, c2);
                 for (f, s) in fast.iter().zip(&slow) {
