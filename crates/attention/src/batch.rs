@@ -38,8 +38,8 @@
 //! cache-hot, feeds every (position, group member) query whose
 //! causal/window range reaches into it — online softmax, output lanes
 //! **and** the per-query-head checksum lane. A decode step is a
-//! 1-position panel at `seq_len − 1` (reading shared-prefix score tiles
-//! where several readers share a block); a prefill chunk is one panel per
+//! 1-position panel at `seq_len − 1` (readers of a shared prefix each
+//! score its physical blocks through it); a prefill chunk is one panel per
 //! (prompt, kv head); a speculative window is one panel per segment. All
 //! `sequences × kv_heads` panels of a call run across the shared rayon
 //! pool in a **single fork**.
@@ -72,7 +72,6 @@ use crate::topology::HeadTopology;
 use arena::Arena;
 use fa_numerics::{KahanSum, BF16};
 use fa_tensor::{online::MergedAccumulator, Matrix, Scalar};
-use pass::SharedScratch;
 use rayon::prelude::*;
 
 /// Element-format policy for cache blocks — the "mixed-format KV" lever.
@@ -1209,42 +1208,23 @@ impl<T: Scalar> KvCache<T> {
     pub fn head_stream(&self, seq: usize, head: usize) -> impl Iterator<Item = HeadBlock<'_, T>> {
         assert!(head < self.heads, "head {head} out of {}", self.heads);
         let state = self.live(seq);
-        (0..state.blocks.len()).map(move |bi| self.head_view(state, bi, head))
-    }
-
-    /// One element of [`head_stream`](Self::head_stream) by retained
-    /// block index — the shared-block score builder's random-access view
-    /// (identical slicing, so scoring through it is scoring the same
-    /// lanes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is out of range or retired, or `bi`/`head` is out
-    /// of range.
-    pub(crate) fn head_block(&self, seq: usize, bi: usize, head: usize) -> HeadBlock<'_, T> {
-        assert!(head < self.heads, "head {head} out of {}", self.heads);
-        self.head_view(self.live(seq), bi, head)
-    }
-
-    /// Slices head `head` of retained block `bi` out of the arena that
-    /// stores it, tagged with its format.
-    fn head_view<'a>(&'a self, state: &SeqBlocks, bi: usize, head: usize) -> HeadBlock<'a, T> {
-        let blk = state.blocks[bi];
-        let first = state.start + bi * self.block_rows;
-        let rows = (state.len - first).min(self.block_rows);
-        let (data, sumrow) = if blk.bf16 {
-            let (k, v, sumrow) = self.bf16.head_panels(blk.index, head, rows);
-            (HeadBlockData::Demoted { k, v }, sumrow)
-        } else {
-            let (k, v, sumrow) = self.native.head_panels(blk.index, head, rows);
-            (HeadBlockData::Native { k, v }, sumrow)
-        };
-        HeadBlock {
-            first,
-            rows,
-            data,
-            sumrow,
-        }
+        state.blocks.iter().enumerate().map(move |(bi, blk)| {
+            let first = state.start + bi * self.block_rows;
+            let rows = (state.len - first).min(self.block_rows);
+            let (data, sumrow) = if blk.bf16 {
+                let (k, v, sumrow) = self.bf16.head_panels(blk.index, head, rows);
+                (HeadBlockData::Demoted { k, v }, sumrow)
+            } else {
+                let (k, v, sumrow) = self.native.head_panels(blk.index, head, rows);
+                (HeadBlockData::Native { k, v }, sumrow)
+            };
+            HeadBlock {
+                first,
+                rows,
+                data,
+                sumrow,
+            }
+        })
     }
 }
 
@@ -1504,20 +1484,6 @@ pub struct DecodeBatch<T: Scalar> {
     scrubbed_blocks: u64,
     /// Registered shared prefixes by id (`None` = released).
     prefixes: Vec<Option<SharedPrefix<T>>>,
-    /// Shared-block score tiles computed across all decode steps: each
-    /// tile is one K-panel sweep that served ≥ 2 readers
-    /// (observability; the k-GEMV path it replaces would have swept
-    /// once per reader).
-    shared_tiles: u64,
-    /// Whether decode steps batch the scoring of blocks shared by
-    /// several stepping sequences (one K-panel sweep for all readers).
-    /// On by default; the bench toggles it off to measure the k-GEMV
-    /// baseline. Off or on, outputs are bit-identical — the per-(query,
-    /// row) dot kernel is the same.
-    shared_scoring: bool,
-    /// Step-local shared-score table and its persistent build buffers
-    /// (see [`SharedScratch`]).
-    shared_scratch: SharedScratch<T>,
     /// The open speculative decode window, if any (see [`spec`]): the
     /// per-sequence rollback snapshots plus the window's scored-token
     /// checksums, parked between [`speculate`](Self::speculate) and
@@ -1601,9 +1567,6 @@ impl<T: Scalar> DecodeBatch<T> {
             scrub_block: 0,
             scrubbed_blocks: 0,
             prefixes: Vec::new(),
-            shared_scoring: true,
-            shared_tiles: 0,
-            shared_scratch: SharedScratch::default(),
             spec_window: None,
         }
     }
@@ -1642,26 +1605,12 @@ impl<T: Scalar> DecodeBatch<T> {
         self.prefill_chunk = tokens;
     }
 
-    /// Whether decode steps score blocks shared by several stepping
-    /// sequences through one batched K-panel sweep.
-    pub fn shared_scoring(&self) -> bool {
-        self.shared_scoring
-    }
-
-    /// Toggles the shared-block batched scoring path. Outputs are
-    /// bit-identical either way (same per-(query, row) dot kernel);
-    /// turning it off forces the k-GEMV baseline the sharing bench
-    /// compares against.
-    pub fn set_shared_scoring(&mut self, on: bool) {
-        self.shared_scoring = on;
-    }
-
-    /// Shared-block score tiles computed so far: each tile is one
-    /// batched K-panel sweep that served at least two readers in the
-    /// same decode step (the k-GEMV path would have swept the panel
-    /// once per reader). Zero means the fast path never engaged.
+    /// Always 0: every reader of a shared block scores it through the
+    /// one panel pass, so the engine builds no shared-block score tiles.
+    /// Kept only because servebench's frozen counters read it
+    /// (`decode.shared_tiles_per_step`); it goes when that counter does.
     pub fn shared_score_tiles(&self) -> u64 {
-        self.shared_tiles
+        0
     }
 
     /// Read-only view of the paged cache (serving metrics: arena size,
@@ -2490,7 +2439,7 @@ impl<T: Scalar> DecodeBatch<T> {
             }
             let pend = engine.seqs[seq].pending.as_ref().expect("pending survives");
             let queries = pass::pack_panel(&pend.q, p0..p1, engine.cfg.group_q_cols(g));
-            engine.panel_pass(seq, g, &queries, pend.base + p0, true, None)
+            engine.panel_pass(seq, g, &queries, pend.base + p0, true)
         };
         let states: Vec<Vec<MergedAccumulator>> =
             if crate::par::worth_parallelizing_units(pairs.len(), per_pair_elems) {
@@ -2670,14 +2619,6 @@ impl<T: Scalar> DecodeBatch<T> {
             self.append_token(seq, ks.row(i), vs.row(i));
         }
 
-        // Shared-block batched scoring: when several stepping sequences
-        // read one physical block (a shared prefix), score it once per
-        // (block, kv head) for all readers — the K panel streams from
-        // DRAM once instead of once per reader. Built serially before
-        // the fork; the passes consume the precomputed slices.
-        let mut scratch = std::mem::take(&mut self.shared_scratch);
-        self.shared_tiles += self.build_shared_scores(seq_ids, qs, &mut scratch);
-
         // Phase 2: one fork over all sequence×kv_head panel passes. Each
         // unit owns one kv head's contiguous K/V stream and computes all
         // of its group's query-head states in one sweep; flattening the
@@ -2695,15 +2636,13 @@ impl<T: Scalar> DecodeBatch<T> {
         let pass = |flat: usize| {
             let (i, g) = (flat / kv, flat % kv);
             let seq = seq_ids[i];
-            // A group's query heads are contiguous in the packed Q row;
-            // the pass's shared-score row is one flat-row lookup.
+            // A group's query heads are contiguous in the packed Q row.
             self.panel_pass(
                 seq,
                 g,
                 &qs.row(i)[self.cfg.group_q_cols(g)],
                 self.cache.seq_len(seq) - 1,
                 checked,
-                scratch.tiles_for(flat),
             )
         };
         let groups: Vec<Vec<MergedAccumulator>> =
@@ -2712,7 +2651,6 @@ impl<T: Scalar> DecodeBatch<T> {
             } else {
                 (0..work).map(pass).collect()
             };
-        self.shared_scratch = scratch;
         groups.into_iter().flatten().collect()
     }
 }
@@ -3913,8 +3851,7 @@ mod tests {
             plain.cache().live_unique_blocks()
         );
 
-        // Decode stays lockstep bit for bit, with the batched
-        // shared-block path engaged on the shared side only.
+        // Decode stays lockstep bit for bit.
         for t in 0..6u64 {
             let qs = rand(3, qd, 900 + t);
             let ks = rand(3, kd, 910 + t);
@@ -3926,61 +3863,9 @@ mod tests {
                 assert!(a.residual().abs() < 1e-9);
             }
         }
-        assert!(shared.shared_score_tiles() > 0, "batched path engaged");
-        assert_eq!(plain.shared_score_tiles(), 0, "nothing shared to batch");
         for &s in &sids {
             assert!(shared.global_residual(s).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn shared_scoring_toggle_is_bitwise_invariant() {
-        let topo = GqaConfig::new(4, 2, AttentionConfig::new(4)).topology();
-        let (qd, kd) = (topo.q_dim(), topo.kv_dim());
-        let mk = || {
-            let mut e = DecodeBatch::<f64>::with_policy(
-                topo,
-                4,
-                KvLayout::HeadMajor,
-                KvFormat::F64,
-                EvictionPolicy::RetainAll,
-            );
-            e.set_prefill_chunk(4);
-            e
-        };
-        let (mut on, mut off) = (mk(), mk());
-        off.set_shared_scoring(false);
-        assert!(on.shared_scoring() && !off.shared_scoring());
-        let (pq, pk, pv) = (rand(8, qd, 70), rand(8, kd, 71), rand(8, kd, 72));
-        let mut ids = Vec::new();
-        for e in [&mut on, &mut off] {
-            let id = e.register_prefix(&pq, &pk, &pv);
-            let mut seqs = Vec::new();
-            for i in 0..4u64 {
-                let n = 1 + i as usize;
-                let (sq, sk, sv) = (
-                    rand(n, qd, 80 + i),
-                    rand(n, kd, 90 + i),
-                    rand(n, kd, 100 + i),
-                );
-                seqs.push(e.enqueue_shared(id, &sq, &sk, &sv));
-            }
-            while e.prefill_step_for(&seqs) > 0 {}
-            ids.push(seqs);
-        }
-        assert_eq!(ids[0], ids[1]);
-        for t in 0..5u64 {
-            let qs = rand(4, qd, 1900 + t);
-            let ks = rand(4, kd, 1910 + t);
-            let vs = rand(4, kd, 1920 + t);
-            let oa = on.step_decode(&ids[0], &qs, &ks, &vs);
-            let ob = off.step_decode(&ids[1], &qs, &ks, &vs);
-            for (i, (a, b)) in oa.iter().zip(&ob).enumerate() {
-                assert_eq!(a.output, b.output, "step {t} seq {i}");
-            }
-        }
-        assert!(on.shared_score_tiles() > 0, "fast path on");
-        assert_eq!(off.shared_score_tiles(), 0, "forced k-GEMV baseline");
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! Every query shape the engine scores is a panel:
 //!
 //! * a decode step ([`DecodeBatch::step_decode`]) is a 1-position panel
-//!   at `seq_len − 1`; blocks that several stepping readers share (a
-//!   resident prefix) are scored once for all of them by
-//!   [`DecodeBatch::build_shared_scores`], and the pass reads those
-//!   tiles instead of re-streaming K;
+//!   at `seq_len − 1`; readers of a shared prefix share its physical
+//!   K/V rows and `sumrow` lanes, and each reader scores them through
+//!   this same pass;
 //! * a chunked-prefill chunk is one panel per (prompt, kv head) spanning
 //!   the chunk's positions;
 //! * a speculative window ([`DecodeBatch::speculate`]) is one panel per
@@ -31,106 +30,6 @@ use super::{DecodeBatch, DecodeStepOutput, HeadBlockData};
 use fa_tensor::{online::MergedAccumulator, ops, Matrix, Scalar};
 use std::ops::Range;
 
-/// Sort key of one tile candidate: `(physical block index, stored as
-/// BF16, first visible row, one-past-last visible row)`. Two readers
-/// with equal keys score the identical K rows, so their entries fuse
-/// into one tile.
-type TileKey = (usize, bool, usize, usize);
-
-/// One (sequence, kv head) pass's view of the step's shared scores:
-/// its `index` row (per retained block `(r0, r1, offset)`) plus the
-/// score arena the offsets point into.
-pub(super) type SharedTiles<'a> = (&'a [(usize, usize, usize)], &'a [f64]);
-
-/// The decode step's shared-block score table plus every buffer needed
-/// to build it. Filled by [`DecodeBatch::build_shared_scores`] before
-/// the pass fork; the panel pass consumes the slices instead of
-/// re-sweeping the K panel once per reader. The struct lives on the
-/// engine so capacities persist across steps — the table is rebuilt
-/// every decode step, and per-step allocation (score arena, index rows)
-/// plus per-entry hashing measurably outweighed the batched sweep's
-/// bandwidth win before this was amortized. Lookups on both sides are
-/// plain array indexing. Contents are only meaningful for the step that
-/// built them (`active`).
-pub(super) struct SharedScratch<T> {
-    /// One entry per (reader, shared block): key
-    /// `(block index, bf16, r0, r1)` identifies the physical block and
-    /// visible row range, payload is `(batch slot, retained-block
-    /// index)`. Sorted, so runs of equal key are tiles.
-    entries: Vec<(TileKey, u32, u32)>,
-    /// Row `batch_slot · kv_heads + kv_head`, indexed by retained-block
-    /// index `bi`: `(r0, r1, offset)` gives the visible row range scored
-    /// and the start of `group_size · (r1 − r0)` member-major score
-    /// entries in `scores`. Offset [`SHARED_NONE`] (or a row too short
-    /// to contain `bi`) means the block has no tile and keeps the GEMV
-    /// path.
-    index: Vec<Vec<(usize, usize, usize)>>,
-    /// Tile arena: `used` marks this step's live prefix; the tail is
-    /// stale capacity from earlier (larger) steps, never referenced
-    /// because offsets in `index` stay below `used`.
-    scores: Vec<f64>,
-    used: usize,
-    /// Whether this step produced any tiles.
-    active: bool,
-    /// Per-kv-head packed query panels, valid for `packed_readers` when
-    /// the matching `_ok` flag is set. In the hot case every tile shares
-    /// one reader set — all of a shared prefix's blocks — so packing
-    /// happens once per step per head, not once per block.
-    packed: Vec<Vec<T>>,
-    packed_wide: Vec<Vec<f64>>,
-    packed_ok: Vec<bool>,
-    packed_wide_ok: Vec<bool>,
-    packed_readers: Vec<u32>,
-}
-
-impl<T> Default for SharedScratch<T> {
-    fn default() -> Self {
-        Self {
-            entries: Vec::new(),
-            index: Vec::new(),
-            scores: Vec::new(),
-            used: 0,
-            active: false,
-            packed: Vec::new(),
-            packed_wide: Vec::new(),
-            packed_ok: Vec::new(),
-            packed_wide_ok: Vec::new(),
-            packed_readers: Vec::new(),
-        }
-    }
-}
-
-/// Cloning an engine (the golden-twin pattern) starts the twin with
-/// cold scratch instead of duplicating up to a megabyte of step-local
-/// buffers that the next decode step would overwrite anyway.
-impl<T> Clone for SharedScratch<T> {
-    fn clone(&self) -> Self {
-        Self::default()
-    }
-}
-
-impl<T> std::fmt::Debug for SharedScratch<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedScratch")
-            .field("used", &self.used)
-            .field("active", &self.active)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T> SharedScratch<T> {
-    /// Pass `flat`'s (`batch_slot · kv_heads + kv_head`) view of this
-    /// step's tiles, or `None` when it has none.
-    pub(super) fn tiles_for(&self, flat: usize) -> Option<SharedTiles<'_>> {
-        let row = self.index.get(flat)?.as_slice();
-        (self.active && !row.is_empty()).then_some((row, self.scores.as_slice()))
-    }
-}
-
-/// Sentinel offset marking "no shared tile for this block" in
-/// [`SharedScratch::index`].
-const SHARED_NONE: usize = usize::MAX;
-
 impl<T: Scalar> DecodeBatch<T> {
     /// One fused Alg. 3 sweep for one (sequence, **kv head**) over a
     /// panel of consecutive query positions starting at `pos0`,
@@ -151,11 +50,9 @@ impl<T: Scalar> DecodeBatch<T> {
     /// query states. The checksum lane reads the block's own per-(row,
     /// kv head) `sumrow` lane beside the V rows it weights, shared by the
     /// group's members and, for a shared prefix block, by every reader
-    /// (one physical lane, like the K/V rows). `shared` carries a decode
-    /// step's shared-score row (1-position panels only): a block whose
-    /// tile covers the query's exact range is read from the tile instead
-    /// of being re-scored — same per-(query, row) dot kernel, same bits.
-    /// Returns the unnormalized states in packing order.
+    /// (one physical lane, like the K/V rows). Each reader of a shared
+    /// block scores it with its own queries, exactly as it scores a
+    /// private block. Returns the unnormalized states in packing order.
     pub(super) fn panel_pass(
         &self,
         seq: usize,
@@ -163,14 +60,12 @@ impl<T: Scalar> DecodeBatch<T> {
         queries: &[T],
         pos0: usize,
         checked: bool,
-        shared: Option<SharedTiles<'_>>,
     ) -> Vec<MergedAccumulator> {
         let d = self.cfg.head.head_dim();
         let gs = self.cfg.group_size();
         let scale = self.cfg.head.scale();
         let n_pos = queries.len() / (gs * d);
         debug_assert_eq!(queries.len(), n_pos * gs * d);
-        debug_assert!(shared.is_none() || n_pos == 1, "tiles score one position");
         let mut panel = Panel {
             positions: pos0..pos0 + n_pos,
             gs,
@@ -186,18 +81,14 @@ impl<T: Scalar> DecodeBatch<T> {
         // session. The widened queries are built on the first demoted
         // block the sweep meets.
         let mut q_wide: Vec<f64> = Vec::new();
-        for (bi, blk) in self.cache.head_stream(seq, kv_head).enumerate() {
+        for blk in self.cache.head_stream(seq, kv_head) {
             if blk.first >= panel.positions.end {
                 break;
             }
-            let tile = shared.and_then(|(row, arena)| {
-                let &(r0, r1, off) = row.get(bi)?;
-                (off != SHARED_NONE).then(|| (r0, r1, &arena[off..off + gs * (r1 - r0)]))
-            });
             let (first, rows, sumrow) = (blk.first, blk.rows, blk.sumrow);
             match blk.data {
                 HeadBlockData::Native { k, v } => {
-                    panel.fold_block((first, rows), v, sumrow, tile, |qi, r0, n, out| {
+                    panel.fold_block((first, rows), v, sumrow, |qi, r0, n, out| {
                         let q = &queries[qi * d..(qi + 1) * d];
                         ops::dot_then_scale_rows(q, &k[r0 * d..], d, n, scale, out);
                     })
@@ -207,7 +98,7 @@ impl<T: Scalar> DecodeBatch<T> {
                         q_wide = queries.iter().map(|x| x.to_f64()).collect();
                     }
                     let q_wide = &q_wide;
-                    panel.fold_block((first, rows), v, sumrow, tile, |qi, r0, n, out| {
+                    panel.fold_block((first, rows), v, sumrow, |qi, r0, n, out| {
                         let q = &q_wide[qi * d..(qi + 1) * d];
                         ops::dot_then_scale_rows_bf16(q, &k[r0 * d..], d, n, scale, out);
                     })
@@ -215,199 +106,6 @@ impl<T: Scalar> DecodeBatch<T> {
             }
         }
         panel.states
-    }
-
-    /// Builds the decode step's shared-block score table: for every
-    /// physical block read by **two or more** of the stepping sequences
-    /// at the same visible row range, all readers' per-member score
-    /// rows are computed in one K-panel sweep
-    /// ([`ops::dot_then_scale_rows_multi_into`] — 16-row tiles outer,
-    /// queries inner, so each K row is loaded from DRAM once and reused
-    /// L1-hot across all `k · group_size` queries: the
-    /// (k·gs × d)·(dᵀ × rows) matmul realized with the same block scorer
-    /// the GEMV path uses, hence bit-identical scores). Returns the number of tiles built;
-    /// leaves `s.active` false when sharing is off or no block qualifies.
-    ///
-    /// The table is rebuilt every step, so the builder stays strictly
-    /// O(readers · blocks) with no hashing and (in steady state) no
-    /// allocation: reader×block pairs are sort-grouped by (physical
-    /// block, range) in the scratch's persistent buffers, tiles land
-    /// directly in the score arena, and the packed query panel —
-    /// identical for every tile with the same reader set, i.e. all of a
-    /// shared prefix's blocks — is reused across tiles instead of
-    /// repacked per block (at `k = 32` readers that repacking alone
-    /// outweighed the batched sweep's saving, and per-step
-    /// allocation + hashing cost as much as the k-GEMV work replaced).
-    pub(super) fn build_shared_scores(
-        &self,
-        seq_ids: &[usize],
-        qs: &Matrix<T>,
-        s: &mut SharedScratch<T>,
-    ) -> u64 {
-        let mut tiles = 0;
-        s.used = 0;
-        s.active = false;
-        if !self.shared_scoring {
-            return 0;
-        }
-        let kv = self.cfg.kv_heads;
-        let gs = self.cfg.group_size();
-        let d = self.cfg.head.head_dim();
-        let scale = self.cfg.head.scale();
-        let block_rows = self.cache.block_rows();
-        // Reset the step-local views: index rows empty (capacity kept),
-        // packed panels invalid (queries change every step).
-        for row in s.index.iter_mut() {
-            row.clear();
-        }
-        if s.index.len() < seq_ids.len() * kv {
-            s.index.resize_with(seq_ids.len() * kv, Vec::new);
-        }
-        if s.packed.len() < kv {
-            s.packed.resize_with(kv, Vec::new);
-            s.packed_wide.resize_with(kv, Vec::new);
-            s.packed_ok.resize(kv, false);
-            s.packed_wide_ok.resize(kv, false);
-        }
-        s.packed_readers.clear();
-        // One entry per (reader, shared block): key = (physical block,
-        // visible range), payload = (batch slot, retained-block index).
-        // Readers at different ranges (sliding windows cutting a block
-        // differently) keep the GEMV path — correctness first, the
-        // prefix-sharing hot case (retain-all decode: every reader sees
-        // the full block) always batches.
-        s.entries.clear();
-        for (i, &seq) in seq_ids.iter().enumerate() {
-            let blocks = self.cache.seq_blocks(seq);
-            if !blocks.iter().any(|&b| self.cache.block_ref_count(b) > 1) {
-                continue;
-            }
-            let start = self.cache.first_retained(seq);
-            let last_pos = self.cache.seq_len(seq) - 1;
-            let lo = match self.mask_window {
-                Some(w) => (last_pos + 1).saturating_sub(w),
-                None => 0,
-            };
-            for (bi, &blk) in blocks.iter().enumerate() {
-                if self.cache.block_ref_count(blk) < 2 {
-                    continue;
-                }
-                let first = start + bi * block_rows;
-                if first > last_pos {
-                    break;
-                }
-                let rows = (last_pos + 1 - first).min(block_rows);
-                let r1 = rows;
-                let r0 = lo.saturating_sub(first).min(r1);
-                if r0 == r1 {
-                    continue;
-                }
-                s.entries
-                    .push(((blk.index, blk.bf16, r0, r1), i as u32, bi as u32));
-            }
-        }
-        if s.entries.is_empty() {
-            return 0;
-        }
-        // Runs of equal key are tiles; within a run readers stay in
-        // batch order, which is also the qbuf packing order below.
-        s.entries.sort_unstable();
-        let mut run = 0;
-        while run < s.entries.len() {
-            let key = s.entries[run].0;
-            let mut end = run + 1;
-            while end < s.entries.len() && s.entries[end].0 == key {
-                end += 1;
-            }
-            let span = run..end;
-            run = end;
-            if span.len() < 2 {
-                continue;
-            }
-            let readers_match = s.packed_readers.len() == span.len()
-                && s.packed_readers
-                    .iter()
-                    .zip(&s.entries[span.clone()])
-                    .all(|(&p, &(_, i, _))| p == i);
-            if !readers_match {
-                s.packed_readers.clear();
-                let (head, tail) = (&mut s.packed_readers, &s.entries[span.clone()]);
-                head.extend(tail.iter().map(|&(_, i, _)| i));
-                s.packed_ok.iter_mut().for_each(|v| *v = false);
-                s.packed_wide_ok.iter_mut().for_each(|v| *v = false);
-            }
-            let (_, bf16, r0, r1) = key;
-            let rows = r1 - r0;
-            // One representative reader locates the panel; all readers
-            // share the physical storage by construction.
-            let (_, i0, bi0) = s.entries[span.start];
-            let seq0 = seq_ids[i0 as usize];
-            for g in 0..kv {
-                let cols = self.cfg.group_q_cols(g);
-                let hb = self.cache.head_block(seq0, bi0 as usize, g);
-                let base = s.used;
-                s.used += span.len() * gs * rows;
-                // Grow-only arena: new capacity is zero-filled once,
-                // then every slot of the step's live prefix is
-                // overwritten by the sweeps below — later steps reuse
-                // the allocation with no memset.
-                if s.scores.len() < s.used {
-                    s.scores.resize(s.used, 0.0);
-                }
-                match hb.data {
-                    HeadBlockData::Native { k, .. } => {
-                        if !s.packed_ok[g] {
-                            s.packed[g].clear();
-                            for &(_, i, _) in &s.entries[span.clone()] {
-                                s.packed[g].extend_from_slice(&qs.row(i as usize)[cols.clone()]);
-                            }
-                            s.packed_ok[g] = true;
-                        }
-                        ops::dot_then_scale_rows_multi_into(
-                            &s.packed[g],
-                            d,
-                            &k[r0 * d..],
-                            d,
-                            rows,
-                            scale,
-                            &mut s.scores[base..s.used],
-                        );
-                    }
-                    HeadBlockData::Demoted { k, .. } => {
-                        if !s.packed_wide_ok[g] {
-                            s.packed_wide[g].clear();
-                            for &(_, i, _) in &s.entries[span.clone()] {
-                                s.packed_wide[g].extend(
-                                    qs.row(i as usize)[cols.clone()].iter().map(|x| x.to_f64()),
-                                );
-                            }
-                            s.packed_wide_ok[g] = true;
-                        }
-                        ops::dot_then_scale_rows_multi_bf16_into(
-                            &s.packed_wide[g],
-                            d,
-                            &k[r0 * d..],
-                            d,
-                            rows,
-                            scale,
-                            &mut s.scores[base..s.used],
-                        );
-                    }
-                }
-                debug_assert!(bf16 == matches!(hb.data, HeadBlockData::Demoted { .. }));
-                for (j, &(_, i, bi)) in s.entries[span.clone()].iter().enumerate() {
-                    let row = &mut s.index[i as usize * kv + g];
-                    let bi = bi as usize;
-                    if row.len() <= bi {
-                        row.resize(bi + 1, (0, 0, SHARED_NONE));
-                    }
-                    row[bi] = (r0, r1, base + j * gs * rows);
-                }
-                tiles += 1;
-            }
-        }
-        s.active = tiles > 0;
-        tiles
     }
 }
 
@@ -428,8 +126,7 @@ impl Panel {
     /// The per-block body, generic over the block's stored value format:
     /// for each panel position whose visible range `[r0, r1)` reaches
     /// into the block (`first`, `rows`), each member's scores come from
-    /// the shared `tile` when its range matches, else from
-    /// `score(query, r0, rows, out)`, and fold through the query's
+    /// `score(query, r0, rows, out)` and fold through the query's
     /// accumulator with the block's values `v` and (when checked) its
     /// checksum lanes `sumrow`.
     fn fold_block<V: Scalar>(
@@ -437,7 +134,6 @@ impl Panel {
         (first, rows): (usize, usize),
         v: &[V],
         sumrow: &[f64],
-        tile: Option<(usize, usize, &[f64])>,
         mut score: impl FnMut(usize, usize, usize, &mut Vec<f64>),
     ) {
         for p in self.positions.start.max(first)..self.positions.end {
@@ -450,17 +146,11 @@ impl Panel {
             let n = r1 - r0;
             for m in 0..self.gs {
                 let qi = (p - self.positions.start) * self.gs + m;
-                let member_scores: &[f64] = match tile {
-                    Some((t0, t1, t)) if (t0, t1) == (r0, r1) => &t[m * n..(m + 1) * n],
-                    _ => {
-                        score(qi, r0, n, &mut self.scores);
-                        &self.scores
-                    }
-                };
+                score(qi, r0, n, &mut self.scores);
                 let acc = &mut self.states[qi];
                 let d = acc.dim();
                 let sumrow = self.checked.then(|| &sumrow[r0..r1]);
-                acc.fold(member_scores, &v[r0 * d..r1 * d], sumrow);
+                acc.fold(&self.scores, &v[r0 * d..r1 * d], sumrow);
             }
         }
     }
@@ -562,12 +252,12 @@ mod tests {
                             let cols = topo.group_q_cols(g);
                             let rows = pos0..pos0 + n_pos;
                             let panel = pack_panel(&q, rows, cols.clone());
-                            let states = b.panel_pass(seq, g, &panel, pos0, true, None);
+                            let states = b.panel_pass(seq, g, &panel, pos0, true);
                             assert_eq!(states.len(), n_pos * gs, "{what}");
                             for j in 0..n_pos {
                                 let p = pos0 + j;
                                 let one = pack_panel(&q, p..p + 1, cols.clone());
-                                let single = b.panel_pass(seq, g, &one, p, true, None);
+                                let single = b.panel_pass(seq, g, &one, p, true);
                                 for (m, s) in single.iter().enumerate() {
                                     let x = &states[j * gs + m];
                                     let at = format!(

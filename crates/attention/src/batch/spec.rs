@@ -267,7 +267,7 @@ impl<T: Scalar> DecodeBatch<T> {
                 let (i, j0, j1) = phase[u];
                 let rows = i * gamma + j0..i * gamma + j1;
                 let queries = pack_panel(qs, rows, self.cfg.group_q_cols(g));
-                self.panel_pass(seq_ids[i], g, &queries, len0s[i] + j0, true, None)
+                self.panel_pass(seq_ids[i], g, &queries, len0s[i] + j0, true)
             };
             let states: Vec<Vec<MergedAccumulator>> =
                 if crate::par::worth_parallelizing(work, max_len, d * gs * gamma) {

@@ -1913,9 +1913,8 @@ proptest! {
     /// GQA topology × random suffix lengths: every reader's admitted
     /// suffix output and every decode token is bit-identical to an
     /// unshared engine replaying `prefix ‖ suffix` on the same
-    /// chunk-aligned schedule — with shared-block batched scoring on
-    /// *and* off — while the shared arena never holds more unique blocks
-    /// than the unshared one.
+    /// chunk-aligned schedule, while the shared arena never holds more
+    /// unique blocks than the unshared one.
     #[test]
     fn shared_admission_bit_identical_to_unshared_replay_swept(
         format_sel in 0usize..4,
@@ -1966,37 +1965,29 @@ proptest! {
         };
 
         let mut shared = mk();
-        let mut unbatched = mk();
-        unbatched.set_shared_scoring(false);
         let mut plain = mk();
         let pq = rand(prefix_rows, topo.q_dim(), seed.wrapping_add(1));
         let pk = rand(prefix_rows, topo.kv_dim(), seed.wrapping_add(2));
         let pv = rand(prefix_rows, topo.kv_dim(), seed.wrapping_add(3));
         let id_a = shared.register_prefix(&pq, &pk, &pv);
-        let id_b = unbatched.register_prefix(&pq, &pk, &pv);
-        let (mut s_ids, mut u_ids, mut p_ids) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut s_ids, mut p_ids) = (Vec::new(), Vec::new());
         for (i, &rows) in suffixes.iter().enumerate() {
             let q = rand(rows, topo.q_dim(), seed.wrapping_add(100 + 3 * i as u64));
             let k = rand(rows, topo.kv_dim(), seed.wrapping_add(101 + 3 * i as u64));
             let v = rand(rows, topo.kv_dim(), seed.wrapping_add(102 + 3 * i as u64));
             s_ids.push(shared.enqueue_shared(id_a, &q, &k, &v));
-            u_ids.push(unbatched.enqueue_shared(id_b, &q, &k, &v));
             p_ids.push(plain.enqueue(&vcat(&pq, &q), &vcat(&pk, &k), &vcat(&pv, &v)));
         }
         while shared.prefill_step_for(&s_ids) > 0 {}
-        while unbatched.prefill_step_for(&u_ids) > 0 {}
         while plain.prefill_step_for(&p_ids) > 0 {}
         for (i, &rows) in suffixes.iter().enumerate() {
             let sa = shared.take_admitted(s_ids[i]).expect("suffix parks an admission");
-            let ua = unbatched.take_admitted(u_ids[i]).expect("suffix parks an admission");
             let pa = plain.take_admitted(p_ids[i]).expect("prompt parks an admission");
             for r in 0..rows {
                 for c in 0..topo.q_dim() {
                     let want = pa.output[(prefix_rows + r, c)].to_bits();
                     prop_assert_eq!(sa.output[(r, c)].to_bits(), want,
                         "reader {} suffix row {} lane {}", i, r, c);
-                    prop_assert_eq!(ua.output[(r, c)].to_bits(), want,
-                        "reader {} (scoring off) suffix row {} lane {}", i, r, c);
                 }
             }
         }
@@ -2015,18 +2006,14 @@ proptest! {
             let ks = rand(n, topo.kv_dim(), seed.wrapping_add(1_001 + 3 * t));
             let vs = rand(n, topo.kv_dim(), seed.wrapping_add(1_002 + 3 * t));
             let a = shared.step_decode(&s_ids, &qs, &ks, &vs);
-            let b = unbatched.step_decode(&u_ids, &qs, &ks, &vs);
             let c = plain.step_decode(&p_ids, &qs, &ks, &vs);
             for i in 0..n {
                 for (l, want) in c[i].output.iter().enumerate() {
                     prop_assert_eq!(a[i].output[l].to_bits(), want.to_bits(),
                         "step {} reader {} lane {}", t, i, l);
-                    prop_assert_eq!(b[i].output[l].to_bits(), want.to_bits(),
-                        "step {} reader {} (scoring off) lane {}", t, i, l);
                 }
             }
         }
-        prop_assert_eq!(unbatched.shared_score_tiles(), 0, "toggle off means no tiles");
         for &s in &s_ids {
             prop_assert!(shared.audit(s, tol).is_empty(), "shared readers audit clean");
         }

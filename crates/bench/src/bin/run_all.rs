@@ -194,7 +194,7 @@ fn kernel_benchmarks(quick: bool) {
     let ps = &report.prefix_sharing;
     for p in &ps.points {
         println!(
-            "shared-block scoring ({} x {} panel, {} queries): per-query GEMV {:.3} ms, \
+            "multi-query scoring ({} x {} panel, {} queries): per-query GEMV {:.3} ms, \
              multi sweep {:.3} ms ({:.2}x, p10-p90 {:.2}-{:.2}x over {} pairs), bitwise {}",
             ps.n_rows,
             ps.d,
@@ -415,20 +415,12 @@ fn serving_benchmarks(quick: bool) {
     for p in &ps.points {
         println!(
             "  k={:<2} | prefill {:.0} vs {:.0} tok/s (shared vs independent) | arena {} vs {} \
-             blocks | decode {:.0} vs {:.0} tok/s (batched vs GEMV, {:.2}x, p10-p90 {:.2}-{:.2}x \
-             over {} pairs, {} tiles, bitwise {})",
+             blocks | decode shared == independent bitwise: {}",
             p.readers,
             p.shared_prefill_tokens_per_s,
             p.unshared_prefill_tokens_per_s,
             p.shared_arena_blocks,
             p.unshared_arena_blocks,
-            p.shared_decode_tokens_per_s,
-            p.gemv_decode_tokens_per_s,
-            p.decode.ratio,
-            p.decode.ratio_p10,
-            p.decode.ratio_p90,
-            p.decode.pairs,
-            p.shared_score_tiles,
             p.decode_bitwise_match,
         );
     }

@@ -371,18 +371,20 @@ pub struct RatioPairs {
     pub pairs: usize,
 }
 
-/// Shared-block scoring at one packed-query count: one K-panel sweep
+/// Multi-query scoring at one packed-query count: one K-panel sweep
 /// feeding all queries ([`ops::dot_then_scale_rows_multi`], row tiles
 /// outer / queries inner) vs one [`ops::dot_then_scale_rows`] GEMV sweep
-/// per query — the kernel under the shared-prefix decode win.
+/// per query. The engine scores every query through the GEMV kernel;
+/// this leg prices the multi-query kernel as a candidate for scoring
+/// several queries (query heads or readers) over one K panel.
 #[derive(Clone, Copy, Debug)]
 pub struct MultiScorePoint {
     /// Queries packed into the multi sweep (readers of the block).
     pub queries: usize,
     /// Per-query GEMV sweeps (base) vs the multi sweep (variant).
     pub timing: RatioPairs,
-    /// Both kernels produced bit-identical score panels (the sharing
-    /// contract: same `dot_f64` per (query, row)).
+    /// Both kernels produced bit-identical score panels (same
+    /// `dot_f64` per (query, row)).
     pub bitwise_match: bool,
 }
 
@@ -429,7 +431,7 @@ pub struct KernelBenchReport {
     pub decode_sliding_window: DecodeSlidingWindow,
     /// GQA decode sweep across group sizes at fixed query heads.
     pub decode_gqa: DecodeGqa,
-    /// Shared-block multi-query scoring vs per-query GEMV.
+    /// Multi-query scoring vs per-query GEMV.
     pub prefix_sharing: PrefixSharingKernel,
 }
 
@@ -1856,8 +1858,8 @@ fn measure_decode_gqa(shape: DecodeShape, batch: usize, reps: usize) -> DecodeGq
 /// Runs the kernel-layer benchmark. `quick` shrinks problem sizes and
 /// drops the largest matmul/flash2 points for CI smoke runs.
 fn measure_prefix_sharing_kernel(n_rows: usize, iters: usize, pairs: usize) -> PrefixSharingKernel {
-    // kv-row width of the headline serving shapes: the panel a decode
-    // step actually sweeps per shared block batch.
+    // kv-row width of the headline serving shapes: the K panel a decode
+    // step sweeps per kv head.
     let d = 64usize;
     let scale = 1.0 / (d as f64).sqrt();
     let panel = Matrix::<f64>::random_seeded(n_rows, d, ElementDist::default(), 71);

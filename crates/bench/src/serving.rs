@@ -21,14 +21,12 @@
 //! units; each leg also measures its wall-clock per step and reports
 //! both (`*_steps` and `*_ms`).
 
-use crate::kernels::{ratio_pairs, RatioPairs};
 use fa_attention::batch::{DecodeBatch, EvictionPolicy, KvFormat, KvLayout};
 use fa_attention::serve::{LoadGen, LoadSpec, Scheduler, ServeConfig, ServeSummary, SloSpec};
 use fa_attention::{AttentionConfig, HeadTopology};
 use fa_fault::{run_drill, DrillSpec, DrillStats};
 use fa_json::{obj, Json};
 use fa_tensor::{random::ElementDist, Matrix};
-use std::cell::Cell;
 use std::time::Instant;
 
 /// One serving leg: aggregate metrics in scheduler steps plus the
@@ -84,8 +82,8 @@ pub struct ServingBenchReport {
     pub value_drill: DrillStats,
     /// Key-side flip campaign (scrub finding -> repair in place).
     pub key_drill: DrillStats,
-    /// Copy-on-write prefix sharing vs independent admission, and
-    /// shared-block batched scoring vs per-reader GEMV decode.
+    /// Copy-on-write prefix sharing vs independent admission, with
+    /// shared-vs-independent decode checked bitwise.
     pub prefix_sharing: PrefixSharingBench,
     /// Speculative decode vs sequential checked decode across the
     /// α × γ grid.
@@ -147,9 +145,10 @@ pub struct SpeculativeBench {
 /// Shared-prefix serving economics at one reader count `k`: one prompt
 /// of `prefix + suffix` tokens per reader, admitted either through the
 /// prefix registry (register once, `k` suffix admissions adopting the
-/// prefix blocks) or as `k` independent full prompts, then decoded with
-/// shared-block batched scoring on vs off (per-reader GEMV) over the
-/// *same* shared cache.
+/// prefix blocks) or as `k` independent full prompts. Decode on the
+/// shared cache is checked (untimed) against decode on the independent
+/// one: readers share the physical K/V rows and `sumrow` lanes, and each
+/// scores them through the same panel pass as a private block.
 #[derive(Clone, Copy, Debug)]
 pub struct PrefixSharingPoint {
     /// Concurrent readers of the shared prefix.
@@ -171,29 +170,9 @@ pub struct PrefixSharingPoint {
     /// Live arena blocks after independent admission:
     /// `k·(prefix_blocks + suffix_blocks)`.
     pub unshared_arena_blocks: usize,
-    /// Decode tokens/s with shared-block batched scoring (one K-panel
-    /// sweep per physical block feeding all readers), at the median of
-    /// the `decode` pairs.
-    pub shared_decode_tokens_per_s: f64,
-    /// Decode tokens/s on an identical shared cache with batching
-    /// disabled — one GEMV sweep per reader per block — at the median of
-    /// the `decode` pairs.
-    pub gemv_decode_tokens_per_s: f64,
-    /// Per-reader GEMV (base) vs batched (variant) decode wall time as
-    /// interleaved, order-alternated pairs: `ratio` is the batched
-    /// speedup, with its p10 / p90 over the pairs.
-    pub decode: RatioPairs,
-    /// Analytic KV bytes streamed per decode step under batching
-    /// (shared blocks counted once).
-    pub shared_bytes_per_step: f64,
-    /// Analytic KV bytes streamed per decode step under per-reader
-    /// GEMV (shared blocks counted once per reader).
-    pub gemv_bytes_per_step: f64,
-    /// Shared-block score tiles formed during the timed decode.
-    pub shared_score_tiles: u64,
-    /// Batched and GEMV decode produced bit-identical outputs (the
-    /// sharing contract: batching is a scheduling choice, not a
-    /// numerics choice).
+    /// Decode on the shared cache produced the same bits as decode on
+    /// the independent prompts' cache (the sharing contract: sharing is
+    /// a memory layout, not a numerics choice).
     pub decode_bitwise_match: bool,
 }
 
@@ -206,7 +185,7 @@ pub struct PrefixSharingBench {
     pub suffix_tokens: usize,
     /// KV block height used by the sweep's engines.
     pub block_rows: usize,
-    /// Timed decode steps per point.
+    /// Decode steps compared bitwise per point.
     pub decode_steps: usize,
     /// One measurement per reader count.
     pub points: Vec<PrefixSharingPoint>,
@@ -261,11 +240,8 @@ fn run_leg(cfg: ServeConfig, slo: &SloSpec, load_steps: usize, seed: u64) -> Ser
 /// Prefix-sharing sweep topology: 4:2 GQA at head_dim 128 (q rows 512
 /// wide, kv rows 256 wide), 16-row blocks, 16-token prefill chunks — a
 /// 512-token prefix is 32 full blocks, and at head_dim 128 each kv
-/// head's prefix K panel is 512 KiB, so one decode step's per-reader
-/// GEMV re-streams ~2 MiB × k from beyond L2 while the batched sweep
-/// reads each physical panel once. Smaller head dims keep everything
-/// L1/L2-resident and the bandwidth win drowns in bookkeeping — this
-/// shape is the regime the shared-prefix optimization exists for.
+/// head's prefix K panel is 512 KiB, so the `k`-fold copy independent
+/// admission makes is a real memory cost.
 const PS_BLOCK_ROWS: usize = 16;
 const PS_HEAD_DIM: usize = 128;
 const PS_QUERY_HEADS: usize = 4;
@@ -338,7 +314,7 @@ fn ps_admit_unshared(e: &mut DecodeBatch<f64>, prompts: &[Prompt]) -> Vec<usize>
 }
 
 /// Decodes `steps` tokens for every sequence, returning the flattened
-/// output rows for bitwise comparison across scoring modes.
+/// output rows for bitwise comparison across cache layouts.
 fn ps_decode(e: &mut DecodeBatch<f64>, seqs: &[usize], steps: &[Prompt]) -> Vec<Vec<f64>> {
     let mut outs = Vec::with_capacity(seqs.len() * steps.len());
     for (q, k, v) in steps {
@@ -354,7 +330,7 @@ fn measure_prefix_sharing_point(
     readers: usize,
     suffix_tokens: usize,
     decode_steps: usize,
-    (reps, decode_pairs): (usize, usize),
+    reps: usize,
 ) -> PrefixSharingPoint {
     let prefix_tokens = prefix.0.rows();
     let suffixes: Vec<Prompt> = (0..readers)
@@ -370,67 +346,32 @@ fn measure_prefix_sharing_point(
 
     let mut shared_prefill_ms = f64::INFINITY;
     let mut unshared_prefill_ms = f64::INFINITY;
-    let mut shared_arena_blocks = 0;
-    let mut unshared_arena_blocks = 0;
+    let mut admitted = None;
     for _ in 0..reps {
+        // Free the previous rep's caches before admitting again.
+        admitted.take();
         // Registry path: register once, k suffix admissions.
         let mut e = ps_engine();
         let t0 = Instant::now();
-        ps_admit_shared(&mut e, prefix, &suffixes);
+        let seqs = ps_admit_shared(&mut e, prefix, &suffixes);
         shared_prefill_ms = shared_prefill_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        shared_arena_blocks = e.cache().live_unique_blocks();
 
         // Independent path: k full prompts, no registry.
         let mut u = ps_engine();
         let t1 = Instant::now();
-        ps_admit_unshared(&mut u, &fulls);
+        let useqs = ps_admit_unshared(&mut u, &fulls);
         unshared_prefill_ms = unshared_prefill_ms.min(t1.elapsed().as_secs_f64() * 1e3);
-        unshared_arena_blocks = u.cache().live_unique_blocks();
+        admitted = Some(((e, seqs), (u, useqs)));
     }
+    let ((mut e, seqs), (mut u, useqs)) = admitted.expect("at least one rep");
+    let shared_arena_blocks = e.cache().live_unique_blocks();
+    let unshared_arena_blocks = u.cache().live_unique_blocks();
+    // Untimed: decode on the shared cache must reproduce decode on the
+    // independent prompts' cache bit for bit.
+    let decode_bitwise_match =
+        ps_decode(&mut e, &seqs, &steps) == ps_decode(&mut u, &useqs, &steps);
 
-    // Decode on identical shared caches with batched scoring on and off
-    // (the GEMV twin isolates the scoring kernel from the memory layout),
-    // timed as interleaved pairs. Every run must reproduce an untimed
-    // GEMV run's outputs bit for bit.
-    let decode_run = |shared: bool| {
-        let mut e = ps_engine();
-        e.set_shared_scoring(shared);
-        let seqs = ps_admit_shared(&mut e, prefix, &suffixes);
-        let tiles0 = e.shared_score_tiles();
-        let t = Instant::now();
-        let outs = ps_decode(&mut e, &seqs, &steps);
-        (
-            t.elapsed().as_secs_f64() * 1e3,
-            outs,
-            e.shared_score_tiles() - tiles0,
-        )
-    };
-    let reference = decode_run(false).1;
-    let decode_bitwise_match = Cell::new(true);
-    let shared_score_tiles = Cell::new(0);
-    let timed = |shared: bool| {
-        let (ms, outs, tiles) = decode_run(shared);
-        decode_bitwise_match.set(decode_bitwise_match.get() && outs == reference);
-        if shared {
-            shared_score_tiles.set(tiles);
-        }
-        ms
-    };
-    let decode = ratio_pairs(decode_pairs, || timed(false), || timed(true));
-
-    // Analytic streamed-KV accounting, exact per step: after the step's
-    // append every reader sees prefix + suffix + t + 1 rows. Batching
-    // streams each shared physical row once; GEMV streams it per
-    // reader. Private suffix rows cost k-fold either way.
-    let row_bytes = (2 * PS_KV_HEADS * PS_HEAD_DIM * std::mem::size_of::<f64>()) as f64;
-    let (mut shared_bytes, mut gemv_bytes) = (0.0, 0.0);
-    for t in 0..decode_steps {
-        let private = (suffix_tokens + t + 1) as f64;
-        shared_bytes += row_bytes * (prefix_tokens as f64 + readers as f64 * private);
-        gemv_bytes += row_bytes * readers as f64 * (prefix_tokens as f64 + private);
-    }
     let delivered = (readers * (prefix_tokens + suffix_tokens)) as f64;
-    let decoded = (readers * decode_steps) as f64;
     PrefixSharingPoint {
         readers,
         shared_prefill_ms,
@@ -439,13 +380,7 @@ fn measure_prefix_sharing_point(
         unshared_prefill_tokens_per_s: delivered / unshared_prefill_ms * 1e3,
         shared_arena_blocks,
         unshared_arena_blocks,
-        shared_decode_tokens_per_s: decoded / decode.variant_ms * 1e3,
-        gemv_decode_tokens_per_s: decoded / decode.base_ms * 1e3,
-        decode,
-        shared_bytes_per_step: shared_bytes / decode_steps as f64,
-        gemv_bytes_per_step: gemv_bytes / decode_steps as f64,
-        shared_score_tiles: shared_score_tiles.get(),
-        decode_bitwise_match: decode_bitwise_match.get(),
+        decode_bitwise_match,
     }
 }
 
@@ -455,20 +390,12 @@ fn measure_prefix_sharing(quick: bool) -> PrefixSharingBench {
     // quick mode shrinks it so the k=32 independent baseline stays CI
     // cheap. Both keep prefix block- and chunk-aligned (no CoW tail:
     // this sweep measures sharing, the CoW paths are property-tested).
-    // Decode pairs are odd, so the nearest-rank median is one pair.
-    let (prefix_tokens, decode_steps, reps, decode_pairs) = if quick {
-        (128, 4, 2, 3)
-    } else {
-        (512, 8, 3, 9)
-    };
+    let (prefix_tokens, decode_steps, reps) = if quick { (128, 4, 2) } else { (512, 8, 3) };
     let suffix_tokens = PS_BLOCK_ROWS;
     let prefix = ps_prompt(prefix_tokens, 0x8000);
     let points = [4usize, 16, 32]
         .iter()
-        .map(|&k| {
-            let runs = (reps, decode_pairs);
-            measure_prefix_sharing_point(&prefix, k, suffix_tokens, decode_steps, runs)
-        })
+        .map(|&k| measure_prefix_sharing_point(&prefix, k, suffix_tokens, decode_steps, reps))
         .collect();
     PrefixSharingBench {
         prefix_tokens,
@@ -922,15 +849,6 @@ fn prefix_sharing_json(ps: &PrefixSharingBench) -> Json {
             "unshared_prefill_tokens_per_s" => Json::fixed(p.unshared_prefill_tokens_per_s, 1),
             "shared_arena_blocks" => p.shared_arena_blocks,
             "unshared_arena_blocks" => p.unshared_arena_blocks,
-            "shared_decode_tokens_per_s" => Json::fixed(p.shared_decode_tokens_per_s, 1),
-            "gemv_decode_tokens_per_s" => Json::fixed(p.gemv_decode_tokens_per_s, 1),
-            "decode_speedup" => Json::fixed(p.decode.ratio, 2),
-            "decode_speedup_p10" => Json::fixed(p.decode.ratio_p10, 2),
-            "decode_speedup_p90" => Json::fixed(p.decode.ratio_p90, 2),
-            "decode_pairs" => p.decode.pairs,
-            "shared_bytes_per_step" => Json::fixed(p.shared_bytes_per_step, 0),
-            "gemv_bytes_per_step" => Json::fixed(p.gemv_bytes_per_step, 0),
-            "shared_score_tiles" => p.shared_score_tiles,
             "decode_bitwise_match" => p.decode_bitwise_match,
         }
     });
@@ -1031,10 +949,7 @@ mod tests {
                 "fault_drill.value.token_fidelity_pct",
                 "fault_drill.key.divergent_requests",
                 "preemption.ttft_p99_ms",
-                "prefix_sharing.points.0.decode_speedup",
-                "prefix_sharing.points.0.decode_speedup_p10",
-                "prefix_sharing.points.0.decode_speedup_p90",
-                "prefix_sharing.points.0.decode_pairs",
+                "prefix_sharing.points.0.shared_arena_blocks",
                 "prefix_sharing.points.0.decode_bitwise_match",
                 "speculative.points.0.gamma",
                 "speculative.points.0.acceptance_rate",
@@ -1106,23 +1021,10 @@ mod tests {
                 k * (prefix_blocks + suffix_blocks),
                 "k={k}: independent arena replicates the prefix k times"
             );
-            // Batching is a scheduling choice, not a numerics choice.
-            assert!(p.decode_bitwise_match, "k={k}: batched == GEMV bitwise");
-            assert!(
-                p.shared_score_tiles > 0,
-                "k={k}: equal-length readers must form score tiles"
-            );
-            // Analytic bytes: batching streams each shared row once.
-            assert!(
-                p.shared_bytes_per_step < p.gemv_bytes_per_step,
-                "k={k}: batched scoring streams fewer bytes"
-            );
+            // Sharing is a memory layout, not a numerics choice.
+            assert!(p.decode_bitwise_match, "k={k}: shared == unshared bitwise");
             assert!(p.shared_prefill_tokens_per_s > 0.0);
             assert!(p.unshared_prefill_tokens_per_s > 0.0);
-            assert!(p.shared_decode_tokens_per_s > 0.0);
-            assert!(p.gemv_decode_tokens_per_s > 0.0);
-            let d = &p.decode;
-            assert!(d.ratio_p10 <= d.ratio && d.ratio <= d.ratio_p90, "k={k}");
         }
     }
 }

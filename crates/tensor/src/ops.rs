@@ -469,43 +469,6 @@ fn score_block<Q: Scalar, K: Scalar>(
 /// `d = 128`) stays L1-hot across all queries.
 const MULTI_ROW_TILE: usize = 16;
 
-/// [`score_block`] for `qs.len() / d` packed queries, query-major into
-/// `out`, tile by tile over the rows.
-#[allow(clippy::too_many_arguments)]
-fn score_block_multi<Q: Scalar, K: Scalar>(
-    qs: &[Q],
-    d: usize,
-    rows: &[K],
-    row_stride: usize,
-    n_rows: usize,
-    scale: f64,
-    out: &mut [f64],
-    row_dot: impl Fn(&[Q], &[K]) -> f64,
-) {
-    assert_eq!(qs.len() % d, 0, "packed queries not a multiple of d");
-    let nq = qs.len() / d;
-    assert_eq!(out.len(), nq * n_rows, "output tile size mismatch");
-    if nq == 0 {
-        return;
-    }
-    assert_block_view(d, rows.len(), row_stride, n_rows);
-    // A tile pays off only when several queries reuse it: one query
-    // scores the whole block in one call.
-    let tile_rows = if nq == 1 {
-        n_rows.max(1)
-    } else {
-        MULTI_ROW_TILE
-    };
-    for t0 in (0..n_rows).step_by(tile_rows) {
-        let t1 = (t0 + tile_rows).min(n_rows);
-        let tile = &rows[t0 * row_stride..];
-        for (qi, q) in qs.chunks_exact(d).enumerate() {
-            let dst = &mut out[qi * n_rows + t0..qi * n_rows + t1];
-            score_block(q, tile, row_stride, scale, dst, &row_dot);
-        }
-    }
-}
-
 /// The portable scalar form of [`dot_f64`] and the *definition* of its
 /// summation order: [`DOT_LANES`] strided partial sums, a fixed combine
 /// tree mirroring the AVX2 register layout (lane vectors `v0..v3`,
@@ -651,15 +614,13 @@ pub fn dot_then_scale_rows_bf16(
 /// 16-row tiles and every query scores a tile before the next one
 /// loads, so each K row is streamed from DRAM once and stays L1-hot
 /// while all `nq` queries score it (one query scores the whole block
-/// in one call). That turns `k` sequences reading one
-/// shared cache block from `k` separate K-panel sweeps (bandwidth-bound)
-/// into one sweep feeding a `(nq × d)·(dᵀ × n_rows)` matmul's worth of
-/// dots (compute-dense — the shared-prefix decode win).
+/// in one call): one sweep feeding a `(nq × d)·(dᵀ × n_rows)` matmul's
+/// worth of dots instead of `nq` bandwidth-bound GEMV sweeps.
 ///
 /// The tiled [`matmul_f64_acc`] is *not* usable here: its ascending-`k`
 /// accumulation differs from [`dot_f64`]'s lane-blocked order for
-/// `d ≥ DOT_LANES`, and shared-block scores must stay bit-identical to
-/// the unshared GEMV path. `out` is cleared and refilled (query-major).
+/// `d ≥ DOT_LANES`, and the scores must stay bit-identical to the GEMV
+/// path. `out` is cleared and refilled (query-major).
 ///
 /// # Panics
 ///
@@ -679,51 +640,25 @@ pub fn dot_then_scale_rows_multi<T: Scalar>(
     let nq = qs.len() / d;
     out.clear();
     out.resize(nq * n_rows, 0.0);
-    dot_then_scale_rows_multi_into(qs, d, rows, row_stride, n_rows, scale, out);
-}
-
-/// [`dot_then_scale_rows_multi`] writing into a pre-sized slice instead
-/// of a `Vec` — the caller owns placement, so a batch of tiles can land
-/// directly in one score arena with no per-tile scratch copy. `out`
-/// must hold exactly `nq · n_rows` entries (query-major on return).
-///
-/// # Panics
-///
-/// Panics if `qs.len()` is not a multiple of `d`, `out.len()` is not
-/// `nq · n_rows`, `row_stride < d`, or `rows` is too short.
-#[inline]
-pub fn dot_then_scale_rows_multi_into<T: Scalar>(
-    qs: &[T],
-    d: usize,
-    rows: &[T],
-    row_stride: usize,
-    n_rows: usize,
-    scale: f64,
-    out: &mut [f64],
-) {
-    score_block_multi(qs, d, rows, row_stride, n_rows, scale, out, dot_f64);
-}
-
-/// [`dot_then_scale_rows_multi_into`] for demoted (BF16-stored) blocks
-/// scored against packed `f64` queries: each (query, row) score is
-/// [`dot_f64_bf16`], bit-identical to [`dot_then_scale_rows_bf16`] once
-/// per query. Same placement contract as the native variant.
-///
-/// # Panics
-///
-/// Panics if `qs.len()` is not a multiple of `d`, `out.len()` is not
-/// `nq · n_rows`, `row_stride < d`, or `rows` is too short.
-#[inline]
-pub fn dot_then_scale_rows_multi_bf16_into(
-    qs: &[f64],
-    d: usize,
-    rows: &[fa_numerics::BF16],
-    row_stride: usize,
-    n_rows: usize,
-    scale: f64,
-    out: &mut [f64],
-) {
-    score_block_multi(qs, d, rows, row_stride, n_rows, scale, out, dot_f64_bf16);
+    if nq == 0 {
+        return;
+    }
+    assert_block_view(d, rows.len(), row_stride, n_rows);
+    // A tile pays off only when several queries reuse it: one query
+    // scores the whole block in one call.
+    let tile_rows = if nq == 1 {
+        n_rows.max(1)
+    } else {
+        MULTI_ROW_TILE
+    };
+    for t0 in (0..n_rows).step_by(tile_rows) {
+        let t1 = (t0 + tile_rows).min(n_rows);
+        let tile = &rows[t0 * row_stride..];
+        for (qi, q) in qs.chunks_exact(d).enumerate() {
+            let dst = &mut out[qi * n_rows + t0..qi * n_rows + t1];
+            score_block(q, tile, row_stride, scale, dst, dot_f64);
+        }
+    }
 }
 
 /// The seed's sequential dot product (one ascending add chain): the
@@ -1176,8 +1111,8 @@ mod tests {
         let scale = 1.0 / (d as f64).sqrt();
         let (u0, u1) = (1usize, 9usize);
         let n_rows = u1 - u0;
-        let mut tile = vec![0.0f64; nq * n_rows];
-        dot_then_scale_rows_multi_into(
+        let mut tile = Vec::new();
+        dot_then_scale_rows_multi(
             qs.as_slice(),
             d,
             &panel.as_slice()[u0 * stride..],
@@ -1209,11 +1144,11 @@ mod tests {
 
     #[test]
     fn multi_query_row_scores_bit_identical_to_per_query_sweeps() {
-        // The shared-block panel kernel must reproduce the per-query
-        // GEMV sweep bit for bit: same per-(query, row) dot, only the
-        // loop nest (rows outer, queries inner) differs. Cover head
-        // dims straddling the DOT_LANES=16 lane-block boundary, strided
-        // panels, and the widened BF16 variant.
+        // The multi-query kernel must reproduce the per-query GEMV
+        // sweep bit for bit: same per-(query, row) dot, only the loop
+        // nest (rows outer, queries inner) differs. Cover head dims
+        // straddling the DOT_LANES=16 lane-block boundary and strided
+        // panels.
         use crate::random::ElementDist;
         for (nq, d, n_rows, stride) in [(2, 4, 3, 4), (5, 16, 7, 20), (3, 33, 6, 40)] {
             let qs = Matrix::<f64>::random_seeded(nq, d, ElementDist::default(), 7100 + d as u64);
@@ -1250,32 +1185,6 @@ mod tests {
                         batched[qi * n_rows + r].to_bits(),
                         single[r].to_bits(),
                         "d {d} query {qi} row {r}"
-                    );
-                }
-            }
-
-            let panel16: Vec<BF16> = panel
-                .as_slice()
-                .iter()
-                .map(|&x| BF16::from_f64(x))
-                .collect();
-            let mut batched16 = vec![0.0; nq * n_rows];
-            dot_then_scale_rows_multi_bf16_into(
-                qs.as_slice(),
-                d,
-                &panel16,
-                stride,
-                n_rows,
-                scale,
-                &mut batched16,
-            );
-            for qi in 0..nq {
-                dot_then_scale_rows_bf16(qs.row(qi), &panel16, stride, n_rows, scale, &mut single);
-                for r in 0..n_rows {
-                    assert_eq!(
-                        batched16[qi * n_rows + r].to_bits(),
-                        single[r].to_bits(),
-                        "bf16 d {d} query {qi} row {r}"
                     );
                 }
             }
