@@ -69,7 +69,7 @@
 //! and admit/retire schedule (property-tested).
 
 use crate::topology::HeadTopology;
-use arena::Arena;
+use arena::{Arena, Damage};
 use fa_numerics::{KahanSum, BF16};
 use fa_tensor::{online::MergedAccumulator, Matrix, Scalar};
 use rayon::prelude::*;
@@ -183,14 +183,6 @@ impl ScrubPolicy {
 pub struct QuarantineReport {
     /// Cache blocks returned to the free lists.
     pub blocks_freed: usize,
-    /// Recovery-log rows discarded (0 when the log instead seeded the
-    /// automatic requeue).
-    pub log_rows_dropped: usize,
-    /// Rows requeued for recompute through the chunked-prefill admission
-    /// path — the sequence's full K/V history when the recovery log
-    /// still covered position 0 upward, else 0 and the caller must
-    /// [`resubmit`](DecodeBatch::resubmit) the history itself.
-    pub requeued_rows: usize,
 }
 
 /// Why [`DecodeBatch::resubmit`] rejected a history.
@@ -312,34 +304,22 @@ pub struct BlockRef {
     pub bf16: bool,
 }
 
-/// Per-(block, kv head) reference checksums of a block's **stored**
-/// rows — the localization structure the fault-tolerance layer walks
-/// (see [`guard`]).
-///
-/// `ksum[g]` / `vsum[g]` fold each row's lane-order f64 key/value sums
-/// in row-append order, which is exactly the order the audit recompute
-/// folds them — so on a clean block the stored reference and a fresh
-/// recomputation agree **bitwise**, and any storage bit flip (either
-/// arena, either side) surfaces as a reference/recompute mismatch
-/// pinned to this (block, kv head) without any tolerance question.
-/// References are updated incrementally on append, rebuilt on demotion
-/// (the stored rows changed format), and dropped with their block on
-/// eviction or retirement.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BlockCheck {
-    /// Per-kv-head lane-order sums of the block's stored key rows.
-    pub ksum: Vec<f64>,
-    /// Per-kv-head lane-order sums of the block's stored value rows.
-    pub vsum: Vec<f64>,
-}
-
-impl BlockCheck {
-    fn zeroed(heads: usize) -> Self {
-        BlockCheck {
-            ksum: vec![0.0; heads],
-            vsum: vec![0.0; heads],
-        }
-    }
+/// Damage a demotion found in a native block's fingerprints before
+/// narrowing it. The rebuilt BF16 fingerprints agree with whatever was
+/// narrowed, so the finding is kept on the sequence until the next
+/// [`repair`](DecodeBatch::repair) and reported by every audit and scrub
+/// of the block in between (see [`guard`]).
+#[derive(Clone, Copy, Debug)]
+struct Finding {
+    /// Logical position of the block's first row.
+    first: usize,
+    /// The damaged panel's kv head.
+    kv_head: usize,
+    /// Whether the damaged panel is the key side.
+    key_side: bool,
+    /// The mended (row, lane) for one-word damage; `None` when the damage
+    /// went beyond one word and was narrowed as found.
+    word: Option<(usize, usize)>,
 }
 
 /// Physical arrangement of a cache block's `block_rows × width` elements.
@@ -480,10 +460,9 @@ macro_rules! with_arena {
 struct SeqBlocks {
     /// Retained arena blocks owned by this sequence, in position order.
     blocks: Vec<BlockRef>,
-    /// Reference checksums parallel to `blocks` (one [`BlockCheck`] per
-    /// retained block), maintained bitwise-consistent with the stored
-    /// rows at every claim/append/demote/evict.
-    checks: Vec<BlockCheck>,
+    /// Damage demotion found in retained blocks, awaiting the next
+    /// repair (usually empty).
+    findings: Vec<Finding>,
     /// Logical position of `blocks[0]`'s first row — a multiple of
     /// `block_rows`, advanced past evicted leading blocks (0 under
     /// [`EvictionPolicy::RetainAll`]).
@@ -669,8 +648,9 @@ impl<T: Scalar> KvCache<T> {
     /// Bytes of K/V storage held by owned arena blocks — native blocks
     /// at `size_of::<T>()` per lane, demoted/direct-BF16 blocks at
     /// `size_of::<BF16>()`, K and V both counted. The blocks' f64
-    /// `sumrow(V)` checksum lanes (one per row and head) are **not**
-    /// counted. This is the
+    /// `sumrow(V)` checksum lanes (one per row and head) and their
+    /// integer fingerprints ([`fingerprint_bytes`](Self::fingerprint_bytes))
+    /// are **not** counted. This is the
     /// arena-pressure signal a serving frontend throttles against:
     /// demoting a victim halves its share (native f64 → BF16) without
     /// freeing blocks, and quarantine/retirement drops it to zero.
@@ -681,12 +661,22 @@ impl<T: Scalar> KvCache<T> {
         self.native.live_kv_bytes() + self.bf16.live_kv_bytes()
     }
 
+    /// Bytes of integer fingerprints held by owned arena blocks: per
+    /// block, `block_rows + head_dim` `u64` words for each kv head's K
+    /// and V panel, in either arena, counted once per physical block
+    /// like [`live_kv_bytes`](Self::live_kv_bytes). For a native f64
+    /// block that is `(block_rows + head_dim) / (block_rows · head_dim)`
+    /// of its K/V bytes.
+    pub fn fingerprint_bytes(&self) -> usize {
+        self.native.fingerprint_bytes() + self.bf16.fingerprint_bytes()
+    }
+
     /// Registers a new (empty) sequence and returns its id, reusing a
     /// retired slot when one is available.
     pub fn add_sequence(&mut self) -> usize {
         let fresh = SeqBlocks {
             blocks: Vec::new(),
-            checks: Vec::new(),
+            findings: Vec::new(),
             start: 0,
             len: 0,
             demoted_rows: 0,
@@ -712,7 +702,7 @@ impl<T: Scalar> KvCache<T> {
         let state = &mut self.seqs[seq];
         assert!(!state.retired, "sequence {seq} already retired");
         let blocks = core::mem::take(&mut state.blocks);
-        state.checks = Vec::new();
+        state.findings = Vec::new();
         state.start = 0;
         state.len = 0;
         state.retired = true;
@@ -739,7 +729,7 @@ impl<T: Scalar> KvCache<T> {
         let state = &mut self.seqs[seq];
         assert!(!state.retired, "sequence {seq} is retired");
         let blocks = core::mem::take(&mut state.blocks);
-        state.checks = Vec::new();
+        state.findings = Vec::new();
         state.start = 0;
         state.len = 0;
         state.demoted_rows = 0;
@@ -753,34 +743,31 @@ impl<T: Scalar> KvCache<T> {
     /// Detaches live sequence `seq`'s blocks **without releasing their
     /// references** and retires the slot — the handoff that turns a
     /// freshly-prefilled sequence into a registry-owned shared prefix.
-    /// Returns the block refs, their reference checksums, and the
-    /// first-retained position (non-zero when a sliding window evicted
-    /// leading prefix blocks during registration).
+    /// Returns the block refs and the first-retained position (non-zero
+    /// when a sliding window evicted leading prefix blocks during
+    /// registration); the fingerprints travel inside the blocks.
     ///
     /// # Panics
     ///
     /// Panics if `seq` is out of range or retired.
-    pub(crate) fn detach_into_registry(
-        &mut self,
-        seq: usize,
-    ) -> (Vec<BlockRef>, Vec<BlockCheck>, usize) {
+    pub(crate) fn detach_into_registry(&mut self, seq: usize) -> (Vec<BlockRef>, usize) {
         let state = &mut self.seqs[seq];
         assert!(!state.retired, "sequence {seq} is retired");
         let blocks = core::mem::take(&mut state.blocks);
-        let checks = core::mem::take(&mut state.checks);
+        state.findings = Vec::new();
         let start = state.start;
         state.start = 0;
         state.len = 0;
         state.demoted_rows = 0;
         state.retired = true;
         self.free_seqs.push(seq);
-        (blocks, checks, start)
+        (blocks, start)
     }
 
     /// Attaches a registry-held shared prefix to **empty** live sequence
     /// `seq`: the sequence adopts the block refs (taking one new
-    /// reference on each) and bitwise copies of their reference
-    /// checksums, and its logical length jumps to `rows`. Appends past
+    /// reference on each; the blocks carry their fingerprints), and its
+    /// logical length jumps to `rows`. Appends past
     /// the prefix claim private blocks as usual; an append landing in
     /// the prefix's partially-filled tail block copies it first
     /// (copy-on-write in [`append_anchored`](Self::append_anchored)).
@@ -792,7 +779,6 @@ impl<T: Scalar> KvCache<T> {
         &mut self,
         seq: usize,
         blocks: &[BlockRef],
-        checks: &[BlockCheck],
         start: usize,
         rows: usize,
     ) {
@@ -806,7 +792,6 @@ impl<T: Scalar> KvCache<T> {
         }
         let state = &mut self.seqs[seq];
         state.blocks = blocks.to_vec();
-        state.checks = checks.to_vec();
         state.start = start;
         state.len = rows;
     }
@@ -938,7 +923,7 @@ impl<T: Scalar> KvCache<T> {
     /// serving frontend's preemption ladder: rounds `seq`'s
     /// completely-filled native blocks beyond the newest `burst` down to
     /// BF16 regardless of [`KvFormat`], through the same block-swap (and
-    /// checksum rebuild) the `Mixed` append path uses. Safe at any point
+    /// fingerprint check and rebuild) the `Mixed` append path uses. Safe at any point
     /// between steps: later passes simply read the rounded rows. Returns
     /// the number of rows demoted.
     pub(crate) fn demote_full_blocks(&mut self, seq: usize, burst: usize) -> usize {
@@ -958,6 +943,14 @@ impl<T: Scalar> KvCache<T> {
             if native.bf16 {
                 continue;
             }
+            // Check the native rows against their fingerprints before
+            // narrowing them: one-word damage is mended first, so it
+            // cannot round into the BF16 copy, and every finding is kept
+            // for the next audit — the rebuilt BF16 fingerprints will
+            // agree with whatever was narrowed.
+            let first = self.seqs[seq].start + i * self.block_rows;
+            let found = self.mend_block(native, first, self.block_rows);
+            self.seqs[seq].findings.extend(found);
             let b16 = self.claim_block(true);
             self.bf16.narrow_from(b16.index, &self.native, native.index);
             // Demotion of a *shared* block is copy-on-write by
@@ -967,8 +960,8 @@ impl<T: Scalar> KvCache<T> {
             self.release_block(native);
             self.seqs[seq].blocks[i] = b16;
             // The stored rows changed format: rebuild the block's
-            // reference checksum and lanes from the rounded storage.
-            self.seqs[seq].checks[i] = self.bf16.rebuild(b16.index, self.block_rows);
+            // fingerprints and lanes from the rounded storage.
+            self.bf16.rebuild(b16.index, self.block_rows);
             self.seqs[seq].demoted_rows += self.block_rows;
             demoted += self.block_rows;
         }
@@ -988,9 +981,11 @@ impl<T: Scalar> KvCache<T> {
         };
         let lo = (anchor + 1).saturating_sub(window);
         while !self.seqs[seq].blocks.is_empty() && self.seqs[seq].start + self.block_rows <= lo {
-            let blk = self.seqs[seq].blocks.remove(0);
-            self.seqs[seq].checks.remove(0);
-            self.seqs[seq].start += self.block_rows;
+            let state = &mut self.seqs[seq];
+            let blk = state.blocks.remove(0);
+            state.start += self.block_rows;
+            let start = state.start;
+            state.findings.retain(|f| f.first >= start);
             self.release_block(blk);
         }
     }
@@ -1043,10 +1038,7 @@ impl<T: Scalar> KvCache<T> {
             // Current block full (or first append): claim the next block,
             // recycling a retired block when one is free.
             let block = self.claim_block(self.format.appends_bf16());
-            let heads = self.heads;
-            let state = &mut self.seqs[seq];
-            state.blocks.push(block);
-            state.checks.push(BlockCheck::zeroed(heads));
+            self.seqs[seq].blocks.push(block);
             if let KvFormat::Mixed { burst_blocks } = self.format {
                 self.demote_beyond_burst(seq, burst_blocks);
             }
@@ -1054,9 +1046,8 @@ impl<T: Scalar> KvCache<T> {
         // Copy-on-write: appending must not mutate a block other owners
         // (co-readers of a shared prefix, or the prefix registry) still
         // read. Claim a private block in the same arena, copy the stored
-        // lanes and checksum lanes bitwise — the block's reference
-        // checksum stays valid because the bits are identical — and drop
-        // one reference on the shared original.
+        // lanes, checksum lanes and fingerprints bitwise, and drop one
+        // reference on the shared original.
         let target = self.seqs[seq].blocks[bi];
         if self.block_ref_count(target) > 1 {
             let fresh = self.claim_block(target.bf16);
@@ -1098,16 +1089,10 @@ impl<T: Scalar> KvCache<T> {
 
     /// Scatters one K/V row into row `r` of `seq`'s retained block `bi`
     /// (rounded to BF16 when the block is) and folds the stored row into
-    /// the block's reference checksum and checksum lanes — per head, rows
-    /// accumulate in write order, matching
-    /// [`recompute_block_check`](Self::recompute_block_check)'s fold
-    /// bitwise. Append writes each row once; recovery rewrites a block's
-    /// rows in order over a zeroed reference.
+    /// the block's fingerprints and checksum lanes.
     fn write_row(&mut self, seq: usize, bi: usize, r: usize, k: &[T], v: &[T]) {
-        let state = &mut self.seqs[seq];
-        let (blk, check) = (state.blocks[bi], &mut state.checks[bi]);
-        with_arena!(&mut self, blk.bf16, |a| a
-            .write_row(blk.index, r, k, v, check));
+        let blk = self.seqs[seq].blocks[bi];
+        with_arena!(&mut self, blk.bf16, |a| a.write_row(blk.index, r, k, v));
     }
 
     /// The block and row holding the checksum lane of position `i`, head
@@ -1176,22 +1161,109 @@ impl<T: Scalar> KvCache<T> {
         with_arena!(&self, blk.bf16, |a| a.gather_row(keys, blk.index, r))
     }
 
-    /// Recomputes one block's [`BlockCheck`] from its stored rows: per
-    /// head, the first `rows` rows' lane sums fold in row order — the
-    /// same order the incremental append-path update used, so a clean
-    /// block's recomputation equals its stored reference **bitwise**.
-    fn recompute_block_check(&self, blk: BlockRef, rows: usize) -> BlockCheck {
-        with_arena!(&self, blk.bf16, |a| a.block_check(blk.index, rows))
-    }
-
-    /// The reference checksums of sequence `seq`'s retained blocks,
-    /// parallel to [`seq_blocks`](Self::seq_blocks).
+    /// Position of retained block `block`'s first row in sequence `seq`,
+    /// and its valid rows.
     ///
     /// # Panics
     ///
-    /// Panics if `seq` is out of range or retired.
-    pub fn block_checks(&self, seq: usize) -> &[BlockCheck] {
-        &self.live(seq).checks
+    /// Panics if `seq` is out of range or retired, or `block` is out of
+    /// range.
+    fn block_span(&self, seq: usize, block: usize) -> (usize, usize) {
+        let state = self.live(seq);
+        assert!(
+            block < state.blocks.len(),
+            "block {block} out of {} retained",
+            state.blocks.len()
+        );
+        let first = state.start + block * self.block_rows;
+        (first, (state.len - first).min(self.block_rows))
+    }
+
+    /// Checks every (kv head, side) panel of `blk`'s first `rows` rows
+    /// against its fingerprints, returning the damaged panels as
+    /// `(kv head, key side, damage)`, key side first within each head.
+    fn inspect(&self, blk: BlockRef, rows: usize) -> Vec<(usize, bool, Damage)> {
+        self.check_block(blk, rows, None)
+    }
+
+    /// [`inspect`](Self::inspect), also checking each row's stored
+    /// `sumrow` lanes against their recompute in the same pass over the
+    /// value rows when `bad_sumrows` is given: each mismatched lane is
+    /// pushed as `(row within the block, kv head)`.
+    fn check_block(
+        &self,
+        blk: BlockRef,
+        rows: usize,
+        mut bad_sumrows: Option<&mut Vec<(usize, usize)>>,
+    ) -> Vec<(usize, bool, Damage)> {
+        let mut damaged = Vec::new();
+        let mut lanes = Vec::new();
+        for g in 0..self.heads {
+            let want = bad_sumrows.is_some().then_some(&mut lanes);
+            let [key, value] =
+                with_arena!(&self, blk.bf16, |a| a.diagnose(blk.index, g, rows, want));
+            damaged.extend(key.map(|d| (g, true, d)));
+            damaged.extend(value.map(|d| (g, false, d)));
+            if let Some(bad) = bad_sumrows.as_deref_mut() {
+                bad.extend(lanes.drain(..).map(|r| (r, g)));
+            }
+        }
+        damaged
+    }
+
+    /// Whether every kv head's lane word in `blk` equals the sum of its
+    /// first `rows` stored checksum lanes' bits.
+    fn lanes_words_match(&self, blk: BlockRef, rows: usize) -> bool {
+        (0..self.heads).all(|g| {
+            with_arena!(&self, blk.bf16, |a| a
+                .lanes_word_matches(blk.index, g, rows))
+        })
+    }
+
+    /// `blk`'s fingerprint words, all panels.
+    fn fingerprints(&self, blk: BlockRef) -> &[u64] {
+        with_arena!(&self, blk.bf16, |a| a.fingerprints(blk.index))
+    }
+
+    /// Restores `blk`'s fingerprint words from a
+    /// [`fingerprints`](Self::fingerprints) copy.
+    fn restore_fingerprints(&mut self, blk: BlockRef, words: &[u64]) {
+        with_arena!(&mut self, blk.bf16, |a| a
+            .fingerprints_mut(blk.index)
+            .copy_from_slice(words));
+    }
+
+    /// [`inspect`](Self::inspect)s `blk` (whose first row is position
+    /// `first`) and mends every one-word panel in place. Returns one
+    /// [`Finding`] per damaged panel: `word` is the mended (row, lane),
+    /// or `None` for damage beyond one word (left as found). A shared
+    /// block mends once for every reader.
+    fn mend_block(&mut self, blk: BlockRef, first: usize, rows: usize) -> Vec<Finding> {
+        let damaged = self.inspect(blk, rows);
+        damaged
+            .into_iter()
+            .map(|(kv_head, key_side, damage)| {
+                let word = match damage {
+                    Damage::Word { row, lane, delta } => {
+                        with_arena!(&mut self, blk.bf16, |a| a.mend(
+                            blk.index,
+                            kv_head,
+                            key_side,
+                            (row, lane, delta),
+                            rows
+                        ));
+                        Some((row, lane))
+                    }
+                    Damage::Beyond => None,
+                };
+                Finding {
+                    first,
+                    kv_head,
+                    key_side,
+                    word,
+                }
+            })
+            .collect()
     }
 
     /// Streams one head of sequence `seq` block by block — the decode
@@ -1335,8 +1407,8 @@ impl<T: Scalar> PendingPrompt<T> {
 
 /// Everything the engine tracks for one sequence slot beyond the cache
 /// blocks themselves (which also hold the rows' `sumrow(V)` checksum
-/// lanes): checksum totals, coverage counters, the chunked-admission
-/// queue and the recovery log.
+/// lanes and integer fingerprints): checksum totals, coverage counters
+/// and the chunked-admission queue.
 #[derive(Clone, Debug)]
 struct SequenceState<T: Scalar> {
     /// Running (predicted, actual) totals over the admitted prompt and
@@ -1358,23 +1430,6 @@ struct SequenceState<T: Scalar> {
     /// The completed admission, parked until
     /// [`DecodeBatch::take_admitted`] collects it.
     ready: Option<AdmittedPrompt>,
-    /// Original (pre-rounding) K/V rows per cached position, flattened
-    /// `kv_dim` wide — the block-granular recovery source (see
-    /// [`guard`]). Empty unless the engine's recovery log is enabled;
-    /// row `i` of the log holds absolute position `log_start + i`
-    /// (truncation under a [`recovery_log_budget`](DecodeBatch::set_recovery_log_budget)
-    /// drops leading rows once scrub-verified or evicted). Cleared on
-    /// retire so recycled slots never replay a previous owner's rows.
-    log_k: Vec<T>,
-    log_v: Vec<T>,
-    /// Absolute position of the log's first retained row (0 until budget
-    /// truncation drops leading rows).
-    log_start: usize,
-    /// Positions `< log_clean_until` passed a bitwise scrub/audit verdict
-    /// at some point after their last append — their log rows are safe to
-    /// drop under the budget (the stored blocks were proven faithful, so
-    /// the log is no longer their only witness).
-    log_clean_until: usize,
 }
 
 impl<T: Scalar> SequenceState<T> {
@@ -1386,35 +1441,24 @@ impl<T: Scalar> SequenceState<T> {
             unchecked_steps: 0,
             pending: None,
             ready: None,
-            log_k: Vec::new(),
-            log_v: Vec::new(),
-            log_start: 0,
-            log_clean_until: 0,
         }
     }
 }
 
 /// A registered shared prefix: one prefilled copy of a common prompt
 /// prefix (a system prompt) whose cache blocks (with their `sumrow(V)`
-/// lanes), reference checksums and prompt-checksum totals serve
+/// lanes and fingerprints) and prompt-checksum totals serve
 /// **every** sequence enqueued behind it — the registry holds one block
 /// reference per block so the storage outlives any individual reader.
 #[derive(Clone, Debug)]
-struct SharedPrefix<T: Scalar> {
+struct SharedPrefix {
     /// The prefix's cache blocks (registry-owned references).
     blocks: Vec<BlockRef>,
-    /// Reference checksums parallel to `blocks`; readers adopt bitwise
-    /// copies on attach.
-    checks: Vec<BlockCheck>,
     /// First retained position (non-zero when a sliding window evicted
     /// leading prefix blocks during registration).
     start: usize,
     /// Prefix length in tokens.
     rows: usize,
-    /// Original (pre-rounding) prefix K/V rows — the recovery-log seed
-    /// for readers with logging enabled.
-    k: Matrix<T>,
-    v: Matrix<T>,
     /// Prompt checksum totals over the prefix (per-chunk Kahan folds) —
     /// seeded into every reader's running totals.
     predicted: f64,
@@ -1463,15 +1507,6 @@ pub struct DecodeBatch<T: Scalar> {
     /// config's window and the eviction policy's window. `None` = full
     /// causal history.
     mask_window: Option<usize>,
-    /// Whether appends retain each sequence's original rows for
-    /// block-granular recovery (see [`guard`]). Off by default: serving
-    /// without a recovery contract should not pay the log's memory.
-    recovery_log: bool,
-    /// Per-sequence recovery-log row budget: after truncation
-    /// opportunities (scrub verdicts, eviction) the log retains at most
-    /// this many rows beyond any still-unverified suffix. `None` =
-    /// unbounded (the PR-6 behaviour).
-    log_budget: Option<usize>,
     /// Background scrub policy; `None` disables
     /// [`scrub_step`](Self::scrub_step).
     scrub: Option<ScrubPolicy>,
@@ -1483,7 +1518,7 @@ pub struct DecodeBatch<T: Scalar> {
     /// Total blocks audited by the scrubber (bandwidth accounting).
     scrubbed_blocks: u64,
     /// Registered shared prefixes by id (`None` = released).
-    prefixes: Vec<Option<SharedPrefix<T>>>,
+    prefixes: Vec<Option<SharedPrefix>>,
     /// The open speculative decode window, if any (see [`spec`]): the
     /// per-sequence rollback snapshots plus the window's scored-token
     /// checksums, parked between [`speculate`](Self::speculate) and
@@ -1560,8 +1595,6 @@ impl<T: Scalar> DecodeBatch<T> {
             seqs: Vec::new(),
             prefill_chunk: DEFAULT_PREFILL_CHUNK,
             mask_window,
-            recovery_log: false,
-            log_budget: None,
             scrub: None,
             scrub_seq: 0,
             scrub_block: 0,
@@ -1675,10 +1708,6 @@ impl<T: Scalar> DecodeBatch<T> {
         let state = &mut self.seqs[seq];
         state.pending = None;
         state.ready = None;
-        state.log_k = Vec::new();
-        state.log_v = Vec::new();
-        state.log_start = 0;
-        state.log_clean_until = 0;
     }
 
     /// Pre-fills sequence `seq` from prompt K/V matrices
@@ -1696,7 +1725,7 @@ impl<T: Scalar> DecodeBatch<T> {
         assert_eq!(v.cols(), self.cfg.kv_dim(), "V width mismatch");
         assert_eq!(k.rows(), v.rows(), "K/V row count mismatch");
         for i in 0..k.rows() {
-            self.append_token(seq, k.row(i), v.row(i));
+            self.cache.append(seq, k.row(i), v.row(i));
         }
         self.seqs[seq].prompt_tokens += k.rows();
     }
@@ -1793,93 +1822,14 @@ impl<T: Scalar> DecodeBatch<T> {
         self.cache.first_retained(seq)
     }
 
-    /// Caps the recovery log at `rows` retained rows per sequence.
-    /// Leading rows beyond the budget are dropped at the next truncation
-    /// opportunity **only once they stop being the sole witness**: their
-    /// block passed a bitwise scrub/audit verdict
-    /// ([`scrub_step`](Self::scrub_step) /
-    /// [`checkpoint_recovery_log`](Self::checkpoint_recovery_log)) or was
-    /// evicted below the sliding window. An unverified suffix is never
-    /// dropped, so the log can transiently exceed the budget by exactly
-    /// the rows the scrubber has not reached yet (debug-asserted).
-    /// `None` restores the unbounded PR-6 behaviour.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows == Some(0)` (the newest row is always retained).
-    pub fn set_recovery_log_budget(&mut self, rows: Option<usize>) {
-        assert!(rows != Some(0), "recovery log budget must be positive");
-        self.log_budget = rows;
-    }
-
-    /// Recovery-log rows retained for sequence `seq` (0 when the log is
-    /// disabled; excludes budget-truncated leading rows).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is out of range.
-    pub fn seq_log_rows(&self, seq: usize) -> usize {
-        self.seqs[seq].log_k.len() / self.cache.width
-    }
-
-    /// Total recovery-log rows retained across all sequence slots — the
-    /// bound [`set_recovery_log_budget`](Self::set_recovery_log_budget)
-    /// makes testable (without a budget this grows with every appended
-    /// row, forever).
-    pub fn recovery_log_rows(&self) -> usize {
-        self.seqs
-            .iter()
-            .map(|s| s.log_k.len() / self.cache.width)
-            .sum()
-    }
-
-    /// Total heap bytes the recovery log's retained K and V rows occupy.
+    /// Always 0: the engine keeps no second copy of admitted rows —
+    /// repair mends damage from the blocks' integer fingerprints, and
+    /// damage beyond them is regenerated by the caller
+    /// ([`quarantine`](Self::quarantine) + [`resubmit`](Self::resubmit)).
+    /// Kept only because servebench's frozen counters read it
+    /// (`cache.recovery_log_mb_peak`); it goes when that counter does.
     pub fn recovery_log_bytes(&self) -> usize {
-        self.seqs
-            .iter()
-            .map(|s| (s.log_k.len() + s.log_v.len()) * core::mem::size_of::<T>())
-            .sum()
-    }
-
-    /// Drops leading log rows past the budget whose positions are
-    /// scrub-verified or evicted — called after every append, scrub
-    /// verdict, and checkpoint. A no-op without a budget.
-    fn truncate_log(&mut self, seq: usize) {
-        let Some(budget) = self.log_budget else {
-            return;
-        };
-        if !self.recovery_log || self.cache.is_retired(seq) {
-            return;
-        }
-        // Mid-window, truncation is deferred: dropping *leading* log
-        // rows is not reversible by rolling back the tail, and the
-        // window's own appends could push the length past the budget
-        // before the rollback shrinks it again. The accepted prefix's
-        // replay re-runs truncation on the exact non-speculative
-        // schedule.
-        if self.spec_window.is_some() {
-            return;
-        }
-        let len = self.cache.seq_len(seq);
-        let droppable = self.seqs[seq]
-            .log_clean_until
-            .max(self.cache.first_retained(seq));
-        let width = self.cache.width;
-        let state = &mut self.seqs[seq];
-        let new_start = len.saturating_sub(budget).min(droppable);
-        if new_start > state.log_start {
-            let drop = (new_start - state.log_start) * width;
-            state.log_k.drain(..drop);
-            state.log_v.drain(..drop);
-            state.log_start = new_start;
-        }
-        // The budget is never exceeded after truncation — except by the
-        // still-unverified suffix, whose rows the log must keep (they are
-        // the only recovery witness until a scrub verdict covers them).
-        debug_assert!(
-            len - state.log_start <= budget || state.log_start == droppable,
-            "log rows exceed the budget beyond the unverified suffix"
-        );
+        0
     }
 
     /// Installs (or clears) the background scrub policy consumed by
@@ -1922,8 +1872,9 @@ impl<T: Scalar> DecodeBatch<T> {
     /// and erases the demotion). Works under any [`KvFormat`], reusing
     /// the `Mixed` path's in-place block swap: each demoted block's rows
     /// round RNE into a BF16 arena block, the native block returns to
-    /// the free list, and the block's reference checksums and `sumrow`
-    /// lanes rebuild from the rounded storage — so audits stay clean and
+    /// the free list (after its fingerprints are checked), and the
+    /// block's fingerprints and `sumrow` lanes rebuild from the rounded
+    /// storage — so audits stay clean and
     /// the online verdict keeps predicting exactly what the output lanes
     /// consume. Returns the
     /// number of rows demoted (0 when nothing native qualifies; the
@@ -1937,19 +1888,16 @@ impl<T: Scalar> DecodeBatch<T> {
         self.cache.demote_full_blocks(seq, burst_blocks)
     }
 
-    /// Gracefully degrades sequence `seq` after unrecoverable damage
-    /// (evidence evicted, log truncated past the poisoned block, or
-    /// checksum-absorbed corruption): every cache block returns to the
-    /// free lists, checksum state and verdict totals reset, and — when
-    /// the recovery log still covers the full history — the sequence is
-    /// automatically requeued for recompute through the **existing
-    /// chunked-prefill admission path** ([`prefill_step_for`](Self::prefill_step_for)
-    /// advances it while the rest of the batch keeps decoding). The
-    /// damage costs one sequence's latency, not the batch's verdict.
-    ///
-    /// When the log was truncated (or disabled) the caller must
-    /// [`resubmit`](Self::resubmit) the K/V history itself
-    /// ([`QuarantineReport::requeued_rows`] is 0).
+    /// Gracefully degrades sequence `seq` after damage repair cannot
+    /// mend (more than one corrupted word in a block panel, a corrupted
+    /// fingerprint, or checksum-absorbed corruption): every cache block
+    /// returns to the free lists, and checksum state and verdict totals
+    /// reset. The caller then [`resubmit`](Self::resubmit)s the
+    /// sequence's K/V history — a serving frontend regenerates it from
+    /// the request's seeds — and the **existing chunked-prefill admission
+    /// path** ([`prefill_step_for`](Self::prefill_step_for)) re-caches it
+    /// while the rest of the batch keeps decoding. The damage costs one
+    /// sequence's latency, not the batch's verdict.
     ///
     /// Once re-admitted, decode resumes **bit-identical** to an
     /// undamaged replay of the same history, and batch peers are
@@ -1962,8 +1910,6 @@ impl<T: Scalar> DecodeBatch<T> {
     pub fn quarantine(&mut self, seq: usize) -> QuarantineReport {
         self.assert_no_window();
         assert!(!self.cache.is_retired(seq), "sequence {seq} is retired");
-        let len = self.cache.seq_len(seq);
-        let width = self.cache.width;
         let state = &mut self.seqs[seq];
         state.pending = None;
         state.ready = None;
@@ -1971,36 +1917,8 @@ impl<T: Scalar> DecodeBatch<T> {
         state.prompt_tokens = 0;
         state.checked_steps = 0;
         state.unchecked_steps = 0;
-        let full_log = self.recovery_log
-            && state.log_start == 0
-            && state.log_k.len() == len * width
-            && len > 0;
-        let history = if full_log {
-            Some((
-                Matrix::from_vec(len, width, core::mem::take(&mut state.log_k)),
-                Matrix::from_vec(len, width, core::mem::take(&mut state.log_v)),
-            ))
-        } else {
-            None
-        };
-        let log_rows_dropped = state.log_k.len() / width;
-        state.log_k = Vec::new();
-        state.log_v = Vec::new();
-        state.log_start = 0;
-        state.log_clean_until = 0;
-        let blocks_freed = self.cache.release_blocks(seq);
-        let requeued_rows = match history {
-            Some((k, v)) => {
-                self.resubmit_owned(seq, k, v)
-                    .expect("quarantine leaves the slot empty and unpending");
-                len
-            }
-            None => 0,
-        };
         QuarantineReport {
-            blocks_freed,
-            log_rows_dropped,
-            requeued_rows,
+            blocks_freed: self.cache.release_blocks(seq),
         }
     }
 
@@ -2072,22 +1990,6 @@ impl<T: Scalar> DecodeBatch<T> {
         Ok(())
     }
 
-    fn append_token(&mut self, seq: usize, k: &[T], v: &[T]) {
-        let anchor = self.cache.seq_len(seq);
-        self.append_token_anchored(seq, k, v, anchor);
-    }
-
-    fn append_token_anchored(&mut self, seq: usize, k: &[T], v: &[T], anchor: usize) {
-        if self.recovery_log {
-            self.seqs[seq].log_k.extend_from_slice(k);
-            self.seqs[seq].log_v.extend_from_slice(v);
-        }
-        self.cache.append_anchored(seq, k, v, anchor);
-        // Eviction below the window may have freed leading log rows; the
-        // budget truncation runs opportunistically on the append path.
-        self.truncate_log(seq);
-    }
-
     /// Enqueues one prompt for **chunked** admission: the sequence id is
     /// assigned immediately (reusing retired slots), but no prompt token
     /// is cached or scored yet. Each
@@ -2133,7 +2035,7 @@ impl<T: Scalar> DecodeBatch<T> {
     /// checksum folds, demotion/eviction maintenance — so the cached
     /// bits are exactly what an unshared admission of the same rows
     /// would produce at the same chunk schedule), then its blocks (with
-    /// their `sumrow(V)` lanes), reference checksums and checksum totals
+    /// their `sumrow(V)` lanes and fingerprints) and checksum totals
     /// move into the prefix registry. Returns the prefix id for
     /// [`enqueue_shared`](Self::enqueue_shared).
     ///
@@ -2154,15 +2056,12 @@ impl<T: Scalar> DecodeBatch<T> {
         let adm = self
             .take_admitted(seq)
             .expect("registration drains the prefix prompt");
-        let (blocks, checks, start) = self.cache.detach_into_registry(seq);
+        let (blocks, start) = self.cache.detach_into_registry(seq);
         self.seqs[seq] = SequenceState::fresh();
         self.prefixes.push(Some(SharedPrefix {
             blocks,
-            checks,
             start,
             rows: k.rows(),
-            k: k.clone(),
-            v: v.clone(),
             predicted: adm.predicted,
             actual: adm.actual,
             readers: 0,
@@ -2212,8 +2111,8 @@ impl<T: Scalar> DecodeBatch<T> {
 
     /// Enqueues a prompt **behind a registered shared prefix**: the new
     /// sequence adopts the prefix's cache blocks (one new reference
-    /// each; zero K/V or `sumrow` bytes copied), its reference checksums
-    /// and checksum totals, then stages only the `suffix` rows
+    /// each; zero K/V, `sumrow` or fingerprint bytes copied) and its
+    /// checksum totals, then stages only the `suffix` rows
     /// for chunked prefill — so admitting `k` sequences with an
     /// `L`-token common prefix costs O(L + k·suffix) prefill work and
     /// blocks, not O(k·L).
@@ -2230,9 +2129,9 @@ impl<T: Scalar> DecodeBatch<T> {
     /// own outputs are not kept: [`register_prefix`](Self::register_prefix)
     /// scores them once and keeps only their checksum totals.
     ///
-    /// With the recovery log enabled the reader's log is seeded with the
-    /// prefix rows, so quarantine rebuilds the full history privately
-    /// (sharing is lost, bits are not).
+    /// A quarantined reader's [`resubmit`](Self::resubmit)ted history
+    /// (prefix ‖ suffix ‖ decoded) rebuilds privately: sharing is lost,
+    /// bits are not.
     ///
     /// # Panics
     ///
@@ -2267,27 +2166,13 @@ impl<T: Scalar> DecodeBatch<T> {
         }
         let q_dim = self.cfg.q_dim();
         let p = self.prefixes[id].as_ref().expect("released prefix");
-        let (blocks, checks, start, rows) = (p.blocks.clone(), p.checks.clone(), p.start, p.rows);
+        let (blocks, start, rows) = (p.blocks.clone(), p.start, p.rows);
         let (predicted, actual) = (p.predicted, p.actual);
-        let (log_k, log_v) = if self.recovery_log {
-            let width = self.cfg.kv_dim();
-            let mut lk = Vec::with_capacity(rows * width);
-            let mut lv = Vec::with_capacity(rows * width);
-            for i in 0..rows {
-                lk.extend_from_slice(p.k.row(i));
-                lv.extend_from_slice(p.v.row(i));
-            }
-            (lk, lv)
-        } else {
-            (Vec::new(), Vec::new())
-        };
         let seq = self.add_sequence();
-        self.cache.attach_shared(seq, &blocks, &checks, start, rows);
+        self.cache.attach_shared(seq, &blocks, start, rows);
         let state = &mut self.seqs[seq];
         state.totals = (predicted, actual);
         state.prompt_tokens = rows;
-        state.log_k = log_k;
-        state.log_v = log_v;
         if q.rows() == 0 {
             state.ready = Some(AdmittedPrompt {
                 seq,
@@ -2405,7 +2290,8 @@ impl<T: Scalar> DecodeBatch<T> {
                 // window. (Cache-only requeues have no outstanding pass,
                 // but keep the same anchor so the eviction/demotion
                 // schedule replays the original admission exactly.)
-                self.append_token_anchored(seq, pend.k.row(i), pend.v.row(i), base + p0);
+                self.cache
+                    .append_anchored(seq, pend.k.row(i), pend.v.row(i), base + p0);
             }
             self.seqs[seq].pending = Some(pend);
             self.seqs[seq].prompt_tokens += p1 - p0;
@@ -2616,7 +2502,7 @@ impl<T: Scalar> DecodeBatch<T> {
 
         // Phase 1 (serial, cheap): append every new token.
         for (i, &seq) in seq_ids.iter().enumerate() {
-            self.append_token(seq, ks.row(i), vs.row(i));
+            self.cache.append(seq, ks.row(i), vs.row(i));
         }
 
         // Phase 2: one fork over all sequence×kv_head panel passes. Each
@@ -3633,7 +3519,6 @@ mod tests {
             KvFormat::F64,
             EvictionPolicy::RetainAll,
         );
-        e.enable_recovery_log();
         let seq = e.add_sequence();
         let (k, v) = (rand(6, kd, 1), rand(6, kd, 2));
         e.prefill(seq, &k, &v);
@@ -3644,9 +3529,11 @@ mod tests {
             Err(ResubmitError::NotEmpty { cached_rows: 6, .. })
         ));
 
-        // Quarantine with a full log auto-requeues: the slot is pending.
+        // Quarantine empties the slot; the first resubmit makes it
+        // pending and a second one loses the race.
         let q = e.quarantine(seq);
-        assert_eq!(q.requeued_rows, 6);
+        assert_eq!(q.blocks_freed, 2);
+        assert!(e.resubmit(seq, &k, &v).is_ok());
         assert!(matches!(
             e.resubmit(seq, &k, &v),
             Err(ResubmitError::AlreadyPending { .. })
@@ -4077,7 +3964,6 @@ mod tests {
                 EvictionPolicy::RetainAll,
             );
             e.set_prefill_chunk(4);
-            e.enable_recovery_log();
             let id = e.register_prefix(&rand(8, qd, 30), &rand(8, kd, 31), &rand(8, kd, 32));
             let s0 = e.enqueue_shared(id, &rand(2, qd, 33), &rand(2, kd, 34), &rand(2, kd, 35));
             let s1 = e.enqueue_shared(id, &rand(3, qd, 36), &rand(3, kd, 37), &rand(3, kd, 38));
@@ -4094,10 +3980,10 @@ mod tests {
         assert!(!faulty.audit(s0, 1e-9).is_empty(), "reader 0 alarms");
         assert!(!faulty.audit(s1, 1e-9).is_empty(), "reader 1 alarms");
 
-        // Repair through one reader: the in-place block rebuild from the
-        // recovery log fixes the storage every reader maps.
+        // Repair through one reader: the in-place word mend from the
+        // block's fingerprints fixes the storage every reader maps.
         let report = faulty.audit_and_repair(s0, 1e-9);
-        assert!(report.rows_rewritten > 0, "log-backed block rewrite ran");
+        assert_eq!(report.rows_rewritten, 1, "one word mended");
         assert!(faulty.audit(s0, 1e-9).is_empty());
         assert!(
             faulty.audit(s1, 1e-9).is_empty(),

@@ -15,18 +15,43 @@
 //! value matrix, head-major like V. Only this module computes element or
 //! lane offsets.
 //!
-//! K and V live in fixed-size slabs of [`SLAB_BLOCKS`] blocks, so the
-//! arena grows a slab at a time and a stored block never moves. A flat
+//! Beside the lanes each block carries **integer fingerprints** of its
+//! stored bits: per (head, side) panel, one wrapping `u64` sum of each
+//! row's raw element bits (`block_rows` words) and of each lane's
+//! (`head_dim` words) — Huang & Abraham's row/column checksum code over
+//! the integers mod 2⁶⁴ (IEEE TC 1984). The sums are exact, so a clean
+//! panel matches a recompute word for word, and one corrupted element
+//! shows the same delta in exactly one row word and one lane word:
+//! [`diagnose`](Arena::diagnose) names the word and
+//! [`mend`](Arena::mend) subtracts the delta. One more word per head
+//! sums the raw bits of its `sumrow` lanes, so a clean lane set is
+//! confirmed by an integer compare and the lanes are recomputed from V
+//! only when it disagrees. Fingerprints cover the rows appended so far;
+//! a claimed block starts from zero.
+//!
+//! K, V and the fingerprints live in fixed-size slabs of
+//! [`SLAB_BLOCKS`] blocks, so the arena grows a slab at a time and a
+//! stored block never moves. A flat
 //! buffer doubling on growth would copy every stored block once per
 //! doubling, and for a moment hold both copies: a transient of the whole
 //! cache's size on top of it.
 
-use super::BlockCheck;
 use core::ops::Range;
 use fa_tensor::Scalar;
 
 /// Blocks per K/V storage slab.
 const SLAB_BLOCKS: usize = 16;
+
+/// What a panel's fingerprints say about its stored bits, when they
+/// disagree.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum Damage {
+    /// Exactly one element differs: its row and lane, and the wrapping
+    /// delta `stored − fingerprinted` of its raw bits.
+    Word { row: usize, lane: usize, delta: u64 },
+    /// Anything else: several elements, or a fingerprint word itself.
+    Beyond,
+}
 
 /// A pool of fixed-size cache blocks in element format `E`.
 #[derive(Clone, Debug)]
@@ -42,6 +67,10 @@ pub(super) struct Arena<E> {
     v: Vec<Vec<E>>,
     /// `sumrow(V)` lanes, `block_rows` per (block, head), head-major.
     sumrows: Vec<f64>,
+    /// Integer fingerprints (see the module docs), in slabs like `k`:
+    /// per block, `block_rows` row words then `head_dim` lane words for
+    /// each (head, side) panel, then one `sumrow`-lane word per head.
+    fingerprints: Vec<Vec<u64>>,
     /// Per-block owner counts: a block is owned by every live sequence
     /// listing it plus (for registered shared prefixes) the prefix
     /// registry. Free-listed blocks sit at zero; unshared blocks at one.
@@ -64,6 +93,7 @@ impl<E: Scalar> Arena<E> {
             k: Vec::new(),
             v: Vec::new(),
             sumrows: Vec::new(),
+            fingerprints: Vec::new(),
             ref_counts: Vec::new(),
             free: Vec::new(),
             parked: None,
@@ -103,12 +133,15 @@ impl<E: Scalar> Arena<E> {
         (&mut self.k[slab][span.clone()], &mut self.v[slab][span])
     }
 
-    /// Adds empty full-capacity K/V slabs until `blocks` blocks fit.
+    /// Adds empty full-capacity K/V and fingerprint slabs until `blocks`
+    /// blocks fit.
     fn add_slabs(&mut self, blocks: usize) {
         while self.k.len() * SLAB_BLOCKS < blocks {
             let elems = SLAB_BLOCKS * self.block_elems();
             self.k.push(Vec::with_capacity(elems));
             self.v.push(Vec::with_capacity(elems));
+            let words = SLAB_BLOCKS * self.block_words();
+            self.fingerprints.push(Vec::with_capacity(words));
         }
     }
 
@@ -116,6 +149,52 @@ impl<E: Scalar> Arena<E> {
     #[inline]
     fn lane(&self, index: usize, r: usize, head: usize) -> usize {
         (index * self.heads + head) * self.block_rows + r
+    }
+
+    /// Fingerprint words per (head, side) panel.
+    #[inline]
+    fn panel_words(&self) -> usize {
+        self.block_rows + self.head_dim
+    }
+
+    /// Fingerprint words per block.
+    #[inline]
+    fn block_words(&self) -> usize {
+        self.heads * (2 * self.panel_words() + 1)
+    }
+
+    /// Index of head `head`'s `sumrow`-lane word within a block's
+    /// fingerprint words.
+    #[inline]
+    fn lanes_word(&self, head: usize) -> usize {
+        2 * self.heads * self.panel_words() + head
+    }
+
+    /// Range of the (`head`, side) panel within a block's fingerprint
+    /// words: its row words, then its lane words.
+    #[inline]
+    fn panel(&self, head: usize, key_side: bool) -> Range<usize> {
+        let at = (head * 2 + usize::from(!key_side)) * self.panel_words();
+        at..at + self.panel_words()
+    }
+
+    /// Slab and word range of block `index` in `fingerprints`.
+    #[inline]
+    fn fp_span(&self, index: usize) -> (usize, Range<usize>) {
+        let at = index % SLAB_BLOCKS * self.block_words();
+        (index / SLAB_BLOCKS, at..at + self.block_words())
+    }
+
+    /// Block `index`'s fingerprint words (all panels).
+    pub(super) fn fingerprints(&self, index: usize) -> &[u64] {
+        let (slab, span) = self.fp_span(index);
+        &self.fingerprints[slab][span]
+    }
+
+    /// Block `index`'s fingerprint words, writable.
+    pub(super) fn fingerprints_mut(&mut self, index: usize) -> &mut [u64] {
+        let (slab, span) = self.fp_span(index);
+        &mut self.fingerprints[slab][span]
     }
 
     /// Blocks carved from this arena so far.
@@ -133,10 +212,15 @@ impl<E: Scalar> Arena<E> {
         self.allocated() - self.free.len()
     }
 
-    /// K and V bytes of the owned blocks (the checksum lanes are not
-    /// counted).
+    /// K and V bytes of the owned blocks (the checksum lanes and
+    /// fingerprints are not counted).
     pub(super) fn live_kv_bytes(&self) -> usize {
         2 * self.live_blocks() * self.block_elems() * core::mem::size_of::<E>()
+    }
+
+    /// Fingerprint bytes of the owned blocks.
+    pub(super) fn fingerprint_bytes(&self) -> usize {
+        self.live_blocks() * self.block_words() * core::mem::size_of::<u64>()
     }
 
     /// Reserves capacity for `blocks` more claims, less those the free
@@ -150,11 +234,13 @@ impl<E: Scalar> Arena<E> {
 
     /// Claims a block — from the free list when possible (`true` in the
     /// second field), growing the arena otherwise. The claimed block
-    /// starts with a reference count of one (sole owner).
+    /// starts with a reference count of one (sole owner) and zeroed
+    /// fingerprints (no rows yet).
     pub(super) fn claim(&mut self) -> (usize, bool) {
         if let Some(index) = self.free.pop() {
             debug_assert_eq!(self.ref_counts[index], 0, "free-listed block had owners");
             self.ref_counts[index] = 1;
+            self.fingerprints_mut(index).fill(0);
             return (index, true);
         }
         let index = self.allocated();
@@ -164,6 +250,8 @@ impl<E: Scalar> Arena<E> {
         self.v[slab].resize(span.end, E::zero());
         let lanes = self.block_rows * self.heads;
         self.sumrows.resize(self.sumrows.len() + lanes, 0.0);
+        let (slab, span) = self.fp_span(index);
+        self.fingerprints[slab].resize(span.end, 0);
         self.ref_counts.push(1);
         (index, false)
     }
@@ -223,8 +311,8 @@ impl<E: Scalar> Arena<E> {
         }
     }
 
-    /// Copies block `src`'s K/V panels and checksum lanes bitwise into
-    /// block `dst` (copy-on-write).
+    /// Copies block `src`'s K/V panels, checksum lanes and fingerprints
+    /// bitwise into block `dst` (copy-on-write).
     pub(super) fn copy_block(&mut self, src: usize, dst: usize) {
         let (from, to) = (self.span(src), self.span(dst));
         copy_span(&mut self.k, from.clone(), to.clone());
@@ -232,12 +320,14 @@ impl<E: Scalar> Arena<E> {
         let lanes = self.block_rows * self.heads;
         self.sumrows
             .copy_within(src * lanes..(src + 1) * lanes, dst * lanes);
+        let (from, to) = (self.fp_span(src), self.fp_span(dst));
+        copy_span(&mut self.fingerprints, from, to);
     }
 
     /// Rounds every K/V element of `from`'s block `src` into block `dst`
     /// of this arena through `E::from_f64` — for `E = BF16` exactly
-    /// [`round_bf16`](super::round_bf16). The checksum lanes are left for
-    /// [`rebuild`](Self::rebuild).
+    /// [`round_bf16`](super::round_bf16). The checksum lanes and
+    /// fingerprints are left for [`rebuild`](Self::rebuild).
     pub(super) fn narrow_from<S: Scalar>(&mut self, dst: usize, from: &Arena<S>, src: usize) {
         let ((k, v), (fk, fv)) = (self.block_mut(dst), from.block(src));
         convert(k, fk);
@@ -246,16 +336,9 @@ impl<E: Scalar> Arena<E> {
 
     /// Scatters one `heads · head_dim`-wide K/V row into row `r` of block
     /// `index` (rounding through `E::from_f64`; exact when `S = E`), then
-    /// folds the row into `check` and stores its checksum lanes (see
-    /// [`fold_rows`](Self::fold_rows)).
-    pub(super) fn write_row<S: Scalar>(
-        &mut self,
-        index: usize,
-        r: usize,
-        k: &[S],
-        v: &[S],
-        check: &mut BlockCheck,
-    ) {
+    /// folds the stored row into the block's fingerprints and checksum
+    /// lanes (see [`fold_row`](Self::fold_row)).
+    pub(super) fn write_row<S: Scalar>(&mut self, index: usize, r: usize, k: &[S], v: &[S]) {
         let d = self.head_dim;
         for h in 0..self.heads {
             let at = self.slot(r, h);
@@ -263,72 +346,136 @@ impl<E: Scalar> Arena<E> {
             convert(&mut kb[at..at + d], &k[h * d..(h + 1) * d]);
             convert(&mut vb[at..at + d], &v[h * d..(h + 1) * d]);
         }
-        self.fold_rows(index, r..r + 1, check);
+        self.fold_row(index, r);
     }
 
-    /// Folds rows `rows` of block `index` into `check` — per head, their
-    /// stored lane sums add to the running reference in row order,
-    /// exactly as [`block_check`](Self::block_check) recomputes them —
-    /// and stores each (row, head) value sum as its checksum lane, so the
-    /// lane predicts what the output lanes actually consume.
-    fn fold_rows(&mut self, index: usize, rows: Range<usize>, check: &mut BlockCheck) {
+    /// Folds stored row `r` of block `index` into the block's
+    /// fingerprints — per head and side its row word is set and its bits
+    /// add to the lane words — and stores each head's value sum as its
+    /// checksum lane (so the lane predicts what the output lanes actually
+    /// consume), adding the lane's bits to the head's lane word.
+    fn fold_row(&mut self, index: usize, r: usize) {
         for h in 0..self.heads {
-            for r in rows.clone() {
-                let (ks, vs) = self.stored_lane_sums(index, r, h);
-                check.ksum[h] += ks;
-                check.vsum[h] += vs;
-                let at = self.lane(index, r, h);
-                self.sumrows[at] = vs;
+            let at = self.slot(r, h);
+            for key_side in [true, false] {
+                let panel = self.panel(h, key_side);
+                let ((slab, span), (fp_slab, fp_span)) = (self.span(index), self.fp_span(index));
+                let elems = if key_side { &self.k } else { &self.v };
+                let row = &elems[slab][span][at..at + self.head_dim];
+                let words = &mut self.fingerprints[fp_slab][fp_span][panel];
+                let (rows, lanes) = words.split_at_mut(self.block_rows);
+                rows[r] = fold_words(lanes, row);
             }
+            let lane = self.lane(index, r, h);
+            self.sumrows[lane] = self.value_sum(index, r, h);
+            let (word, bits) = (self.lanes_word(h), self.sumrows[lane].to_bits());
+            let sum = &mut self.fingerprints_mut(index)[word];
+            *sum = sum.wrapping_add(bits);
         }
     }
 
-    /// Rebuilds block `index`'s reference checksum and checksum lanes
-    /// over its first `rows` rows from the stored elements — after the
-    /// stored rows changed format (demotion).
-    pub(super) fn rebuild(&mut self, index: usize, rows: usize) -> BlockCheck {
-        let mut check = BlockCheck::zeroed(self.heads);
-        self.fold_rows(index, 0..rows, &mut check);
-        check
-    }
-
-    /// Recomputes block `index`'s [`BlockCheck`] over its first `rows`
-    /// rows from the stored elements, without touching the lanes — on a
-    /// clean block it equals the stored reference **bitwise**.
-    pub(super) fn block_check(&self, index: usize, rows: usize) -> BlockCheck {
-        let mut check = BlockCheck::zeroed(self.heads);
-        for h in 0..self.heads {
-            for r in 0..rows {
-                let (ks, vs) = self.stored_lane_sums(index, r, h);
-                check.ksum[h] += ks;
-                check.vsum[h] += vs;
-            }
+    /// Rebuilds block `index`'s fingerprints and checksum lanes over its
+    /// first `rows` rows from the stored elements — after the stored
+    /// rows changed format (demotion).
+    pub(super) fn rebuild(&mut self, index: usize, rows: usize) {
+        self.fingerprints_mut(index).fill(0);
+        for r in 0..rows {
+            self.fold_row(index, r);
         }
-        check
     }
 
-    /// Lane-order f64 sums of the **stored** key and value lanes of row
-    /// `r`, head `head` of block `index` — the increment both the
-    /// incremental reference-checksum update and the audit recompute
-    /// fold. The value sum is also the row's Eq. 4 `sumrow` lane:
-    /// computed from what the block actually holds, so BF16-stored rows
-    /// contribute their rounded values.
-    #[inline]
-    pub(super) fn stored_lane_sums(&self, index: usize, r: usize, head: usize) -> (f64, f64) {
-        let at = self.slot(r, head);
-        let span = at..at + self.head_dim;
+    /// Checks head `head` of block `index` over its first `rows` rows:
+    /// its key and value panels against their fingerprints (`None` where
+    /// every word matches a recompute from the stored bits), in that
+    /// order, reading the key and value rows side by side. With
+    /// `bad_sumrows`, the head's stored checksum lanes are checked too:
+    /// when their bits disagree with the head's lane word, each row whose
+    /// lane differs from its recompute from V is pushed.
+    pub(super) fn diagnose(
+        &self,
+        index: usize,
+        head: usize,
+        rows: usize,
+        bad_sumrows: Option<&mut Vec<usize>>,
+    ) -> [Option<Damage>; 2] {
+        let d = self.head_dim;
+        let at = self.slot(0, head);
         let (k, v) = self.block(index);
-        (
-            k[span.clone()].iter().map(|x| x.to_f64()).sum(),
-            v[span].iter().map(|x| x.to_f64()).sum(),
-        )
+        let panels = [&k[at..at + rows * d], &v[at..at + rows * d]];
+        let words = self.fingerprints(index);
+        let fps = [true, false]
+            .map(|key_side| words[self.panel(head, key_side)].split_at(self.block_rows));
+        let mut lanes = vec![0; 2 * d];
+        let (key_lanes, value_lanes) = lanes.split_at_mut(d);
+        let mut scans = [Scan::new(key_lanes), Scan::new(value_lanes)];
+        for r in 0..rows {
+            for ((scan, panel), (row_fp, _)) in scans.iter_mut().zip(panels).zip(fps) {
+                scan.row(r, &panel[r * d..(r + 1) * d], row_fp[r]);
+            }
+        }
+        if let Some(bad) = bad_sumrows {
+            if !self.lanes_word_matches(index, head, rows) {
+                bad.extend((0..rows).filter(|&r| {
+                    let (stored, fresh) = self.sumrow(index, r, head);
+                    stored.to_bits() != fresh.to_bits()
+                }));
+            }
+        }
+        [0, 1].map(|side| scans[side].finish(panels[side], fps[side].1))
+    }
+
+    /// Whether head `head`'s lane word in block `index` equals the sum of
+    /// its first `rows` stored checksum lanes' bits.
+    pub(super) fn lanes_word_matches(&self, index: usize, head: usize, rows: usize) -> bool {
+        let lane = self.lane(index, 0, head);
+        lanes_word(&self.sumrows[lane..lane + rows])
+            == self.fingerprints(index)[self.lanes_word(head)]
+    }
+
+    /// Undoes a one-word [`Damage::Word`] in block `index`'s (`head`,
+    /// side) panel in place, then — on the value side — recomputes the
+    /// head's checksum lanes over the first `rows` rows from the mended
+    /// storage, and their lane word.
+    pub(super) fn mend(
+        &mut self,
+        index: usize,
+        head: usize,
+        key_side: bool,
+        (row, lane, delta): (usize, usize, u64),
+        rows: usize,
+    ) {
+        let x = self.element_mut(key_side, index, row, head, lane);
+        *x = E::from_raw_bits(x.raw_bits().wrapping_sub(delta));
+        if !key_side {
+            for r in 0..rows {
+                let at = self.lane(index, r, head);
+                self.sumrows[at] = self.value_sum(index, r, head);
+            }
+            let lane = self.lane(index, 0, head);
+            let word = lanes_word(&self.sumrows[lane..lane + rows]);
+            let at = self.lanes_word(head);
+            self.fingerprints_mut(index)[at] = word;
+        }
+    }
+
+    /// Lane-order f64 sum of the **stored** value lanes of row `r`, head
+    /// `head` of block `index` — the row's Eq. 4 `sumrow` lane: computed
+    /// from what the block actually holds, so BF16-stored rows contribute
+    /// their rounded values.
+    #[inline]
+    fn value_sum(&self, index: usize, r: usize, head: usize) -> f64 {
+        let at = self.slot(r, head);
+        self.block(index).1[at..at + self.head_dim]
+            .iter()
+            .map(|x| x.to_f64())
+            .sum()
     }
 
     /// The stored checksum lane of row `r`, head `head` of block `index`,
     /// and its recompute from the stored value row.
     pub(super) fn sumrow(&self, index: usize, r: usize, head: usize) -> (f64, f64) {
         let stored = self.sumrows[self.lane(index, r, head)];
-        (stored, self.stored_lane_sums(index, r, head).1)
+        (stored, self.value_sum(index, r, head))
     }
 
     /// The stored checksum lane of row `r`, head `head` of block `index`,
@@ -409,6 +556,85 @@ fn copy_span<E: Copy>(
         let (head, tail) = slabs.split_at_mut(fs);
         head[ts][tr].copy_from_slice(&tail[0][fr]);
     }
+}
+
+/// Wrapping sum of checksum lanes' raw bits: a head's lane word.
+fn lanes_word(lanes: &[f64]) -> u64 {
+    lanes
+        .iter()
+        .fold(0u64, |acc, x| acc.wrapping_add(x.to_bits()))
+}
+
+/// One panel's fingerprint recompute in progress: its lane words so far
+/// and the rows whose row word disagreed.
+struct Scan<'a> {
+    lanes: &'a mut [u64],
+    bad_rows: usize,
+    /// The last disagreeing row and its delta `stored − fingerprinted`.
+    row_hit: (usize, u64),
+}
+
+impl<'a> Scan<'a> {
+    /// A scan accumulating into `lanes` (zeroed, `head_dim` words).
+    fn new(lanes: &'a mut [u64]) -> Scan<'a> {
+        Scan {
+            lanes,
+            bad_rows: 0,
+            row_hit: (0, 0),
+        }
+    }
+
+    /// Folds stored row `r` in, comparing its row word with `fingerprint`.
+    #[inline]
+    fn row<E: Scalar>(&mut self, r: usize, row: &[E], fingerprint: u64) {
+        let delta = fold_words(self.lanes, row).wrapping_sub(fingerprint);
+        if delta != 0 {
+            self.bad_rows += 1;
+            self.row_hit = (r, delta);
+        }
+    }
+
+    /// Compares the lane words with the panel's `lane_fp` and names the
+    /// damage, if any: one word when exactly one row and one lane
+    /// disagree by the same delta and undoing it yields a bit pattern of
+    /// the element's width.
+    fn finish<E: Scalar>(&self, panel: &[E], lane_fp: &[u64]) -> Option<Damage> {
+        let (mut bad_lanes, mut lane_hit) = (0, (0, 0));
+        for (c, (&x, &stored)) in self.lanes.iter().zip(lane_fp).enumerate() {
+            let delta = x.wrapping_sub(stored);
+            if delta != 0 {
+                bad_lanes += 1;
+                lane_hit = (c, delta);
+            }
+        }
+        if self.bad_rows == 0 && bad_lanes == 0 {
+            return None;
+        }
+        let ((row, delta), (lane, lane_delta)) = (self.row_hit, lane_hit);
+        let d = self.lanes.len();
+        let fixed = panel[row * d + lane].raw_bits().wrapping_sub(delta);
+        let fits = E::BIT_WIDTH == 64 || fixed >> E::BIT_WIDTH == 0;
+        Some(
+            if self.bad_rows == 1 && bad_lanes == 1 && delta == lane_delta && fits {
+                Damage::Word { row, lane, delta }
+            } else {
+                Damage::Beyond
+            },
+        )
+    }
+}
+
+/// Adds a row's raw element bits into the lane words and returns their
+/// sum, the row word — wrapping, as fingerprints are kept.
+#[inline]
+fn fold_words<E: Scalar>(lanes: &mut [u64], row: &[E]) -> u64 {
+    let mut word = 0u64;
+    for (acc, x) in lanes.iter_mut().zip(row) {
+        let bits = x.raw_bits();
+        *acc = acc.wrapping_add(bits);
+        word = word.wrapping_add(bits);
+    }
+    word
 }
 
 /// Stores each `src` element into `dst` through `E::from_f64` (rounding

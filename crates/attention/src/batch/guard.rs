@@ -1,6 +1,6 @@
-//! Live fault injection, block-granular localization, and recovery for
-//! the serving engine — the paper's detect-and-recover story promoted
-//! from one-shot kernels to the continuous-batching stack.
+//! Live fault injection, word-exact localization, and in-place repair
+//! for the serving engine — the paper's detect-and-recover story
+//! promoted from one-shot kernels to the continuous-batching stack.
 //!
 //! The online checksum lane gives [`DecodeBatch`] a *sequence-level*
 //! verdict ([`DecodeBatch::global_residual`]): a corrupted step pushes
@@ -13,24 +13,27 @@
 //!   a *live* engine's K/V block storage (native f64 or demoted BF16
 //!   rows), its blocks' `sumrow(V)` checksum lanes, and its running
 //!   verdict accumulator — each a distinct detection story (see below).
-//! * **Localization** — [`audit`](DecodeBatch::audit) walks the
-//!   per-(sequence, kv head, block) [`BlockCheck`]
-//!   reference structure, comparing stored references against a fresh
-//!   recompute **bitwise** (the folds share one summation order, so a
-//!   clean block matches exactly), and pins each fault as a
-//!   [`LocalizedFault`] instead of just failing the sequence verdict.
-//! * **Recovery** — with the opt-in
-//!   [`enable_recovery_log`](DecodeBatch::enable_recovery_log), the
-//!   engine retains each sequence's original rows;
-//!   [`recover_block`](DecodeBatch::recover_block) rewrites **only the
-//!   poisoned block** from the log, in place in the block's arena (the
-//!   native or the BF16 one; see `batch/arena.rs`) through the append
-//!   path's row scatter, so restored bits equal the never-corrupted bits
-//!   exactly — rebuilds its reference checksum and `sumrow` lanes, and
+//!   Injection never touches a block's fingerprints.
+//! * **Localization** — every cache block carries integer fingerprints
+//!   of its stored bits (see `batch/arena.rs`): per (kv head, side), a
+//!   wrapping `u64` sum of each row's and each lane's raw element bits —
+//!   Huang & Abraham's row/column checksums over the integers mod 2⁶⁴,
+//!   so a clean block matches a recompute exactly, whatever the flipped
+//!   bit. [`audit`](DecodeBatch::audit) compares them and pins each
+//!   fault as a [`LocalizedFault`]; a single corrupted word shows the
+//!   same delta in exactly one row word and one lane word, which names
+//!   the word itself.
+//! * **Repair** — [`repair`](DecodeBatch::repair) subtracts that delta
+//!   from the word **in place** (in whichever arena holds the block),
+//!   so the mended bits equal the never-corrupted bits exactly, then
+//!   recomputes the panel's `sumrow` lanes, and
 //!   [`clear_verdict`](DecodeBatch::clear_verdict) opens a fresh verdict
 //!   epoch — decode resumes **bit-identical** to an uninjected run
 //!   (property-tested across formats, eviction policies, and GQA group
-//!   sizes).
+//!   sizes). Damage beyond one word per panel is reported
+//!   [`blocks_unrecoverable`](RepairReport::blocks_unrecoverable): the
+//!   caller [`quarantine`](DecodeBatch::quarantine)s the sequence and
+//!   [`resubmit`](DecodeBatch::resubmit)s its history.
 //!
 //! # Detection stories by site
 //!
@@ -41,14 +44,13 @@
 //! | `sumrow` lane | alarms (prediction corrupted, outputs clean — the checker-site false-positive story); a lane of a shared prefix block is one cell, so every reader alarms | [`LocalizedFault::CorruptSumrow`] |
 //! | totals | session verdict alarms, outputs untouched | [`LocalizedFault::CorruptTotals`] |
 //!
-//! One honest caveat the live campaign measures: under
-//! [`KvFormat::Mixed`](super::KvFormat::Mixed), demotion *launders*
-//! storage corruption — the demote path recomputes the block's reference
-//! and `sumrow` lanes from the (corrupted) stored rows, after which both
-//! agree with the poison. Corruption must be audited before the
-//! block ages out of the burst.
+//! Under [`KvFormat::Mixed`](super::KvFormat::Mixed), demotion checks a
+//! native block against its fingerprints before narrowing it to BF16:
+//! one-word damage is mended first, so it never rounds into the BF16
+//! copy, and the finding stays on the sequence — the next audit or scrub
+//! of the block still reports it, and the next repair settles it.
 
-use super::{BlockCheck, DecodeBatch};
+use super::{Damage, DecodeBatch};
 use fa_numerics::BF16;
 use fa_tensor::Scalar;
 
@@ -79,44 +81,49 @@ impl WindowVerdict {
 }
 
 impl<T: Scalar> DecodeBatch<T> {
-    /// Post-rollback integrity sweep: recomputes every retained block's
-    /// reference checksum from its stored rows and every retained
-    /// position's `sumrow(V)` lanes from its stored value row, and
-    /// compares both against the stored ones **bitwise**.
-    /// After [`resolve_speculation`](Self::resolve_speculation) rewinds
-    /// rejected speculative appends this must hold for every windowed
-    /// sequence — the check-rewind half of the rollback contract (the
-    /// other half, bit-identical replay of the accepted prefix, is
-    /// property-tested against a non-speculative twin).
+    /// Integrity sweep: every retained block's fingerprints match a
+    /// recompute from its stored bits, and every retained position's
+    /// `sumrow(V)` lanes match a recompute from its stored value row,
+    /// bitwise. After [`resolve_speculation`](Self::resolve_speculation)
+    /// rewinds rejected speculative appends this must hold for every
+    /// windowed sequence — the check-rewind half of the rollback
+    /// contract (the other half, bit-identical replay of the accepted
+    /// prefix, is property-tested against a non-speculative twin).
     ///
     /// # Panics
     ///
     /// Panics if `seq` is out of range or retired.
     pub fn rewind_checks_clean(&self, seq: usize) -> bool {
-        let kv = self.cfg.kv_heads;
-        let br = self.cache.block_rows();
-        let start = self.cache.first_retained(seq);
-        let len = self.cache.seq_len(seq);
-        let state = &self.cache.seqs[seq];
-        for (bi, &blk) in state.blocks.iter().enumerate() {
-            let first = start + bi * br;
-            let rows = (len - first).min(br);
-            let fresh = self.cache.recompute_block_check(blk, rows);
-            let stored = &state.checks[bi];
-            for g in 0..kv {
-                if fresh.ksum[g].to_bits() != stored.ksum[g].to_bits()
-                    || fresh.vsum[g].to_bits() != stored.vsum[g].to_bits()
-                {
-                    return false;
-                }
-            }
-        }
-        (start..len).all(|p| {
-            (0..kv).all(|g| {
-                let (stored, fresh) = self.cache.sumrow(seq, p, g);
-                stored.to_bits() == fresh.to_bits()
-            })
+        let cache = &self.cache;
+        (0..cache.live(seq).blocks.len()).all(|bi| {
+            let (first, rows) = cache.block_span(seq, bi);
+            let blk = cache.seqs[seq].blocks[bi];
+            cache.inspect(blk, rows).is_empty()
+                && cache.lanes_words_match(blk, rows)
+                && (first..first + rows).all(|p| {
+                    (0..cache.heads).all(|g| {
+                        let (stored, fresh) = cache.sumrow(seq, p, g);
+                        stored.to_bits() == fresh.to_bits()
+                    })
+                })
         })
+    }
+
+    /// [`rewind_checks_clean`](Self::rewind_checks_clean) over every live
+    /// sequence, plus the fingerprints of every registered prefix's
+    /// blocks — the cache-wide invariant that every retained block's
+    /// stored fingerprints equal a recompute from its stored bits.
+    pub fn fingerprints_clean(&self) -> bool {
+        let cache = &self.cache;
+        (0..cache.num_sequences())
+            .filter(|&s| !cache.is_retired(s))
+            .all(|s| self.rewind_checks_clean(s))
+            && self.prefixes.iter().flatten().all(|p| {
+                p.blocks.iter().enumerate().all(|(bi, &blk)| {
+                    let rows = (p.rows - (p.start + bi * cache.block_rows)).min(cache.block_rows);
+                    cache.inspect(blk, rows).is_empty() && cache.lanes_words_match(blk, rows)
+                })
+            })
     }
 }
 
@@ -155,22 +162,26 @@ impl InjectionSite {
 /// poisoned, and exactly where.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LocalizedFault {
-    /// One (block, kv head)'s stored rows disagree with the block's
-    /// reference checksum — storage corruption, recoverable by
-    /// [`DecodeBatch::recover_block`].
+    /// One (block, kv head, side) panel's stored rows disagree with its
+    /// fingerprints — storage corruption, mended in place by
+    /// [`DecodeBatch::repair`] when it is one word.
     CorruptBlock {
         /// Index into [`KvCache::seq_blocks`](super::KvCache::seq_blocks)
         /// (retained blocks, position order).
         block: usize,
-        /// The kv head whose reference mismatched.
+        /// The kv head whose fingerprints mismatched.
         kv_head: usize,
         /// Logical position of the block's first row.
         first: usize,
         /// Valid rows in the block.
         rows: usize,
-        /// `true` when the key-side reference mismatched, `false` for
-        /// the value side.
+        /// `true` when the key-side fingerprints mismatched, `false`
+        /// for the value side.
         key_side: bool,
+        /// The corrupted word as (row within the block, lane) when the
+        /// damage is exactly one word — the repairable case — else
+        /// `None`.
+        word: Option<(usize, usize)>,
     },
     /// A stored `sumrow` lane disagrees with the (clean) stored value
     /// row — checker-input corruption, recoverable by
@@ -183,7 +194,7 @@ pub enum LocalizedFault {
     },
     /// Block and `sumrow` structure are clean but the session verdict is
     /// out of tolerance — accumulator corruption (or the trace of steps
-    /// decoded against since-laundered poison), cleared by
+    /// decoded against since-repaired poison), cleared by
     /// [`DecodeBatch::clear_verdict`].
     CorruptTotals {
         /// The out-of-tolerance `global_residual`.
@@ -194,48 +205,37 @@ pub enum LocalizedFault {
 /// A corrupt site pinned by the audit — [`DecodeBatch::audit`] and
 /// [`DecodeBatch::scrub_step`](DecodeBatch::scrub_step) return **every**
 /// site they can localize (a multi-fault burst yields one entry per
-/// poisoned (block, kv head, side) / `sumrow` cell), and
-/// [`DecodeBatch::repair`] fixes them all in one pass.
+/// poisoned (block, kv head, side) panel / `sumrow` cell), and
+/// [`DecodeBatch::repair`] fixes everything repairable in one pass.
 pub type CorruptSite = LocalizedFault;
 
 /// What one [`DecodeBatch::repair`] call did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RepairReport {
-    /// Distinct blocks rewritten from the recovery log.
+    /// Distinct corrupt blocks mended in place from their fingerprints.
     pub blocks_recovered: usize,
-    /// Rows rewritten across those blocks (the block-granular recovery
-    /// cost — compare against recomputing the whole sequence).
+    /// Rows rewritten across those blocks: one per mended word (the
+    /// repair cost — compare against recomputing the whole sequence).
     pub rows_rewritten: usize,
     /// `sumrow` lanes recomputed from clean storage.
     pub sumrows_repaired: usize,
-    /// Distinct corrupt blocks the log could **not** restore (its rows
-    /// were truncated past them, or the log is disabled) — the signal
-    /// that the sequence needs [`DecodeBatch::quarantine`] instead.
+    /// Distinct corrupt blocks the fingerprints could **not** mend (a
+    /// panel with more than one corrupted word, or a corrupted
+    /// fingerprint) — the signal that the sequence needs
+    /// [`DecodeBatch::quarantine`] and a resubmitted history instead.
     pub blocks_unrecoverable: usize,
 }
 
-/// Bit-level injection and block-granular audit/recovery are defined on
+/// Bit-level injection and fingerprint audit/repair are defined on
 /// the f64 serving engine (bit flips are format-specific; the f64 engine
 /// is the one the serving stack and benches run, with BF16 storage
 /// reached through the cache's format policy).
 impl DecodeBatch<f64> {
-    /// Starts retaining every appended row (prompt and decode) for
-    /// block-granular recovery. Must be called before any sequence
-    /// caches rows, so the log covers position 0 upward.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a live sequence already holds cached rows.
-    pub fn enable_recovery_log(&mut self) {
-        assert!(
-            self.cache
-                .seqs
-                .iter()
-                .all(|s| s.retired || (s.len == 0 && s.blocks.is_empty())),
-            "enable the recovery log before caching any rows"
-        );
-        self.recovery_log = true;
-    }
+    /// Does nothing: repair mends damage from the blocks' integer
+    /// fingerprints, so there is no recovery log to enable. Kept only
+    /// because servebench's frozen replay calls it; it goes with
+    /// `cache.recovery_log_mb_peak`.
+    pub fn enable_recovery_log(&mut self) {}
 
     /// Whether position `pos` of sequence `seq` is stored in a BF16
     /// block (16 flippable bits per lane) rather than a native one (64)
@@ -252,7 +252,8 @@ impl DecodeBatch<f64> {
     /// Flips one bit of the stored K (`key_side`) or V lane
     /// `(seq, pos, kv_head, lane)` — in the native arena as an f64 bit
     /// (`bit % 64`), in the BF16 arena as a raw BF16 bit (`bit % 16`).
-    /// Returns whether the hit block was BF16.
+    /// The block's fingerprints are left as they were. Returns whether
+    /// the hit block was BF16.
     ///
     /// # Panics
     ///
@@ -318,17 +319,11 @@ impl DecodeBatch<f64> {
     /// Walks sequence `seq`'s checksum structure and pins every fault it
     /// can localize:
     ///
-    /// 1. per retained (block, kv head): the stored
-    ///    [`BlockCheck`] reference vs a fresh
-    ///    recompute, compared **bitwise** (one shared fold order makes a
-    ///    clean block an exact match) — mismatches become
-    ///    [`LocalizedFault::CorruptBlock`];
-    /// 2. per retained (position, kv head): the stored `sumrow` lane vs
-    ///    its recompute from the stored value row, bitwise — skipping
-    ///    positions inside value-corrupted blocks (there the *storage*
-    ///    is the liar and the stored `sumrow` the witness) — mismatches
-    ///    become [`LocalizedFault::CorruptSumrow`];
-    /// 3. only when the structure is clean: a NaN-safe tolerance check
+    /// 1. per retained block, [`block_sites`](Self::block_sites): each
+    ///    (kv head, side) panel's fingerprints against a recompute from
+    ///    the stored bits, then the `sumrow` lanes of panels whose value
+    ///    side is clean;
+    /// 2. only when the structure is clean: a NaN-safe tolerance check
     ///    of [`global_residual`](DecodeBatch::global_residual)
     ///    (`!(|residual| ≤ tol)`, so a NaN-poisoned verdict alarms)
     ///    becomes [`LocalizedFault::CorruptTotals`].
@@ -339,48 +334,9 @@ impl DecodeBatch<f64> {
     ///
     /// Panics if `seq` is out of range or retired.
     pub fn audit(&self, seq: usize, tol: f64) -> Vec<LocalizedFault> {
-        let kv = self.cfg.kv_heads;
-        let cache = &self.cache;
-        let state = cache.live(seq);
-        let mut faults = Vec::new();
-        let mut value_bad = vec![false; state.blocks.len()];
-        for (bi, (&blk, check)) in state.blocks.iter().zip(&state.checks).enumerate() {
-            let first = state.start + bi * cache.block_rows;
-            let rows = (state.len - first).min(cache.block_rows);
-            let recomputed = cache.recompute_block_check(blk, rows);
-            for g in 0..kv {
-                if recomputed.ksum[g].to_bits() != check.ksum[g].to_bits() {
-                    faults.push(LocalizedFault::CorruptBlock {
-                        block: bi,
-                        kv_head: g,
-                        first,
-                        rows,
-                        key_side: true,
-                    });
-                }
-                if recomputed.vsum[g].to_bits() != check.vsum[g].to_bits() {
-                    value_bad[bi] = true;
-                    faults.push(LocalizedFault::CorruptBlock {
-                        block: bi,
-                        kv_head: g,
-                        first,
-                        rows,
-                        key_side: false,
-                    });
-                }
-            }
-        }
-        for p in state.start..state.len {
-            if value_bad[(p - state.start) / cache.block_rows] {
-                continue;
-            }
-            for g in 0..kv {
-                let (stored, fresh) = cache.sumrow(seq, p, g);
-                if stored.to_bits() != fresh.to_bits() {
-                    faults.push(LocalizedFault::CorruptSumrow { pos: p, kv_head: g });
-                }
-            }
-        }
+        let blocks = self.cache.live(seq).blocks.len();
+        let mut faults: Vec<LocalizedFault> =
+            (0..blocks).flat_map(|b| self.block_sites(seq, b)).collect();
         if faults.is_empty() {
             let residual = self.global_residual(seq);
             // NaN-safe alarm form: a poisoned residual must not pass.
@@ -390,6 +346,76 @@ impl DecodeBatch<f64> {
             }
         }
         faults
+    }
+
+    /// Audits one retained block of one sequence — the unit of audit and
+    /// scrub work:
+    ///
+    /// * per (kv head, side) panel, the stored fingerprints against a
+    ///   recompute from the stored bits, compared as integers — each
+    ///   mismatch, and each finding a demotion left on the block, is a
+    ///   [`LocalizedFault::CorruptBlock`] (with the word when it is one);
+    /// * per kv head whose value panel is clean, the stored `sumrow`
+    ///   lanes against the head's lane word; when that disagrees, each
+    ///   lane against its recompute from the stored value row, bitwise —
+    ///   a mismatch is a [`LocalizedFault::CorruptSumrow`]. (In a
+    ///   value-corrupt panel the storage is the liar and the stored lane
+    ///   the witness, so its lanes are not judged.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` is out of range or retired, or `block` is out of
+    /// range.
+    pub fn block_sites(&self, seq: usize, block: usize) -> Vec<CorruptSite> {
+        let cache = &self.cache;
+        let (first, rows) = cache.block_span(seq, block);
+        let state = &cache.seqs[seq];
+        let site = |kv_head, key_side, word| LocalizedFault::CorruptBlock {
+            block,
+            kv_head,
+            first,
+            rows,
+            key_side,
+            word,
+        };
+        let mut bad_sumrows = Vec::new();
+        let mut sites: Vec<CorruptSite> = cache
+            .check_block(state.blocks[block], rows, Some(&mut bad_sumrows))
+            .into_iter()
+            .map(|(g, key_side, damage)| {
+                let word = match damage {
+                    Damage::Word { row, lane, .. } => Some((row, lane)),
+                    Damage::Beyond => None,
+                };
+                site(g, key_side, word)
+            })
+            .collect();
+        for f in state.findings.iter().filter(|f| f.first == first) {
+            let seen = sites.iter().any(|s| {
+                matches!(*s, LocalizedFault::CorruptBlock { kv_head, key_side, .. }
+                    if kv_head == f.kv_head && key_side == f.key_side)
+            });
+            if !seen {
+                sites.push(site(f.kv_head, f.key_side, f.word));
+            }
+        }
+        let value_bad = |g| {
+            sites.iter().any(|s| {
+                matches!(*s, LocalizedFault::CorruptBlock { kv_head, key_side: false, .. }
+                    if kv_head == g)
+            })
+        };
+        bad_sumrows.retain(|&(_, g)| !value_bad(g));
+        bad_sumrows.sort_unstable();
+        sites.extend(
+            bad_sumrows
+                .into_iter()
+                .map(|(r, g)| LocalizedFault::CorruptSumrow {
+                    pos: first + r,
+                    kv_head: g,
+                }),
+        );
+        sites
     }
 
     /// [`audit`](Self::audit) over every live sequence — the periodic
@@ -404,74 +430,6 @@ impl DecodeBatch<f64> {
                 (!faults.is_empty()).then_some((s, faults))
             })
             .collect()
-    }
-
-    /// Rewrites retained block `block` of sequence `seq` from the
-    /// recovery log — **only this block** — through the same row scatter
-    /// appends use, into the arena that stores the block (native rows are
-    /// copied back exactly; BF16 rows re-round through
-    /// [`round_bf16`](super::round_bf16), reproducing the never-corrupted
-    /// stored bits exactly), refolding the block's reference checksum and
-    /// `sumrow` lanes from the restored storage row by row. Returns the
-    /// number of rows rewritten (the recovery cost).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the recovery log is not enabled, `seq` is out of range
-    /// or retired, or `block` is out of range.
-    pub fn recover_block(&mut self, seq: usize, block: usize) -> usize {
-        assert!(
-            self.recovery_log,
-            "block recovery requires the recovery log (enable_recovery_log)"
-        );
-        let cache = &mut self.cache;
-        let state = &cache.seqs[seq];
-        assert!(!state.retired, "sequence {seq} is retired");
-        assert!(
-            block < state.blocks.len(),
-            "block {block} out of {} retained",
-            state.blocks.len()
-        );
-        let first = state.start + block * cache.block_rows;
-        let rows = (state.len - first).min(cache.block_rows);
-        let width = cache.width;
-        let log = &self.seqs[seq];
-        assert!(
-            log.log_start <= first,
-            "block {block}'s log rows were truncated (log starts at {}, block at {first}); \
-             quarantine the sequence instead",
-            log.log_start
-        );
-        cache.seqs[seq].checks[block] = BlockCheck::zeroed(cache.heads);
-        for r in 0..rows {
-            let at = (first + r - log.log_start) * width;
-            let (k, v) = (&log.log_k[at..at + width], &log.log_v[at..at + width]);
-            cache.write_row(seq, block, r, k, v);
-        }
-        rows
-    }
-
-    /// Whether retained block `block` of sequence `seq` can be restored
-    /// from the recovery log: the log is enabled and its retained rows
-    /// still cover the block's positions (budget truncation drops leading
-    /// rows only after a scrub verdict or eviction, so a freshly-corrupt
-    /// block normally stays covered — but a flip discovered in a
-    /// *previously verified, since-truncated* block is unrecoverable and
-    /// needs [`DecodeBatch::quarantine`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is out of range or retired, or `block` is out of
-    /// range.
-    pub fn block_recoverable(&self, seq: usize, block: usize) -> bool {
-        let state = self.cache.live(seq);
-        assert!(
-            block < state.blocks.len(),
-            "block {block} out of {} retained",
-            state.blocks.len()
-        );
-        let first = state.start + block * self.cache.block_rows;
-        self.recovery_log && self.seqs[seq].log_start <= first
     }
 
     /// Recomputes one `sumrow` checksum lane from the (clean) stored
@@ -502,20 +460,21 @@ impl DecodeBatch<f64> {
         self.seqs[seq].totals = (0.0, 0.0);
     }
 
-    /// Applies the matching repair to every audited fault — block
-    /// recovery for [`LocalizedFault::CorruptBlock`] (each distinct
-    /// block once), `sumrow` recomputation for
-    /// [`LocalizedFault::CorruptSumrow`] — then opens a fresh verdict
-    /// epoch via [`clear_verdict`](Self::clear_verdict). After a repair,
-    /// [`audit`](Self::audit) is clean and subsequent decode is
+    /// Applies the matching repair to every audited fault — for each
+    /// distinct block named by a [`LocalizedFault::CorruptBlock`], every
+    /// one-word panel is mended in place from its fingerprints (and its
+    /// `sumrow` lanes recomputed); for [`LocalizedFault::CorruptSumrow`]
+    /// the lane is recomputed — then opens a fresh verdict epoch via
+    /// [`clear_verdict`](Self::clear_verdict). After a repair of mendable
+    /// damage, [`audit`](Self::audit) is clean and subsequent decode is
     /// bit-identical to a never-injected engine (property-tested).
     ///
-    /// Corrupt blocks the log no longer covers (disabled, or truncated
-    /// past them by the row budget) are *not* repairable in place: they
-    /// are skipped and counted in
+    /// A block with a panel damaged beyond one word is counted in
     /// [`blocks_unrecoverable`](RepairReport::blocks_unrecoverable),
     /// signalling the caller to [`quarantine`](Self::quarantine) the
-    /// sequence instead.
+    /// sequence and [`resubmit`](Self::resubmit) its history. Findings a
+    /// demotion left on a block settle here too: mended ones count as
+    /// recovered, the rest as unrecoverable.
     ///
     /// Repairs write into the *physical* block and its lanes, so a block
     /// shared through the prefix registry repairs **exactly once for all
@@ -530,18 +489,25 @@ impl DecodeBatch<f64> {
     /// Panics if `seq` is out of range or retired.
     pub fn repair(&mut self, seq: usize, faults: &[LocalizedFault]) -> RepairReport {
         let mut report = RepairReport::default();
-        let mut recovered: Vec<usize> = Vec::new();
+        let mut repaired: Vec<usize> = Vec::new();
         for fault in faults {
             match *fault {
                 LocalizedFault::CorruptBlock { block, .. } => {
-                    if !recovered.contains(&block) {
-                        recovered.push(block);
-                        if self.block_recoverable(seq, block) {
-                            report.rows_rewritten += self.recover_block(seq, block);
-                            report.blocks_recovered += 1;
-                        } else {
-                            report.blocks_unrecoverable += 1;
-                        }
+                    if repaired.contains(&block) {
+                        continue;
+                    }
+                    repaired.push(block);
+                    let (first, rows) = self.cache.block_span(seq, block);
+                    let blk = self.cache.seqs[seq].blocks[block];
+                    let mut found = self.cache.mend_block(blk, first, rows);
+                    let earlier = &mut self.cache.seqs[seq].findings;
+                    found.extend(earlier.iter().filter(|f| f.first == first));
+                    earlier.retain(|f| f.first != first);
+                    if found.iter().any(|f| f.word.is_none()) {
+                        report.blocks_unrecoverable += 1;
+                    } else if !found.is_empty() {
+                        report.blocks_recovered += 1;
+                        report.rows_rewritten += found.len();
                     }
                 }
                 LocalizedFault::CorruptSumrow { pos, kv_head } => {
@@ -592,9 +558,9 @@ mod tests {
         HeadTopology::mha(heads, AttentionConfig::new(d))
     }
 
-    /// A pair of identical engines (subject with recovery log, golden
-    /// without), fed the same prompts and decoded `steps` tokens in
-    /// lockstep (bit-identity asserted along the way).
+    /// A pair of identical engines (subject to inject into, golden twin),
+    /// fed the same prompts and decoded `steps` tokens in lockstep
+    /// (bit-identity asserted along the way).
     fn lockstep_pair(
         format: KvFormat,
         eviction: EvictionPolicy,
@@ -604,7 +570,6 @@ mod tests {
     ) -> (DecodeBatch<f64>, DecodeBatch<f64>, Vec<usize>) {
         let mk = || DecodeBatch::<f64>::with_policy(topo, 4, KvLayout::HeadMajor, format, eviction);
         let mut subject = mk();
-        subject.enable_recovery_log();
         let mut golden = mk();
         let batch = 2;
         let ids: Vec<usize> = (0..batch).map(|_| subject.add_sequence()).collect();
@@ -855,48 +820,239 @@ mod tests {
         }
     }
 
+    /// Every stored K/V row and `sumrow` lane of `seq` in `a` equals
+    /// `b`'s bitwise.
+    fn assert_storage_eq(a: &DecodeBatch<f64>, b: &DecodeBatch<f64>, seq: usize, what: &str) {
+        let bits = |row: Vec<f64>| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for p in a.cache().first_retained(seq)..a.seq_len(seq) {
+            let (ca, cb) = (a.cache(), b.cache());
+            assert_eq!(
+                bits(ca.key_row(seq, p)),
+                bits(cb.key_row(seq, p)),
+                "{what}: K {p}"
+            );
+            assert_eq!(
+                bits(ca.value_row(seq, p)),
+                bits(cb.value_row(seq, p)),
+                "{what}: V {p}"
+            );
+            for g in 0..a.config().kv_heads {
+                let (x, y) = (ca.sumrow(seq, p, g).0, cb.sumrow(seq, p, g).0);
+                assert_eq!(x.to_bits(), y.to_bits(), "{what}: sumrow {p} head {g}");
+            }
+        }
+    }
+
+    /// One word flipped in a native block one step before the block
+    /// leaves the Mixed burst: demotion mends it before narrowing, so
+    /// the BF16 copy holds the never-corrupted rounding, and the finding
+    /// survives for the audit to report and the repair to settle —
+    /// decode stays bit-identical to the golden twin throughout.
     #[test]
-    fn mixed_demotion_launders_corruption_honestly() {
-        // Under Mixed, a block demoted *after* injection recomputes its
-        // reference and sumrows from the corrupted storage: the audit
-        // goes structurally blind. This is the detection race the live
-        // campaign measures — pin it so the story stays honest.
-        let topo = mha(1, 4);
-        let mut subject = DecodeBatch::<f64>::with_policy(
-            topo,
-            4,
-            KvLayout::HeadMajor,
+    fn demotion_mends_and_reports_a_word_flipped_before_it() {
+        for key_side in [true, false] {
+            for bit in [0u32, 30, 62] {
+                let what = format!("key_side {key_side} bit {bit}");
+                let (mut subject, mut golden, ids) = lockstep_pair(
+                    KvFormat::Mixed { burst_blocks: 1 },
+                    EvictionPolicy::RetainAll,
+                    mha(2, 4),
+                    6,
+                    2,
+                );
+                let seq = ids[0];
+                // Length 8: the next append claims block 2 and demotes
+                // block 0, still native now.
+                assert_eq!(subject.seq_len(seq), 8);
+                assert!(!subject.storage_is_bf16(seq, 2));
+                subject.flip_storage_bit(seq, 2, 1, 3, key_side, bit);
+                decode_lockstep(&mut subject, &mut golden, &ids, 50, 1, true);
+                assert!(subject.storage_is_bf16(seq, 2), "{what}: block 0 demoted");
+                assert_storage_eq(&subject, &golden, seq, &what);
+                let faults = subject.audit(seq, TOL);
+                assert_eq!(
+                    faults,
+                    vec![LocalizedFault::CorruptBlock {
+                        block: 0,
+                        kv_head: 1,
+                        first: 0,
+                        rows: 4,
+                        key_side,
+                        word: Some((2, 3)),
+                    }],
+                    "{what}: the demotion's finding still localizes the word"
+                );
+                let report = subject.repair(seq, &faults);
+                assert_eq!((report.blocks_recovered, report.rows_rewritten), (1, 1));
+                assert!(subject.audit(seq, TOL).is_empty(), "{what}: settled");
+                decode_lockstep(&mut subject, &mut golden, &ids, 60, 3, true);
+            }
+        }
+    }
+
+    /// Sequence `i`'s K/V history in a [`lockstep_pair`] after `steps`
+    /// lockstep steps from 0, regenerated from the seeds the helpers use.
+    fn history(
+        topo: HeadTopology,
+        i: usize,
+        prefill: usize,
+        steps: usize,
+    ) -> (Matrix<f64>, Matrix<f64>) {
+        let kd = topo.kv_dim();
+        let (pk, pv) = (
+            rand(prefill, kd, 1000 + i as u64),
+            rand(prefill, kd, 2000 + i as u64),
+        );
+        let n = prefill + steps;
+        let row = |m: &Matrix<f64>, seed: u64, r: usize, c: usize| {
+            if r < prefill {
+                m[(r, c)]
+            } else {
+                rand(2, kd, seed + (r - prefill) as u64)[(i, c)]
+            }
+        };
+        (
+            Matrix::from_fn(n, kd, |r, c| row(&pk, 6000, r, c)),
+            Matrix::from_fn(n, kd, |r, c| row(&pv, 7000, r, c)),
+        )
+    }
+
+    /// Two words flipped in one panel before demotion cannot be mended:
+    /// the finding reports the block unrecoverable, and quarantine plus
+    /// a history regenerated from the seeds brings the sequence back
+    /// bit-identical.
+    #[test]
+    fn demotion_flags_damage_beyond_one_word() {
+        let topo = mha(2, 4);
+        let (mut subject, mut golden, ids) = lockstep_pair(
             KvFormat::Mixed { burst_blocks: 1 },
             EvictionPolicy::RetainAll,
+            topo,
+            6,
+            2,
         );
-        subject.enable_recovery_log();
-        let seq = subject.add_sequence();
-        subject.prefill(seq, &rand(6, 4, 1), &rand(6, 4, 2));
-        // Position 2 sits in block 0, still native (the burst covers it).
-        assert!(!subject.storage_is_bf16(seq, 2));
-        subject.flip_storage_bit(seq, 2, 0, 1, false, 61);
-        assert!(!subject.audit(seq, TOL).is_empty(), "visible pre-demotion");
-        // Decode until block 0 ages out of the burst and demotes.
-        let ids = [seq];
-        while subject.demoted_len(seq) == 0 {
-            let t = subject.seq_len(seq) as u64;
-            subject.step_decode(
-                &ids,
-                &rand(1, 4, 300 + t),
-                &rand(1, 4, 400 + t),
-                &rand(1, 4, 500 + t),
-            );
-        }
-        // Structure is consistent with the poison now (only the verdict
-        // totals, fed by the pre-demotion alarming steps, still scream).
+        let seq = ids[0];
+        subject.flip_storage_bit(seq, 1, 0, 0, false, 61);
+        subject.flip_storage_bit(seq, 1, 0, 2, false, 61);
+        decode_lockstep(&mut subject, &mut golden, &ids, 2, 1, false);
+        assert!(subject.storage_is_bf16(seq, 1), "block 0 demoted");
         let faults = subject.audit(seq, TOL);
         assert!(
-            !faults.iter().any(|f| matches!(
-                f,
-                LocalizedFault::CorruptBlock { .. } | LocalizedFault::CorruptSumrow { .. }
-            )),
-            "demotion recomputed references from poisoned rows: {faults:?}"
+            faults.contains(&LocalizedFault::CorruptBlock {
+                block: 0,
+                kv_head: 0,
+                first: 0,
+                rows: 4,
+                key_side: false,
+                word: None,
+            }),
+            "{faults:?}"
         );
+        assert_eq!(subject.repair(seq, &faults).blocks_unrecoverable, 1);
+        subject.quarantine(seq);
+        let (k, v) = history(topo, 0, 6, 3);
+        subject.resubmit(seq, &k, &v).expect("quarantined slot");
+        while subject.prefill_step_for(&[seq]) > 0 {}
+        assert_storage_eq(&subject, &golden, seq, "regenerated");
+        assert!(subject.audit(seq, TOL).is_empty());
+        decode_lockstep(&mut subject, &mut golden, &ids, 3, 3, true);
+    }
+
+    /// Every single-word flip in one small block — each (row, lane), kv
+    /// head and side, in a native and a BF16 block, at the lowest, a
+    /// middle and the top bit — localizes to exactly that word, and the
+    /// repair restores the stored bits and later decode bit for bit.
+    #[test]
+    fn every_single_word_flip_localizes_and_repairs_exactly() {
+        let topo = mha(2, 4);
+        for (format, bits) in [
+            (KvFormat::F64, [0u32, 31, 63]),
+            (KvFormat::Bf16, [0, 7, 15]),
+        ] {
+            let (subject, golden, ids) =
+                lockstep_pair(format, EvictionPolicy::RetainAll, topo, 4, 0);
+            let seq = ids[1];
+            for (r, lane, g, key_side, bit) in (0..4).flat_map(|r| {
+                (0..4).flat_map(move |lane| {
+                    (0..2).flat_map(move |g| {
+                        [true, false]
+                            .into_iter()
+                            .flat_map(move |side| bits.map(|b| (r, lane, g, side, b)))
+                    })
+                })
+            }) {
+                let what =
+                    format!("{format:?} row {r} lane {lane} head {g} key {key_side} bit {bit}");
+                let (mut s, mut gold) = (subject.clone(), golden.clone());
+                s.flip_storage_bit(seq, r, g, lane, key_side, bit);
+                let faults = s.audit(seq, TOL);
+                assert_eq!(
+                    faults,
+                    vec![LocalizedFault::CorruptBlock {
+                        block: 0,
+                        kv_head: g,
+                        first: 0,
+                        rows: 4,
+                        key_side,
+                        word: Some((r, lane)),
+                    }],
+                    "{what}"
+                );
+                let report = s.repair(seq, &faults);
+                assert_eq!(
+                    (report.blocks_recovered, report.rows_rewritten),
+                    (1, 1),
+                    "{what}"
+                );
+                assert_storage_eq(&s, &gold, seq, &what);
+                assert!(s.rewind_checks_clean(seq), "{what}");
+                decode_lockstep(&mut s, &mut gold, &ids, 0, 2, true);
+            }
+        }
+    }
+
+    /// A word flipped in a registered prefix block is one physical fault:
+    /// every reader's audit pins the same word, one repair through one
+    /// reader mends it for all, and both decode bit-identical to a twin.
+    #[test]
+    fn shared_prefix_word_repairs_once_for_every_reader() {
+        let topo = mha(2, 4);
+        let (qd, kd) = (topo.q_dim(), topo.kv_dim());
+        let mk = || {
+            let mut e = DecodeBatch::<f64>::new(topo, 4);
+            let id = e.register_prefix(&rand(4, qd, 1), &rand(4, kd, 2), &rand(4, kd, 3));
+            let empty = (Matrix::zeros(0, qd), Matrix::zeros(0, kd));
+            let readers: Vec<usize> = (0..2)
+                .map(|_| e.enqueue_shared(id, &empty.0, &empty.1, &empty.1))
+                .collect();
+            (e, readers)
+        };
+        let (clean, ids) = mk();
+        for (r, lane, key_side) in
+            (0..4).flat_map(|r| (0..4).flat_map(move |l| [(r, l, true), (r, l, false)]))
+        {
+            let (mut e, mut twin) = (clean.clone(), clean.clone());
+            e.flip_storage_bit(ids[0], r, 1, lane, key_side, 40);
+            for &s in &ids {
+                assert_eq!(
+                    e.audit(s, TOL),
+                    vec![LocalizedFault::CorruptBlock {
+                        block: 0,
+                        kv_head: 1,
+                        first: 0,
+                        rows: 4,
+                        key_side,
+                        word: Some((r, lane)),
+                    }]
+                );
+            }
+            assert_eq!(e.audit_and_repair(ids[1], TOL).rows_rewritten, 1);
+            for &s in &ids {
+                assert!(e.audit(s, TOL).is_empty(), "one repair mends every reader");
+                assert_storage_eq(&e, &twin, s, "shared");
+            }
+            decode_lockstep(&mut e, &mut twin, &ids, 0, 2, true);
+        }
     }
 
     #[test]
@@ -973,35 +1129,16 @@ mod tests {
                 first: 0,
                 rows: 4,
                 key_side: true,
+                word: Some((1, 2)),
             }]
         );
     }
 
     #[test]
-    #[should_panic(expected = "requires the recovery log")]
-    fn recovery_without_log_panics() {
-        let mut batch = DecodeBatch::<f64>::new(mha(1, 2), 4);
-        let seq = batch.add_sequence();
-        batch.prefill(seq, &rand(4, 2, 1), &rand(4, 2, 2));
-        let _ = batch.recover_block(seq, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "before caching any rows")]
-    fn late_log_enable_panics() {
-        let mut batch = DecodeBatch::<f64>::new(mha(1, 2), 4);
-        let seq = batch.add_sequence();
-        batch.prefill(seq, &rand(4, 2, 1), &rand(4, 2, 2));
-        batch.enable_recovery_log();
-    }
-
-    #[test]
-    fn log_survives_slot_reuse_correctly() {
-        // Retiring a sequence clears its log; the recycled slot's new
-        // owner recovers from *its own* rows, never the previous
-        // tenant's.
+    fn repair_on_a_recycled_slot_restores_its_own_rows() {
+        // A claim zeroes a recycled block's fingerprints: the slot's new
+        // owner repairs to *its own* rows, never the previous tenant's.
         let mut subject = DecodeBatch::<f64>::new(mha(1, 4), 4);
-        subject.enable_recovery_log();
         let s0 = subject.add_sequence();
         subject.prefill(s0, &rand(6, 4, 1), &rand(6, 4, 2));
         subject.retire(s0);

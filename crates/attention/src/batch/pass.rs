@@ -240,7 +240,7 @@ mod tests {
                     // there as a prefill chunk starting at 14 would: every
                     // panel below stays fully retained.
                     for i in 0..n {
-                        b.append_token_anchored(seq, k.row(i), v.row(i), i.min(14));
+                        b.cache.append_anchored(seq, k.row(i), v.row(i), i.min(14));
                     }
                     if format != KvFormat::F64 {
                         assert!(b.cache().seq_blocks(seq).iter().any(|blk| blk.bf16));

@@ -1,13 +1,12 @@
 //! Background scrubbing: the bounded-latency detection lane for
-//! residual-coherent corruption, plus recovery-log checkpointing.
+//! residual-coherent corruption.
 //!
 //! The online checksum lane ([`DecodeBatch::step_decode`]) alarms on
 //! value-side storage flips within a step, but key-side flips corrupt
 //! score and checksum *coherently* — the residual stays small while
-//! outputs diverge, and only a structural audit sees the damage. PR 6's
-//! answer was [`DecodeBatch::audit_all`], a full structure walk per call;
-//! this module amortizes that walk across serving steps, ECC-memory
-//! style:
+//! outputs diverge, and only a structural audit sees the damage.
+//! [`DecodeBatch::audit_all`] is a full structure walk per call; this
+//! module amortizes that walk across serving steps, ECC-memory style:
 //!
 //! * a [`ScrubPolicy`](super::ScrubPolicy) caps the work at
 //!   `blocks_per_step` block audits per [`scrub_step`](DecodeBatch::scrub_step);
@@ -16,28 +15,28 @@
 //!   once per `ceil(live_blocks / blocks_per_step)` steps — the bounded
 //!   detection-latency guarantee the `scrub` section of
 //!   `BENCH_faults.json` measures as a bandwidth ↔ latency curve;
-//! * each **clean** verdict doubles as a checkpoint: the scrubbed rows
-//!   stop being the recovery log's sole witness, so the budget
-//!   truncation ([`DecodeBatch::set_recovery_log_budget`]) may drop them
-//!   — the scrubber is what makes the bounded log safe.
+//! * each block audit is [`block_sites`](DecodeBatch::block_sites):
+//!   integer compares of the block's row and lane fingerprints against a
+//!   recompute from its stored bits (wrapping sums that vectorize), one
+//!   streaming pass over its K/V rows; its `sumrow` lanes are checked
+//!   against their own integer word and recomputed from V only when that
+//!   disagrees. The scrubber only reports; the caller repairs.
 //!
 //! The cursor indexes *current* retained-block lists, so eviction
 //! (`blocks.remove(0)` shifting indices) and
 //! [`quarantine`](DecodeBatch::quarantine) (freeing a whole list) just
 //! make the cursor skip ahead: a freed block is never scrubbed on its
 //! old owner's behalf, and once reclaimed it is audited against its
-//! *new* owner's references (rebuilt on append) — the free-list-aliasing
-//! regression the tests pin.
+//! *new* owner's rows (a claim zeroes the fingerprints) — the
+//! free-list-aliasing regression the tests pin.
 
-use super::guard::{CorruptSite, LocalizedFault};
+use super::guard::CorruptSite;
 use super::DecodeBatch;
 
 impl DecodeBatch<f64> {
     /// Runs one background-scrub quantum: audits up to
     /// `blocks_per_step` live blocks at the round-robin cursor,
     /// returning every corrupt site found as `(sequence, site)` pairs.
-    /// Clean blocks advance the sequence's verified-prefix watermark and
-    /// trigger opportunistic recovery-log truncation.
     ///
     /// A no-op (empty result) when no policy is installed or no live
     /// blocks exist. The per-call quantum is capped at the current live
@@ -74,121 +73,17 @@ impl DecodeBatch<f64> {
             let block = self.scrub_block;
             self.scrub_block += 1;
             self.scrubbed_blocks += 1;
-            let sites = self.scrub_block_at(seq, block);
-            if sites.is_empty() {
-                self.note_scrub_clean(seq, block);
-            } else {
-                findings.extend(sites.into_iter().map(|s| (seq, s)));
-            }
+            let sites = self.block_sites(seq, block);
+            findings.extend(sites.into_iter().map(|s| (seq, s)));
         }
         findings
-    }
-
-    /// Audits one retained block of one sequence — the unit of scrub
-    /// work. Exactly the per-block slice of [`audit`](Self::audit):
-    /// stored [`BlockCheck`](super::BlockCheck) references vs a fresh
-    /// bitwise recompute per kv head and side, then the block's `sumrow`
-    /// lanes (skipped while the block is value-corrupt — there the
-    /// storage is the liar and the stored lane the witness). Returns
-    /// every corrupt site in the block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is out of range or retired, or `block` is out of
-    /// range.
-    pub fn scrub_block_at(&self, seq: usize, block: usize) -> Vec<CorruptSite> {
-        let kv = self.cfg.kv_heads;
-        let cache = &self.cache;
-        let state = cache.live(seq);
-        assert!(
-            block < state.blocks.len(),
-            "block {block} out of {} retained",
-            state.blocks.len()
-        );
-        let blk = state.blocks[block];
-        let check = &state.checks[block];
-        let first = state.start + block * cache.block_rows;
-        let rows = (state.len - first).min(cache.block_rows);
-        let recomputed = cache.recompute_block_check(blk, rows);
-        let mut sites = Vec::new();
-        let mut value_bad = false;
-        for g in 0..kv {
-            if recomputed.ksum[g].to_bits() != check.ksum[g].to_bits() {
-                sites.push(LocalizedFault::CorruptBlock {
-                    block,
-                    kv_head: g,
-                    first,
-                    rows,
-                    key_side: true,
-                });
-            }
-            if recomputed.vsum[g].to_bits() != check.vsum[g].to_bits() {
-                value_bad = true;
-                sites.push(LocalizedFault::CorruptBlock {
-                    block,
-                    kv_head: g,
-                    first,
-                    rows,
-                    key_side: false,
-                });
-            }
-        }
-        if !value_bad {
-            for p in first..first + rows {
-                for g in 0..kv {
-                    let (stored, fresh) = cache.sumrow(seq, p, g);
-                    if stored.to_bits() != fresh.to_bits() {
-                        sites.push(LocalizedFault::CorruptSumrow { pos: p, kv_head: g });
-                    }
-                }
-            }
-        }
-        sites
-    }
-
-    /// A clean scrub verdict on block `block` of `seq`: extend the
-    /// contiguous verified prefix if the block touches it, then let the
-    /// budget truncation drop rows the prefix releases. The watermark
-    /// only advances contiguously — a clean verdict *behind* an
-    /// unverified gap proves nothing about the gap's rows.
-    fn note_scrub_clean(&mut self, seq: usize, block: usize) {
-        let state = &self.cache.seqs[seq];
-        let first = state.start + block * self.cache.block_rows;
-        let rows = (state.len - first).min(self.cache.block_rows);
-        let watermark = &mut self.seqs[seq].log_clean_until;
-        if *watermark >= first {
-            *watermark = (*watermark).max(first + rows);
-        }
-        self.truncate_log(seq);
-    }
-
-    /// Checkpoints sequence `seq`'s recovery log behind a full
-    /// [`audit`](Self::audit): when the audit is clean, every cached row
-    /// is a verified witness, the clean watermark jumps to the sequence
-    /// tip, and the budget truncation drops everything the budget does
-    /// not retain. Returns whether the checkpoint happened (a dirty
-    /// audit refuses — truncating would orphan the corrupt block's only
-    /// recovery evidence).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is out of range or retired.
-    pub fn checkpoint_recovery_log(&mut self, seq: usize, tol: f64) -> bool {
-        if !self.audit(seq, tol).is_empty() {
-            return false;
-        }
-        let len = self.cache.seq_len(seq);
-        let watermark = &mut self.seqs[seq].log_clean_until;
-        *watermark = (*watermark).max(len);
-        self.truncate_log(seq);
-        true
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::guard::LocalizedFault;
     use super::super::{DecodeBatch, EvictionPolicy, KvFormat, KvLayout, ScrubPolicy};
-    use super::*;
     use crate::topology::HeadTopology;
     use crate::AttentionConfig;
     use fa_tensor::{random::ElementDist, Matrix};
@@ -203,17 +98,8 @@ mod tests {
         HeadTopology::gqa(q, kv, AttentionConfig::new(d))
     }
 
-    fn engine(
-        topo: HeadTopology,
-        format: KvFormat,
-        eviction: EvictionPolicy,
-        log: bool,
-    ) -> DecodeBatch<f64> {
-        let mut e = DecodeBatch::<f64>::with_policy(topo, 4, KvLayout::HeadMajor, format, eviction);
-        if log {
-            e.enable_recovery_log();
-        }
-        e
+    fn engine(topo: HeadTopology, format: KvFormat, eviction: EvictionPolicy) -> DecodeBatch<f64> {
+        DecodeBatch::<f64>::with_policy(topo, 4, KvLayout::HeadMajor, format, eviction)
     }
 
     /// Seeds `batch` sequences with `prefill` prompt rows each.
@@ -226,6 +112,26 @@ mod tests {
             e.prefill(id, &k, &v);
         }
         ids
+    }
+
+    /// Sequence `i`'s K/V history after [`seed`] and decode steps
+    /// `steps` (each `(step, ids.len(), index of i in ids)`),
+    /// regenerated from the seeds the helpers use.
+    fn history(
+        topo: HeadTopology,
+        i: usize,
+        prefill: usize,
+        steps: &[(u64, usize, usize)],
+    ) -> (Matrix<f64>, Matrix<f64>) {
+        let kd = topo.kv_dim();
+        let mut k = rand(prefill, kd, 10 + i as u64).as_slice().to_vec();
+        let mut v = rand(prefill, kd, 50 + i as u64).as_slice().to_vec();
+        for &(step, width, at) in steps {
+            k.extend_from_slice(rand(width, kd, 2_000 + step).row(at));
+            v.extend_from_slice(rand(width, kd, 3_000 + step).row(at));
+        }
+        let n = prefill + steps.len();
+        (Matrix::from_vec(n, kd, k), Matrix::from_vec(n, kd, v))
     }
 
     fn decode_step(e: &mut DecodeBatch<f64>, ids: &[usize], step: u64) -> Vec<Vec<f64>> {
@@ -241,22 +147,12 @@ mod tests {
 
     #[test]
     fn scrub_step_is_a_noop_without_policy_or_blocks() {
-        let mut e = engine(
-            gqa(2, 2, 4),
-            KvFormat::F64,
-            EvictionPolicy::RetainAll,
-            false,
-        );
+        let mut e = engine(gqa(2, 2, 4), KvFormat::F64, EvictionPolicy::RetainAll);
         seed(&mut e, 2, 10);
         assert!(e.scrub_step().is_empty(), "no policy installed");
         assert_eq!(e.scrubbed_blocks(), 0);
 
-        let mut empty = engine(
-            gqa(2, 2, 4),
-            KvFormat::F64,
-            EvictionPolicy::RetainAll,
-            false,
-        );
+        let mut empty = engine(gqa(2, 2, 4), KvFormat::F64, EvictionPolicy::RetainAll);
         empty.set_scrub_policy(Some(ScrubPolicy { blocks_per_step: 4 }));
         assert!(empty.scrub_step().is_empty(), "no live blocks");
         assert_eq!(empty.scrubbed_blocks(), 0);
@@ -264,12 +160,7 @@ mod tests {
 
     #[test]
     fn one_full_cycle_covers_every_live_block_exactly_once() {
-        let mut e = engine(
-            gqa(4, 2, 4),
-            KvFormat::F64,
-            EvictionPolicy::RetainAll,
-            false,
-        );
+        let mut e = engine(gqa(4, 2, 4), KvFormat::F64, EvictionPolicy::RetainAll);
         seed(&mut e, 3, 10); // 3 blocks each (4-row blocks, 10 rows)
         let live = e.live_blocks();
         assert_eq!(live, 9);
@@ -289,7 +180,7 @@ mod tests {
     #[test]
     fn key_flip_detected_within_the_latency_bound() {
         for bps in [1usize, 2, 5] {
-            let mut e = engine(gqa(4, 2, 8), KvFormat::F64, EvictionPolicy::RetainAll, true);
+            let mut e = engine(gqa(4, 2, 8), KvFormat::F64, EvictionPolicy::RetainAll);
             let ids = seed(&mut e, 3, 10);
             e.set_scrub_policy(Some(ScrubPolicy {
                 blocks_per_step: bps,
@@ -329,114 +220,65 @@ mod tests {
         }
     }
 
-    /// Scrub verdicts unlock budget truncation: without verdicts the log
-    /// retains everything (the unverified suffix is the sole witness);
-    /// after a full clean cycle the log holds exactly the budget.
+    /// Two corrupted words in one panel are beyond the fingerprints:
+    /// the scrub still localizes the block, `repair` counts it
+    /// unrecoverable (no panic, nothing rewritten), and quarantine frees
+    /// the sequence for a resubmitted history.
     #[test]
-    fn budget_truncation_waits_for_scrub_verdicts() {
-        let mut e = engine(gqa(2, 2, 4), KvFormat::F64, EvictionPolicy::RetainAll, true);
-        let ids = seed(&mut e, 1, 16);
-        e.set_recovery_log_budget(Some(6));
-        for s in 0..4 {
-            decode_step(&mut e, &ids, s);
-        }
-        let len = e.seq_len(ids[0]);
-        assert_eq!(len, 20);
-        // No scrub verdicts yet: every row is still unverified, nothing
-        // dropped despite the budget.
-        assert_eq!(e.recovery_log_rows(), len);
-        let width = e.cache().width();
-        assert_eq!(
-            e.recovery_log_bytes(),
-            2 * len * width * core::mem::size_of::<f64>()
-        );
-        // A full clean scrub cycle verifies every retained block; the
-        // truncation then drops everything beyond the budget.
-        e.set_scrub_policy(Some(ScrubPolicy { blocks_per_step: 1 }));
-        let live = e.live_blocks();
-        for _ in 0..live {
-            assert!(e.scrub_step().is_empty());
-        }
-        assert_eq!(e.recovery_log_rows(), 6);
-        assert_eq!(e.seq_log_rows(ids[0]), 6);
-        assert_eq!(
-            e.recovery_log_bytes(),
-            2 * 6 * width * core::mem::size_of::<f64>()
-        );
-        // The retained suffix still recovers: flip inside it and repair.
-        e.flip_storage_bit(ids[0], len - 1, 0, 1, false, 61);
-        let faults = e.audit(ids[0], TOL);
-        let report = e.repair(ids[0], &faults);
-        assert_eq!(report.blocks_unrecoverable, 0);
-        assert!(report.blocks_recovered >= 1);
-        assert!(e.audit(ids[0], TOL).is_empty());
-    }
-
-    /// `checkpoint_recovery_log` is the synchronous form: a clean full
-    /// audit verifies the whole sequence at once; a dirty audit refuses
-    /// to checkpoint (truncation would orphan the recovery evidence).
-    #[test]
-    fn checkpoint_requires_a_clean_audit() {
-        let mut e = engine(gqa(2, 1, 4), KvFormat::F64, EvictionPolicy::RetainAll, true);
-        let ids = seed(&mut e, 1, 12);
-        e.set_recovery_log_budget(Some(4));
-        assert_eq!(e.seq_log_rows(ids[0]), 12);
-        e.flip_storage_bit(ids[0], 2, 0, 0, true, 61);
-        assert!(!e.checkpoint_recovery_log(ids[0], TOL), "dirty audit");
-        assert_eq!(e.seq_log_rows(ids[0]), 12, "nothing truncated");
-        let faults = e.audit(ids[0], TOL);
-        e.repair(ids[0], &faults);
-        assert!(e.checkpoint_recovery_log(ids[0], TOL));
-        assert_eq!(e.seq_log_rows(ids[0]), 4);
-    }
-
-    /// Once the budget truncates past a block, a later flip there is
-    /// unrecoverable: `repair` skips it (counted, no panic), and
-    /// quarantine + caller-provided resubmit is the recovery path.
-    #[test]
-    fn truncated_log_makes_old_blocks_unrecoverable() {
-        let mut e = engine(gqa(2, 2, 4), KvFormat::F64, EvictionPolicy::RetainAll, true);
+    fn two_words_in_one_panel_escalate_to_quarantine() {
+        let mut e = engine(gqa(2, 2, 4), KvFormat::F64, EvictionPolicy::RetainAll);
         let ids = seed(&mut e, 2, 16);
-        e.set_recovery_log_budget(Some(4));
-        assert!(e.checkpoint_recovery_log(ids[0], TOL));
-        assert_eq!(e.seq_log_rows(ids[0]), 4);
-        assert!(!e.block_recoverable(ids[0], 0), "log truncated past it");
-        assert!(e.block_recoverable(ids[0], 3), "suffix still covered");
-        e.flip_storage_bit(ids[0], 1, 0, 2, false, 60);
+        e.set_scrub_policy(Some(ScrubPolicy {
+            blocks_per_step: e.live_blocks(),
+        }));
+        e.flip_storage_bit(ids[0], 5, 1, 0, true, 30);
+        e.flip_storage_bit(ids[0], 6, 1, 3, true, 2);
+        let findings = e.scrub_step();
+        assert_eq!(
+            findings,
+            vec![(
+                ids[0],
+                LocalizedFault::CorruptBlock {
+                    block: 1,
+                    kv_head: 1,
+                    first: 4,
+                    rows: 4,
+                    key_side: true,
+                    word: None,
+                }
+            )]
+        );
         let faults = e.audit(ids[0], TOL);
-        assert!(!faults.is_empty());
         let report = e.repair(ids[0], &faults);
-        assert_eq!(report.blocks_recovered, 0);
         assert_eq!(report.blocks_unrecoverable, 1);
-        // The poison is still there; degrade gracefully instead.
+        assert_eq!((report.blocks_recovered, report.rows_rewritten), (0, 0));
         let freed = e.cache().seq_blocks(ids[0]).len();
         let report = e.quarantine(ids[0]);
         assert_eq!(report.blocks_freed, freed);
-        assert_eq!(report.requeued_rows, 0, "truncated log cannot requeue");
-        assert_eq!(report.log_rows_dropped, 4);
         assert_eq!(e.seq_len(ids[0]), 0);
-        assert!(!e.is_pending(ids[0]));
+        assert!(!e.is_pending(ids[0]), "the caller resubmits the history");
+        assert!(e.audit(ids[1], TOL).is_empty(), "the peer is untouched");
     }
 
-    /// With a full (untruncated) log, quarantine auto-requeues the whole
-    /// history through chunked-prefill admission, and the rebuilt cache
-    /// is bitwise the undamaged cache: decode resumes bit-identical to a
-    /// golden twin while the batch peer stays bit-identical throughout.
+    /// Quarantine plus a resubmitted history (regenerated from the
+    /// seeds) re-caches through chunked-prefill admission, and the
+    /// rebuilt cache is bitwise the undamaged cache: decode resumes
+    /// bit-identical to a golden twin while the batch peer stays
+    /// bit-identical throughout.
     #[test]
-    fn quarantine_auto_requeues_and_resumes_bit_identical() {
+    fn quarantine_and_resubmit_resume_bit_identical() {
         let topo = gqa(4, 2, 8);
-        let mk = |log: bool| {
+        let mk = || {
             let mut e = engine(
                 topo,
                 KvFormat::Mixed { burst_blocks: 1 },
                 EvictionPolicy::SlidingWindow { window_blocks: 3 },
-                log,
             );
             e.set_prefill_chunk(4);
             e
         };
-        let mut subject = mk(true);
-        let mut golden = mk(false);
+        let mut subject = mk();
+        let mut golden = mk();
         let ids = seed(&mut subject, 2, 10);
         seed(&mut golden, 2, 10);
         for s in 0..6 {
@@ -446,15 +288,17 @@ mod tests {
         }
         let victim = ids[0];
         let peer = ids[1];
-        // Damage the victim beyond in-place repair (no log truncation is
-        // even needed — quarantine works on any damage). Flip inside the
-        // retained window; leading blocks may already be evicted.
+        // Damage the victim (quarantine works on any damage). Flip
+        // inside the retained window; leading blocks may already be
+        // evicted.
         let pos = subject.evicted_len(victim) + 1;
         subject.flip_storage_bit(victim, pos, 0, 1, true, 61);
         let report = subject.quarantine(victim);
         assert!(report.blocks_freed > 0);
-        assert_eq!(report.requeued_rows, subject.pending_len(victim));
-        assert!(subject.is_pending(victim));
+        let steps: Vec<_> = (0..6).map(|s| (s, 2, 0)).collect();
+        let (k, v) = history(topo, 0, 10, &steps);
+        subject.resubmit(victim, &k, &v).expect("quarantined slot");
+        assert_eq!(subject.pending_len(victim), 16);
         // Peers decode while the victim re-admits chunk by chunk; the
         // golden twin pauses its victim too so both see identical steps.
         let mut s = 100;
@@ -486,7 +330,6 @@ mod tests {
             topo,
             KvFormat::F64,
             EvictionPolicy::SlidingWindow { window_blocks: 2 },
-            true,
         );
         let ids = seed(&mut e, 2, 12);
         e.set_scrub_policy(Some(ScrubPolicy { blocks_per_step: 1 }));
@@ -507,12 +350,16 @@ mod tests {
         }
         assert!(e.audit(ids[0], TOL).is_empty());
         // Free-list aliasing: poison a block, quarantine the owner (its
-        // blocks return to the free list poisoned), and let the requeue
-        // reclaim them. Appends rebuild rows and references, so a full
-        // scrub cycle and audit stay clean.
+        // blocks return to the free list poisoned), and let the
+        // resubmitted history reclaim them. A claim zeroes the
+        // fingerprints and appends rebuild them, so a full scrub cycle
+        // and audit stay clean.
         e.flip_storage_bit(ids[1], e.evicted_len(ids[1]), 1, 0, false, 61);
         let report = e.quarantine(ids[1]);
         assert!(report.blocks_freed > 0);
+        let steps: Vec<_> = (0..s).map(|t| (t, 2, 1)).collect();
+        let (k, v) = history(topo, 1, 12, &steps);
+        e.resubmit(ids[1], &k, &v).expect("quarantined slot");
         while e.prefill_step_for(&[ids[1]]) > 0 {}
         for _ in 0..e.live_blocks() {
             assert!(e.scrub_step().is_empty(), "reclaimed blocks audit clean");
@@ -520,36 +367,6 @@ mod tests {
         for &id in &ids {
             assert!(e.audit(id, TOL).is_empty());
         }
-    }
-
-    /// The scrub watermark only advances over a *contiguous* verified
-    /// prefix: verdicts behind a corrupt block must not release the
-    /// corrupt block's log rows.
-    #[test]
-    fn watermark_stops_at_the_first_unverified_gap() {
-        let mut e = engine(gqa(2, 1, 4), KvFormat::F64, EvictionPolicy::RetainAll, true);
-        let ids = seed(&mut e, 1, 12);
-        e.set_recovery_log_budget(Some(2));
-        e.set_scrub_policy(Some(ScrubPolicy { blocks_per_step: 1 }));
-        // Corrupt block 0; the cursor reports it and must not advance the
-        // watermark past it, so later clean verdicts (blocks 1, 2) do not
-        // unlock truncation of block 0's witness rows.
-        e.flip_storage_bit(ids[0], 0, 0, 0, true, 61);
-        let findings = e.scrub_step();
-        assert!(!findings.is_empty());
-        assert!(e.scrub_step().is_empty()); // block 1 clean
-        assert!(e.scrub_step().is_empty()); // block 2 clean
-        assert_eq!(
-            e.seq_log_rows(ids[0]),
-            12,
-            "corrupt block keeps its recovery witness"
-        );
-        // Repair is therefore still possible.
-        let faults = e.audit(ids[0], TOL);
-        let report = e.repair(ids[0], &faults);
-        assert_eq!(report.blocks_recovered, 1);
-        assert_eq!(report.blocks_unrecoverable, 0);
-        assert!(e.audit(ids[0], TOL).is_empty());
     }
 
     /// The autotuned policy honors the detection-latency SLO at every
@@ -562,7 +379,7 @@ mod tests {
     fn autotuned_policy_meets_the_slo_at_every_load_point() {
         for slo in [1usize, 2, 4, 7] {
             for (batch, prefill) in [(1usize, 5usize), (2, 10), (4, 10), (3, 22)] {
-                let mut e = engine(gqa(4, 2, 4), KvFormat::F64, EvictionPolicy::RetainAll, true);
+                let mut e = engine(gqa(4, 2, 4), KvFormat::F64, EvictionPolicy::RetainAll);
                 let ids = seed(&mut e, batch, prefill);
                 let victim = ids[batch - 1];
                 e.flip_storage_bit(victim, prefill - 1, 1, 2, true, 61);

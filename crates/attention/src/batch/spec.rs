@@ -15,15 +15,15 @@
 //! appending the draft rows first (each window query attends to the
 //! draft tokens before it), and appends are deeply entangled with the
 //! paged cache's policy machinery: block claims, copy-on-write splits of
-//! shared tails, Mixed-format demotion, sliding-window eviction,
-//! [`BlockCheck`] references, `sumrow(V)` checksum lanes, and the
-//! bounded recovery log. When the verifier rejects a suffix, all of that
-//! must rewind **exactly** — not approximately — or the engine's
-//! bit-identity and fault-localization contracts silently rot. The
-//! implementation:
+//! shared tails, Mixed-format demotion, sliding-window eviction, block
+//! fingerprints and `sumrow(V)` checksum lanes. When the verifier
+//! rejects a suffix, all of that must rewind **exactly** — not
+//! approximately — or the engine's bit-identity and fault-localization
+//! contracts silently rot. The implementation:
 //!
 //! * [`DecodeBatch::speculate`] snapshots each windowed sequence's block
-//!   list, references and log length, switches the arena into
+//!   list and the fingerprints of its partially filled tail block (the
+//!   one block window appends write in place), switches the arena into
 //!   *deferred-frees* mode (a block whose last reference drops mid-window
 //!   parks with its K/V and `sumrow` lanes intact instead of returning to
 //!   the free lists, so demotion/eviction/CoW can run **live** and still
@@ -34,17 +34,19 @@
 //!   never change earlier rows' bits).
 //! * [`DecodeBatch::resolve_speculation`] rolls **every** windowed
 //!   sequence back to its snapshot (resurrecting parked blocks), flushes
-//!   still-unowned parked blocks to the free lists, then **replays** the
-//!   accepted prefix through the ordinary append path — so eviction
-//!   anchors, demotion timing, CoW splits, checks, `sumrow`s, and log
-//!   truncation all land on the exact non-speculative schedule — and
+//!   still-unowned parked blocks to the free lists, restores the tail
+//!   block's fingerprints, then **replays** the accepted prefix through
+//!   the ordinary append path — so eviction anchors, demotion timing, CoW
+//!   splits, fingerprints and `sumrow`s all land on the exact
+//!   non-speculative schedule — and
 //!   folds the accepted tokens' stored checksum pairs into the session
 //!   totals in token order. The headline property (property-tested):
 //!   **any accept/reject schedule leaves the engine bit-identical to a
 //!   twin that decoded only the accepted tokens sequentially**, across
 //!   format × eviction × GQA × shared-prefix × thread count. Physical
 //!   block indices and the free-list order may differ from the twin;
-//!   every stored lane, check, `sumrow`, total, and output is pinned.
+//!   every stored lane, fingerprint, `sumrow`, total, and output is
+//!   pinned.
 //!
 //! Between the two calls the window is *open*: every other mutating
 //! entry point asserts it closed, so scrubbing, admission, demotion or
@@ -53,7 +55,7 @@
 
 use super::guard::WindowVerdict;
 use super::pass::{finalize_token, pack_panel};
-use super::{BlockCheck, BlockRef, DecodeBatch, DecodeStepOutput, KvFormat};
+use super::{BlockRef, DecodeBatch, DecodeStepOutput, KvFormat};
 use fa_tensor::{online::MergedAccumulator, Matrix, Scalar};
 use rayon::prelude::*;
 
@@ -68,20 +70,18 @@ pub(crate) struct SpecSeq<T: Scalar> {
     /// query's visible rows may evict before it scores).
     len0: usize,
     /// Snapshot of the retained block list (handles only; the blocks'
-    /// stored K/V and `sumrow` lanes survive mid-window frees via the
-    /// deferred-frees parking lot).
+    /// stored K/V, `sumrow` lanes and fingerprints survive mid-window
+    /// frees via the deferred-frees parking lot).
     blocks: Vec<BlockRef>,
-    /// Snapshot of the per-block reference checksums.
-    checks: Vec<BlockCheck>,
+    /// The partially filled tail block at open and its fingerprint
+    /// words: window appends fold into it in place, so rollback restores
+    /// them. Every other pre-window block is left untouched (appends go
+    /// to fresh or copied blocks).
+    tail: Option<(BlockRef, Vec<u64>)>,
     /// Snapshot of the eviction cursor.
     start: usize,
     /// Snapshot of the demotion counter.
     demoted_rows: usize,
-    /// Recovery-log rows retained at open (window appends only extend;
-    /// budget truncation is deferred while a window is open).
-    log_rows: usize,
-    /// Log truncation cursor at open (assert-only: it must not move).
-    log_start: usize,
     /// The window's draft K/V rows (`γ × kv_dim` each), kept for the
     /// accepted prefix's replay.
     ks: Vec<T>,
@@ -113,8 +113,8 @@ impl<T: Scalar> DecodeBatch<T> {
     /// window **open**: the draft rows are appended (with live CoW /
     /// demotion / eviction maintenance, all rewindable) and every window
     /// position's checked output is returned, but nothing is committed —
-    /// session totals, checked-token counts and the recovery schedule
-    /// advance only when [`resolve_speculation`](Self::resolve_speculation)
+    /// session totals and checked-token counts advance only when
+    /// [`resolve_speculation`](Self::resolve_speculation)
     /// accepts a prefix.
     ///
     /// Inputs are packed sequence-major: rows `i·gamma .. (i+1)·gamma`
@@ -169,25 +169,27 @@ impl<T: Scalar> DecodeBatch<T> {
         }
 
         // Snapshot every windowed sequence, then open the window BEFORE
-        // any append: the open window both parks last-reference frees
-        // (lanes stay intact for rollback) and defers recovery-log
-        // budget truncation (leading-row drops are not tail-reversible).
+        // any append: the open window parks last-reference frees, so
+        // blocks stay intact for rollback.
         let width = self.cache.width;
+        let br = self.cache.block_rows();
         let specs: Vec<SpecSeq<T>> = seq_ids
             .iter()
             .enumerate()
             .map(|(i, &seq)| {
                 let sb = &self.cache.seqs[seq];
-                let st = &self.seqs[seq];
+                let tail = sb
+                    .blocks
+                    .last()
+                    .filter(|_| !(sb.len - sb.start).is_multiple_of(br))
+                    .map(|&blk| (blk, self.cache.fingerprints(blk).to_vec()));
                 SpecSeq {
                     seq,
                     len0: sb.len,
                     blocks: sb.blocks.clone(),
-                    checks: sb.checks.clone(),
+                    tail,
                     start: sb.start,
                     demoted_rows: sb.demoted_rows,
-                    log_rows: st.log_k.len() / width,
-                    log_start: st.log_start,
                     ks: {
                         let mut rows = Vec::with_capacity(gamma * width);
                         for j in 0..gamma {
@@ -217,7 +219,6 @@ impl<T: Scalar> DecodeBatch<T> {
         // sees the storage formats its sequential twin saw. F64/BF16
         // appends never change earlier rows' bits (CoW copies bitwise),
         // so the whole window is one segment.
-        let br = self.cache.block_rows();
         let mixed = matches!(self.cache.format(), KvFormat::Mixed { .. });
         let mut phases: Vec<Vec<(usize, usize, usize)>> = Vec::new();
         for (i, &len0) in len0s.iter().enumerate() {
@@ -250,7 +251,8 @@ impl<T: Scalar> DecodeBatch<T> {
                 let seq = seq_ids[i];
                 for j in j0..j1 {
                     let r = i * gamma + j;
-                    self.append_token_anchored(seq, ks.row(r), vs.row(r), len0s[i]);
+                    self.cache
+                        .append_anchored(seq, ks.row(r), vs.row(r), len0s[i]);
                 }
             }
             // One fork over (segment × kv head) panels — same fork shape
@@ -297,14 +299,14 @@ impl<T: Scalar> DecodeBatch<T> {
     /// its snapshot, then replays `accepted[i]` tokens of sequence `i`'s
     /// window through the ordinary append path and folds their stored
     /// checksum pairs into the session totals in token order. After this
-    /// returns, the engine is bit-identical (stored lanes, checks,
-    /// `sumrow`s, totals, lengths, logs) to a twin that decoded only the
+    /// returns, the engine is bit-identical (stored lanes, fingerprints,
+    /// `sumrow`s, totals, lengths) to a twin that decoded only the
     /// accepted tokens sequentially; only physical block placement and
     /// the recycling counters may differ.
     ///
     /// `accepted[i] == 0` is a pure rollback (a rejected or alarmed
     /// window); `accepted[i] == gamma` still rolls back and replays, so
-    /// eviction/demotion/log maintenance land on the canonical
+    /// eviction/demotion maintenance lands on the canonical
     /// non-speculative schedule.
     ///
     /// Returns one [`WindowVerdict`] per sequence — the fused checksum
@@ -346,20 +348,15 @@ impl<T: Scalar> DecodeBatch<T> {
             }
             let sb = &mut self.cache.seqs[s.seq];
             let current = core::mem::replace(&mut sb.blocks, s.blocks.clone());
-            sb.checks = s.checks.clone();
             sb.start = s.start;
             sb.len = s.len0;
             sb.demoted_rows = s.demoted_rows;
             for b in current {
                 self.cache.release_block(b);
             }
-            let st = &mut self.seqs[s.seq];
-            debug_assert_eq!(
-                st.log_start, s.log_start,
-                "recovery-log truncation ran mid-window"
-            );
-            st.log_k.truncate(s.log_rows * width);
-            st.log_v.truncate(s.log_rows * width);
+            if let Some((blk, words)) = &s.tail {
+                self.cache.restore_fingerprints(*blk, words);
+            }
         }
         // The window is closed: blocks nobody resurrected return to the
         // free lists and appends resume normal immediate frees.
@@ -367,14 +364,14 @@ impl<T: Scalar> DecodeBatch<T> {
 
         // Replay the accepted prefixes through the ordinary append path
         // — eviction anchors at the growing length, demotion fires at
-        // claims, CoW splits re-run, and log truncation resumes, all on
-        // the exact schedule sequential decode would have used.
+        // claims, CoW splits re-run, all on the exact schedule
+        // sequential decode would have used.
         let mut verdicts = Vec::with_capacity(win.seqs.len());
         for (s, &a) in win.seqs.iter().zip(accepted) {
             let mut predicted = 0.0f64;
             let mut actual = 0.0f64;
             for t in 0..a {
-                self.append_token(
+                self.cache.append(
                     s.seq,
                     &s.ks[t * width..(t + 1) * width],
                     &s.vs[t * width..(t + 1) * width],
@@ -441,8 +438,8 @@ mod tests {
     }
 
     /// Asserts two engines' **logical** sequence state is bitwise equal:
-    /// retained rows, references, sumrow lanes, totals, lengths. Physical
-    /// block indices are free to differ.
+    /// retained rows, fingerprints, sumrow lanes, totals, lengths.
+    /// Physical block indices are free to differ.
     fn assert_twin(a: &DecodeBatch<f64>, b: &DecodeBatch<f64>, seq: usize, what: &str) {
         assert_eq!(a.seq_len(seq), b.seq_len(seq), "{what}: length");
         assert_eq!(
@@ -467,21 +464,14 @@ mod tests {
                 "{what}: value row {p}"
             );
         }
-        let (ca, cb) = (a.cache().block_checks(seq), b.cache().block_checks(seq));
-        assert_eq!(ca.len(), cb.len(), "{what}: retained block count");
-        for (bi, (x, y)) in ca.iter().zip(cb).enumerate() {
-            for g in 0..x.ksum.len() {
-                assert_eq!(
-                    x.ksum[g].to_bits(),
-                    y.ksum[g].to_bits(),
-                    "{what}: block {bi} ksum head {g}"
-                );
-                assert_eq!(
-                    x.vsum[g].to_bits(),
-                    y.vsum[g].to_bits(),
-                    "{what}: block {bi} vsum head {g}"
-                );
-            }
+        let (ba, bb) = (a.cache().seq_blocks(seq), b.cache().seq_blocks(seq));
+        assert_eq!(ba.len(), bb.len(), "{what}: retained block count");
+        for (bi, (&x, &y)) in ba.iter().zip(bb).enumerate() {
+            assert_eq!(
+                a.cache.fingerprints(x),
+                b.cache.fingerprints(y),
+                "{what}: block {bi} fingerprints"
+            );
         }
         for p in a.cache().first_retained(seq)..a.seq_len(seq) {
             for g in 0..a.config().kv_heads {
@@ -499,13 +489,6 @@ mod tests {
             b.seqs[seq].totals.1.to_bits(),
             "{what}: actual total"
         );
-        assert_eq!(
-            a.seqs[seq].log_k.len(),
-            b.seqs[seq].log_k.len(),
-            "{what}: log rows"
-        );
-        assert_eq!(a.seqs[seq].log_k, b.seqs[seq].log_k, "{what}: log K");
-        assert_eq!(a.seqs[seq].log_v, b.seqs[seq].log_v, "{what}: log V");
     }
 
     /// A (speculative, sequential-twin) engine pair: same policies, same
@@ -766,41 +749,5 @@ mod tests {
             &rand(1, topo.kv_dim(), 4),
             &rand(1, topo.kv_dim(), 5),
         );
-    }
-
-    #[test]
-    fn recovery_log_rewinds_with_the_window() {
-        let topo = HeadTopology::mha(2, AttentionConfig::new(4));
-        let mk = || {
-            let mut b = engine(
-                KvFormat::F64,
-                EvictionPolicy::SlidingWindow { window_blocks: 3 },
-                topo,
-            );
-            b.enable_recovery_log();
-            b.set_recovery_log_budget(Some(8));
-            b
-        };
-        let mut spec = mk();
-        let mut twin = mk();
-        let id = spec.add_sequence();
-        twin.add_sequence();
-        let (k, v) = (rand(10, topo.kv_dim(), 1), rand(10, topo.kv_dim(), 2));
-        spec.prefill(id, &k, &v);
-        twin.prefill(id, &k, &v);
-        let gamma = 6;
-        let (qs, ks, vs) = window(&[id], topo, gamma, 99);
-        spec.speculate(&[id], &qs, &ks, &vs, gamma);
-        spec.resolve_speculation(&[3]);
-        for t in 0..3 {
-            twin.step_decode(
-                &[id],
-                &token_step(&qs, 1, gamma, t),
-                &token_step(&ks, 1, gamma, t),
-                &token_step(&vs, 1, gamma, t),
-            );
-        }
-        assert_twin(&spec, &twin, id, "bounded log, accept 3/6");
-        assert_eq!(spec.seq_log_rows(id), twin.seq_log_rows(id));
     }
 }

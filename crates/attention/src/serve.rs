@@ -70,8 +70,8 @@
 //!   discards it *before delivery* and evicts-and-requeues: the history
 //!   rebuilds from clean rows and the token re-decodes bit-identically;
 //! * the **scrubber** finds storage damage *before* any pass consumed
-//!   it — repair-in-place from the recovery log suffices, and only an
-//!   unrecoverable verdict escalates to quarantine.
+//!   it — repair in place from the blocks' fingerprints suffices, and
+//!   only damage beyond one word per panel escalates to quarantine.
 
 use crate::batch::{DecodeBatch, DecodeStepOutput, ScrubPolicy};
 use fa_tensor::random::{fill_standard_normal, mix_seed};
@@ -316,9 +316,13 @@ pub struct ServeConfig {
     /// Scrub detection-latency SLO in steps; `Some` re-tunes the scrub
     /// policy every step via [`ScrubPolicy::for_target_latency`].
     pub scrub_slo_steps: Option<usize>,
-    /// Keep the engine's recovery log (repair-in-place + auto-requeue).
+    /// Ignored: the engine keeps no recovery log — repair mends damage
+    /// from the cache blocks' integer fingerprints, and a quarantined
+    /// request's history is regenerated from its seeds. Kept (with
+    /// `log_budget_rows`) only because servebench's frozen configuration
+    /// sets it; both go with `cache.recovery_log_mb_peak`.
     pub recovery_log: bool,
-    /// Per-sequence recovery-log row budget (`None` = unbounded).
+    /// Ignored (see `recovery_log`).
     pub log_budget_rows: Option<usize>,
     /// Online residual tolerance (NaN-safe alarm: `!(|r| <= tol)`).
     pub tol: f64,
@@ -376,7 +380,7 @@ pub struct StepReport {
     pub online_alarms: usize,
     /// Corrupt sites surfaced by this step's scrub quantum.
     pub scrub_findings: usize,
-    /// Blocks repaired in place from the recovery log.
+    /// Blocks repaired in place from their fingerprints.
     pub repaired_blocks: usize,
     /// `sumrow` checksum entries recomputed.
     pub repaired_sumrows: usize,
@@ -455,10 +459,6 @@ impl Scheduler {
             (0.0..=1.0).contains(&cfg.draft_acceptance),
             "draft acceptance must be a probability"
         );
-        if cfg.recovery_log {
-            engine.enable_recovery_log();
-            engine.set_recovery_log_budget(cfg.log_budget_rows);
-        }
         if let Some(slo) = cfg.scrub_slo_steps {
             engine.set_scrub_policy(Some(ScrubPolicy::for_target_latency(slo, 1)));
         }
@@ -1039,18 +1039,15 @@ impl Scheduler {
     }
 
     /// Absorbs a storage-corruption verdict on `active[i]`: audit and
-    /// repair in place; escalate to evict-and-requeue only when the log
-    /// could not restore a block — and never mid-requeue (the re-cached
-    /// rows are always log-covered from row 0, so a second quarantine
-    /// would resubmit a truncated history).
+    /// repair in place from the block fingerprints; escalate to
+    /// evict-and-requeue only when a block could not be mended.
     fn absorb(&mut self, i: usize, report: &mut StepReport) {
         let seq = self.active[i].seq;
         let repair = self.engine.audit_and_repair(seq, self.cfg.tol);
         report.repaired_blocks += repair.blocks_recovered;
         report.repaired_sumrows += repair.sumrows_repaired;
         report.unrecoverable_blocks += repair.blocks_unrecoverable;
-        let phase = self.records[self.active[i].rec].phase;
-        if repair.blocks_unrecoverable > 0 && !matches!(phase, Phase::Requeued(_)) {
+        if repair.blocks_unrecoverable > 0 {
             self.requeue(i, RequeueCause::Corruption, report);
         }
     }
@@ -1059,9 +1056,8 @@ impl Scheduler {
     ///
     /// A `Prefilling` victim restarts the scored admission from scratch
     /// (its prompt outputs were never delivered); anyone else is
-    /// quarantined and — unless the recovery log already requeued the
-    /// full history — resubmitted with its history regenerated from the
-    /// request's seeds ([`history_kv`](Self::history_kv)).
+    /// quarantined and resubmitted with its accepted history regenerated
+    /// from the request's seeds ([`history_kv`](Self::history_kv)).
     fn requeue(&mut self, i: usize, cause: RequeueCause, report: &mut StepReport) {
         let rec = self.active[i].rec;
         let seq = self.active[i].seq;
@@ -1076,29 +1072,19 @@ impl Scheduler {
             a.decoded = 0;
             a.demoted = false;
         } else {
-            let q = self.engine.quarantine(seq);
-            if q.requeued_rows != self.history_rows(i) {
-                // The recovery log replays every *cached* row, which can
-                // include the K/V row of a token the frontend discarded
-                // at the online alarm — rebuild from the accepted
-                // history instead so the re-decode sees a clean prefix.
-                let seq = if q.requeued_rows > 0 {
-                    self.engine.retire(seq);
-                    self.engine.add_sequence()
-                } else {
-                    seq
-                };
-                self.active[i].seq = seq;
-                let (k, v) = self.history_kv(i);
-                if self.engine.resubmit_owned(seq, k, v).is_err() {
-                    // Lost a race with the slot: drop the request rather
-                    // than wedge the batch.
-                    self.engine.retire(seq);
-                    self.records[rec].phase = Phase::Shed;
-                    report.shed += 1;
-                    self.active.swap_remove(i);
-                    return;
-                }
+            self.engine.quarantine(seq);
+            // The accepted history, not the cached rows: the cache may
+            // hold the K/V row of a token the frontend discarded at the
+            // online alarm.
+            let (k, v) = self.history_kv(i);
+            if self.engine.resubmit_owned(seq, k, v).is_err() {
+                // Lost a race with the slot: drop the request rather
+                // than wedge the batch.
+                self.engine.retire(seq);
+                self.records[rec].phase = Phase::Shed;
+                report.shed += 1;
+                self.active.swap_remove(i);
+                return;
             }
             self.active[i].demoted = false;
         }
@@ -1695,8 +1681,8 @@ mod tests {
 
     #[test]
     fn preempted_prefixed_requests_rebuild_from_seeds() {
-        // With the recovery log off every preemption resubmits a history
-        // the frontend regenerates from the request's seeds — prefix ‖
+        // Every preemption resubmits a history the frontend regenerates
+        // from the request's seeds — prefix ‖
         // suffix ‖ decoded for a prefixed request. The soft tier keeps
         // every block native (the burst covers all of them), so every
         // request finishing under pressure matches its unpressured twin.
@@ -1709,7 +1695,6 @@ mod tests {
         let base = ServeConfig {
             token_budget: 12,
             prefill_budget: 6,
-            recovery_log: false,
             demote_burst_blocks: 1 << 20,
             ..ServeConfig::default()
         };

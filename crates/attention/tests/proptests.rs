@@ -797,8 +797,8 @@ proptest! {
     /// KvFormat × EvictionPolicy × GQA group size × injection step: an
     /// injected high-bit flip into live K/V storage, a `sumrow` input,
     /// or the verdict accumulator is localized by the structural audit
-    /// to exactly the poisoned site, repaired block-granularly from the
-    /// recovery log, and the engine resumes decoding bit-identical to a
+    /// to exactly the poisoned site, repaired in place from the block
+    /// fingerprints, and the engine resumes decoding bit-identical to a
     /// never-injected golden twin. Fault-free audits are asserted clean
     /// both before injection and after repair.
     #[test]
@@ -840,7 +840,6 @@ proptest! {
             topo, block_rows, KvLayout::HeadMajor, format, eviction,
         );
         let mut subject = mk();
-        subject.enable_recovery_log();
         let mut golden = mk();
         let ids: Vec<usize> = (0..batch).map(|_| subject.add_sequence()).collect();
         for _ in 0..batch { golden.add_sequence(); }
@@ -950,14 +949,13 @@ proptest! {
     }
 
     /// The graceful-degradation contract, swept across KvFormat ×
-    /// EvictionPolicy × GQA group size × recovery path: when damage is
+    /// EvictionPolicy × GQA group size × damage kind: when damage is
     /// beyond in-place repair, `quarantine` frees the victim's blocks and
-    /// its history recomputes through the chunked-prefill admission path
-    /// — auto-requeued from the recovery log when it still covers
-    /// everything, resubmitted from the caller's copy when a budget
-    /// truncated it. Batch peers decode bit-identical to a golden twin
-    /// throughout the re-admission, and the victim itself resumes
-    /// bit-identical to an undamaged replay afterwards.
+    /// its history, resubmitted from the caller's copy, recomputes
+    /// through the chunked-prefill admission path. Batch peers decode
+    /// bit-identical to a golden twin throughout the re-admission, and
+    /// the victim itself resumes bit-identical to an undamaged replay
+    /// afterwards.
     #[test]
     fn quarantined_sequences_resume_bit_identical(
         format_sel in 0usize..4,
@@ -965,7 +963,7 @@ proptest! {
         topo_sel in 0usize..4,
         pre_steps in 1usize..6,
         post_steps in 1usize..6,
-        trunc_sel in 0usize..2,
+        two_words in any::<bool>(),
         seed in 0u64..1_000_000,
     ) {
         use fa_attention::batch::{EvictionPolicy, KvFormat};
@@ -1001,7 +999,6 @@ proptest! {
             e
         };
         let mut subject = mk();
-        subject.enable_recovery_log();
         let mut golden = mk();
         let ids: Vec<usize> = (0..batch).map(|_| subject.add_sequence()).collect();
         for _ in 0..batch { golden.add_sequence(); }
@@ -1009,7 +1006,7 @@ proptest! {
             Matrix::<f64>::random_seeded(rows, cols, ElementDist::default(), s)
         };
         // The serving frontend's own copy of every admitted row — the
-        // recovery source when the engine's log was budget-truncated.
+        // source a quarantined sequence is resubmitted from.
         let mut hist_k: Vec<Vec<f64>> = vec![Vec::new(); batch];
         let mut hist_v: Vec<Vec<f64>> = vec![Vec::new(); batch];
         for (i, &id) in ids.iter().enumerate() {
@@ -1054,41 +1051,28 @@ proptest! {
         let g = (seed as usize / 11) % kv;
         let lane = (seed as usize / 13) % d;
 
-        if trunc_sel == 0 {
-            // Full log: any retained-position flip; quarantine requeues
-            // the whole history from the log automatically.
-            let first = subject.cache().first_retained(victim);
-            let pos = first + (seed as usize / 7) % (len - first);
-            let bit = if subject.storage_is_bf16(victim, pos) { 13 } else { 61 };
-            subject.flip_storage_bit(victim, pos, g, lane, key_side, bit);
-            let report = subject.quarantine(victim);
-            prop_assert!(report.blocks_freed > 0);
-            prop_assert_eq!(report.requeued_rows, len, "full log auto-requeues");
-            prop_assert!(subject.is_pending(victim));
-        } else {
-            // Budget-truncated log: checkpoint clean, truncate to 2 rows,
-            // then flip below the log's start — unrecoverable in place.
-            subject.set_recovery_log_budget(Some(2));
-            prop_assert!(subject.checkpoint_recovery_log(victim, tol));
-            prop_assert_eq!(subject.seq_log_rows(victim), 2);
-            let first = subject.cache().first_retained(victim);
-            prop_assume!(len - 2 > first);
-            let pos = first + (seed as usize / 7) % (len - 2 - first);
-            let bit = if subject.storage_is_bf16(victim, pos) { 13 } else { 61 };
-            subject.flip_storage_bit(victim, pos, g, lane, key_side, bit);
+        // Any retained-position flip; with `two_words`, a second word
+        // of the same (block, kv head, side) panel flips too, which is
+        // beyond the fingerprints: repair reports it unrecoverable.
+        let first = subject.cache().first_retained(victim);
+        let pos = first + (seed as usize / 7) % (len - first);
+        let bit = if subject.storage_is_bf16(victim, pos) { 13 } else { 61 };
+        subject.flip_storage_bit(victim, pos, g, lane, key_side, bit);
+        if two_words {
+            subject.flip_storage_bit(victim, pos, g, (lane + 1) % d, key_side, bit);
             let faults = subject.audit(victim, tol);
-            prop_assert!(!faults.is_empty(), "high-bit flip is visible");
+            prop_assert!(!faults.is_empty(), "high-bit flips are visible");
             let report = subject.repair(victim, &faults);
-            prop_assert_eq!(report.blocks_unrecoverable, 1, "log truncated past it");
+            prop_assert_eq!(report.blocks_unrecoverable, 1, "two words in one panel");
             prop_assert_eq!(report.blocks_recovered, 0);
-            let report = subject.quarantine(victim);
-            prop_assert!(report.blocks_freed > 0);
-            prop_assert_eq!(report.requeued_rows, 0, "truncated log cannot requeue");
-            let k = Matrix::from_vec(len, topo.kv_dim(), hist_k[victim].clone());
-            let v = Matrix::from_vec(len, topo.kv_dim(), hist_v[victim].clone());
-            prop_assert!(subject.resubmit(victim, &k, &v).is_ok());
-            prop_assert!(subject.is_pending(victim));
         }
+        let report = subject.quarantine(victim);
+        prop_assert!(report.blocks_freed > 0);
+        prop_assert!(!subject.is_pending(victim), "quarantine waits for a resubmit");
+        let k = Matrix::from_vec(len, topo.kv_dim(), hist_k[victim].clone());
+        let v = Matrix::from_vec(len, topo.kv_dim(), hist_v[victim].clone());
+        prop_assert!(subject.resubmit(victim, &k, &v).is_ok());
+        prop_assert!(subject.is_pending(victim));
 
         // Peers keep serving while the victim re-admits chunk by chunk
         // (one prefill_step_for per decode step); the golden twin pauses
@@ -1120,7 +1104,7 @@ proptest! {
     /// EvictionPolicy × GQA topology: any voluntary preemption schedule —
     /// zero or more soft-tier demotions (`demote`, arbitrary bursts),
     /// then hard-tier evict-and-requeue (`quarantine` + recompute from
-    /// the recovery log or the frontend's history) — replays
+    /// the frontend's history) — replays
     /// bit-identical to a never-preempted twin once the victim resumes,
     /// with batch peers lockstep bit for bit at every step in between.
     #[test]
@@ -1133,7 +1117,6 @@ proptest! {
         post_steps in 1usize..6,
         demote_count in 0usize..3,
         burst in 0usize..3,
-        log_sel in 0usize..2,
         seed in 0u64..1_000_000,
     ) {
         use fa_attention::batch::{EvictionPolicy, KvFormat};
@@ -1165,11 +1148,7 @@ proptest! {
             e.set_prefill_chunk(3);
             e
         };
-        let from_log = log_sel == 1;
         let mut subject = mk();
-        if from_log {
-            subject.enable_recovery_log();
-        }
         let mut golden = mk();
         let ids: Vec<usize> = (0..batch).map(|_| subject.add_sequence()).collect();
         for _ in 0..batch { golden.add_sequence(); }
@@ -1228,21 +1207,15 @@ proptest! {
             );
         }
 
-        // Hard tier: evict-and-requeue with recompute-on-resume, either
-        // auto-requeued from the recovery log or resubmitted from the
-        // frontend history. Rebuilding replays the full-precision rows,
-        // erasing every demotion above.
+        // Hard tier: evict-and-requeue with recompute-on-resume,
+        // resubmitted from the frontend history. Rebuilding replays the
+        // full-precision rows, erasing every demotion above.
         let len = subject.seq_len(victim);
         let report = subject.quarantine(victim);
         prop_assert!(report.blocks_freed > 0);
-        if from_log {
-            prop_assert_eq!(report.requeued_rows, len, "full log auto-requeues");
-        } else {
-            prop_assert_eq!(report.requeued_rows, 0, "no log to requeue from");
-            let k = Matrix::from_vec(len, topo.kv_dim(), hist_k[victim].clone());
-            let v = Matrix::from_vec(len, topo.kv_dim(), hist_v[victim].clone());
-            prop_assert!(subject.resubmit(victim, &k, &v).is_ok());
-        }
+        let k = Matrix::from_vec(len, topo.kv_dim(), hist_k[victim].clone());
+        let v = Matrix::from_vec(len, topo.kv_dim(), hist_v[victim].clone());
+        prop_assert!(subject.resubmit(victim, &k, &v).is_ok());
         prop_assert!(subject.is_pending(victim));
 
         // Peers keep decoding lockstep while the victim re-admits.
@@ -1276,7 +1249,7 @@ proptest! {
     /// to non-speculative decode of exactly the accepted tokens, window
     /// outputs and checksum verdicts included, and the engine keeps
     /// decoding lockstep with the sequential twin afterwards with every
-    /// BlockCheck/sumrow rewound bitwise.
+    /// fingerprint/sumrow rewound bitwise.
     #[test]
     fn speculative_schedules_replay_bit_identical_to_sequential_decode(
         format_sel in 0usize..4,
@@ -1483,7 +1456,7 @@ proptest! {
                         );
                         prop_assert!(
                             subject.rewind_checks_clean(id),
-                            "round {r} seq {i}: BlockChecks/sumrows must rewind bitwise"
+                            "round {r} seq {i}: fingerprints/sumrows must rewind bitwise"
                         );
                     }
                 }
@@ -1495,8 +1468,8 @@ proptest! {
     /// Satellite: live corruption **inside** the speculative window. A
     /// value-side exponent flip in a recent cached row makes the window
     /// verdict over it alarm before anything is delivered; rejecting the
-    /// whole window, quarantining the victim, and recomputing (from the
-    /// recovery log or the frontend history) resumes bit-identical to a
+    /// whole window, quarantining the victim, and recomputing from the
+    /// frontend history resumes bit-identical to a
     /// never-corrupted sequential twin — peers lockstep throughout.
     #[test]
     fn corruption_inside_the_speculative_window_alarms_before_delivery(
@@ -1506,7 +1479,6 @@ proptest! {
         gamma in 2usize..6,
         pre_steps in 1usize..4,
         post_steps in 1usize..4,
-        log_sel in 0usize..2,
         seed in 0u64..1_000_000,
     ) {
         use fa_attention::batch::{EvictionPolicy, KvFormat};
@@ -1530,7 +1502,6 @@ proptest! {
         let batch = 3usize;
         let prefill_len = 10;
         let tol = 1e-6;
-        let from_log = log_sel == 1;
         let topo = HeadTopology::gqa(qh, kv, AttentionConfig::new(d));
         let mk = || {
             let mut e = DecodeBatch::<f64>::with_policy(
@@ -1540,9 +1511,6 @@ proptest! {
             e
         };
         let mut subject = mk();
-        if from_log {
-            subject.enable_recovery_log();
-        }
         let mut golden = mk();
         let rand = |rows: usize, cols: usize, s: u64| {
             Matrix::<f64>::random_seeded(rows, cols, ElementDist::default(), s)
@@ -1701,19 +1669,13 @@ proptest! {
             "the flipped lane must survive rollback for the audit to see"
         );
 
-        // Quarantine and recompute the victim (auto-requeue from the
-        // recovery log, or resubmit from the frontend history).
+        // Quarantine and recompute the victim from the frontend history.
         let len = subject.seq_len(victim);
         let report = subject.quarantine(victim);
         prop_assert!(report.blocks_freed > 0);
-        if from_log {
-            prop_assert_eq!(report.requeued_rows, len, "full log auto-requeues");
-        } else {
-            prop_assert_eq!(report.requeued_rows, 0, "no log to requeue from");
-            let k = Matrix::from_vec(len, topo.kv_dim(), hist_k[vi].clone());
-            let v = Matrix::from_vec(len, topo.kv_dim(), hist_v[vi].clone());
-            prop_assert!(subject.resubmit(victim, &k, &v).is_ok());
-        }
+        let k = Matrix::from_vec(len, topo.kv_dim(), hist_k[vi].clone());
+        let v = Matrix::from_vec(len, topo.kv_dim(), hist_v[vi].clone());
+        prop_assert!(subject.resubmit(victim, &k, &v).is_ok());
         prop_assert!(subject.is_pending(victim));
         let mut waited = 0usize;
         while subject.is_pending(victim) {
@@ -1818,10 +1780,14 @@ proptest! {
             topo, 4, KvLayout::HeadMajor, format, eviction,
         );
         e.set_prefill_chunk(3);
-        e.enable_recovery_log();
         let rand = |rows: usize, cols: usize, s: u64| {
             Matrix::<f64>::random_seeded(rows, cols, ElementDist::default(), s)
         };
+        // Each live reader's accepted K/V history (prefix ‖ suffix ‖
+        // decoded), the frontend copy a quarantine resubmits.
+        let mut hist: std::collections::HashMap<usize, (Vec<f64>, Vec<f64>)> =
+            std::collections::HashMap::new();
+        let mut prefix_kv = Vec::new();
 
         // Two registered prefixes of different lengths (one spills into a
         // partially-filled tail block, so shared appends exercise CoW).
@@ -1832,6 +1798,7 @@ proptest! {
             let k = rand(rows, topo.kv_dim(), seed.wrapping_add(20 + p));
             let v = rand(rows, topo.kv_dim(), seed.wrapping_add(30 + p));
             prefix_ids.push(e.register_prefix(&q, &k, &v));
+            prefix_kv.push((k, v));
         }
         assert_block_owners_consistent(&e);
 
@@ -1851,6 +1818,11 @@ proptest! {
                     let s = e.enqueue_shared(id, &q, &k, &v);
                     while e.prefill_step_for(&[s]) > 0 {}
                     let _ = e.take_admitted(s);
+                    let (pk, pv) = &prefix_kv[arg % prefix_ids.len()];
+                    let mut h = (pk.as_slice().to_vec(), pv.as_slice().to_vec());
+                    h.0.extend_from_slice(k.as_slice());
+                    h.1.extend_from_slice(v.as_slice());
+                    hist.insert(s, h);
                     live.push(s);
                     admits += 1;
                 }
@@ -1862,6 +1834,11 @@ proptest! {
                         let ks = rand(live.len(), topo.kv_dim(), seed.wrapping_add(5_001 + t * 3));
                         let vs = rand(live.len(), topo.kv_dim(), seed.wrapping_add(5_002 + t * 3));
                         let _ = e.step_decode(&live, &qs, &ks, &vs);
+                        for (i, s) in live.iter().enumerate() {
+                            let h = hist.get_mut(s).expect("live reader");
+                            h.0.extend_from_slice(ks.row(i));
+                            h.1.extend_from_slice(vs.row(i));
+                        }
                         t += 1;
                     }
                 }
@@ -1875,13 +1852,19 @@ proptest! {
                 }
                 3 => {
                     // Quarantine: drop the reader's shared references and
-                    // rebuild its whole history privately from the log.
+                    // rebuild its whole history privately from the
+                    // resubmitted frontend copy.
                     if !live.is_empty() {
                         let s = live[arg % live.len()];
                         let _ = e.quarantine(s);
+                        let (hk, hv) = &hist[&s];
+                        let n = hk.len() / topo.kv_dim();
+                        let k = Matrix::from_vec(n, topo.kv_dim(), hk.clone());
+                        let v = Matrix::from_vec(n, topo.kv_dim(), hv.clone());
+                        prop_assert!(e.resubmit(s, &k, &v).is_ok());
                         while e.prefill_step_for(&[s]) > 0 {}
                         let _ = e.take_admitted(s);
-                        prop_assert!(!e.is_pending(s), "the seeded log rebuilds fully");
+                        prop_assert!(!e.is_pending(s), "the resubmitted history rebuilds fully");
                     }
                 }
                 _ => {
@@ -2049,7 +2032,6 @@ proptest! {
                 topo, 4, KvLayout::HeadMajor, KvFormat::F64, EvictionPolicy::RetainAll,
             );
             e.set_prefill_chunk(4);
-            e.enable_recovery_log();
             e
         };
         let rand = |rows: usize, cols: usize, s: u64| {
@@ -2094,7 +2076,7 @@ proptest! {
             );
         }
         let report = subject.audit_and_repair(s_ids[0], tol);
-        prop_assert!(report.rows_rewritten >= 1, "the log rewrites the poisoned rows");
+        prop_assert!(report.rows_rewritten >= 1, "the repair mends the poisoned word");
         prop_assert_eq!(report.blocks_unrecoverable, 0);
         for &s in &s_ids {
             prop_assert!(subject.audit(s, tol).is_empty(), "one repair clears every reader");
@@ -2111,6 +2093,144 @@ proptest! {
                     prop_assert_eq!(a[i].output[l].to_bits(), want.to_bits(),
                         "post-repair step {} reader {} lane {}", t, i, l);
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The fingerprint invariant, swept across KvFormat × EvictionPolicy
+    /// × GQA group size (1 and 4): after every operation of a random
+    /// schedule — decode appends, chunked prefill (checked after each
+    /// chunk), shared-prefix adoption and copy-on-write splits, voluntary
+    /// demotion, sliding-window eviction, speculate/resolve with random
+    /// accepted counts, flip-and-repair, quarantine-and-resubmit, retire
+    /// — every retained block's stored fingerprints (and `sumrow` lanes)
+    /// equal a recompute from its stored bits.
+    #[test]
+    fn fingerprints_match_storage_after_every_operation(
+        format_sel in 0usize..3,
+        evict_sel in 0usize..2,
+        group_sel in 0usize..2,
+        ops in proptest::collection::vec((0usize..8, 0usize..64), 8..20),
+        seed in 0u64..1_000_000,
+    ) {
+        use fa_attention::batch::{EvictionPolicy, KvFormat};
+        use fa_attention::HeadTopology;
+        use fa_tensor::random::ElementDist;
+        use std::collections::HashMap;
+
+        let format = [KvFormat::F64, KvFormat::Bf16, KvFormat::Mixed { burst_blocks: 1 }][format_sel];
+        let eviction = [
+            EvictionPolicy::RetainAll,
+            EvictionPolicy::SlidingWindow { window_blocks: 2 },
+        ][evict_sel];
+        let (qh, kv) = [(2usize, 2usize), (4, 1)][group_sel];
+        let topo = HeadTopology::gqa(qh, kv, AttentionConfig::new(4));
+        let (qd, kd) = (topo.q_dim(), topo.kv_dim());
+        let tol = 1e-6;
+        let mut e = DecodeBatch::<f64>::with_policy(topo, 4, KvLayout::HeadMajor, format, eviction);
+        e.set_prefill_chunk(3);
+        let mut lane = 0u64;
+        let mut rand = |rows: usize, cols: usize| {
+            lane += 1;
+            Matrix::<f64>::random_seeded(rows, cols, ElementDist::default(), seed.wrapping_add(lane))
+        };
+        // A 6-row prefix: its half-filled tail block forces a CoW split
+        // on every reader's first append.
+        let (pq, pk, pv) = (rand(6, qd), rand(6, kd), rand(6, kd));
+        let prefix = e.register_prefix(&pq, &pk, &pv);
+        prop_assert!(e.fingerprints_clean(), "after registration");
+        // Each live sequence's accepted K/V history, for resubmission.
+        let mut hist: HashMap<usize, (Vec<f64>, Vec<f64>)> = HashMap::new();
+        let mut live: Vec<usize> = Vec::new();
+
+        for (op, arg) in ops {
+            match op {
+                0 | 1 => {
+                    // Admission: a private prompt, or a suffix behind the
+                    // shared prefix; drained chunk by chunk.
+                    let rows = 1 + arg % 7;
+                    let (q, k, v) = (rand(rows, qd), rand(rows, kd), rand(rows, kd));
+                    let (s, mut h) = if op == 0 {
+                        (e.enqueue(&q, &k, &v), (Vec::new(), Vec::new()))
+                    } else {
+                        let h = (pk.as_slice().to_vec(), pv.as_slice().to_vec());
+                        (e.enqueue_shared(prefix, &q, &k, &v), h)
+                    };
+                    while e.prefill_step_for(&[s]) > 0 {
+                        prop_assert!(e.fingerprints_clean(), "after a prefill chunk");
+                    }
+                    let _ = e.take_admitted(s);
+                    h.0.extend_from_slice(k.as_slice());
+                    h.1.extend_from_slice(v.as_slice());
+                    hist.insert(s, h);
+                    live.push(s);
+                }
+                2 if !live.is_empty() => {
+                    let (q, k, v) = (rand(live.len(), qd), rand(live.len(), kd), rand(live.len(), kd));
+                    let _ = e.step_decode(&live, &q, &k, &v);
+                    for (i, s) in live.iter().enumerate() {
+                        let h = hist.get_mut(s).expect("live");
+                        h.0.extend_from_slice(k.row(i));
+                        h.1.extend_from_slice(v.row(i));
+                    }
+                }
+                3 if !live.is_empty() => {
+                    let _ = e.demote(live[arg % live.len()], arg % 3);
+                }
+                4 if !live.is_empty() => {
+                    let gamma = 2 + arg % 3;
+                    let n = live.len() * gamma;
+                    let (q, k, v) = (rand(n, qd), rand(n, kd), rand(n, kd));
+                    let _ = e.speculate(&live, &q, &k, &v, gamma);
+                    prop_assert!(e.fingerprints_clean(), "inside an open window");
+                    let accepted: Vec<usize> =
+                        (0..live.len()).map(|i| (arg / 3 + i * 7) % (gamma + 1)).collect();
+                    e.resolve_speculation(&accepted);
+                    for (i, s) in live.iter().enumerate() {
+                        let h = hist.get_mut(s).expect("live");
+                        for j in 0..accepted[i] {
+                            h.0.extend_from_slice(k.row(i * gamma + j));
+                            h.1.extend_from_slice(v.row(i * gamma + j));
+                        }
+                    }
+                }
+                5 if !live.is_empty() => {
+                    // One flipped word (fingerprints untouched), then repair.
+                    let s = live[arg % live.len()];
+                    let first = e.cache().first_retained(s);
+                    let pos = first + arg % (e.seq_len(s) - first);
+                    let bit = if e.storage_is_bf16(s, pos) { (arg % 16) as u32 } else { arg as u32 };
+                    e.flip_storage_bit(s, pos, arg % kv, arg % 4, arg % 2 == 0, bit);
+                    let report = e.audit_and_repair(s, tol);
+                    prop_assert_eq!(report.blocks_unrecoverable, 0);
+                    prop_assert_eq!(report.rows_rewritten, 1);
+                }
+                6 if !live.is_empty() => {
+                    let s = live[arg % live.len()];
+                    let _ = e.quarantine(s);
+                    let (hk, hv) = &hist[&s];
+                    let n = hk.len() / kd;
+                    let k = Matrix::from_vec(n, kd, hk.clone());
+                    let v = Matrix::from_vec(n, kd, hv.clone());
+                    prop_assert!(e.resubmit(s, &k, &v).is_ok());
+                    while e.prefill_step_for(&[s]) > 0 {
+                        prop_assert!(e.fingerprints_clean(), "after a resubmitted chunk");
+                    }
+                }
+                7 if !live.is_empty() => {
+                    let s = live.swap_remove(arg % live.len());
+                    hist.remove(&s);
+                    e.retire(s);
+                }
+                _ => {}
+            }
+            prop_assert!(e.fingerprints_clean(), "after op {} ({})", op, arg);
+            for &s in &live {
+                prop_assert!(e.audit(s, tol).is_empty(), "live sequences audit clean");
             }
         }
     }

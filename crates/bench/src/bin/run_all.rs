@@ -240,6 +240,7 @@ fn fault_benchmarks(quick: bool) {
         "accuracy %",
         "recoveries",
         "rows",
+        "quarantines",
         "divergent",
     ]);
     for s in &report.sites {
@@ -258,13 +259,14 @@ fn fault_benchmarks(quick: bool) {
             format!("{:.1}", st.localization_accuracy_pct()),
             format!("{}", st.recoveries),
             format!("{}", st.recovered_rows),
+            format!("{}", st.quarantines),
             format!("{}", st.post_recovery_divergent),
         ]);
     }
     print!("{}", table.render());
     println!(
         "load: batch {} x prefill {} + {} decode steps, {} trials/site; \
-         audit {:.4} ms, block recovery {:.4} ms ({} rows)",
+         audit {:.4} ms, fingerprint repair {:.4} ms ({} rows)",
         report.batch,
         report.prefill,
         report.steps,
@@ -277,7 +279,7 @@ fn fault_benchmarks(quick: bool) {
         let st = &leg.stats;
         println!(
             "  policy {:?}/{:?}: {} trials, {} detected, {} silent, {} localized, \
-             {} recoveries, {} divergent, {} evicted-before-detect",
+             {} recoveries, {} quarantines, {} divergent, {} evicted-before-detect",
             leg.format,
             leg.eviction,
             st.total(),
@@ -285,6 +287,7 @@ fn fault_benchmarks(quick: bool) {
             st.base.silent,
             st.localized,
             st.recoveries,
+            st.quarantines,
             st.post_recovery_divergent,
             st.evicted_before_detect,
         );
@@ -307,13 +310,14 @@ fn fault_benchmarks(quick: bool) {
         let st = &leg.stats;
         println!(
             "  burst k={}: {} flips, {} localized / {} mislocalized ({:.1}%), \
-             {} recoveries, {} divergent",
+             {} recoveries, {} quarantines, {} divergent",
             leg.flips_per_trial,
             st.injected_flips,
             st.localized,
             st.mislocalized,
             st.localization_accuracy_pct(),
             st.recoveries,
+            st.quarantines,
             st.post_recovery_divergent,
         );
     }

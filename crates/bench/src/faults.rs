@@ -1,7 +1,8 @@
 //! Serving-scale fault-tolerance benchmarks: live injection campaigns
 //! against the continuous-batching engine under load, measuring
 //! detection latency (steps to verdict), localization accuracy, and
-//! block-granular recovery cost — the numbers behind `BENCH_faults.json`.
+//! in-place fingerprint repair cost — the numbers behind
+//! `BENCH_faults.json`.
 //!
 //! Two layers:
 //!
@@ -9,18 +10,19 @@
 //!   load (batch 32 full / batch 8 quick), one per
 //!   [`InjectionSite`] — the detection/localization/recovery matrix;
 //! * **a policy sweep** over KvFormat × EvictionPolicy for the
-//!   storage-injection site, showing how demotion laundering and
-//!   window eviction move the outcome mix;
+//!   storage-injection site, showing how demotion and window eviction
+//!   move the outcome mix;
 //! * **a scrub sweep** over background-scrubber bandwidths for the
 //!   Key site (invisible to the online check), tracing the detection
 //!   latency vs. scrub bandwidth tradeoff against its analytical
 //!   worst-case bound;
 //! * **a multi-fault sweep** over burst sizes k ∈ {1, 2, 4}
-//!   simultaneous flips, checking block-exact localization and
-//!   bounding unexplained post-repair divergence;
-//! * **micro-timings** of the structural audit and one block recovery
-//!   on a loaded engine — the steady-state cost of scrubbing and the
-//!   price of a repair.
+//!   simultaneous flips, checking exact localization and counting the
+//!   trials whose damage exceeds one word per panel (quarantined and
+//!   regenerated);
+//! * **micro-timings** of the structural audit and one fingerprint
+//!   repair on a loaded engine — the steady-state cost of scrubbing and
+//!   the price of a repair.
 
 use crate::serving::drill_json;
 use fa_attention::batch::guard::InjectionSite;
@@ -117,10 +119,11 @@ pub struct FaultBenchReport {
     pub shared_prefix_gamma: usize,
     /// One structural audit of a loaded sequence, milliseconds.
     pub audit_ms: f64,
-    /// One block recovery (rewrite + re-checksum + sumrow refresh) on
-    /// that sequence, milliseconds.
+    /// One fingerprint repair of a one-word corruption on that sequence
+    /// (diagnose the block, mend the word, recompute its panel's `sumrow`
+    /// lanes), milliseconds.
     pub recover_block_ms: f64,
-    /// Rows the timed recovery rewrote.
+    /// Rows the timed repair rewrote (one per mended word).
     pub recovered_rows: usize,
 }
 
@@ -148,8 +151,8 @@ fn eviction_key(eviction: EvictionPolicy) -> &'static str {
     }
 }
 
-/// Times the audit walk and one block recovery on an engine loaded to
-/// the campaign shape.
+/// Times the audit walk and one fingerprint repair on an engine loaded
+/// to the campaign shape.
 fn micro_timings(spec: &LiveCampaignSpec) -> (f64, f64, usize) {
     let topo = HeadTopology::gqa(
         spec.query_heads,
@@ -163,7 +166,6 @@ fn micro_timings(spec: &LiveCampaignSpec) -> (f64, f64, usize) {
         KvFormat::F64,
         EvictionPolicy::RetainAll,
     );
-    engine.enable_recovery_log();
     let ids: Vec<usize> = (0..spec.batch).map(|_| engine.add_sequence()).collect();
     let mk = |rows: usize, cols: usize, seed: u64| {
         Matrix::<f64>::random_seeded(rows, cols, ElementDist::default(), seed)
@@ -188,10 +190,15 @@ fn micro_timings(spec: &LiveCampaignSpec) -> (f64, f64, usize) {
     }
     let mut recover_ms = f64::INFINITY;
     let mut rows = 0;
-    for _ in 0..reps {
+    for rep in 0..reps {
+        // A fresh value-side word in block 0 per repetition, localized
+        // untimed; the clock covers the repair alone.
+        engine.flip_storage_bit(ids[0], rep % spec.block_rows, 0, rep, false, 40);
+        let faults = engine.audit(ids[0], spec.tolerance);
         let start = Instant::now();
-        rows = std::hint::black_box(engine.recover_block(ids[0], 0));
+        let report = std::hint::black_box(engine.repair(ids[0], &faults));
         recover_ms = recover_ms.min(start.elapsed().as_secs_f64() * 1e3);
+        rows = report.rows_rewritten;
     }
     (audit_ms, recover_ms, rows)
 }
@@ -341,6 +348,7 @@ impl FaultBenchReport {
         let mut recovery = by_site(&|st| {
             obj! {
                 "recoveries" => st.recoveries, "recovered_rows" => st.recovered_rows,
+                "quarantines" => st.quarantines,
                 "post_recovery_divergent" => st.post_recovery_divergent,
             }
         });
@@ -358,6 +366,7 @@ impl FaultBenchReport {
                 "format" => format_key(leg.format), "eviction" => eviction_key(leg.eviction),
                 "trials" => st.total(), "detected" => st.base.detected, "silent" => st.base.silent,
                 "localized" => st.localized, "recoveries" => st.recoveries,
+                "quarantines" => st.quarantines,
                 "post_recovery_divergent" => st.post_recovery_divergent,
                 "evicted_before_detect" => st.evicted_before_detect,
             }
@@ -381,6 +390,7 @@ impl FaultBenchReport {
                 "localized" => st.localized, "mislocalized" => st.mislocalized,
                 "accuracy_pct" => Json::fixed(st.localization_accuracy_pct(), 2),
                 "recoveries" => st.recoveries, "recovered_rows" => st.recovered_rows,
+                "quarantines" => st.quarantines,
                 "post_recovery_divergent" => st.post_recovery_divergent,
             }
         });
@@ -460,9 +470,9 @@ mod tests {
             );
         }
 
-        // Multi-fault sweep: every flip gets judged, and unexplained
-        // post-repair divergence never happens (divergence is bounded
-        // by the mislocalized/absorbed residue quarantine exists for).
+        // Multi-fault sweep: every flip gets judged and localized (the
+        // fingerprints are exact), and damage beyond one word per panel
+        // quarantines and regenerates: no post-repair divergence.
         assert_eq!(report.multi_fault.len(), 3);
         for leg in &report.multi_fault {
             let st = &leg.stats;
@@ -476,8 +486,8 @@ mod tests {
                 st.injected_flips,
                 "every flip judged: {leg:?}"
             );
-            assert!(st.localization_accuracy_pct() >= 90.0, "{leg:?}");
-            assert!(st.post_recovery_divergent <= st.mislocalized, "{leg:?}");
+            assert_eq!(st.mislocalized, 0, "{leg:?}");
+            assert_eq!(st.post_recovery_divergent, 0, "{leg:?}");
         }
 
         // Shared-prefix drill: flips inside registered prefix blocks
@@ -516,6 +526,7 @@ mod tests {
                 "scrub.0.scrubbed_blocks",
                 "multi_fault.0.flips_per_trial",
                 "multi_fault.0.injected_flips",
+                "multi_fault.0.quarantines",
                 "shared_prefix_drill.prefix_tokens",
                 "shared_prefix_drill.token_fidelity_pct",
                 "shared_prefix_drill.divergent_requests",

@@ -171,7 +171,7 @@ pub struct DrillStats {
     pub online_alarms: u64,
     /// Corrupt sites surfaced by the subject's scrubber.
     pub scrub_findings: u64,
-    /// Blocks repaired in place from the recovery log.
+    /// Blocks repaired in place from their fingerprints.
     pub repaired_blocks: u64,
     /// Blocks repair could not restore.
     pub unrecoverable_blocks: u64,

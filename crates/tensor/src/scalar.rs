@@ -82,6 +82,13 @@ pub trait Scalar:
         self.mac(a, b)
     }
 
+    /// The storage bit pattern, zero-extended to 64 bits (`BIT_WIDTH`
+    /// low bits used) — the word integer fingerprints sum.
+    fn raw_bits(self) -> u64;
+    /// The value whose storage bit pattern is the low `BIT_WIDTH` bits
+    /// of `bits` (inverse of [`raw_bits`](Self::raw_bits)).
+    fn from_raw_bits(bits: u64) -> Self;
+
     /// Whether the value is NaN.
     fn is_nan(self) -> bool;
     /// Whether the value is finite.
@@ -115,6 +122,14 @@ impl Scalar for f32 {
     #[inline]
     fn to_f64(self) -> f64 {
         self as f64
+    }
+    #[inline]
+    fn raw_bits(self) -> u64 {
+        self.to_bits() as u64
+    }
+    #[inline]
+    fn from_raw_bits(bits: u64) -> Self {
+        f32::from_bits(bits as u32)
     }
     #[inline]
     fn is_nan(self) -> bool {
@@ -165,6 +180,14 @@ impl Scalar for f64 {
         self / rhs
     }
     #[inline]
+    fn raw_bits(self) -> u64 {
+        self.to_bits()
+    }
+    #[inline]
+    fn from_raw_bits(bits: u64) -> Self {
+        f64::from_bits(bits)
+    }
+    #[inline]
     fn is_nan(self) -> bool {
         f64::is_nan(self)
     }
@@ -203,6 +226,14 @@ impl Scalar for BF16 {
     #[inline]
     fn to_f64(self) -> f64 {
         BF16::to_f64(self)
+    }
+    #[inline]
+    fn raw_bits(self) -> u64 {
+        self.to_bits() as u64
+    }
+    #[inline]
+    fn from_raw_bits(bits: u64) -> Self {
+        BF16::from_bits(bits as u16)
     }
     #[inline]
     fn is_nan(self) -> bool {

@@ -1,9 +1,10 @@
 //! Live fault tolerance in the continuous-batching engine: a bit flip
 //! lands in the KV cache of an actively decoding batch, the fused
-//! checksum lane raises the alarm, the per-(sequence, kv head, block)
-//! audit pins the poisoned block, and block-granular recovery replays
-//! just that block from the retained token log — after which decode
-//! resumes **bit-identical** to an uninjured golden twin.
+//! checksum lane raises the alarm, the audit compares every block's
+//! integer row/lane fingerprints against its stored bits and pins the
+//! corrupted word, and repair subtracts the fingerprint delta from that
+//! word in place — after which decode resumes **bit-identical** to an
+//! uninjured golden twin. No second copy of the cache is kept.
 //!
 //! Three acts, one per corruption class:
 //!
@@ -27,8 +28,8 @@ const TOL: f64 = 1e-6;
 
 fn main() {
     // A 4:2 GQA serving configuration, 8-row cache blocks, head-major
-    // layout. The recovery log retains each sequence's admitted K/V
-    // rows, so any block can be recomputed after corruption.
+    // layout. Every block carries wrapping u64 sums of its stored bits
+    // per row and per lane (K and V, each kv head): the repair source.
     let topo = HeadTopology::gqa(4, 2, AttentionConfig::new(16));
     let mk = || {
         DecodeBatch::<f64>::with_policy(
@@ -40,7 +41,6 @@ fn main() {
         )
     };
     let mut engine = mk();
-    engine.enable_recovery_log();
     let mut golden = mk();
 
     let ids: Vec<usize> = (0..4).map(|_| engine.add_sequence()).collect();
@@ -55,10 +55,14 @@ fn main() {
         engine.prefill(id, &k, &v);
         golden.prefill(id, &k, &v);
     }
+    let cache = engine.cache();
     println!(
-        "serving {} sequences (4:2 GQA, d=16), {} prompt tokens each, recovery log on",
+        "serving {} sequences (4:2 GQA, d=16), {} prompt tokens each: \
+         {} B of live K/V guarded by {} B of block fingerprints",
         ids.len(),
-        engine.seq_len(ids[0])
+        engine.seq_len(ids[0]),
+        cache.live_kv_bytes(),
+        cache.fingerprint_bytes()
     );
 
     let mut step = 0u64;
@@ -132,7 +136,7 @@ fn main() {
     )));
     let report = engine.repair(victim, &faults);
     println!(
-        "  repaired: {} block ({} rows rewritten from the log), verdict cleared",
+        "  repaired: {} block ({} word mended from its fingerprints), verdict cleared",
         report.blocks_recovered, report.rows_rewritten
     );
     for _ in 0..6 {
@@ -163,7 +167,7 @@ fn main() {
         .iter()
         .any(|f| matches!(f, LocalizedFault::CorruptBlock { key_side: true, .. })));
     let report = engine.repair(victim, &faults);
-    println!("  repaired {} rows; resuming", report.rows_rewritten);
+    println!("  mended {} word in place; resuming", report.rows_rewritten);
     for _ in 0..6 {
         let (diverged, r) = decode(&mut engine, &mut golden, 2);
         assert!(!diverged && r.abs() < TOL);

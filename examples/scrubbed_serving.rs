@@ -1,26 +1,28 @@
 //! Proactive scrubbing and graceful degradation in the serving engine:
 //! the background scrubber amortizes the structural audit across decode
 //! steps and catches residual-coherent corruption within a configured
-//! latency bound; clean scrub verdicts let a bounded recovery log drop
-//! its verified prefix; and when damage lands where the log no longer
-//! reaches, the engine degrades gracefully — quarantine frees the
-//! poisoned blocks and the sequence recomputes through chunked-prefill
-//! admission while its batch peers keep decoding, bit-identical
-//! throughout.
+//! latency bound; every block's integer row/lane fingerprints pin a
+//! corrupted word exactly, whatever bit flipped, and repair mends it in
+//! place; and when damage exceeds one word per panel, the engine
+//! degrades gracefully — quarantine frees the poisoned blocks and the
+//! sequence recomputes through chunked-prefill admission while its batch
+//! peers keep decoding, bit-identical throughout.
 //!
 //! Three acts:
 //!
 //! 1. a **key-side** storage flip — invisible to the online residual by
 //!    construction — is caught by the scrubber within
-//!    `ceil(live_blocks / blocks_per_step)` steps, repaired from the
-//!    log, and decode resumes bit-identical to a golden twin;
-//! 2. the **recovery log is bounded**: a checkpoint behind a clean
-//!    audit drops every verified row beyond the budget, and the
-//!    retained suffix still repairs;
-//! 3. a flip lands **behind the truncated log**: repair reports the
-//!    block unrecoverable, quarantine retires the sequence, the
-//!    frontend resubmits its token history, and re-admission proceeds
-//!    chunk by chunk while peers decode — ending bit-identical.
+//!    `ceil(live_blocks / blocks_per_step)` steps, mended in place, and
+//!    decode resumes bit-identical to a golden twin;
+//! 2. a **lowest-bit** value flip — too small for the online residual —
+//!    still localizes to its exact word; the fingerprints cost
+//!    `(block_rows + head_dim) / (block_rows · head_dim)` of the live
+//!    K/V bytes (19% at this toy shape, 7% at 16-row blocks of
+//!    `head_dim` 128);
+//! 3. **two words** flip in one block panel: repair reports the block
+//!    unrecoverable, quarantine retires the sequence, the frontend
+//!    resubmits its token history, and re-admission proceeds chunk by
+//!    chunk while peers decode — ending bit-identical.
 //!
 //! Run with: `cargo run --release --example scrubbed_serving`
 
@@ -35,9 +37,9 @@ fn rand(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
 }
 
 fn main() {
-    // A 4:2 GQA serving configuration, 8-row blocks, recovery log on,
-    // prompts admitted 6 tokens at a time. The scrubber audits 2 live
-    // blocks per decode step.
+    // A 4:2 GQA serving configuration, 8-row blocks, prompts admitted 6
+    // tokens at a time. The scrubber audits 2 live blocks per decode
+    // step.
     let topo = HeadTopology::gqa(4, 2, AttentionConfig::new(16));
     let mk = || {
         let mut e = DecodeBatch::<f64>::with_policy(
@@ -51,7 +53,6 @@ fn main() {
         e
     };
     let mut engine = mk();
-    engine.enable_recovery_log();
     engine.set_scrub_policy(Some(ScrubPolicy { blocks_per_step: 2 }));
     let mut golden = mk();
 
@@ -73,7 +74,7 @@ fn main() {
     }
     println!(
         "serving {} sequences (4:2 GQA, d=16), 20 prompt tokens each; \
-         scrub budget 2 blocks/step, recovery log on",
+         scrub budget 2 blocks/step",
         ids.len()
     );
 
@@ -154,7 +155,7 @@ fn main() {
     let faults = engine.audit(victim, TOL);
     let report = engine.repair(victim, &faults);
     println!(
-        "  caught in {caught} <= {bound} steps; repaired {} block ({} rows from the log)",
+        "  caught in {caught} <= {bound} steps; repaired {} block ({} word mended in place)",
         report.blocks_recovered, report.rows_rewritten
     );
     assert_eq!(report.blocks_unrecoverable, 0);
@@ -165,38 +166,35 @@ fn main() {
     }
     println!("  resumed 4 steps bit-identical to the golden twin\n");
 
-    // ---- Act 2: the recovery log is bounded --------------------------------
-    let width = engine.cache().width();
-    let before = (engine.recovery_log_rows(), engine.recovery_log_bytes());
-    engine.set_recovery_log_budget(Some(8));
-    for &id in &ids {
-        assert!(engine.checkpoint_recovery_log(id, TOL), "audits are clean");
-        assert_eq!(engine.seq_log_rows(id), 8);
-    }
+    // ---- Act 2: a lowest-bit flip still pins its word -----------------------
+    let cache = engine.cache();
+    let (kv_bytes, fp_bytes) = (cache.live_kv_bytes(), cache.fingerprint_bytes());
     println!(
-        "[act 2] recovery log: {} rows / {} bytes -> budget 8 rows/seq -> {} rows / {} bytes",
-        before.0,
-        before.1,
-        engine.recovery_log_rows(),
-        engine.recovery_log_bytes()
+        "[act 2] {kv_bytes} B of live K/V carry {fp_bytes} B of fingerprints ({:.1}%)",
+        100.0 * fp_bytes as f64 / kv_bytes as f64
     );
-    assert_eq!(
-        engine.recovery_log_bytes(),
-        2 * engine.recovery_log_rows() * width * core::mem::size_of::<f64>()
-    );
-    // The retained suffix still repairs in place.
     let tip = engine.seq_len(ids[0]) - 1;
-    engine.flip_storage_bit(ids[0], tip, 1, 0, false, 61);
+    engine.flip_storage_bit(ids[0], tip, 1, 5, false, 0);
     let faults = engine.audit(ids[0], TOL);
+    println!("  flipped bit 0 of V[pos {tip}, kv head 1, lane 5]: audit {faults:?}");
+    assert!(matches!(
+        faults[..],
+        [fa_attention::batch::guard::LocalizedFault::CorruptBlock {
+            kv_head: 1,
+            key_side: false,
+            word: Some((_, 5)),
+            ..
+        }]
+    ));
     let report = engine.repair(ids[0], &faults);
-    assert_eq!(report.blocks_recovered, 1);
-    assert_eq!(report.blocks_unrecoverable, 0);
-    println!("  suffix flip at pos {tip}: still repaired from the bounded log\n");
+    assert_eq!((report.blocks_recovered, report.rows_rewritten), (1, 1));
+    println!("  mended that one word in place\n");
 
-    // ---- Act 3: unrecoverable damage -> quarantine and recompute -----------
+    // ---- Act 3: damage beyond one word -> quarantine and recompute ---------
     let victim = ids[2];
     engine.flip_storage_bit(victim, 2, 0, 1, true, 61);
-    println!("[act 3] flipped bit 61 of K[pos 2, ...] on seq {victim} — behind the truncated log");
+    engine.flip_storage_bit(victim, 3, 0, 4, true, 20);
+    println!("[act 3] flipped K[pos 2, kv head 0, lane 1] and K[pos 3, kv head 0, lane 4] on seq {victim}");
     let mut findings = Vec::new();
     // Live blocks grow while we wait, so allow two full cursor cycles.
     for _ in 0..2 * engine.live_blocks() {
@@ -206,21 +204,19 @@ fn main() {
             break;
         }
     }
-    assert!(!findings.is_empty(), "the scrubber catches this flip too");
+    assert!(!findings.is_empty(), "the scrubber catches these flips too");
     let faults = engine.audit(victim, TOL);
     let report = engine.repair(victim, &faults);
     assert_eq!(report.blocks_recovered, 0);
     assert_eq!(report.blocks_unrecoverable, 1);
     println!(
-        "  detected by scrub, but repair reports {} unrecoverable block",
+        "  detected by scrub, but repair reports {} unrecoverable block (two words in one panel)",
         report.blocks_unrecoverable
     );
     let q = engine.quarantine(victim);
-    assert_eq!(q.requeued_rows, 0, "a truncated log cannot self-requeue");
     println!(
-        "  quarantined: {} blocks freed, {} log rows dropped; frontend resubmits {} tokens",
+        "  quarantined: {} blocks freed; frontend resubmits {} tokens",
         q.blocks_freed,
-        q.log_rows_dropped,
         kept_k[2].len() / topo.kv_dim()
     );
     let rows = kept_k[2].len() / topo.kv_dim();
@@ -259,7 +255,7 @@ fn main() {
         assert!(engine.audit(id, TOL).is_empty());
     }
     println!(
-        "\nall sequences audit clean; served through a scrubbed repair, a bounded-log \
-         checkpoint, and a quarantine-and-recompute without losing a peer step"
+        "\nall sequences audit clean; served through a scrubbed repair, a lowest-bit \
+         word repair, and a quarantine-and-recompute without losing a peer step"
     );
 }

@@ -16,7 +16,8 @@
 //!    bit-identical to an engine that never shared anything;
 //! 2. **repair once, everyone healed** — poison the shared prefix: all
 //!    readers' audits alarm on the same physical block, one repair
-//!    through any single reader restores it from the recovery log, and
+//!    through any single reader mends the word from the block's
+//!    fingerprints, and
 //!    every other reader's next audit is clean;
 //! 3. **scheduler + load generator** — tenants with shared system
 //!    prompts flow through the SLO scheduler: one registry entry per
@@ -45,7 +46,6 @@ fn engine() -> DecodeBatch<f64> {
         EvictionPolicy::RetainAll,
     );
     e.set_prefill_chunk(4);
-    e.enable_recovery_log();
     e
 }
 
@@ -183,7 +183,7 @@ fn main() {
         "a shared-block fault alarms every reader's audit"
     );
     let rep = shared.audit_and_repair(seqs[0], TOL);
-    assert!(rep.rows_rewritten >= 1, "the log restores the block");
+    assert_eq!(rep.rows_rewritten, 1, "the fingerprints mend the word");
     assert_eq!(rep.blocks_unrecoverable, 0);
     for &s in &seqs {
         assert!(

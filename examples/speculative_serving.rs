@@ -3,7 +3,7 @@
 //! pass over the paged cache, and the accepted prefix is committed
 //! through the ordinary append path while every rejected append —
 //! block claims, copy-on-write splits, format demotion, eviction
-//! anchors, checksums, recovery-log rows — rewinds **exactly**. The
+//! anchors, block fingerprints, checksums — rewinds **exactly**. The
 //! headline contract: any accept/reject schedule replays bit-identical
 //! to non-speculative decode of the accepted tokens.
 //!

@@ -2,8 +2,10 @@
 //! every committed artifact parses.
 //!
 //! Every cell of README's numbers tables — fused-checksum overhead and
-//! the GQA sweep (`BENCH_kernels.json` `flash2` / `decode_gqa`), scrub
-//! bandwidth (`BENCH_faults.json` `scrub`), the serving legs
+//! the GQA sweep (`BENCH_kernels.json` `flash2` / `decode_gqa`), the
+//! per-site fault outcomes and scrub bandwidth (`BENCH_faults.json`
+//! `detection_latency` / `localization` / `recovery` and `scrub`), the
+//! serving legs
 //! (`BENCH_serving.json` `clean` / `preemption`) and the speculative
 //! α×γ grid (`BENCH_serving.json` `speculative.points`) — is recomputed
 //! from the JSON and compared at the precision the README prints: a
@@ -75,6 +77,36 @@ fn pair(cell: &str) -> (&str, &str) {
         .split_once('/')
         .unwrap_or_else(|| panic!("{cell:?} is not a pair"));
     (a.trim(), b.trim())
+}
+
+#[test]
+fn fault_site_table_matches_bench_faults() {
+    let readme = read("README.md");
+    let faults = json("BENCH_faults.json");
+    let rows = table(
+        &readme,
+        "| site | detected | silent | localized | mislocalized | recoveries | quarantines | post-recovery divergent |",
+    );
+    assert_eq!(rows.len(), 4, "one README row per injection site");
+    for row in &rows {
+        let site = row[0].as_str();
+        let section = |name: &str| get(get(&faults, name), site);
+        let cells = [
+            ("detected", num(section("detection_latency"), "detected")),
+            ("silent", num(section("detection_latency"), "silent")),
+            ("localized", num(section("localization"), "localized")),
+            ("mislocalized", num(section("localization"), "mislocalized")),
+            ("recoveries", num(section("recovery"), "recoveries")),
+            ("quarantines", num(section("recovery"), "quarantines")),
+            (
+                "post_recovery_divergent",
+                num(section("recovery"), "post_recovery_divergent"),
+            ),
+        ];
+        for (cell, (name, value)) in row[1..].iter().zip(cells) {
+            check(cell, value, &format!("{site} {name}"));
+        }
+    }
 }
 
 #[test]
