@@ -40,9 +40,24 @@
 //! **and** the per-query-head checksum lane. A decode step is a
 //! 1-position panel at `seq_len − 1` (readers of a shared prefix each
 //! score its physical blocks through it); a prefill chunk is one panel per
-//! (prompt, kv head); a speculative window is one panel per segment. All
-//! `sequences × kv_heads` panels of a call run across the shared rayon
-//! pool in a **single fork**.
+//! (prompt, kv head); a speculative window is one panel per segment.
+//!
+//! **One append-and-score step.** Every scoring entry point —
+//! [`step_decode`](DecodeBatch::step_decode),
+//! [`step_all_unchecked`](DecodeBatch::step_all_unchecked),
+//! [`prefill_step_for`](DecodeBatch::prefill_step_for) and
+//! [`speculate`](DecodeBatch::speculate) (once per Mixed-format segment
+//! phase) — builds its panels and hands them to one private routine,
+//! `append_and_score`: it appends each panel's K/V rows at the panel's
+//! eviction anchor, then runs every panel × kv head pass across the
+//! shared rayon pool in a **single fork**, the engine's only one. The
+//! fork is chosen from the input size alone —
+//! `fa_tensor::par::worth_parallelizing_units` over the units and the
+//! largest panel's (query, visible row, lane) count — and is not an
+//! option. Each caller then finalizes its own way: decode and
+//! speculative tokens through one per-token normalization, prefill
+//! chunks through the per-head Kahan fold that pins them to
+//! `flash_abft::flash2_with_checksum`.
 //!
 //! The whole engine is **GQA-native**: head counts arrive as a
 //! [`HeadTopology`] (`query_heads` query heads sharing `kv_heads` cached
@@ -73,6 +88,7 @@ use arena::{Arena, Damage};
 use fa_numerics::{KahanSum, BF16};
 use fa_tensor::{online::MergedAccumulator, Matrix, Scalar};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Element-format policy for cache blocks — the "mixed-format KV" lever.
 ///
@@ -1354,7 +1370,13 @@ impl AdmittedPrompt {
 /// cursor, and the output/checksum state accumulated chunk by chunk.
 #[derive(Clone, Debug)]
 struct PendingPrompt<T: Scalar> {
-    q: Matrix<T>,
+    /// The prompt's queries; `None` for a quarantine requeue, which
+    /// re-caches the K/V history chunk by chunk (appends, checksums,
+    /// demotion/eviction maintenance) but skips the scoring passes — the
+    /// outputs were already delivered before the damage, only the cache
+    /// state needs recomputing. Its `output` is empty and no
+    /// [`AdmittedPrompt`] is parked on completion.
+    q: Option<Matrix<T>>,
     k: Matrix<T>,
     v: Matrix<T>,
     /// Next prompt row to cache and score (rows `0..next` are done).
@@ -1364,12 +1386,6 @@ struct PendingPrompt<T: Scalar> {
     /// Running prompt checksum totals (per-chunk Kahan folds).
     predicted: f64,
     actual: f64,
-    /// A quarantine requeue: re-cache the K/V history chunk by chunk
-    /// (appends, checksums, demotion/eviction maintenance) but skip the
-    /// scoring passes — the outputs were already delivered before the
-    /// damage, only the cache state needs recomputing. `q` and `output`
-    /// are empty and no [`AdmittedPrompt`] is parked on completion.
-    cache_only: bool,
     /// Absolute position of prompt row 0 — non-zero only for suffixes
     /// enqueued behind a shared prefix
     /// ([`DecodeBatch::enqueue_shared`]), whose cached history already
@@ -1389,17 +1405,15 @@ impl<T: Scalar> PendingPrompt<T> {
         base: usize,
         (predicted, actual): (f64, f64),
     ) -> Self {
-        let cache_only = q.is_none();
-        let q = q.unwrap_or_else(|| Matrix::zeros(0, 0));
+        let (rows, cols) = q.as_ref().map_or((0, 0), |q| (q.rows(), q.cols()));
         PendingPrompt {
-            output: Matrix::zeros(q.rows(), q.cols()),
+            output: Matrix::zeros(rows, cols),
             q,
             k,
             v,
             next: 0,
             predicted,
             actual,
-            cache_only,
             base,
         }
     }
@@ -2250,12 +2264,7 @@ impl<T: Scalar> DecodeBatch<T> {
     /// Panics if an id is out of range or listed twice, or (when a
     /// listed prompt is pending) if a speculative window is open.
     pub fn prefill_step_for(&mut self, seqs: &[usize]) -> usize {
-        for (i, &s) in seqs.iter().enumerate() {
-            assert!(
-                !seqs[..i].contains(&s),
-                "duplicate sequence id {s} in one prefill step"
-            );
-        }
+        assert_distinct(seqs);
         let ids: Vec<usize> = seqs
             .iter()
             .copied()
@@ -2265,130 +2274,82 @@ impl<T: Scalar> DecodeBatch<T> {
             return 0;
         }
         self.assert_no_window();
-        let h = self.cfg.query_heads;
         let kv = self.cfg.kv_heads;
         let gs = self.cfg.group_size();
         let d = self.cfg.head.head_dim();
-        let chunk = self.prefill_chunk;
 
-        // Phase 1 (serial, cheap): cache each prompt's chunk rows.
-        let mut spans = Vec::with_capacity(ids.len());
-        for &seq in &ids {
-            let pend = self.seqs[seq]
-                .pending
-                .take()
-                .expect("filtered to pending sequences");
-            let p0 = pend.next;
-            let p1 = p0.saturating_add(chunk).min(pend.k.rows());
-            let cache_only = pend.cache_only;
-            // Prompt rows are suffix-relative; `base` shifts them to
-            // absolute positions (non-zero behind a shared prefix).
-            let base = pend.base;
-            for i in p0..p1 {
-                // Anchor eviction at the chunk's first query: its pass
-                // has not run yet and may attend below the newest row's
-                // window. (Cache-only requeues have no outstanding pass,
-                // but keep the same anchor so the eviction/demotion
-                // schedule replays the original admission exactly.)
-                self.cache
-                    .append_anchored(seq, pend.k.row(i), pend.v.row(i), base + p0);
-            }
-            self.seqs[seq].pending = Some(pend);
-            self.seqs[seq].prompt_tokens += p1 - p0;
-            spans.push((seq, p0, p1, cache_only));
-        }
-
-        // Phase 2: one fork over all prompt×kv_head chunk panels.
-        // Few-but-huge work units: each pair is an O(N²·d·group)-ish
-        // pass, so even a 2-way fork pays — the decode-tuned rows≥16
-        // floor of `worth_parallelizing` would serialize small batches of
-        // long prompts.
-        let pairs: Vec<(usize, usize)> = (0..spans.len())
-            .flat_map(|si| (0..kv).map(move |g| (si, g)))
-            .collect();
-        let per_pair_elems = spans
+        // The prompts leave their slots while the step borrows their rows.
+        let pends: Vec<PendingPrompt<T>> = ids
             .iter()
-            .filter(|&&(_, _, _, cache_only)| !cache_only)
-            .map(|&(_, p0, p1, _)| (p1 * p1).saturating_sub(p0 * p0) / 2 * d * gs)
-            .max()
-            .unwrap_or(0);
-        let engine = &*self;
-        // Each pair is one panel over the chunk's positions, yielding its
-        // states in (query, member) order: entry `j·group_size + m` is
-        // chunk query `p0 + j`, member `m` of kv head `g` (query head
-        // `g·group_size + m`). Cache-only requeues yield no states: their
-        // appends are the whole job.
-        let pass = |(si, g): (usize, usize)| {
-            let (seq, p0, p1, cache_only) = spans[si];
-            if cache_only {
-                return Vec::new();
-            }
-            let pend = engine.seqs[seq].pending.as_ref().expect("pending survives");
-            let queries = pass::pack_panel(&pend.q, p0..p1, engine.cfg.group_q_cols(g));
-            engine.panel_pass(seq, g, &queries, pend.base + p0, true)
-        };
-        let states: Vec<Vec<MergedAccumulator>> =
-            if crate::par::worth_parallelizing_units(pairs.len(), per_pair_elems) {
-                pairs.into_par_iter().map(pass).collect()
-            } else {
-                pairs.into_iter().map(pass).collect()
-            };
+            .map(|&s| self.seqs[s].pending.take().expect("filtered to pending"))
+            .collect();
+        // One panel per prompt over its next chunk. Eviction anchors at
+        // the chunk's first query, absolute position `base + next` (prompt
+        // rows are suffix-relative; `base` is non-zero behind a shared
+        // prefix): its pass has not run yet and may attend below the
+        // newest row's window. (A cache-only requeue scores nothing, but
+        // keeps the same anchor so the eviction/demotion schedule replays
+        // the original admission exactly.)
+        let panels: Vec<StepPanel<'_, T>> = ids
+            .iter()
+            .zip(&pends)
+            .map(|(&seq, pend)| {
+                let end = pend.next.saturating_add(self.prefill_chunk);
+                let rows = pend.next..end.min(pend.k.rows());
+                let src = (pend.q.as_ref(), &pend.k, &pend.v);
+                StepPanel::new(seq, src, rows, pend.base + pend.next)
+            })
+            .collect();
+        let spans: Vec<Range<usize>> = panels.iter().map(|p| p.rows.clone()).collect();
+        // States per (prompt, kv head): entry `j·group_size + m` is chunk
+        // query `p0 + j`, member `m` of kv head `g` (query head
+        // `g·group_size + m`); a cache-only requeue's are empty.
+        let states = self.append_and_score(&panels, true);
 
-        // Phase 3: finalize per prompt in (query head, query) order on
-        // this thread — the same Kahan order as flash2_with_checksum per
-        // head, folded once per chunk.
-        let mut processed = 0;
-        for (si, &(seq, p0, p1, cache_only)) in spans.iter().enumerate() {
-            processed += p1 - p0;
-            let mut pend = self.seqs[seq].pending.take().expect("pending survives");
-            if cache_only {
-                // No scoring, no checksum fold, no parked admission —
-                // just advance the chunk cursor and catch eviction up.
-                pend.next = p1;
-                self.cache.evict_to_newest(seq);
-                if p1 < pend.k.rows() {
-                    self.seqs[seq].pending = Some(pend);
-                }
-                continue;
-            }
-            let mut predicted = 0.0f64;
-            let mut actual = 0.0f64;
-            for hi in 0..h {
-                let (g, m) = (hi / gs, hi % gs);
-                let group_states = &states[si * kv + g];
-                let mut pred = KahanSum::new();
-                let mut act = KahanSum::new();
-                for j in 0..p1 - p0 {
-                    let (lanes, check) = group_states[j * gs + m]
-                        .normalized()
-                        .expect("every query sees its own row");
-                    for (c, val) in lanes.enumerate() {
-                        pend.output[(p0 + j, hi * d + c)] = val;
-                        act.add(val);
+        // Finalize per prompt in (query head, query) order on this thread
+        // — the same Kahan order as flash2_with_checksum per head, folded
+        // once per chunk.
+        let processed = spans.iter().map(|p| p.len()).sum();
+        for (si, ((&seq, mut pend), p)) in ids.iter().zip(pends).zip(spans).enumerate() {
+            self.seqs[seq].prompt_tokens += p.len();
+            pend.next = p.end;
+            if pend.q.is_some() {
+                let (mut predicted, mut actual) = (0.0f64, 0.0f64);
+                for hi in 0..self.cfg.query_heads {
+                    let (g, m) = (hi / gs, hi % gs);
+                    let group_states = &states[si * kv + g];
+                    let (mut pred, mut act) = (KahanSum::new(), KahanSum::new());
+                    for j in 0..p.len() {
+                        let (lanes, check) = group_states[j * gs + m]
+                            .normalized()
+                            .expect("every query sees its own row");
+                        for (c, val) in lanes.enumerate() {
+                            pend.output[(p.start + j, hi * d + c)] = val;
+                            act.add(val);
+                        }
+                        pred.add(check);
                     }
-                    pred.add(check);
+                    predicted += pred.value();
+                    actual += act.value();
                 }
-                predicted += pred.value();
-                actual += act.value();
+                pend.predicted += predicted;
+                pend.actual += actual;
+                let totals = &mut self.seqs[seq].totals;
+                totals.0 += predicted;
+                totals.1 += actual;
             }
-            pend.predicted += predicted;
-            pend.actual += actual;
-            pend.next = p1;
-            let totals = &mut self.seqs[seq].totals;
-            totals.0 += predicted;
-            totals.1 += actual;
             // The chunk's passes ran: release rows its anchored appends
             // had to retain below the newest position's window.
             self.cache.evict_to_newest(seq);
-            if p1 == pend.k.rows() {
+            if p.end < pend.k.rows() {
+                self.seqs[seq].pending = Some(pend);
+            } else if pend.q.is_some() {
                 self.seqs[seq].ready = Some(AdmittedPrompt {
                     seq,
                     output: pend.output,
                     predicted: pend.predicted,
                     actual: pend.actual,
                 });
-            } else {
-                self.seqs[seq].pending = Some(pend);
             }
         }
         processed
@@ -2422,17 +2383,12 @@ impl<T: Scalar> DecodeBatch<T> {
         ks: &Matrix<T>,
         vs: &Matrix<T>,
     ) -> Vec<DecodeStepOutput> {
-        let states = self.run_passes(seq_ids, qs, ks, vs, true);
-        // Finalize in input order on this thread (Alg. 3 lines 9–11).
-        let h = self.cfg.query_heads;
-        let mut outputs = Vec::with_capacity(seq_ids.len());
-        for (i, &seq) in seq_ids.iter().enumerate() {
-            let out = pass::finalize_token(self.cfg.q_dim(), &states[i * h..(i + 1) * h]);
+        let outputs = self.decode_tokens(seq_ids, (qs, ks, vs), true);
+        for (&seq, out) in seq_ids.iter().zip(&outputs) {
             let state = &mut self.seqs[seq];
             state.totals.0 += out.predicted;
             state.totals.1 += out.actual;
             state.checked_steps += 1;
-            outputs.push(out);
         }
         outputs
     }
@@ -2457,89 +2413,151 @@ impl<T: Scalar> DecodeBatch<T> {
         ks: &Matrix<T>,
         vs: &Matrix<T>,
     ) -> Vec<Vec<f64>> {
-        let states = self.run_passes(seq_ids, qs, ks, vs, false);
+        let outputs = self.decode_tokens(seq_ids, (qs, ks, vs), false);
         for &seq in seq_ids {
             self.seqs[seq].unchecked_steps += 1;
         }
-        let h = self.cfg.query_heads;
-        (0..seq_ids.len())
-            .map(|i| pass::finalize_token(self.cfg.q_dim(), &states[i * h..(i + 1) * h]).output)
+        outputs.into_iter().map(|out| out.output).collect()
+    }
+
+    /// One decode token per listed sequence: a 1-position panel each,
+    /// appended at its new row and scored through
+    /// [`append_and_score`](Self::append_and_score), finalized in input
+    /// order (Alg. 3 lines 9–11). Commits nothing to the session state.
+    fn decode_tokens(
+        &mut self,
+        seq_ids: &[usize],
+        (qs, ks, vs): Rows<'_, T>,
+        checked: bool,
+    ) -> Vec<DecodeStepOutput> {
+        self.assert_step(seq_ids, (qs, ks, vs), 1);
+        let panels: Vec<StepPanel<'_, T>> = seq_ids
+            .iter()
+            .enumerate()
+            .map(|(i, &seq)| StepPanel::new(seq, (Some(qs), ks, vs), i..i + 1, self.seq_len(seq)))
+            .collect();
+        let states = self.append_and_score(&panels, checked);
+        states
+            .chunks(self.cfg.kv_heads)
+            .map(|units| pass::finalize_token(self.cfg.q_dim(), units.iter().flatten()))
             .collect()
     }
 
-    /// Appends every input token, then runs all `batch × kv_heads`
-    /// 1-position panel passes in a single fork. Returns one
-    /// unnormalized accumulator per (sequence, **query head**), in
-    /// query-head order per sequence.
-    fn run_passes(
-        &mut self,
-        seq_ids: &[usize],
-        qs: &Matrix<T>,
-        ks: &Matrix<T>,
-        vs: &Matrix<T>,
-        checked: bool,
-    ) -> Vec<MergedAccumulator> {
+    /// The id and shape contract of a decode-style step: `per_id`
+    /// consecutive Q/K/V rows per listed sequence, every id issued, live,
+    /// admitted and listed once, and no speculative window open.
+    fn assert_step(&self, seq_ids: &[usize], (qs, ks, vs): Rows<'_, T>, per_id: usize) {
+        self.assert_no_window();
         assert_eq!(qs.cols(), self.cfg.q_dim(), "Q width mismatch");
         assert_eq!(ks.cols(), self.cfg.kv_dim(), "K width mismatch");
         assert_eq!(vs.cols(), self.cfg.kv_dim(), "V width mismatch");
-        self.assert_no_window();
-        let batch = seq_ids.len();
-        assert_eq!(qs.rows(), batch, "one Q row per sequence id");
-        assert_eq!(ks.rows(), batch, "one K row per sequence id");
-        assert_eq!(vs.rows(), batch, "one V row per sequence id");
-        for (i, &s) in seq_ids.iter().enumerate() {
+        let rows = seq_ids.len() * per_id;
+        assert_eq!(qs.rows(), rows, "{per_id} Q row(s) per sequence id");
+        assert_eq!(ks.rows(), rows, "{per_id} K row(s) per sequence id");
+        assert_eq!(vs.rows(), rows, "{per_id} V row(s) per sequence id");
+        for &s in seq_ids {
             assert!(s < self.num_sequences(), "unknown sequence id {s}");
             assert!(!self.cache.is_retired(s), "sequence {s} is retired");
             assert!(
                 !self.is_pending(s),
                 "sequence {s} still has pending prompt chunks"
             );
-            assert!(
-                !seq_ids[..i].contains(&s),
-                "duplicate sequence id {s} in one step"
-            );
         }
+        assert_distinct(seq_ids);
+    }
 
-        // Phase 1 (serial, cheap): append every new token.
-        for (i, &seq) in seq_ids.iter().enumerate() {
-            self.cache.append(seq, ks.row(i), vs.row(i));
+    /// The one append-and-score step behind decode, prefill chunks and
+    /// speculative windows. Appends every panel's K/V rows in list order,
+    /// each at its panel's eviction anchor, then runs every scored panel
+    /// × kv head [`panel_pass`](Self::panel_pass) in a single fork.
+    /// Returns the states per (panel, kv head), panel-major: entry
+    /// `i·kv_heads + g` holds panel `i`'s states for kv head `g` in
+    /// `panel_pass` order (empty for a cache-only panel).
+    ///
+    /// The fork is sized by the input alone: units are scored panels × kv
+    /// heads, each weighed by the largest panel's (query, visible row,
+    /// lane) count. Every unit's result lands in its own slot, so the
+    /// thread count never changes a bit.
+    fn append_and_score(
+        &mut self,
+        panels: &[StepPanel<'_, T>],
+        checked: bool,
+    ) -> Vec<Vec<MergedAccumulator>> {
+        // A panel's first query position is its sequence's cached length
+        // before its rows append.
+        let mut pos0s = Vec::with_capacity(panels.len());
+        for p in panels {
+            pos0s.push(self.cache.seq_len(p.seq));
+            for r in p.rows.clone() {
+                self.cache
+                    .append_anchored(p.seq, p.k.row(r), p.v.row(r), p.anchor);
+            }
         }
-
-        // Phase 2: one fork over all sequence×kv_head panel passes. Each
-        // unit owns one kv head's contiguous K/V stream and computes all
-        // of its group's query-head states in one sweep; flattening the
-        // (sequence-major, kv-head-major, member) results yields exactly
-        // query-head order per sequence.
         let kv = self.cfg.kv_heads;
-        let gs = self.cfg.group_size();
-        let d = self.cfg.head.head_dim();
-        let work = batch * kv;
-        let max_len = seq_ids
-            .iter()
-            .map(|&s| self.cache.seq_len(s))
+        let lanes = self.cfg.group_size() * self.cfg.head.head_dim();
+        let visible = |pos: usize| self.mask_window.map_or(pos + 1, |w| w.min(pos + 1));
+        let scored = panels.iter().zip(&pos0s).filter(|(p, _)| p.q.is_some());
+        let largest = scored
+            .clone()
+            .map(|(p, &pos0)| (pos0..pos0 + p.rows.len()).map(visible).sum::<usize>() * lanes)
             .max()
             .unwrap_or(0);
-        let pass = |flat: usize| {
-            let (i, g) = (flat / kv, flat % kv);
-            let seq = seq_ids[i];
-            // A group's query heads are contiguous in the packed Q row.
-            self.panel_pass(
-                seq,
-                g,
-                &qs.row(i)[self.cfg.group_q_cols(g)],
-                self.cache.seq_len(seq) - 1,
-                checked,
-            )
+        let pass = |u: usize| {
+            let (p, g) = (&panels[u / kv], u % kv);
+            p.q.map_or_else(Vec::new, |q| {
+                self.panel_pass(p.seq, g, q, p.rows.clone(), pos0s[u / kv], checked)
+            })
         };
-        let groups: Vec<Vec<MergedAccumulator>> =
-            if crate::par::worth_parallelizing(work, max_len, d * gs) {
-                (0..work).into_par_iter().map(pass).collect()
-            } else {
-                (0..work).map(pass).collect()
-            };
-        groups.into_iter().flatten().collect()
+        let units = 0..panels.len() * kv;
+        if crate::par::worth_parallelizing_units(scored.count() * kv, largest) {
+            units.into_par_iter().map(pass).collect()
+        } else {
+            units.map(pass).collect()
+        }
     }
 }
+
+/// Asserts that no sequence id is listed twice in one step.
+fn assert_distinct(ids: &[usize]) {
+    for (i, s) in ids.iter().enumerate() {
+        assert!(
+            !ids[..i].contains(s),
+            "duplicate sequence id {s} in one step"
+        );
+    }
+}
+
+/// A step's staged rows: `(Q, K, V)`, one row per token.
+type Rows<'a, T> = (&'a Matrix<T>, &'a Matrix<T>, &'a Matrix<T>);
+
+/// One panel of an [`append_and_score`](DecodeBatch::append_and_score)
+/// step: rows `rows` of `k`/`v` append to sequence `seq` at eviction
+/// anchor `anchor`, and the same rows of `q` score as the positions they
+/// fill (`q` is `None` for a cache-only resubmit chunk).
+struct StepPanel<'a, T: Scalar> {
+    seq: usize,
+    q: Option<&'a Matrix<T>>,
+    k: &'a Matrix<T>,
+    v: &'a Matrix<T>,
+    rows: Range<usize>,
+    anchor: usize,
+}
+
+impl<'a, T: Scalar> StepPanel<'a, T> {
+    fn new(seq: usize, (q, k, v): Src<'a, T>, rows: Range<usize>, anchor: usize) -> Self {
+        StepPanel {
+            seq,
+            q,
+            k,
+            v,
+            rows,
+            anchor,
+        }
+    }
+}
+
+/// A panel's row source: `(Q, K, V)`, with no Q for a cache-only chunk.
+type Src<'a, T> = (Option<&'a Matrix<T>>, &'a Matrix<T>, &'a Matrix<T>);
 
 mod arena;
 pub mod guard;
@@ -2824,6 +2842,89 @@ mod tests {
                 assert_eq!(a.predicted.to_bits(), b.predicted.to_bits());
                 assert_eq!(a.actual.to_bits(), b.actual.to_bits());
             }
+        }
+    }
+
+    #[test]
+    fn forked_steps_bit_identical_at_1_2_4_threads() {
+        // Every scored step below clears the fork predicate on a
+        // multi-thread pool: four 70-token prompts admitted in 32-token
+        // chunks, one decode step, then a Mixed-format window of 4 that
+        // the block claim at position 72 splits into two segments, its
+        // resolution, and one more decode step. 4:1 GQA, d = 32, 2 kv
+        // heads: lanes = 4 · 32 per visible row.
+        let topo = HeadTopology::gqa(8, 2, AttentionConfig::new(32));
+        let (n, lanes, units) = (70, 4 * 32, 4 * 2);
+        let qkv = |rows: usize, seed: u64| {
+            let (q, kv) = (topo.q_dim(), topo.kv_dim());
+            (
+                rand(rows, q, seed),
+                rand(rows, kv, seed + 1),
+                rand(rows, kv, seed + 2),
+            )
+        };
+        let prompts: Vec<_> = (0..4).map(|i| qkv(n, 10 * i)).collect();
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                // Each shape's smallest step: the last prefill chunk
+                // (positions 64..70), decode at position 70, and the
+                // window's first segment (position 71).
+                let smallest = [(65..=70).sum::<usize>(), 71, 72];
+                for elems in smallest {
+                    let forks = crate::par::worth_parallelizing_units(units, elems * lanes);
+                    assert_eq!(forks, threads > 1, "{threads} threads, {elems} rows");
+                }
+                let mixed = KvFormat::Mixed { burst_blocks: 1 };
+                let mut b = DecodeBatch::<f64>::with_policy(
+                    topo,
+                    8,
+                    KvLayout::HeadMajor,
+                    mixed,
+                    EvictionPolicy::RetainAll,
+                );
+                b.set_prefill_chunk(32);
+                let ids: Vec<usize> = prompts.iter().map(|(q, k, v)| b.enqueue(q, k, v)).collect();
+                while b.prefill_step_for(&ids) > 0 {}
+                let mut bits = Vec::new();
+                let mut push = |xs: &[f64]| bits.extend(xs.iter().map(|x| x.to_bits()));
+                for &s in &ids {
+                    let adm = b.take_admitted(s).expect("drained");
+                    push(adm.output.as_slice());
+                    push(&[adm.predicted, adm.actual]);
+                }
+                let (q, k, v) = qkv(4, 100);
+                for out in b.step_decode(&ids, &q, &k, &v) {
+                    push(&out.output);
+                    push(&[out.predicted, out.actual]);
+                }
+                let (q, k, v) = qkv(4 * 4, 200);
+                let demoted = b.demoted_len(ids[0]);
+                for out in b.speculate(&ids, &q, &k, &v, 4).iter().flatten() {
+                    push(&out.output);
+                    push(&[out.predicted, out.actual]);
+                }
+                assert!(b.demoted_len(ids[0]) > demoted, "a claim splits the window");
+                for w in b.resolve_speculation(&[4, 2, 0, 3]) {
+                    push(&[w.predicted, w.actual]);
+                }
+                let (q, k, v) = qkv(4, 300);
+                for out in b.step_decode(&ids, &q, &k, &v) {
+                    push(&out.output);
+                    push(&[out.predicted, out.actual]);
+                }
+                for &s in &ids {
+                    push(&[b.global_residual(s)]);
+                }
+                bits
+            })
+        };
+        let serial = run(1);
+        for threads in [2, 4] {
+            assert!(serial == run(threads), "{threads} threads");
         }
     }
 

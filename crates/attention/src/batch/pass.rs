@@ -3,7 +3,11 @@
 //! to the output lanes — run per (sequence, kv head) over a **panel** of
 //! consecutive query positions.
 //!
-//! Every query shape the engine scores is a panel:
+//! Every query shape the engine scores is a panel, and every scoring
+//! entry point builds its panels and hands them to one append-and-score
+//! step, `DecodeBatch::append_and_score` (in `batch.rs`), which appends
+//! each panel's K/V rows and then runs every panel × kv head pass in a
+//! single fork:
 //!
 //! * a decode step ([`DecodeBatch::step_decode`]) is a 1-position panel
 //!   at `seq_len − 1`; readers of a shared prefix share its physical
@@ -13,6 +17,9 @@
 //!   the chunk's positions;
 //! * a speculative window ([`DecodeBatch::speculate`]) is one panel per
 //!   segment (the whole window, or its Mixed-format claim segments).
+//!
+//! A panel's queries are rows of the caller's Q matrix; the pass reads
+//! each group member's sub-row in place, with no packed copy.
 //!
 //! The sweep visits each retained block once. Inside a block, every
 //! position whose causal/window range reaches into it scores its own
@@ -36,9 +43,9 @@ impl<T: Scalar> DecodeBatch<T> {
     /// computing scores, online-softmax state, output lanes and (when
     /// `checked`) the checksum lane for every (position, group member).
     ///
-    /// `queries` packs the panel position-major, member-minor: query
-    /// `j·group_size + m` is position `pos0 + j`'s sub-row for member `m`
-    /// (query head `kv_head·group_size + m`), `head_dim` lanes each.
+    /// Position `pos0 + j` queries with row `q_rows.start + j` of `q`
+    /// (`N × q_dim`); member `m` (query head `kv_head·group_size + m`)
+    /// reads that row's `head_dim` lanes of its head, in place.
     /// Position `p` attends to `[lo(p), p]`: the causal bound, floored by
     /// the tighter of the configured sliding window and the eviction
     /// window (eviction frees exactly the rows that mask hides, so
@@ -52,20 +59,27 @@ impl<T: Scalar> DecodeBatch<T> {
     /// group's members and, for a shared prefix block, by every reader
     /// (one physical lane, like the K/V rows). Each reader of a shared
     /// block scores it with its own queries, exactly as it scores a
-    /// private block. Returns the unnormalized states in packing order.
+    /// private block. Returns the unnormalized states position-major,
+    /// member-minor: state `j·group_size + m` is position `pos0 + j`,
+    /// member `m`.
     pub(super) fn panel_pass(
         &self,
         seq: usize,
         kv_head: usize,
-        queries: &[T],
+        q: &Matrix<T>,
+        q_rows: Range<usize>,
         pos0: usize,
         checked: bool,
     ) -> Vec<MergedAccumulator> {
         let d = self.cfg.head.head_dim();
         let gs = self.cfg.group_size();
         let scale = self.cfg.head.scale();
-        let n_pos = queries.len() / (gs * d);
-        debug_assert_eq!(queries.len(), n_pos * gs * d);
+        let (row0, n_pos) = (q_rows.start, q_rows.len());
+        let col0 = self.cfg.group_q_cols(kv_head).start;
+        let query = |qi: usize| {
+            let c = col0 + qi % gs * d;
+            &q.row(row0 + qi / gs)[c..c + d]
+        };
         let mut panel = Panel {
             positions: pos0..pos0 + n_pos,
             gs,
@@ -89,13 +103,14 @@ impl<T: Scalar> DecodeBatch<T> {
             match blk.data {
                 HeadBlockData::Native { k, v } => {
                     panel.fold_block((first, rows), v, sumrow, |qi, r0, n, out| {
-                        let q = &queries[qi * d..(qi + 1) * d];
-                        ops::dot_then_scale_rows(q, &k[r0 * d..], d, n, scale, out);
+                        ops::dot_then_scale_rows(query(qi), &k[r0 * d..], d, n, scale, out);
                     })
                 }
                 HeadBlockData::Demoted { k, v } => {
                     if q_wide.is_empty() {
-                        q_wide = queries.iter().map(|x| x.to_f64()).collect();
+                        q_wide = (0..n_pos * gs)
+                            .flat_map(|qi| query(qi).iter().map(|x| x.to_f64()))
+                            .collect();
                     }
                     let q_wide = &q_wide;
                     panel.fold_block((first, rows), v, sumrow, |qi, r0, n, out| {
@@ -182,25 +197,9 @@ pub(super) fn finalize_token<'a>(
     }
 }
 
-/// Packs columns `cols` of rows `rows` of `m` position-major — a panel's
-/// query layout (a kv group's query heads are contiguous in a packed Q
-/// row, so `cols` is the group's `HeadTopology::group_q_cols`).
-pub(super) fn pack_panel<T: Scalar>(
-    m: &Matrix<T>,
-    rows: Range<usize>,
-    cols: Range<usize>,
-) -> Vec<T> {
-    let mut out = Vec::with_capacity(rows.len() * cols.len());
-    for r in rows {
-        out.extend_from_slice(&m.row(r)[cols.clone()]);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::{DecodeBatch, EvictionPolicy, KvFormat, KvLayout};
-    use super::pack_panel;
     use crate::topology::HeadTopology;
     use crate::AttentionConfig;
     use fa_tensor::{random::ElementDist, Matrix};
@@ -249,15 +248,12 @@ mod tests {
                     let gs = topo.group_size();
                     for (pos0, n_pos) in [(14, 9), (15, 3), (17, 6), (19, 4), (22, 1)] {
                         for g in 0..topo.kv_heads {
-                            let cols = topo.group_q_cols(g);
                             let rows = pos0..pos0 + n_pos;
-                            let panel = pack_panel(&q, rows, cols.clone());
-                            let states = b.panel_pass(seq, g, &panel, pos0, true);
+                            let states = b.panel_pass(seq, g, &q, rows, pos0, true);
                             assert_eq!(states.len(), n_pos * gs, "{what}");
                             for j in 0..n_pos {
                                 let p = pos0 + j;
-                                let one = pack_panel(&q, p..p + 1, cols.clone());
-                                let single = b.panel_pass(seq, g, &one, p, true);
+                                let single = b.panel_pass(seq, g, &q, p..p + 1, p, true);
                                 for (m, s) in single.iter().enumerate() {
                                     let x = &states[j * gs + m];
                                     let at = format!(

@@ -31,7 +31,10 @@
 //!   append and score in *segments* split at block-claim boundaries, one
 //!   panel per segment, so demotion fires at exactly the sequential
 //!   schedule's steps; F64/BF16 windows are one segment (their appends
-//!   never change earlier rows' bits).
+//!   never change earlier rows' bits). Each phase of segments (every
+//!   sequence's first segment, then every second one, …) is one call of
+//!   the engine's append-and-score step, the routine decode and prefill
+//!   use, so a window forks where they fork and nowhere else.
 //! * [`DecodeBatch::resolve_speculation`] rolls **every** windowed
 //!   sequence back to its snapshot (resurrecting parked blocks), flushes
 //!   still-unowned parked blocks to the free lists, restores the tail
@@ -54,10 +57,9 @@
 //! a time; `resolve_speculation` with `accepted = 0` is a pure rollback.
 
 use super::guard::WindowVerdict;
-use super::pass::{finalize_token, pack_panel};
-use super::{BlockRef, DecodeBatch, DecodeStepOutput, KvFormat};
-use fa_tensor::{online::MergedAccumulator, Matrix, Scalar};
-use rayon::prelude::*;
+use super::pass::finalize_token;
+use super::{BlockRef, DecodeBatch, DecodeStepOutput, KvFormat, StepPanel};
+use fa_tensor::{Matrix, Scalar};
 
 /// Rollback snapshot and scored-window state for one speculating
 /// sequence.
@@ -146,27 +148,8 @@ impl<T: Scalar> DecodeBatch<T> {
         vs: &Matrix<T>,
         gamma: usize,
     ) -> Vec<Vec<DecodeStepOutput>> {
-        self.assert_no_window();
         assert!(gamma > 0, "speculative window must hold at least one token");
-        let batch = seq_ids.len();
-        assert_eq!(qs.cols(), self.cfg.q_dim(), "Q width mismatch");
-        assert_eq!(ks.cols(), self.cfg.kv_dim(), "K width mismatch");
-        assert_eq!(vs.cols(), self.cfg.kv_dim(), "V width mismatch");
-        assert_eq!(qs.rows(), batch * gamma, "gamma Q rows per sequence id");
-        assert_eq!(ks.rows(), batch * gamma, "gamma K rows per sequence id");
-        assert_eq!(vs.rows(), batch * gamma, "gamma V rows per sequence id");
-        for (i, &s) in seq_ids.iter().enumerate() {
-            assert!(s < self.num_sequences(), "unknown sequence id {s}");
-            assert!(!self.cache.is_retired(s), "sequence {s} is retired");
-            assert!(
-                !self.is_pending(s),
-                "sequence {s} still has pending prompt chunks"
-            );
-            assert!(
-                !seq_ids[..i].contains(&s),
-                "duplicate sequence id {s} in one window"
-            );
-        }
+        self.assert_step(seq_ids, (qs, ks, vs), gamma);
 
         // Snapshot every windowed sequence, then open the window BEFORE
         // any append: the open window parks last-reference frees, so
@@ -177,6 +160,7 @@ impl<T: Scalar> DecodeBatch<T> {
             .iter()
             .enumerate()
             .map(|(i, &seq)| {
+                let window = i * gamma * width..(i + 1) * gamma * width;
                 let sb = &self.cache.seqs[seq];
                 let tail = sb
                     .blocks
@@ -190,100 +174,48 @@ impl<T: Scalar> DecodeBatch<T> {
                     tail,
                     start: sb.start,
                     demoted_rows: sb.demoted_rows,
-                    ks: {
-                        let mut rows = Vec::with_capacity(gamma * width);
-                        for j in 0..gamma {
-                            rows.extend_from_slice(ks.row(i * gamma + j));
-                        }
-                        rows
-                    },
-                    vs: {
-                        let mut rows = Vec::with_capacity(gamma * width);
-                        for j in 0..gamma {
-                            rows.extend_from_slice(vs.row(i * gamma + j));
-                        }
-                        rows
-                    },
+                    ks: ks.as_slice()[window.clone()].to_vec(),
+                    vs: vs.as_slice()[window].to_vec(),
                     token_checks: Vec::with_capacity(gamma),
                 }
             })
             .collect();
-        let len0s: Vec<usize> = specs.iter().map(|s| s.len0).collect();
-        self.cache.begin_deferred_frees();
-        self.spec_window = Some(SpecWindow { gamma, seqs: specs });
-
         // Segment the window at block-claim boundaries for Mixed format:
         // a claim is exactly when the appended position is a multiple of
         // block_rows (`start` is always block-aligned), and claims are
         // when demotion fires — scoring must interleave so each query
         // sees the storage formats its sequential twin saw. F64/BF16
         // appends never change earlier rows' bits (CoW copies bitwise),
-        // so the whole window is one segment.
+        // so the whole window is one segment. Phase `p` holds every
+        // sequence's `p`-th segment as one panel; every segment anchors
+        // eviction at its sequence's pre-window length.
         let mixed = matches!(self.cache.format(), KvFormat::Mixed { .. });
-        let mut phases: Vec<Vec<(usize, usize, usize)>> = Vec::new();
-        for (i, &len0) in len0s.iter().enumerate() {
-            let mut bounds = vec![0usize];
-            if mixed {
-                for j in 1..gamma {
-                    if (len0 + j) % br == 0 {
-                        bounds.push(j);
-                    }
-                }
-            }
-            bounds.push(gamma);
-            for (p, w) in bounds.windows(2).enumerate() {
-                if phases.len() <= p {
-                    phases.push(Vec::new());
-                }
-                phases[p].push((i, w[0], w[1]));
+        let mut phases: Vec<Vec<StepPanel<'_, T>>> = (0..gamma).map(|_| Vec::new()).collect();
+        for (i, s) in specs.iter().enumerate() {
+            let cuts = (1..gamma).filter(|j| mixed && (s.len0 + j).is_multiple_of(br));
+            let mut j0 = 0;
+            for (p, j1) in cuts.chain([gamma]).enumerate() {
+                let rows = i * gamma + j0..i * gamma + j1;
+                phases[p].push(StepPanel::new(s.seq, (Some(qs), ks, vs), rows, s.len0));
+                j0 = j1;
             }
         }
+        self.cache.begin_deferred_frees();
+        self.spec_window = Some(SpecWindow { gamma, seqs: specs });
 
         let kv = self.cfg.kv_heads;
         let gs = self.cfg.group_size();
-        let d = self.cfg.head.head_dim();
         let mut outputs: Vec<Vec<DecodeStepOutput>> =
-            (0..batch).map(|_| Vec::with_capacity(gamma)).collect();
-        for phase in &phases {
-            // Serial appends for this phase's segments, anchored at each
-            // sequence's pre-window length.
-            for &(i, j0, j1) in phase {
-                let seq = seq_ids[i];
-                for j in j0..j1 {
-                    let r = i * gamma + j;
-                    self.cache
-                        .append_anchored(seq, ks.row(r), vs.row(r), len0s[i]);
-                }
-            }
-            // One fork over (segment × kv head) panels — same fork shape
-            // and threshold family as `run_passes`, and the same pass, so
-            // thread count cannot affect bits.
-            let work = phase.len() * kv;
-            let max_len = phase
-                .iter()
-                .map(|&(i, _, _)| self.cache.seq_len(seq_ids[i]))
-                .max()
-                .unwrap_or(0);
-            let pass = |flat: usize| {
-                let (u, g) = (flat / kv, flat % kv);
-                let (i, j0, j1) = phase[u];
-                let rows = i * gamma + j0..i * gamma + j1;
-                let queries = pack_panel(qs, rows, self.cfg.group_q_cols(g));
-                self.panel_pass(seq_ids[i], g, &queries, len0s[i] + j0, true)
-            };
-            let states: Vec<Vec<MergedAccumulator>> =
-                if crate::par::worth_parallelizing(work, max_len, d * gs * gamma) {
-                    (0..work).into_par_iter().map(pass).collect()
-                } else {
-                    (0..work).map(pass).collect()
-                };
+            seq_ids.iter().map(|_| Vec::with_capacity(gamma)).collect();
+        for panels in &phases {
+            let states = self.append_and_score(panels, true);
             // Finalize each window token exactly as `step_decode` does —
             // query heads in order (kv-group major, member minor ==
             // ascending query head) — but fold nothing into the session
             // totals; the pairs park in the window.
-            for (u, &(i, j0, j1)) in phase.iter().enumerate() {
-                let units = &states[u * kv..(u + 1) * kv];
-                for j in 0..j1 - j0 {
+            for (units, panel) in states.chunks(kv).zip(panels) {
+                let i = panel.rows.start / gamma;
+                for j in 0..panel.rows.len() {
                     let heads = units.iter().flat_map(|unit| &unit[j * gs..(j + 1) * gs]);
                     let out = finalize_token(self.cfg.q_dim(), heads);
                     let win = self.spec_window.as_mut().expect("window is open");

@@ -352,9 +352,10 @@ pub struct DecodeShape {
     pub steps: usize,
 }
 
-/// A speed ratio from [`ratio_pairs`]: the two variants' median times
-/// and the median, p10 and p90 of the per-pair ratio `base / variant`
-/// (above 1: the variant is faster).
+/// A speed ratio from interleaved, order-alternated timing pairs of a
+/// baseline and a variant: the two variants' median times and the
+/// median, p10 and p90 of the per-pair ratio `base / variant` (above 1:
+/// the variant is faster).
 #[derive(Clone, Copy, Debug)]
 pub struct RatioPairs {
     /// Median baseline time, milliseconds.

@@ -70,13 +70,19 @@ pub fn worth_parallelizing_matmul(rows: usize) -> bool {
 }
 
 /// Whether a fork over `units` independent work items, each touching
-/// roughly `elems_per_unit` elements, is worth it. Unlike
-/// [`worth_parallelizing`] there is no minimum unit count beyond "more
-/// than one": admission-style workloads (prompt×head prefill passes)
-/// have few, very large units, where even a 2-way fork pays for itself.
+/// roughly `elems_per_unit` elements, is worth it — the serving engine's
+/// one fork predicate (`fa_attention::batch`, where a unit is one
+/// (panel, kv head) pass weighed by the largest panel's (query, visible
+/// row, lane) count). Unlike [`worth_parallelizing`] there is no minimum
+/// unit count beyond "more than one": a prefill chunk has few, very
+/// large units, where even a 2-way fork pays for itself. The 2¹⁶ floor
+/// keeps small decode steps on the calling thread (the offline rayon
+/// shim starts scoped OS threads on every fork): one sequence at 4 heads,
+/// d = 64 and 160 cached rows (≈41k) stays serial, while eight such
+/// sequences (≈264k) and every Llama-shape prefill chunk fork.
 #[inline]
 pub fn worth_parallelizing_units(units: usize, elems_per_unit: usize) -> bool {
-    units >= 2 && units.saturating_mul(elems_per_unit) >= 1 << 15 && forking_possible()
+    units >= 2 && units.saturating_mul(elems_per_unit) >= 1 << 16 && forking_possible()
 }
 
 #[cfg(test)]
@@ -128,6 +134,13 @@ mod tests {
                 // A single unit, or simulator-sized units, must not.
                 assert!(!worth_parallelizing_units(1, 1 << 30));
                 assert!(!worth_parallelizing_units(8, 16));
+                // Engine decode at 4 heads, d = 64: one sequence at 160
+                // rows stays serial; a batch of 8 at 129 rows forks.
+                assert!(!worth_parallelizing_units(4, 160 * 64));
+                assert!(worth_parallelizing_units(32, 129 * 64));
+                // A 32-token Llama prefill chunk (8 kv heads, 4 query
+                // heads each, d = 128) forks.
+                assert!(worth_parallelizing_units(8, 32 * 32 / 2 * 4 * 128));
             });
         let one = rayon::ThreadPoolBuilder::new()
             .num_threads(1)
